@@ -17,13 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
-from . import _kernels
 from .errors import ConvergenceError, DomainError, EvaluationOverflowError, SamplingError, StructureError
 from .potential import PhysicalConstants, PotentialParams, eval_potential
 from .special import hyperbolic_pair
 
 _NODE_EPS = 1e-8
+_LOG_NODE_EPS = math.log(_NODE_EPS)
+# a Numerov block ends before its strict growth bound passes e^600, so its
+# values stay well inside the float64 range (e^709) whatever the input
+_LOG_BLOCK_GROWTH = 600.0
+_SWEEP_FAILED = "numerov sweep: singular or non-finite recurrence step"
 _MAX_BISECT = 200
 # dstebz bisects until an interval is below max(tol, 2 ulp |E|); a tol this
 # small leaves the relative two-ulp floor in charge
@@ -166,12 +171,68 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     return NumericSpectrum("FiniteDifference", tuple(levels), tuple(wfs), grid, r)
 
 
+def _numerov_sweep(f, h2, u0, u1):
+    """Integrate u'' = f u outward from (u0, u1); return (v, log_scale).
+
+    The three-term recurrence c_(j+1) u_(j+1) = d_j u_j - c_(j-1) u_(j-1),
+    with c = 1 - h2 f/12 and d = 2 (1 + 5 h2 f/12), is solved as
+    lower-triangular banded systems (LAPACK dtbtrs, two sub-diagonals)
+    in blocks. Each block starts from its two carry-in values renormalised
+    to a maximum of 1 and ends before the product of the per-step bounds
+    max(1, (|d_j| + |c_(j-1)|)/|c_(j+1)|) passes e^600, so no value can
+    overflow. The sweep is u = v exp(log_scale) pointwise. A singular or
+    non-finite step raises EvaluationOverflowError.
+    """
+    n = f.shape[0]
+    c = 1.0 - h2 * f / 12.0
+    d = 2.0 * (1.0 + 5.0 * h2 * f / 12.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        growth = np.log(np.maximum(1.0, (np.abs(d[1:-1]) + np.abs(c[:-2])) / np.abs(c[2:])))
+    if not np.all(np.isfinite(growth)):
+        raise EvaluationOverflowError(_SWEEP_FAILED)
+    bound = np.cumsum(growth)
+    # column k holds the coefficients of u_(k+2) in band storage
+    ab = np.empty((3, n - 2), order="F")
+    ab[0] = c[2:]
+    ab[1] = -d[2:]
+    ab[2] = c[2:]
+    v = np.empty(n)
+    v[0], v[1] = u0, u1
+    log_scale = np.zeros(n)
+    start, done, level = 2, 0.0, 0.0
+    while start < n:
+        stop = max(start + 1, 2 + int(np.searchsorted(
+            bound, done + _LOG_BLOCK_GROWTH, side="right")))
+        w0, w1 = v[start - 2], v[start - 1]
+        carry = max(abs(w0), abs(w1))
+        if carry > 0.0:
+            w0, w1 = w0 / carry, w1 / carry
+            level += math.log(carry)
+        rhs = np.zeros(stop - start)
+        # the carry-ins enter the block's first two equations only
+        rhs[0] = d[start - 1] * w1 - c[start - 2] * w0
+        rhs[1:2] = -c[start - 1] * w1
+        x, info = dtbtrs(ab[:, start - 2:stop - 2], rhs, uplo="L")
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise EvaluationOverflowError(_SWEEP_FAILED)
+        v[start:stop] = x
+        log_scale[start:stop] = level
+        done = bound[stop - 3]
+        start = stop
+    return v, log_scale
+
+
+def _log_amplitude(v, log_scale):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(v)) + log_scale
+
+
 def _numerov_count(f, h2, u0, u1):
-    nodes, _, ok = _kernels.numerov_scan(f, h2, u0, u1)
-    if not ok:
-        raise EvaluationOverflowError(
-            "numerov integration produced non-finite values despite rescaling")
-    return nodes
+    """Sign changes of the sweep, ignoring values below 1e-8 of the running max."""
+    v, log_scale = _numerov_sweep(f, h2, u0, u1)
+    amp = _log_amplitude(v, log_scale)
+    signs = np.sign(v[amp > np.maximum.accumulate(amp) + _LOG_NODE_EPS])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericSpectrum:
@@ -199,8 +260,7 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
     u1 = h ** (l + 1)
 
     def count(E):
-        f = np.ascontiguousarray(pref * (veff - E))
-        return _numerov_count(f, h2, u0, u1)
+        return _numerov_count(pref * (veff - E), h2, u0, u1)
 
     notes = []
     if E_window is None:
@@ -249,11 +309,8 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
                 f"numerov_spectrum: bisection for level {k} not converged "
                 f"after {_MAX_BISECT} iterations")
         E = 0.5 * (lo_k + hi_k)
-        f = np.ascontiguousarray(pref * (veff - E))
-        u = np.empty(grid.n_points)
-        if not _kernels.numerov_array(f, h2, u0, u1, u):
-            raise EvaluationOverflowError(
-                "numerov integration produced non-finite values despite rescaling")
+        v, log_scale = _numerov_sweep(pref * (veff - E), h2, u0, u1)
+        u = v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
         nrm = math.sqrt(float(np.trapezoid(u * u, r)))
         u /= nrm
         if u[int(np.argmax(np.abs(u)))] < 0.0:

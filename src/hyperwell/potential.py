@@ -61,18 +61,6 @@ class PhysicalConstants:
                 raise DomainError(f"PhysicalConstants: {name} must be positive and finite")
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    n: int
-    l: int
-
-    def __post_init__(self):
-        for name in ("n", "l"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or val < 0:
-                raise DomainError(f"QuantumState: {name} must be a non-negative integer")
-
-
 def _eval_from_pair(params, coth, csch2):
     """Assemble the four terms from precomputed coth and cosech^2 values.
 
@@ -110,6 +98,23 @@ def _name_offender(params, coth, csch2):
     return "potential"
 
 
+def _potential_values(params, arr):
+    """(V, coth, cosech^2) on a float array whose alpha r all lie in (0, inf).
+
+    Does not raise on overflow: V is non-finite wherever an active term is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coth, csch2 = hyperbolic_pair(params.alpha * arr)
+        return _eval_from_pair(params, coth, csch2), coth, csch2
+
+
+def _barrier(params, consts, l, arr, approximate):
+    coef = consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass)
+    if approximate:
+        return coef * params.alpha**2 * hyperbolic_pair(params.alpha * arr)[1]
+    return coef / (arr * arr)
+
+
 def eval_potential(params: PotentialParams, r):
     """V(r) for scalar or array r > 0.
 
@@ -122,9 +127,7 @@ def eval_potential(params: PotentialParams, r):
         return arr.copy()
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise DomainError("eval_potential: r must lie in (0, inf)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        coth, csch2 = hyperbolic_pair(params.alpha * arr)
-        out = _eval_from_pair(params, coth, csch2)
+    out, coth, csch2 = _potential_values(params, arr)
     if not np.all(np.isfinite(out)):
         term = _name_offender(params, coth, csch2)
         flat_out = np.atleast_1d(np.asarray(out, dtype=float))
@@ -175,14 +178,7 @@ def effective_potential(params, consts, l, r, approximate=False):
     base = eval_potential(params, r)
     if l == 0:
         return base
-    coef = consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass)
-    arr = np.asarray(r, dtype=float)
-    if approximate:
-        _, csch2 = hyperbolic_pair(params.alpha * arr)
-        barrier = coef * params.alpha**2 * csch2
-    else:
-        barrier = coef / (arr * arr)
-    out = base + barrier
+    out = base + _barrier(params, consts, l, np.asarray(r, dtype=float), approximate)
     return float(out) if np.isscalar(r) or getattr(r, "ndim", 0) == 0 else out
 
 
@@ -193,17 +189,17 @@ def scan_series(params, r_values, consts=None, l=0, approximate=False):
     or None; None is an explicit gap marker for points where a term
     overflowed or r was outside the domain. Gaps are never dropped.
     """
-    out = []
-    for r in r_values:
-        try:
-            if l:
-                out.append(float(effective_potential(params, consts, l, float(r),
-                                                     approximate=approximate)))
-            else:
-                out.append(float(eval_potential(params, float(r))))
-        except (DomainError, EvaluationOverflowError):
-            out.append(None)
-    return out
+    r = np.asarray(r_values, dtype=float)
+    out = np.full(r.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = params.alpha * r
+        inside = np.isfinite(x) & (x > 0.0)
+        r_in = r[inside]
+        values = _potential_values(params, r_in)[0]
+        if l:
+            values = values + _barrier(params, consts, l, r_in, approximate)
+    out[inside] = values
+    return [float(v) if math.isfinite(v) else None for v in out]
 
 
 def rosen_morse_params(a, c, V0, V2, alpha):

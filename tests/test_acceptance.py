@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import hyperwell as hw
-from hyperwell import _kernels
 from hyperwell.analytic import (
     DimensionlessParams,
     closed_form_diagnostics,

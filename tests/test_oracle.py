@@ -1,4 +1,4 @@
-"""Numeric oracle: FD Sturm bisection, Numerov shooting, study machinery."""
+"""Numeric oracle: FD on LAPACK, Numerov shooting, study machinery."""
 
 import math
 
@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from hyperwell import oracle
-from hyperwell.errors import ConvergenceError, DomainError, SamplingError, StructureError
+from hyperwell.errors import (
+    ConvergenceError,
+    DomainError,
+    EvaluationOverflowError,
+    SamplingError,
+    StructureError,
+)
 from hyperwell.oracle import (
     ComparisonReport,
     NumericSpectrum,
@@ -130,6 +136,105 @@ class TestOscillatorFixture:
         spec = fd_spectrum(oscillator, 1, CONSTS, OSC_GRID, 2)
         assert spec.levels[0][1] == pytest.approx(5.0, rel=1e-3)
         assert spec.levels[1][1] == pytest.approx(9.0, rel=1e-3)
+
+
+def reference_scan_nodes(f, h2, u0, u1):
+    """Node count of the outward Numerov sweep, one step at a time.
+
+    The pointwise loop the banded sweep replaced: sign changes over the
+    whole sweep, thresholded at 1e-8 of the running amplitude, with the
+    sweep divided by 1e100 whenever it passes 1e100.
+    """
+    n = f.shape[0]
+    c_prev = 1.0 - h2 * f[0] / 12.0
+    c_cur = 1.0 - h2 * f[1] / 12.0
+    up, uc = u0, u1
+    umax = max(abs(up), abs(uc), 1e-300)
+    nodes = 0
+    last_sign = 0
+    if abs(up) > 1e-8 * umax:
+        last_sign = 1 if up > 0.0 else -1
+    if abs(uc) > 1e-8 * umax:
+        s = 1 if uc > 0.0 else -1
+        if last_sign != 0 and s != last_sign:
+            nodes += 1
+        last_sign = s
+    for j in range(1, n - 1):
+        c_next = 1.0 - h2 * f[j + 1] / 12.0
+        un = (2.0 * uc * (1.0 + 5.0 * h2 * f[j] / 12.0) - up * c_prev) / c_next
+        assert math.isfinite(un)
+        if abs(un) > 1e100:
+            un /= 1e100
+            uc /= 1e100
+            umax = max(umax / 1e100, 1e-300)
+        up, uc = uc, un
+        c_prev, c_cur = c_cur, c_next
+        umax = max(umax, abs(uc))
+        if abs(uc) > 1e-8 * umax:
+            s = 1 if uc > 0.0 else -1
+            if last_sign != 0 and s != last_sign:
+                nodes += 1
+            last_sign = s
+    return nodes
+
+
+class TestNumerovSweep:
+    @staticmethod
+    def harmonic_f(E, n=2001, r_max=10.0):
+        r = np.linspace(1e-6, r_max, n)
+        h = r[1] - r[0]
+        return r * r - E, h * h
+
+    # (f, h^2, expected nodes): steep growth the sweep must carry without
+    # overflow, and a strongly oscillating sweep
+    STEEP = (
+        # u'' = 400 u on [0, 50]: growth ~ e^1000
+        (np.full(20001, 400.0), (50.0 / 20000) ** 2, 0),
+        (np.full(8000, 5e4), (10.0 / 7999) ** 2, 0),
+        (np.full(2000, 100.0), 1.0, 1998),
+    )
+
+    def test_matches_reference_on_oscillator(self):
+        for E in np.linspace(0.0, 40.0, 400):
+            f, h2 = self.harmonic_f(E)
+            assert oracle._numerov_count(f, h2, 0.0, 1e-8) == \
+                reference_scan_nodes(f, h2, 0.0, 1e-8), E
+
+    def test_matches_reference_on_steep_fixtures(self):
+        for f, h2, expected in self.STEEP:
+            assert reference_scan_nodes(f, h2, 0.0, 1e-8) == expected
+            assert oracle._numerov_count(f, h2, 0.0, 1e-8) == expected
+            v, log_scale = oracle._numerov_sweep(f, h2, 0.0, 1e-8)
+            assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e300)
+
+    def test_node_count_brackets_levels(self):
+        # between oscillator levels 3 and 7 the sweep gains exactly one node
+        f_lo, h2 = self.harmonic_f(5.0)
+        f_hi, _ = self.harmonic_f(9.0)
+        assert oracle._numerov_count(f_hi, h2, 0.0, 1e-8) \
+            - oracle._numerov_count(f_lo, h2, 0.0, 1e-8) == 1
+
+    def test_singular_step_raises(self):
+        # h^2 f_j = 12 makes the coefficient c_j of u_j vanish
+        f = np.zeros(64)
+        f[40] = 12.0
+        with pytest.raises(EvaluationOverflowError):
+            oracle._numerov_count(f, 1.0, 0.0, 1e-3)
+
+    def test_wavefunctions_normalized(self):
+        # past r = 1 the wall has h^2 f = 1, so the sweep's last block grows
+        # by ~e^400: u*u overflows unless u is scaled by its global maximum
+        def wall(r):
+            return np.where(np.asarray(r, dtype=float) > 1.0, 1e6, 0.0)
+
+        cases = ((oscillator, RadialGrid(1e-6, 10.0, 8000), (0.5, 13.0), 3),
+                 (wall, RadialGrid(1e-9, 1.9, 1901), (0.5, 30.0), 1))
+        for potential, grid, window, n_states in cases:
+            spec = numerov_spectrum(potential, 0, CONSTS, grid, window, n_states)
+            assert len(spec.wavefunctions) == n_states
+            for vec in spec.wavefunctions:
+                assert np.all(np.isfinite(vec))
+                assert np.trapezoid(vec * vec, spec.r) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSpectrumStructure:

@@ -1,6 +1,7 @@
 """Potential family: evaluation, asymptote, centrifugal surrogate, special shapes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hyperwell.errors import DomainError
 from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
-    QuantumState,
     centrifugal_approx,
     effective_potential,
     eval_potential,
@@ -62,13 +62,6 @@ class TestEvalPotential:
             PotentialParams(a=1, b=0, c=0, d=0, V0=1, V1=0, V2=0, alpha=-1.0)
         with pytest.raises(DomainError):
             PotentialParams(a=float("inf"), b=0, c=0, d=0, V0=1, V1=0, V2=0, alpha=1.0)
-
-    def test_quantum_state_validation(self):
-        QuantumState(0, 0)
-        with pytest.raises(DomainError):
-            QuantumState(-1, 0)
-        with pytest.raises(DomainError):
-            QuantumState(0, -2)
 
 
 class TestCentrifugalApprox:
@@ -149,6 +142,18 @@ class TestScanSeries:
     def test_effective_path(self):
         vals = scan_series(DEMO, [0.5], consts=CONSTS, l=2)
         assert vals[0] == pytest.approx(effective_potential(DEMO, CONSTS, 2, 0.5))
+
+    def test_overflowing_barrier_is_a_gap(self):
+        # r^2 is subnormal at 5e-155, so both barriers overflow there
+        params = with_alpha(DEMO, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for approximate in (False, True):
+                vals = scan_series(params, [5e-155, 0.5], consts=CONSTS, l=1,
+                                   approximate=approximate)
+                assert vals[0] is None
+                assert vals[1] == pytest.approx(
+                    effective_potential(params, CONSTS, 1, 0.5, approximate=approximate))
 
 
 class TestSpecialCases:
