@@ -2,7 +2,8 @@
 
 Two deliberately different methods act as ground truth for the closed
 forms: a finite-difference discretization diagonalized by Sturm-sequence
-bisection, and Numerov shooting with node-count bisection. Both solve
+bisection, and Numerov shooting, bracketed by node counts and refined on
+the Dirichlet root. Both solve
 
     -(hbar^2/2m) u'' + [V(r) + hbar^2 l(l+1)/(2m r^2)] u = E u
 
@@ -19,7 +20,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import ConvergenceError, DomainError, EvaluationOverflowError, SamplingError, StructureError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    EvaluationOverflowError,
+    ResolutionError,
+    SamplingError,
+    StructureError,
+)
 from .potential import PhysicalConstants, PotentialParams, eval_potential
 from .special import hyperbolic_pair
 
@@ -227,26 +235,110 @@ def _log_amplitude(v, log_scale):
         return np.log(np.abs(v)) + log_scale
 
 
-def _numerov_count(f, h2, u0, u1):
-    """Sign changes of the sweep, ignoring values below 1e-8 of the running max."""
+def _numerov_probe(f, h2, u0, u1):
+    """(node count, endpoint) of one outward sweep.
+
+    The count is the number of sign changes, ignoring values below 1e-8 of
+    the running maximum amplitude. The endpoint is u at the last grid
+    point divided by the sweep's maximum amplitude, so it lies in [-1, 1].
+    """
     v, log_scale = _numerov_sweep(f, h2, u0, u1)
     amp = _log_amplitude(v, log_scale)
     signs = np.sign(v[amp > np.maximum.accumulate(amp) + _LOG_NODE_EPS])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    count = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    end = 0.0 if v[-1] == 0.0 else float(v[-1]) * math.exp(log_scale[-1] - np.max(amp))
+    return count, end
+
+
+def _level_tol(E):
+    return 1e-10 * max(1.0, abs(E))
+
+
+def _illinois(endpoint, a, fa, b, fb):
+    """Root of endpoint(E) in [a, b], where fa and fb have opposite signs,
+    by regula falsi with the Illinois halving of a retained end (Dowell
+    and Jarratt, BIT 11, 1971), to a bracket of width 1e-10 max(1, |E|)."""
+    side = 0
+    for _ in range(_MAX_BISECT):
+        x = (a * fb - b * fa) / (fb - fa)
+        fx = endpoint(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            if side == 1:
+                fa *= 0.5
+            side = 1
+        else:
+            a, fa = x, fx
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        if b - a <= _level_tol(x):
+            return 0.5 * (a + b)
+    raise ConvergenceError(
+        f"numerov_spectrum: regula falsi not converged after {_MAX_BISECT} iterations")
+
+
+def _locate_level(probe, samples, k):
+    """Energy of level k, bracketed by the (E, count, endpoint) samples
+    swept so far. Bisection on the node count narrows the bracket until
+    it holds level k alone, with count k below, k + 1 above and a sign
+    change of the endpoint across it; regula falsi on the endpoint then
+    closes it on the Dirichlet root. Without that sign change the count
+    bisection runs to the end and the level is its midpoint."""
+    lo = max((s for s in samples if s[1] <= k), key=lambda s: s[0])
+    hi = min((s for s in samples if s[1] > k and s[0] > lo[0]), key=lambda s: s[0])
+    for _ in range(_MAX_BISECT):
+        if lo[1] == k and hi[1] == k + 1 and lo[2] * hi[2] < 0.0:
+            return _illinois(lambda E: probe(E)[2], lo[0], lo[2], hi[0], hi[2])
+        mid = probe(0.5 * (lo[0] + hi[0]))
+        if mid[1] >= k + 1:
+            hi = mid
+        else:
+            lo = mid
+        if hi[0] - lo[0] <= _level_tol(mid[0]):
+            return 0.5 * (lo[0] + hi[0])
+    raise ConvergenceError(
+        f"numerov_spectrum: bisection for level {k} not converged "
+        f"after {_MAX_BISECT} iterations")
+
+
+def _numerov_state(f, h2, u0, u1):
+    """The level's sweep as (v, log_scale). Where r_max is classically
+    forbidden, the outward sweep runs to the last classically allowed
+    point and an inward sweep from u(r_max) = 0 carries the decaying tail
+    (Cooley, Math. Comp. 15, 1961); the two are joined there in log
+    amplitude. Otherwise the outward sweep is the state."""
+    allowed = np.flatnonzero(f <= 0.0)
+    m = int(allowed[-1]) if allowed.size else 0
+    if f[-1] <= 0.0 or m < 1:
+        return _numerov_sweep(f, h2, u0, u1)
+    v_out, s_out = _numerov_sweep(f[:m + 1], h2, u0, u1)
+    v_in, s_in = _numerov_sweep(f[m:][::-1], h2, 0.0, 1.0)
+    shift = _log_amplitude(v_out[-1], s_out[-1]) - _log_amplitude(v_in[-1], s_in[-1])
+    sign = np.sign(v_out[-1]) * np.sign(v_in[-1])
+    return (np.concatenate((v_out, sign * v_in[-2::-1])),
+            np.concatenate((s_out, s_in[-2::-1] + shift)))
 
 
 def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericSpectrum:
-    """Levels inside E_window by outward Numerov shooting.
+    """Levels inside E_window by Numerov shooting.
 
     The start is the discrete regular solution u ~ (r - r_min)^(l+1),
     so u = 0 exactly at the left boundary (identical to the Dirichlet
     condition the finite-difference oracle imposes, and immune to a
-    singular potential sample at r_min). Each level is located by
-    bisection on the count of thresholded sign changes of the sweep, to
-    |dE| <= 1e-10 max(1, |E|). E_window may be None, in which case a
-    window is grown automatically from the interior potential floor.
-    Level indices are global (equal to the node count), so a window
-    starting above the ground state yields k > 0 entries.
+    singular potential sample at r_min). Each level is bracketed by the
+    count of thresholded sign changes of the outward sweep and located at
+    the Dirichlet root u(r_max) = 0 by regula falsi, to |dE| <= 1e-10
+    max(1, |E|); every sweep of the call is kept for bracketing. A level
+    whose r_max is classically forbidden is reported as the outward sweep
+    matched to an inward one, so its exponentially growing outward tail
+    never enters the state. E_window may be None, in which case a window
+    is grown automatically from the interior potential floor; a grid so
+    coarse that the sweep already has nodes at that floor raises
+    ResolutionError. Level indices are global (equal to the node count),
+    so a window starting above the ground state yields k > 0 entries.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -258,19 +350,27 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
     pref = 2.0 * consts.mass / consts.hbar**2
     u0 = 0.0
     u1 = h ** (l + 1)
+    samples = []  # (E, node count, endpoint) of every sweep in this call
 
-    def count(E):
-        return _numerov_count(pref * (veff - E), h2, u0, u1)
+    def probe(E):
+        samples.append((E, *_numerov_probe(pref * (veff - E), h2, u0, u1)))
+        return samples[-1]
 
     notes = []
     if E_window is None:
         # interior floor: boundary samples may be singular and only ever
         # multiply the u = 0 start value
         e_lo = float(np.min(veff[1:-1])) - 1.0
-        k_lo = count(e_lo)
+        k_lo = probe(e_lo)[1]
+        if k_lo:
+            # no state has nodes below the potential minimum
+            raise ResolutionError(
+                f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
+                f"minimum; n_points = {grid.n_points} is too coarse for this potential")
         e_hi = e_lo + 1.0
         for _ in range(_MAX_BISECT):
-            if count(e_hi) >= k_lo + n_states:
+            k_hi = probe(e_hi)[1]
+            if k_hi >= k_lo + n_states:
                 break
             e_hi = e_lo + 2.0 * (e_hi - e_lo)
         else:
@@ -280,8 +380,8 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
         e_lo, e_hi = float(E_window[0]), float(E_window[1])
         if not (e_lo < e_hi):
             raise DomainError(f"numerov_spectrum: empty window [{e_lo}, {e_hi}]")
-        k_lo = count(e_lo)
-    k_hi = count(e_hi)
+        k_lo = probe(e_lo)[1]
+        k_hi = probe(e_hi)[1]
     available = k_hi - k_lo
     if available <= 0:
         return NumericSpectrum(
@@ -293,23 +393,9 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
 
     levels = []
     wfs = []
-    lo_cur = e_lo
     for k in range(k_lo, k_lo + min(n_states, available)):
-        lo_k, hi_k = lo_cur, e_hi
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo_k + hi_k)
-            if count(mid) >= k + 1:
-                hi_k = mid
-            else:
-                lo_k = mid
-            if hi_k - lo_k <= 1e-10 * max(1.0, abs(mid)):
-                break
-        else:
-            raise ConvergenceError(
-                f"numerov_spectrum: bisection for level {k} not converged "
-                f"after {_MAX_BISECT} iterations")
-        E = 0.5 * (lo_k + hi_k)
-        v, log_scale = _numerov_sweep(pref * (veff - E), h2, u0, u1)
+        E = _locate_level(probe, samples, k)
+        v, log_scale = _numerov_state(pref * (veff - E), h2, u0, u1)
         u = v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
         nrm = math.sqrt(float(np.trapezoid(u * u, r)))
         u /= nrm
@@ -317,7 +403,6 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
             u = -u
         levels.append((k, E, _count_sign_changes(u[1:-1])))
         wfs.append(u)
-        lo_cur = E
     return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), grid, r,
                            notes=tuple(notes))
 

@@ -143,6 +143,15 @@ class TestCliExitCodes:
         proc = run_cli("potential", "--config", str(CONFIGS / "general.cfg"), "--out", "-")
         assert proc.returncode == 0
 
+    def test_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize costs about 0.3 s of start-up that every command would pay
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyperwell.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestCliDeterminism:
     def test_byte_identical_json(self):

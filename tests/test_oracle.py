@@ -1,15 +1,18 @@
 """Numeric oracle: FD on LAPACK, Numerov shooting, study machinery."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyperwell import oracle
+from hyperwell.config import parse_config
 from hyperwell.errors import (
     ConvergenceError,
     DomainError,
     EvaluationOverflowError,
+    ResolutionError,
     SamplingError,
     StructureError,
 )
@@ -24,8 +27,9 @@ from hyperwell.oracle import (
     fd_spectrum,
     numerov_spectrum,
 )
-from hyperwell.potential import PhysicalConstants, PotentialParams
+from hyperwell.potential import PhysicalConstants, PotentialParams, eval_potential
 
+REPO = Path(__file__).resolve().parents[1]
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1
 
 BOX_GRID = RadialGrid(1e-9, 1.0, 2000)
@@ -197,13 +201,13 @@ class TestNumerovSweep:
     def test_matches_reference_on_oscillator(self):
         for E in np.linspace(0.0, 40.0, 400):
             f, h2 = self.harmonic_f(E)
-            assert oracle._numerov_count(f, h2, 0.0, 1e-8) == \
+            assert oracle._numerov_probe(f, h2, 0.0, 1e-8)[0] == \
                 reference_scan_nodes(f, h2, 0.0, 1e-8), E
 
     def test_matches_reference_on_steep_fixtures(self):
         for f, h2, expected in self.STEEP:
             assert reference_scan_nodes(f, h2, 0.0, 1e-8) == expected
-            assert oracle._numerov_count(f, h2, 0.0, 1e-8) == expected
+            assert oracle._numerov_probe(f, h2, 0.0, 1e-8)[0] == expected
             v, log_scale = oracle._numerov_sweep(f, h2, 0.0, 1e-8)
             assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e300)
 
@@ -211,15 +215,15 @@ class TestNumerovSweep:
         # between oscillator levels 3 and 7 the sweep gains exactly one node
         f_lo, h2 = self.harmonic_f(5.0)
         f_hi, _ = self.harmonic_f(9.0)
-        assert oracle._numerov_count(f_hi, h2, 0.0, 1e-8) \
-            - oracle._numerov_count(f_lo, h2, 0.0, 1e-8) == 1
+        assert oracle._numerov_probe(f_hi, h2, 0.0, 1e-8)[0] \
+            - oracle._numerov_probe(f_lo, h2, 0.0, 1e-8)[0] == 1
 
     def test_singular_step_raises(self):
         # h^2 f_j = 12 makes the coefficient c_j of u_j vanish
         f = np.zeros(64)
         f[40] = 12.0
         with pytest.raises(EvaluationOverflowError):
-            oracle._numerov_count(f, 1.0, 0.0, 1e-3)
+            oracle._numerov_probe(f, 1.0, 0.0, 1e-3)
 
     def test_wavefunctions_normalized(self):
         # past r = 1 the wall has h^2 f = 1, so the sweep's last block grows
@@ -235,6 +239,83 @@ class TestNumerovSweep:
             for vec in spec.wavefunctions:
                 assert np.all(np.isfinite(vec))
                 assert np.trapezoid(vec * vec, spec.r) == pytest.approx(1.0, abs=1e-12)
+
+
+def family_params(**kw):
+    return PotentialParams(**{"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0,
+                              "V0": 0.0, "V1": 0.0, "V2": 0.0, "alpha": 1.0, **kw})
+
+
+class TestNumerovLevels:
+    """Level location on wells with bound levels below the asymptote, where
+    the outward sweep's tail grows past r_max, and on the demo's box states."""
+
+    FAULT = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
+    C2_WELL = family_params(a=1.0, V0=30.0, c=2.0, V2=0.02)
+    FALL = family_params(a=1.0, b=0.2, c=1.3, d=0.5, V0=6.0, V1=0.5, V2=1.0, alpha=2.0)
+    # (params, l, n_points) on the default grid; FD reads [0, 1, 2] on each
+    WELLS = {
+        "fault l0 2000": (FAULT, 0, 2000),
+        "fault l0 8000": (FAULT, 0, 8000),
+        "c2 well l0": (C2_WELL, 0, 2000),
+        "c2 well l1": (C2_WELL, 1, 2000),
+        "coth V0=20": (family_params(a=1.0, V0=20.0), 0, 2000),
+        "fall l0": (FALL, 0, 2000),
+    }
+
+    @pytest.mark.parametrize("name", WELLS)
+    def test_level_k_has_k_nodes(self, name):
+        params, l, n_points = self.WELLS[name]
+        grid = default_grid(params.alpha, n_points)
+
+        def well(r):
+            return eval_potential(params, r)
+
+        assert numerov_spectrum(well, l, CONSTS, grid, None, 3).node_counts() == [0, 1, 2]
+        assert fd_spectrum(well, l, CONSTS, grid, 3).node_counts() == [0, 1, 2]
+
+    def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
+        cfg = parse_config((REPO / "configs" / "general.cfg").read_text())
+
+        def well(r):
+            return eval_potential(cfg.params, r)
+
+        sweeps = []
+        real_sweep = oracle._numerov_sweep
+
+        def counting(*args):
+            sweeps.append(1)
+            return real_sweep(*args)
+
+        r = cfg.grid.points()
+        h2 = cfg.grid.h ** 2
+        for l in range(3):
+            sweeps.clear()
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_numerov_sweep", counting)
+                spec = numerov_spectrum(well, l, cfg.consts, cfg.grid, None, 3)
+            assert len(sweeps) <= 60, (l, len(sweeps))
+            # hbar^2/(2m) = 1, so f = veff - E
+            veff = well(r) + l * (l + 1) / (r * r)
+            u1 = cfg.grid.h ** (l + 1)
+            for k, E, _ in spec.levels:
+                assert E > veff[-1]  # every demo level is a box state
+                tol = 1e-10 * max(1.0, abs(E))
+                _, below = oracle._numerov_probe(veff - (E - tol), h2, 0.0, u1)
+                _, above = oracle._numerov_probe(veff - (E + tol), h2, 0.0, u1)
+                assert below * above < 0.0, (l, k)
+
+    def test_floor_with_nodes_is_resolution_error(self):
+        params = family_params(a=1.0, V0=1000.0)
+
+        def well(r):
+            return eval_potential(params, r)
+
+        for l in range(3):
+            with pytest.raises(ResolutionError, match="n_points = 2000"):
+                numerov_spectrum(well, l, CONSTS, default_grid(1.0, 2000), None, 3)
+        spec = numerov_spectrum(well, 0, CONSTS, default_grid(1.0, 8000), None, 3)
+        assert spec.node_counts() == [0, 1, 2]
 
 
 class TestSpectrumStructure:
