@@ -105,14 +105,9 @@ def dimensionless_params(params, consts, energy, l) -> DimensionlessParams:
     if not cmath.isfinite(energy):
         raise DomainError("dimensionless_params: energy must be finite")
     pref = _prefactor(params, consts)
-    beta2 = pref * params.a * params.V0
-    gamma2 = pref * (params.c * params.V2 - params.b * params.V1
-                     - params.alpha**2 * l * (l + 1))
-    eps2 = -pref * (energy + beta2 / 4.0 + params.c * params.V2
+    eps2 = -pref * (energy + pref * params.a * params.V0 / 4.0 + params.c * params.V2
                     - params.alpha**2 * l * (l + 1) - params.d)
-    return DimensionlessParams(
-        eps2=eps2, beta2=complex(beta2), gamma2=complex(gamma2),
-        beta=principal_sqrt(beta2))
+    return dimensionless_from_eps2(params, consts, eps2, l)
 
 
 def dimensionless_from_eps2(params, consts, eps2, l) -> DimensionlessParams:
@@ -143,6 +138,19 @@ def _v_of(dp: DimensionlessParams) -> complex:
     return 1j * dp.beta * principal_sqrt(dp.gamma2 + 2.5 * dp.beta2)
 
 
+def _sigma_big(params, consts, n, l) -> float:
+    # the spectrum constant Sigma; n enters only through n(n+1)
+    return _prefactor(params, consts) * (params.a * params.V0 / 2.0 - params.c * params.V2
+                                         + params.b * params.V1
+                                         + params.alpha**2 * l * (l + 1)) + float(n * (n + 1))
+
+
+def _v_aux(params, consts, l) -> complex:
+    return 1j * _prefactor(params, consts) * principal_sqrt(complex(
+        params.a * params.V0 + params.c * params.V2 - params.b * params.V1
+        - params.alpha**2 * l * (l + 1)))
+
+
 def aux_quantities(dp, params, consts, n, l) -> AuxQuantities:
     """u, v, the spectrum constant, and the wavefunction exponents.
 
@@ -154,15 +162,10 @@ def aux_quantities(dp, params, consts, n, l) -> AuxQuantities:
         raise DomainError(f"aux_quantities: n must be a non-negative integer, got {n!r}")
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise DomainError(f"aux_quantities: l must be a non-negative integer, got {l!r}")
-    pref = _prefactor(params, consts)
     u = _u_of(dp)
     v = _v_of(dp)
-    sigma_big = pref * (params.a * params.V0 / 2.0 - params.c * params.V2
-                        + params.b * params.V1
-                        + params.alpha**2 * l * (l + 1)) + float(n * (n + 1))
-    v_aux = 1j * pref * principal_sqrt(complex(
-        params.a * params.V0 + params.c * params.V2 - params.b * params.V1
-        - params.alpha**2 * l * (l + 1)))
+    sigma_big = _sigma_big(params, consts, n, l)
+    v_aux = _v_aux(params, consts, l)
     mu = 2.0 - principal_sqrt(u + v)
     nu = principal_sqrt(u - v)
     return AuxQuantities(
@@ -180,11 +183,8 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
     """
     if variant not in ("quadratic", "spectrum"):
         raise DomainError(f"quantization_coefficients: unknown variant {variant!r}")
-    pref = _prefactor(params, consts)
-    beta2 = complex(pref * params.a * params.V0)
-    gamma2 = complex(pref * (params.c * params.V2 - params.b * params.V1
-                             - params.alpha**2 * l * (l + 1)))
-    beta = principal_sqrt(beta2)
+    dp = dimensionless_from_eps2(params, consts, 0.0, l)
+    beta2, gamma2, beta = dp.beta2, dp.gamma2, dp.beta
     gamma = principal_sqrt(gamma2)
     if beta == 0:
         raise SingularCoefficientError(
@@ -194,13 +194,11 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
         raise SingularCoefficientError(
             "quantization_coefficients: gamma = 0 makes the "
             "1/(8 sqrt(2) beta gamma) denominator singular")
-    v = 1j * beta * principal_sqrt(gamma2 + 2.5 * beta2)
+    v = _v_of(dp)
     if v == 0:
         raise SingularCoefficientError(
             "quantization_coefficients: v = 0 makes the 1/(2v) term singular")
-    sigma_big = pref * (params.a * params.V0 / 2.0 - params.c * params.V2
-                        + params.b * params.V1
-                        + params.alpha**2 * l * (l + 1)) + float(n * (n + 1))
+    sigma_big = _sigma_big(params, consts, n, l)
     r8 = 8.0 * _SQRT2
     c2 = (n + 1) / (r8 * beta * gamma) + 1j * (gamma / (r8 * beta) - 1.0 / (2.0 * v))
     c1 = -(1.0 + (1j * beta2 / 4.0) * (1.0 + 1.0 / v))
@@ -208,10 +206,8 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
     if variant == "quadratic":
         c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v + 1j * v) + tail)
     else:
-        v_aux = 1j * pref * principal_sqrt(complex(
-            params.a * params.V0 + params.c * params.V2 - params.b * params.V1
-            - params.alpha**2 * l * (l + 1)))
-        c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v) + 1j * v_aux + tail)
+        c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v) + 1j * _v_aux(params, consts, l)
+               + tail)
     return c2, c1, c0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .analytic import energy_levels, radial_wavefunction
 from .config import (
@@ -73,18 +74,12 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     config = parse_config(text)
     if getattr(args, "n", None):
-        config = _replace_states(config, n_list=parse_int_list(args.n, where="--n"))
+        config = replace(config, n_list=parse_int_list(args.n, where="--n"))
     if getattr(args, "l", None):
-        config = _replace_states(config, l_list=parse_int_list(args.l, where="--l"))
+        config = replace(config, l_list=parse_int_list(args.l, where="--l"))
     if getattr(args, "out", None):
-        from dataclasses import replace
         config = replace(config, out_path=args.out)
     return config
-
-
-def _replace_states(config, **kw):
-    from dataclasses import replace
-    return replace(config, **kw)
 
 
 def _single_alpha(args, config) -> RunConfig:

@@ -25,7 +25,6 @@ _POTENTIAL_DEFAULTS = {
 _CONSTANT_DEFAULTS = {"hbar": 1.0, "mass": 0.5}
 _GRID_DEFAULTS = {"r_min": 1e-6, "r_max": None, "n_points": 2000}
 _STATE_DEFAULTS = {"n": (0, 1, 2), "l": (0,)}
-_OUTPUT_DEFAULTS = {"format": None, "path": None}
 
 _FLOAT_KEYS = {
     "potential.a", "potential.b", "potential.c", "potential.d",
@@ -35,8 +34,7 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {"grid.n_points"}
 _LIST_KEYS = {"state.n", "state.l"}
-_STR_KEYS = {"output.format", "output.path"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
+_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | {"output.path"}
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class RunConfig:
     n_list: tuple
     l_list: tuple
     grid: RadialGrid
-    out_format: object = None  # None, 'csv' or 'json'
     out_path: object = None
     r_max_explicit: bool = False
 
@@ -156,14 +153,7 @@ def parse_config(text: str) -> RunConfig:
     n_list = take_list("state.n", _STATE_DEFAULTS["n"])
     l_list = take_list("state.l", _STATE_DEFAULTS["l"])
 
-    out_format = _OUTPUT_DEFAULTS["format"]
-    if "output.format" in seen:
-        value, lineno = seen["output.format"]
-        if value not in ("csv", "json"):
-            raise ConfigError(f"output.format: must be 'csv' or 'json', got {value!r}",
-                              line=lineno, field="output.format")
-        out_format = value
-    out_path = seen["output.path"][0] if "output.path" in seen else _OUTPUT_DEFAULTS["path"]
+    out_path = seen["output.path"][0] if "output.path" in seen else None
 
     try:
         params = PotentialParams(**pot)
@@ -177,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(params=params, consts=consts, n_list=n_list, l_list=l_list,
-                     grid=grid, out_format=out_format, out_path=out_path,
+                     grid=grid, out_path=out_path,
                      r_max_explicit=r_max_explicit)
 
 

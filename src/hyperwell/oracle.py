@@ -91,9 +91,6 @@ class NumericSpectrum:
         if any(e2 <= e1 for e1, e2 in zip(es, es[1:])):
             raise StructureError(f"{self.method}: energies not strictly increasing: {es}")
 
-    def energies(self) -> np.ndarray:
-        return np.array([e for _, e, _ in self.levels], dtype=float)
-
     def node_counts(self):
         return [c for _, _, c in self.levels]
 
@@ -417,15 +414,13 @@ class ComparisonReport:
     notes: tuple = ()
 
 
-def compare_levels(analytic, numeric: NumericSpectrum, matching="ByIndex") -> ComparisonReport:
+def compare_levels(analytic, numeric: NumericSpectrum) -> ComparisonReport:
     """Per-index deltas between analytic levels and an oracle spectrum.
 
     Deltas are complex-modulus distances |E_analytic - E_numeric|; relative
     deltas are against |E_numeric| (floored at 1). This is a report; no
     agreement is asserted anywhere.
     """
-    if matching != "ByIndex":
-        raise DomainError(f"compare_levels: unknown matching {matching!r}")
     notes = []
     m = min(len(analytic), len(numeric.levels))
     if len(analytic) != len(numeric.levels):
@@ -445,7 +440,7 @@ def compare_levels(analytic, numeric: NumericSpectrum, matching="ByIndex") -> Co
         summary = (max(abs_d), max(rel_d), sum(abs_d) / len(abs_d))
     else:
         summary = (0.0, 0.0, 0.0)
-    return ComparisonReport(matching, tuple(rows), summary[0], summary[1],
+    return ComparisonReport("ByIndex", tuple(rows), summary[0], summary[1],
                             summary[2], tuple(notes))
 
 

@@ -35,6 +35,9 @@ from .potential import eval_potential
 
 SCHEMA_VERSION = 1
 
+# central-difference step of the validate report's ODE residual
+_ODE_H = 1e-4
+
 # beta -> 0+ probe: the a*V0 products walked toward the singular limit
 _SINGULAR_LIMIT_PRODUCTS = tuple(10.0 ** (-k) for k in range(1, 9))
 
@@ -133,23 +136,19 @@ def choose_level(levels) -> EnergyLevel:
     return min(levels, key=lambda lv: lv.imag_magnitude)
 
 
-def spectrum_entry(params, consts, n, l, variant="quadratic") -> dict:
+def _spectrum_entry(params, consts, n, l, variant="quadratic"):
+    """The rendered entry of one state and its levels (None when singular)."""
     entry = {"n": int(n), "l": int(l), "singular": None}
     try:
         levels = energy_levels(params, consts, n, l, variant=variant)
     except SingularCoefficientError as exc:
         entry["singular"] = {"reason": str(exc)}
-        return entry
+        return entry, None
     chosen = choose_level(levels)
     entry["branches"] = [_level_record(lv) for lv in levels]
     entry["chosen_branch"] = chosen.branch
     entry["chosen_re_energy"] = chosen.energy.real
-    return entry
-
-
-def spectrum_entries(params, consts, n_list, l_list, variant="quadratic"):
-    return [spectrum_entry(params, consts, n, l, variant=variant)
-            for l in l_list for n in n_list]
+    return entry, levels
 
 
 def build_spectrum_report(config, variant="quadratic") -> dict:
@@ -158,8 +157,8 @@ def build_spectrum_report(config, variant="quadratic") -> dict:
         "kind": "spectrum",
         "config": _config_echo(config),
         "variant": variant,
-        "entries": spectrum_entries(config.params, config.consts,
-                                    config.n_list, config.l_list, variant=variant),
+        "entries": [_spectrum_entry(config.params, config.consts, n, l, variant=variant)[0]
+                    for l in config.l_list for n in config.n_list],
     }
 
 
@@ -178,15 +177,20 @@ def _spectrum_record(spec: oracle.NumericSpectrum) -> dict:
     }
 
 
-def _oracle_pair(config, l, n_states):
+def _oracle_block(config, l, n_states):
+    """The rendered FD and Numerov block of one l and its FD spectrum
+    (None when a solver fails; the block then carries the error)."""
     params, consts, grid = config.params, config.consts, config.grid
 
     def bare(r):
         return eval_potential(params, r)
 
     flagged = fall_to_center_unreliable(params, consts, l)
-    fd = fd_spectrum(bare, l, consts, grid, n_states)
-    nm = numerov_spectrum(bare, l, consts, grid, None, n_states)
+    try:
+        fd = fd_spectrum(bare, l, consts, grid, n_states)
+        nm = numerov_spectrum(bare, l, consts, grid, None, n_states)
+    except HyperwellError as exc:
+        return {"l": int(l), "n_states": n_states, "error": str(exc)}, None
     for spec in (fd, nm):
         spec.unreliable = flagged
         if flagged:
@@ -196,26 +200,24 @@ def _oracle_pair(config, l, n_states):
     m = min(len(fd.levels), len(nm.levels))
     cross = [abs(fd.levels[i][1] - nm.levels[i][1]) / max(1.0, abs(fd.levels[i][1]))
              for i in range(m)]
-    return fd, nm, cross
+    block = {"l": int(l), "n_states": n_states,
+             "fd": _spectrum_record(fd),
+             "numerov": _spectrum_record(nm),
+             "cross_delta_rel": cross}
+    return block, fd
+
+
+def _n_states(config) -> int:
+    return (max(config.n_list) + 1) if config.n_list else 0
 
 
 def build_oracle_report(config) -> dict:
-    n_states = (max(config.n_list) + 1) if config.n_list else 0
-    per_l = []
-    for l in config.l_list:
-        try:
-            fd, nm, cross = _oracle_pair(config, l, n_states)
-            per_l.append({"l": int(l), "n_states": n_states,
-                          "fd": _spectrum_record(fd),
-                          "numerov": _spectrum_record(nm),
-                          "cross_delta_rel": cross})
-        except HyperwellError as exc:
-            per_l.append({"l": int(l), "n_states": n_states, "error": str(exc)})
+    n_states = _n_states(config)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "oracle",
         "config": _config_echo(config),
-        "per_l": per_l,
+        "per_l": [_oracle_block(config, l, n_states)[0] for l in config.l_list],
     }
 
 
@@ -269,20 +271,7 @@ def _singular_limit_section(params, consts, n, l):
     return rows
 
 
-def _variant_delta_entry(params, consts, n, l):
-    entry = {"n": int(n), "l": int(l)}
-    try:
-        quad = energy_levels(params, consts, n, l, variant="quadratic")
-        spec = energy_levels(params, consts, n, l, variant="spectrum")
-        entry["quadratic_eps2"] = [complex_pair(lv.eps2) for lv in quad]
-        entry["spectrum_eps2"] = [complex_pair(lv.eps2) for lv in spec]
-        entry["max_root_delta"] = max(abs(q.eps2 - s.eps2) for q, s in zip(quad, spec))
-    except HyperwellError as exc:
-        entry["error"] = str(exc)
-    return entry
-
-
-def _engine_cross_check(params, consts, level: EnergyLevel) -> dict:
+def _engine_cross_check(problem, n) -> dict:
     """|lambda - lambda_n| for the engine at a quantization root.
 
     When no branch qualifies as physical (Re(tau') < 0), which the
@@ -290,25 +279,17 @@ def _engine_cross_check(params, consts, level: EnergyLevel) -> dict:
     back to the closest mismatch over every enumerated branch so the
     section quantifies instead of erroring out.
     """
-    dp = dimensionless_from_eps2(params, consts, level.eps2, level.l)
-    problem = nu_problem(dp)
     try:
         sol = pi_tau_select(problem)
-        return {"engine_lambda_mismatch": quantization_residual(problem, sol, level.n),
+        return {"engine_lambda_mismatch": quantization_residual(problem, sol, n),
                 "physical_branch": True}
     except NoPhysicalBranchError:
-        mismatch = min(quantization_residual(problem, b, level.n)
+        mismatch = min(quantization_residual(problem, b, n)
                        for b in nu.enumerate_branches(problem))
         return {"engine_lambda_mismatch": mismatch, "physical_branch": False}
 
 
-def _ode_residual_entry(params, consts, level: EnergyLevel, samples, h):
-    wf = RadialWavefunction(params, consts, level.n, level.l, level.eps2)
-    res = ode_residual(wf, params, consts, level.energy, level.l, samples, h=h)
-    return res
-
-
-def build_validate_report(config, ode_h=1e-4) -> dict:
+def build_validate_report(config) -> dict:
     params, consts = config.params, config.consts
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -322,14 +303,31 @@ def build_validate_report(config, ode_h=1e-4) -> dict:
         },
     }
 
-    entries = spectrum_entries(params, consts, config.n_list, config.l_list)
+    # one analytic record per state: its entry, its constant-term row and,
+    # unless singular, the chosen level (kept per l in ascending n)
+    entries, variants, chosen_per_l = [], [], []
+    for l in config.l_list:
+        chosen = []
+        for n in config.n_list:
+            entry, quad = _spectrum_entry(params, consts, n, l)
+            entries.append(entry)
+            row = {"n": int(n), "l": int(l)}
+            if quad is None:
+                row["error"] = entry["singular"]["reason"]
+            else:
+                chosen.append(choose_level(quad))
+                try:
+                    spec = energy_levels(params, consts, n, l, variant="spectrum")
+                    row["quadratic_eps2"] = [complex_pair(lv.eps2) for lv in quad]
+                    row["spectrum_eps2"] = [complex_pair(lv.eps2) for lv in spec]
+                    row["max_root_delta"] = max(abs(q.eps2 - s.eps2)
+                                                for q, s in zip(quad, spec))
+                except HyperwellError as exc:
+                    row["error"] = str(exc)
+            variants.append(row)
+        chosen_per_l.append(sorted(chosen, key=lambda lv: lv.n))
     any_singular = any(e["singular"] for e in entries)
-    analytic_section = {
-        "entries": entries,
-        "constant_term_variants": [
-            _variant_delta_entry(params, consts, n, l)
-            for l in config.l_list for n in config.n_list],
-    }
+    analytic_section = {"entries": entries, "constant_term_variants": variants}
     if any_singular and config.n_list and config.l_list:
         analytic_section["singular_limit"] = _singular_limit_section(
             params, consts, config.n_list[0], config.l_list[0])
@@ -337,30 +335,16 @@ def build_validate_report(config, ode_h=1e-4) -> dict:
         analytic_section["singular_limit"] = None
     report["analytic"] = analytic_section
 
-    oracle_report = build_oracle_report(config)
-    report["oracle"] = {"per_l": oracle_report["per_l"]}
-
     # ByIndex comparison of chosen analytic levels against the FD oracle
-    comparison = []
-    chosen_by_l = {}
-    for l in config.l_list:
-        chosen = []
-        for n in sorted(config.n_list):
-            try:
-                chosen.append(choose_level(energy_levels(params, consts, n, l)))
-            except SingularCoefficientError:
-                pass
-        chosen_by_l[l] = chosen
-    for block in report["oracle"]["per_l"]:
-        l = block["l"]
-        if "error" in block:
-            comparison.append({"l": l, "error": block["error"]})
+    n_states = _n_states(config)
+    blocks, comparison = [], []
+    for l, chosen in zip(config.l_list, chosen_per_l):
+        block, fd = _oracle_block(config, l, n_states)
+        blocks.append(block)
+        if fd is None:
+            comparison.append({"l": int(l), "error": block["error"]})
             continue
-        fd_levels = tuple((k, e, c) for k, e, c in zip(
-            block["fd"]["indices"], block["fd"]["energies"], block["fd"]["node_counts"]))
-        fd_spec = oracle.NumericSpectrum(
-            "FiniteDifference", fd_levels, (), config.grid, config.grid.points())
-        rep = compare_levels(chosen_by_l[l], fd_spec)
+        rep = compare_levels(chosen, fd)
         comparison.append({
             "l": int(l), "matching": rep.matching,
             "rows": [list(row) for row in rep.rows],
@@ -369,6 +353,7 @@ def build_validate_report(config, ode_h=1e-4) -> dict:
             "mean_abs_delta": rep.mean_abs_delta,
             "notes": list(rep.notes),
         })
+    report["oracle"] = {"per_l": blocks}
     report["comparison"] = {
         "row_fields": ["n", "re_analytic", "im_analytic", "e_numeric",
                        "delta_abs", "delta_rel"],
@@ -380,25 +365,25 @@ def build_validate_report(config, ode_h=1e-4) -> dict:
     nu_rows = []
     samples = [0.5 / params.alpha, 1.0 / params.alpha,
                2.0 / params.alpha, 4.0 / params.alpha]
-    for l in config.l_list:
-        for level in chosen_by_l[l]:
-            tag = {"n": level.n, "l": level.l, "branch": level.branch}
-            try:
-                cross_checks.append({**tag, **_engine_cross_check(params, consts, level)})
-            except HyperwellError as exc:
-                cross_checks.append({**tag, "error": str(exc)})
-            try:
-                ode_rows.append({**tag, "r_samples": samples,
-                                 "residual": _ode_residual_entry(params, consts, level,
-                                                                 samples, ode_h)})
-            except HyperwellError as exc:
-                ode_rows.append({**tag, "error": str(exc)})
-            try:
-                dp = dimensionless_from_eps2(params, consts, level.eps2, level.l)
-                nu_rows.append({**tag, "diagnostics": closed_form_diagnostics(dp, level.n)})
-            except HyperwellError as exc:
-                nu_rows.append({**tag, "error": str(exc)})
-    if any_singular and not any(chosen_by_l.values()):
+    for level in (lv for chosen in chosen_per_l for lv in chosen):
+        tag = {"n": level.n, "l": level.l, "branch": level.branch}
+        dp = dimensionless_from_eps2(params, consts, level.eps2, level.l)
+        try:
+            cross_checks.append({**tag, **_engine_cross_check(nu_problem(dp), level.n)})
+        except HyperwellError as exc:
+            cross_checks.append({**tag, "error": str(exc)})
+        try:
+            wf = RadialWavefunction(params, consts, level.n, level.l, level.eps2)
+            ode_rows.append({**tag, "r_samples": samples,
+                             "residual": ode_residual(wf, params, consts, level.energy,
+                                                      level.l, samples, h=_ODE_H)})
+        except HyperwellError as exc:
+            ode_rows.append({**tag, "error": str(exc)})
+        try:
+            nu_rows.append({**tag, "diagnostics": closed_form_diagnostics(dp, level.n)})
+        except HyperwellError as exc:
+            nu_rows.append({**tag, "error": str(exc)})
+    if any_singular and not any(chosen_per_l):
         note = "analytic path singular for every requested state"
         cross_checks.append({"note": note})
         ode_rows.append({"note": note})

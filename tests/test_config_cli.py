@@ -95,8 +95,11 @@ class TestParseConfig:
         assert cfg.grid.r_max == pytest.approx(10.0)
 
     def test_unknown_key_named_with_line(self):
-        with pytest.raises(ConfigError, match="potential.zz"):
-            parse_config("potential.zz = 3")
+        for text, key, line in (("potential.zz = 3", "potential.zz", 1),
+                                ("potential.a = 1\noutput.format = json", "output.format", 2)):
+            with pytest.raises(ConfigError, match=key) as info:
+                parse_config(text)
+            assert info.value.line == line
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):

@@ -396,11 +396,6 @@ class TestCompare:
         assert len(rep.rows) == 1
         assert any("length mismatch" in note for note in rep.notes)
 
-    def test_unknown_matching(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 1)
-        with pytest.raises(DomainError):
-            compare_levels([], spec, matching="Hungarian")
-
 
 class TestFallToCenter:
     def test_demo_is_safe_at_l_zero(self):
