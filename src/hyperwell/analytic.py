@@ -214,7 +214,7 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
 def _invert_eps2(params, consts, z, l):
     """Solve the eps^2 definition for E; returns (primary, alternate grouping)."""
     pref = _prefactor(params, consts)
-    beta2 = pref * params.a * params.V0
+    beta2 = dimensionless_from_eps2(params, consts, z, l).beta2
     core = -z / pref - beta2 / 4.0 - params.c * params.V2 + params.alpha**2 * l * (l + 1)
     return core + params.d, core - params.d
 
@@ -405,33 +405,40 @@ class RadialWavefunction:
         return self(r) / np.asarray(r, dtype=float)
 
 
-def _adaptive_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
-    """Trapezoid in t = log r with interval doubling until relative rtol."""
-    lt, ht = math.log(lo), math.log(hi)
-    m = 513
-    t = np.linspace(lt, ht, m)
+def _log_samples(f, t, lt, ht):
+    """f(r) r at r = exp(t), the integrand in the dt measure; non-finite raises."""
     r = np.exp(t)
-    vals = f(r) * r  # dt-measure Jacobian
+    vals = f(r) * r
     if not np.all(np.isfinite(vals)):
         bad = t[~np.isfinite(vals)][0]
         end = "origin" if bad < 0.5 * (lt + ht) else "infinity"
         raise NonNormalizableError(
             f"normalization integrand non-finite toward the {end} end", end=end)
-    last = np.trapezoid(vals, t)
+    return vals
+
+
+def _adaptive_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
+    """Romberg integration in t = log r on nested samples, to relative rtol.
+
+    Starts from a 513-point trapezoid; each doubling samples only the new
+    midpoints, T(h/2) = T(h)/2 + (h/2) sum f(midpoints), and extends the
+    Romberg row. Stops when two successive diagonal values agree to rtol.
+    """
+    lt, ht = math.log(lo), math.log(hi)
+    intervals = 512
+    h = (ht - lt) / intervals
+    vals = _log_samples(f, np.linspace(lt, ht, intervals + 1), lt, ht)
+    row = [h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))]
     for _ in range(max_doublings):
-        m = 2 * m - 1
-        t = np.linspace(lt, ht, m)
-        r = np.exp(t)
-        vals = f(r) * r
-        if not np.all(np.isfinite(vals)):
-            bad = t[~np.isfinite(vals)][0]
-            end = "origin" if bad < 0.5 * (lt + ht) else "infinity"
-            raise NonNormalizableError(
-                f"normalization integrand non-finite toward the {end} end", end=end)
-        cur = np.trapezoid(vals, t)
-        if abs(cur - last) <= rtol * max(abs(cur), 1e-300):
-            return cur
-        last = cur
+        h /= 2.0
+        mid = _log_samples(f, np.linspace(lt + h, ht - h, intervals), lt, ht)
+        intervals *= 2
+        new = [0.5 * row[0] + h * mid.sum()]
+        for j, prev in enumerate(row, start=1):
+            new.append(new[-1] + (new[-1] - prev) / (4.0**j - 1.0))
+        if abs(new[-1] - row[-1]) <= rtol * max(abs(new[-1]), 1e-300):
+            return new[-1]
+        row = new
     raise ConvergenceError(
         f"normalization quadrature did not reach rtol = {rtol} after "
         f"{max_doublings} doublings")
@@ -441,8 +448,9 @@ def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True,
                         quad_rtol=1e-8) -> RadialWavefunction:
     """Build R(r) for an energy level, normalized on the standard window.
 
-    Normalization integrates |R|^2 with an adaptive log-spaced trapezoid
-    over [1e-6/alpha, 40/alpha] to a relative tolerance of quad_rtol.
+    Normalization integrates |R|^2 by Romberg integration on nested
+    log-r samples over [1e-6/alpha, 40/alpha] to a relative tolerance of
+    quad_rtol (1e-8 by default).
     Renormalizing an already normalized wavefunction is a no-op up to
     rounding.
     """
@@ -494,8 +502,9 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
     """
     energy = complex(energy)
     pref = 2.0 * consts.mass / consts.hbar**2
-    dp_beta2 = complex(_prefactor(params, consts) * params.a * params.V0)
-    beta = principal_sqrt(dp_beta2)
+    # a plain callable R (a manufactured solution) carries no map of its own
+    dp = getattr(wf, "dp", None) or dimensionless_from_eps2(params, consts, 0.0, l)
+    beta = dp.beta
 
     def f_sample(r):
         return complex(wf(r)) * cmath.exp(beta * r / 2.0)
@@ -506,7 +515,7 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
                        - params.b * params.V1 * coth * coth
                        + params.c * params.V2 * csch2
                        - params.alpha**2 * l * (l + 1) * csch2
-                       - params.d + dp_beta2 / 4.0)
+                       - params.d + dp.beta2 / 4.0)
 
     res_h = _ode_residual_core(f_sample, w_sample, beta, r_samples, h)
     if rtol is not None:

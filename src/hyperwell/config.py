@@ -49,7 +49,11 @@ class RunConfig:
 
 
 def parse_int_list(text, where="value"):
-    """Integer list syntax: comma-separated entries, each `k` or `k..m`."""
+    """Integer list syntax: comma-separated entries, each `k` or `k..m`.
+
+    Entries keep the order given; an entry repeated (also through a range)
+    is rejected, so no state is solved twice.
+    """
     out = []
     for tok in str(text).split(","):
         tok = tok.strip()
@@ -71,6 +75,11 @@ def parse_int_list(text, where="value"):
                 raise ConfigError(f"{where}: bad integer {tok!r}") from None
     if any(v < 0 for v in out):
         raise ConfigError(f"{where}: negative entries not allowed in {text!r}")
+    seen = set()
+    for v in out:
+        if v in seen:
+            raise ConfigError(f"{where}: repeated entry {v} in {text!r}")
+        seen.add(v)
     return tuple(out)
 
 

@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hyperwell import analytic
 from hyperwell.analytic import (
     EnergyLevel,
     RadialWavefunction,
@@ -21,7 +24,9 @@ from hyperwell.analytic import (
     radial_wavefunction,
     wavefunction_parts,
 )
+from hyperwell.config import parse_config
 from hyperwell.errors import (
+    ConvergenceError,
     DomainError,
     NonNormalizableError,
     ResolutionError,
@@ -32,6 +37,7 @@ from hyperwell.potential import PhysicalConstants, PotentialParams
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestDimensionless:
@@ -289,6 +295,134 @@ class TestWavefunction:
                          energy_alt=0j, residual_quantization=0.0, imag_magnitude=0.0)
         with pytest.raises(NonNormalizableError):
             radial_wavefunction(DEMO, CONSTS, lv)
+
+
+def reference_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
+    """Normalization integral by the trapezoid in t = log r, resampled whole.
+
+    The loop the nested Romberg quadrature replaced: every doubling
+    evaluates all points again and stops on two successive trapezoid sums
+    agreeing to rtol, an O(h^2) estimate.
+    """
+    lt, ht = math.log(lo), math.log(hi)
+    m = 513
+    t = np.linspace(lt, ht, m)
+    r = np.exp(t)
+    last = np.trapezoid(f(r) * r, t)
+    for _ in range(max_doublings):
+        m = 2 * m - 1
+        t = np.linspace(lt, ht, m)
+        r = np.exp(t)
+        vals = f(r) * r
+        assert np.all(np.isfinite(vals))
+        cur = np.trapezoid(vals, t)
+        if abs(cur - last) <= rtol * max(abs(cur), 1e-300):
+            return cur
+        last = cur
+    raise ConvergenceError("reference quadrature did not converge")
+
+
+def seeded_params(rng):
+    """An Eckart-type draw (s = hbar^2/2m = 1) with one deep s-wave level."""
+    alpha = rng.uniform(1.0, 4.0)
+    s2 = alpha * alpha
+    B = rng.uniform(-0.2, 3.0) * s2
+    k = 0.5 + math.sqrt(0.25 + B / s2)
+    A = rng.uniform(2 * k * k + 3 * k, 1.7 * (1 + k) ** 2) * s2
+    a = rng.choice((1.0, -1.0)) * rng.uniform(0.5, 2.0)
+    b, bV1, V2 = rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.5) * s2, rng.uniform(0.5, 2.0)
+    return PotentialParams(a=a, b=b, c=(bV1 - B) / V2, d=rng.uniform(-2.0, 2.0),
+                           V0=A / a, V1=bV1 / b, V2=V2, alpha=alpha)
+
+
+def count_samples(monkeypatch):
+    """Wrap the normalization integrand; one sample count per normalization."""
+    counts = []
+    inner = analytic._adaptive_log_trapezoid
+
+    def counted(f, lo, hi, rtol, **kwargs):
+        counts.append(0)
+
+        def g(r):
+            counts[-1] += np.size(r)
+            return f(r)
+
+        return inner(g, lo, hi, rtol, **kwargs)
+
+    monkeypatch.setattr(analytic, "_adaptive_log_trapezoid", counted)
+    return counts
+
+
+def bundled_states(name, n_max=2, l_max=1):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    return cfg.params, cfg.consts, [(n, l) for n in range(n_max + 1) for l in range(l_max + 1)]
+
+
+class TestNormalizationQuadrature:
+    def test_sample_budget_on_general(self, monkeypatch):
+        # the whole-grid trapezoid took up to 1,048,075 samples here
+        counts = count_samples(monkeypatch)
+        params, consts, states = bundled_states("general")
+        for n, l in states:
+            for lv in energy_levels(params, consts, n, l):
+                radial_wavefunction(params, consts, lv)
+        assert len(counts) == 12
+        assert max(counts) <= 16385
+
+    @pytest.mark.parametrize("case", ["general", "rosen_morse", "poschl_teller", "scarf",
+                                      "seeded"])
+    def test_matches_reference_trapezoid(self, case):
+        if case == "seeded":
+            rng = random.Random(7)
+            cases = [(seeded_params(rng), CONSTS, [(n, l) for n in range(2) for l in range(2)])
+                     for _ in range(4)]
+        else:
+            cases = [bundled_states(case)]
+        compared = 0
+        for params, consts, states in cases:
+            for n, l in states:
+                try:
+                    levels = energy_levels(params, consts, n, l)
+                except SingularCoefficientError:
+                    continue  # poschl_teller and scarf have a*V0 = 0
+                for lv in levels:
+                    wf = radial_wavefunction(params, consts, lv)
+                    raw = radial_wavefunction(params, consts, lv, normalize=False)
+                    ref = reference_log_trapezoid(lambda r: np.abs(raw(r)) ** 2,
+                                                  *raw.norm_window, 1e-8)
+                    assert wf.norm_integral == pytest.approx(ref, rel=1e-8)
+                    compared += 1
+        assert compared == {"general": 12, "rosen_morse": 12, "seeded": 32}.get(case, 0)
+
+    @pytest.mark.parametrize("end", ["origin", "infinity"])
+    def test_nonfinite_midpoint_names_its_end(self, end):
+        # finite on the starting grid; the first doubling's midpoints carry
+        # a NaN at the lowest (origin) or highest (infinity) new sample
+        calls = []
+
+        def f(r):
+            calls.append(r.size)
+            out = 1.0 / r
+            if len(calls) == 2:
+                out[0 if end == "origin" else -1] = np.nan
+            return out
+
+        with pytest.raises(NonNormalizableError) as info:
+            analytic._adaptive_log_trapezoid(f, 1e-6, 40.0, 1e-8)
+        assert info.value.end == end
+        assert calls == [513, 512]
+
+    def test_never_converging_raises(self):
+        rng = np.random.default_rng(0)
+        calls = []
+
+        def noise(r):
+            calls.append(r.size)
+            return rng.random(r.size) / r
+
+        with pytest.raises(ConvergenceError, match="3 doublings"):
+            analytic._adaptive_log_trapezoid(noise, 1e-6, 40.0, 1e-8, max_doublings=3)
+        assert calls == [513, 512, 1024, 2048]
 
 
 class TestOdeResidual:

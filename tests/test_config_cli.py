@@ -48,6 +48,13 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_int_list("-1..2")
 
+    def test_int_list_rejects_repeated_entry(self):
+        with pytest.raises(ConfigError, match=r"--n: repeated entry 1 in '1,1,0'"):
+            parse_int_list("1,1,0", where="--n")
+        with pytest.raises(ConfigError, match="repeated entry 2"):
+            parse_int_list("0..2,2")
+        assert parse_int_list("2,0") == (2, 0)  # the given order is kept
+
     def test_float_list(self):
         assert parse_float_list("1,2.5,4") == (1.0, 2.5, 4.0)
 
@@ -101,6 +108,11 @@ class TestParseConfig:
                 parse_config(text)
             assert info.value.line == line
 
+    def test_repeated_state_entry_named_with_line(self):
+        with pytest.raises(ConfigError, match=r"state.n: repeated entry 1 in '0,1,1'") as info:
+            parse_config("potential.a = 1\nstate.n = 0,1,1")
+        assert info.value.line == 2
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             parse_config("potential.a 3")
@@ -131,6 +143,14 @@ class TestCliExitCodes:
         assert proc.returncode == 2
         assert "potential.bogus" in proc.stderr
 
+    def test_repeated_state_entry_is_2(self):
+        for flag, value in (("--n", "1,1,0"), ("--l", "0,1,0")):
+            proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"),
+                           flag, value, "--out", "-")
+            assert proc.returncode == 2
+            assert f"{flag}: repeated entry" in proc.stderr
+            assert proc.stdout == ""
+
     def test_wavefunction_singular_is_4(self):
         proc = run_cli("wavefunction", "--config", str(CONFIGS / "poschl_teller.cfg"),
                        "--n", "0", "--l", "0", "--out", "-")
@@ -151,6 +171,16 @@ class TestCliExitCodes:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, hyperwell.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # the normalization quadrature is hyperwell's own; scipy.integrate
+        # would add about 0.3 s of start-up to every command
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyperwell.cli; print('scipy.integrate' in sys.modules)"],
             capture_output=True, text=True, timeout=120, cwd=str(REPO))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
