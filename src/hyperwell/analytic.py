@@ -502,8 +502,7 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
     """
     energy = complex(energy)
     pref = 2.0 * consts.mass / consts.hbar**2
-    # a plain callable R (a manufactured solution) carries no map of its own
-    dp = getattr(wf, "dp", None) or dimensionless_from_eps2(params, consts, 0.0, l)
+    dp = dimensionless_from_eps2(params, consts, 0.0, l)
     beta = dp.beta
 
     def f_sample(r):

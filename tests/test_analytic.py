@@ -369,8 +369,8 @@ class TestNormalizationQuadrature:
         assert len(counts) == 12
         assert max(counts) <= 16385
 
-    @pytest.mark.parametrize("case", ["general", "rosen_morse", "poschl_teller", "scarf",
-                                      "seeded"])
+    # poschl_teller and scarf have a*V0 = 0, so every state there is singular
+    @pytest.mark.parametrize("case", ["general", "rosen_morse", "seeded"])
     def test_matches_reference_trapezoid(self, case):
         if case == "seeded":
             rng = random.Random(7)
@@ -381,18 +381,14 @@ class TestNormalizationQuadrature:
         compared = 0
         for params, consts, states in cases:
             for n, l in states:
-                try:
-                    levels = energy_levels(params, consts, n, l)
-                except SingularCoefficientError:
-                    continue  # poschl_teller and scarf have a*V0 = 0
-                for lv in levels:
+                for lv in energy_levels(params, consts, n, l):
                     wf = radial_wavefunction(params, consts, lv)
                     raw = radial_wavefunction(params, consts, lv, normalize=False)
                     ref = reference_log_trapezoid(lambda r: np.abs(raw(r)) ** 2,
                                                   *raw.norm_window, 1e-8)
                     assert wf.norm_integral == pytest.approx(ref, rel=1e-8)
                     compared += 1
-        assert compared == {"general": 12, "rosen_morse": 12, "seeded": 32}.get(case, 0)
+        assert compared == {"general": 12, "rosen_morse": 12, "seeded": 32}[case]
 
     @pytest.mark.parametrize("end", ["origin", "infinity"])
     def test_nonfinite_midpoint_names_its_end(self, end):
