@@ -38,6 +38,7 @@ from .errors import (
     SingularCoefficientError,
     StructureError,
 )
+from .exact import ExactLevel, surrogate_level
 from .nu import NUProblem, NUSolution, Poly, k_candidates, lambda_n_of, pi_tau_select, radicand_coeffs
 from .oracle import (
     NumericSpectrum,

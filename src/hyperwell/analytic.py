@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,10 +104,10 @@ def dimensionless_params(params, consts, energy, l) -> DimensionlessParams:
     energy = complex(energy)
     if not cmath.isfinite(energy):
         raise DomainError("dimensionless_params: energy must be finite")
-    pref = _prefactor(params, consts)
-    eps2 = -pref * (energy + pref * params.a * params.V0 / 4.0 + params.c * params.V2
-                    - params.alpha**2 * l * (l + 1) - params.d)
-    return dimensionless_from_eps2(params, consts, eps2, l)
+    dp = dimensionless_from_eps2(params, consts, 0.0, l)
+    eps2 = -_prefactor(params, consts) * (energy + dp.beta2.real / 4.0 + params.c * params.V2
+                                          - params.alpha**2 * l * (l + 1) - params.d)
+    return replace(dp, eps2=complex(eps2))
 
 
 def dimensionless_from_eps2(params, consts, eps2, l) -> DimensionlessParams:
@@ -361,19 +361,19 @@ class RadialWavefunction:
     R(r) = N (1 + i coth)^((mu+B)/2) (1 - i coth)^((mu-B)/2)
              P_n^(2+A, 2-A)(i coth(alpha r)) exp(-beta r / 2)
 
-    The full solution of the radial problem is psi(r) = R(r)/r. The
-    normalization constant N makes the integral of |R|^2 over the fixed
-    window [1e-6/alpha, 40/alpha] equal to 1.
+    dp holds the level's dimensionless coefficients, dimensionless_from_eps2
+    at its eps^2 and l. The full solution of the radial problem is
+    psi(r) = R(r)/r. The normalization constant N makes the integral of
+    |R|^2 over the fixed window [1e-6/alpha, 40/alpha] equal to 1.
     """
 
-    def __init__(self, params, consts, n, l, eps2, norm_constant=1.0 + 0.0j):
+    def __init__(self, params, consts, n, l, dp: DimensionlessParams, norm_constant=1.0 + 0.0j):
         self.params = params
         self.consts = consts
         self.n = int(n)
         self.l = int(l)
-        self.eps2 = complex(eps2)
-        self.dp = dimensionless_from_eps2(params, consts, self.eps2, self.l)
-        self.aux = aux_quantities(self.dp, params, consts, self.n, self.l)
+        self.dp = dp
+        self.aux = aux_quantities(dp, params, consts, self.n, self.l)
         self.norm_constant = complex(norm_constant)
         self.norm_window = (_NORM_WINDOW[0] / params.alpha, _NORM_WINDOW[1] / params.alpha)
         self.norm_integral = None
@@ -454,7 +454,8 @@ def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True,
     Renormalizing an already normalized wavefunction is a no-op up to
     rounding.
     """
-    wf = RadialWavefunction(params, consts, level.n, level.l, level.eps2)
+    wf = RadialWavefunction(params, consts, level.n, level.l,
+                            dimensionless_from_eps2(params, consts, level.eps2, level.l))
     if not normalize:
         return wf
     integral = _adaptive_log_trapezoid(

@@ -1,0 +1,61 @@
+"""Exact levels of the surrogate radial problem.
+
+With s = hbar^2/(2m), the family potential is the Eckart form
+
+    V(r) = -A coth(alpha r) + B cosech^2(alpha r) + C,
+    A = a V0,  B = b V1 - c V2,  C = b V1 + d,
+
+because coth^2 = 1 + cosech^2. Replacing the centrifugal term
+s l(l+1)/r^2 by its surrogate s l(l+1) alpha^2 cosech^2(alpha r), the
+approximation the closed forms rest on, only shifts B to
+B + s l(l+1) alpha^2, so the surrogate problem is Eckart at every l
+(C. Eckart, Phys. Rev. 35, 1303 (1930)). Its levels are
+
+    E_(n,l) = C - s alpha^2 (n + kappa_l)^2 - A^2 / (4 s alpha^2 (n + kappa_l)^2),
+    kappa_l = 1/2 + sqrt(1/4 + B/(s alpha^2) + l(l+1)),
+
+and level n is bound only while A > 2 s alpha^2 (n + kappa_l)^2. The
+formula returns a value for every n, also below the asymptote C - A
+for some unbound n, so the bound flag must gate every use of it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DomainError
+from .potential import PhysicalConstants, PotentialParams
+
+
+@dataclass(frozen=True)
+class ExactLevel:
+    n: int
+    l: int
+    energy: float  # the Eckart formula's value; a level only when bound
+    bound: bool
+
+
+def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) -> ExactLevel:
+    """Level n of the surrogate problem at angular momentum l.
+
+    Raises DomainError where 1/4 + B/(s alpha^2) + l(l+1) < 0: the
+    attractive cosech^2 term then falls to the centre and kappa_l is not
+    real.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"surrogate_level: n must be a non-negative integer, got {n!r}")
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise DomainError(f"surrogate_level: l must be a non-negative integer, got {l!r}")
+    s_alpha2 = consts.hbar**2 / (2.0 * consts.mass) * params.alpha**2
+    A = params.a * params.V0
+    B = params.b * params.V1 - params.c * params.V2
+    C = params.b * params.V1 + params.d
+    radicand = 0.25 + B / s_alpha2 + l * (l + 1)
+    if radicand < 0.0:
+        raise DomainError(
+            f"surrogate_level: 1/4 + B/(s alpha^2) + l(l+1) = {radicand} < 0 (fall to centre)")
+    q = s_alpha2 * (n + 0.5 + math.sqrt(radicand)) ** 2
+    return ExactLevel(int(n), int(l), C - q - A * A / (4.0 * q), A > 2.0 * q)

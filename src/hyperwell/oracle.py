@@ -2,8 +2,10 @@
 
 Two deliberately different methods act as ground truth for the closed
 forms: a finite-difference discretization diagonalized by Sturm-sequence
-bisection, and Numerov shooting, bracketed by node counts and refined on
-the Dirichlet root. Both solve
+bisection, and Numerov shooting, bracketed by node counts and closed on
+the Dirichlet root, by regula falsi on the endpoint where r_max is
+classically allowed and by Cooley's matched-sweep correction where it is
+forbidden. Both solve
 
     -(hbar^2/2m) u'' + [V(r) + hbar^2 l(l+1)/(2m r^2)] u = E u
 
@@ -232,6 +234,11 @@ def _log_amplitude(v, log_scale):
         return np.log(np.abs(v)) + log_scale
 
 
+def _unit_max(v, log_scale):
+    """The sweep u = v exp(log_scale) scaled to a maximum |u| of 1."""
+    return v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
+
+
 def _numerov_probe(f, h2, u0, u1):
     """(node count, endpoint) of one outward sweep.
 
@@ -277,46 +284,97 @@ def _illinois(endpoint, a, fa, b, fb):
         f"numerov_spectrum: regula falsi not converged after {_MAX_BISECT} iterations")
 
 
+def _matched_sweep(f, h2, u0, u1, m):
+    """An outward sweep to m + 1 matched to an inward sweep from
+    u(r_max) = 0 to m (Cooley, Math. Comp. 15, 363, 1961), as
+    (u, mismatch, defect).
+
+    u is the outward sweep up to m joined to the inward one past it,
+    scaled to agree at m, with a maximum |u| of 1. The mismatch is the
+    Wronskian u_out(m) u_in(m+1) - u_out(m+1) u_in(m) with each pair
+    scaled to unit length: bounded, free of poles and zero at the
+    Dirichlet root. The recurrence conserves the Wronskian of any two
+    sweeps, so the mismatch has the sign opposite to the outward sweep's
+    endpoint u(r_max), wherever m lies, while 1 - h2 f/12 stays positive
+    at m, m + 1 and the last two points. The defect is Cooley's energy
+    correction in units of f: the Numerov residual R of u at m, weighted
+    by w(m) = (1 - h2 f(m)/12) u(m) and divided by the sum of u^2. The
+    recurrence is symmetric in w, which makes this weight the exact first
+    order, so for f = (2m/hbar^2)(V - E) the level lies at
+    E - defect / (2m/hbar^2) to second order.
+    """
+    v_out, s_out = _numerov_sweep(f[:m + 2], h2, u0, u1)
+    v_in, s_in = _numerov_sweep(f[m:][::-1], h2, 0.0, 1.0)
+    pair_out = v_out[m:] * np.exp(s_out[m:] - np.max(s_out[m:]))
+    pair_in = v_in[:-3:-1] * np.exp(s_in[:-3:-1] - np.max(s_in[-2:]))
+    mismatch = float(pair_out[0] * pair_in[1] - pair_out[1] * pair_in[0]) / (
+        math.hypot(*pair_out) * math.hypot(*pair_in))
+    shift = _log_amplitude(v_out[m], s_out[m]) - _log_amplitude(v_in[-1], s_in[-1])
+    sign = np.sign(v_out[m]) * np.sign(v_in[-1])
+    u = _unit_max(np.concatenate((v_out[:m + 1], sign * v_in[-2::-1])),
+                  np.concatenate((s_out[:m + 1], s_in[-2::-1] + shift)))
+    c = 1.0 - h2 * f[m - 1:m + 2] / 12.0
+    residual = (c[0] * u[m - 1] - 2.0 * c[1] * u[m] + c[2] * u[m + 1]) / h2 - f[m] * u[m]
+    return u, mismatch, float(residual * c[1] * u[m] / np.dot(u, u))
+
+
+def _cooley(match, lo, hi):
+    """Level in the single-level bracket of probe samples (lo, hi), as
+    (E, u) of its last matched evaluation. match(E, a) gives _matched_sweep's
+    (u, mismatch) at E, matched at the last point classically allowed at
+    the bracket's lower end a <= E, and Cooley's correction in energy units.
+
+    Newton steps on the correction, kept inside the bracket by the sign of
+    the mismatch, which is opposite to the probe endpoint's at both ends:
+    a step that leaves the bracket is replaced by bisection. Stops on a
+    sign-changing bracket of width 1e-10 max(1, |E|).
+    """
+    a, b = lo[0], hi[0]
+    E = 0.5 * (a + b)
+    for _ in range(_MAX_BISECT):
+        u, mismatch, step = match(E, a)
+        if mismatch == 0.0:
+            return E, u
+        if (mismatch < 0.0) == (lo[2] > 0.0):
+            a = E
+        else:
+            b = E
+        tol = _level_tol(E)
+        if b - a <= tol:
+            return E, u
+        if abs(step) < 0.5 * tol:
+            # a quarter tolerance past the estimated root, toward the far
+            # end, so that the next evaluation closes the bracket
+            step += 0.25 * tol if E == a else -0.25 * tol
+        E += step
+        if not a < E < b:
+            E = 0.5 * (a + b)
+    raise ConvergenceError(
+        f"numerov_spectrum: matched Newton steps not converged after {_MAX_BISECT} iterations")
+
+
 def _locate_level(probe, samples, k):
-    """Energy of level k, bracketed by the (E, count, endpoint) samples
-    swept so far. Bisection on the node count narrows the bracket until
-    it holds level k alone, with count k below, k + 1 above and a sign
-    change of the endpoint across it; regula falsi on the endpoint then
-    closes it on the Dirichlet root. Without that sign change the count
-    bisection runs to the end and the level is its midpoint."""
+    """The (E, count, endpoint) samples (lo, hi) that bracket level k,
+    from the samples swept so far. Bisection on the node count narrows
+    the bracket until it holds level k alone, with count k below, k + 1
+    above and a sign change of the endpoint across it. Without that sign
+    change the count bisection runs until the bracket is narrower than
+    1e-10 max(1, |E|)."""
     lo = max((s for s in samples if s[1] <= k), key=lambda s: s[0])
     hi = min((s for s in samples if s[1] > k and s[0] > lo[0]), key=lambda s: s[0])
     for _ in range(_MAX_BISECT):
         if lo[1] == k and hi[1] == k + 1 and lo[2] * hi[2] < 0.0:
-            return _illinois(lambda E: probe(E)[2], lo[0], lo[2], hi[0], hi[2])
+            return lo, hi
         mid = probe(0.5 * (lo[0] + hi[0]))
         if mid[1] >= k + 1:
             hi = mid
         else:
             lo = mid
         if hi[0] - lo[0] <= _level_tol(mid[0]):
-            return 0.5 * (lo[0] + hi[0])
+            return lo, hi
     raise ConvergenceError(
         f"numerov_spectrum: bisection for level {k} not converged "
         f"after {_MAX_BISECT} iterations")
-
-
-def _numerov_state(f, h2, u0, u1):
-    """The level's sweep as (v, log_scale). Where r_max is classically
-    forbidden, the outward sweep runs to the last classically allowed
-    point and an inward sweep from u(r_max) = 0 carries the decaying tail
-    (Cooley, Math. Comp. 15, 1961); the two are joined there in log
-    amplitude. Otherwise the outward sweep is the state."""
-    allowed = np.flatnonzero(f <= 0.0)
-    m = int(allowed[-1]) if allowed.size else 0
-    if f[-1] <= 0.0 or m < 1:
-        return _numerov_sweep(f, h2, u0, u1)
-    v_out, s_out = _numerov_sweep(f[:m + 1], h2, u0, u1)
-    v_in, s_in = _numerov_sweep(f[m:][::-1], h2, 0.0, 1.0)
-    shift = _log_amplitude(v_out[-1], s_out[-1]) - _log_amplitude(v_in[-1], s_in[-1])
-    sign = np.sign(v_out[-1]) * np.sign(v_in[-1])
-    return (np.concatenate((v_out, sign * v_in[-2::-1])),
-            np.concatenate((s_out, s_in[-2::-1] + shift)))
 
 
 def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericSpectrum:
@@ -326,16 +384,21 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
     so u = 0 exactly at the left boundary (identical to the Dirichlet
     condition the finite-difference oracle imposes, and immune to a
     singular potential sample at r_min). Each level is bracketed by the
-    count of thresholded sign changes of the outward sweep and located at
-    the Dirichlet root u(r_max) = 0 by regula falsi, to |dE| <= 1e-10
-    max(1, |E|); every sweep of the call is kept for bracketing. A level
-    whose r_max is classically forbidden is reported as the outward sweep
-    matched to an inward one, so its exponentially growing outward tail
-    never enters the state. E_window may be None, in which case a window
-    is grown automatically from the interior potential floor; a grid so
-    coarse that the sweep already has nodes at that floor raises
-    ResolutionError. Level indices are global (equal to the node count),
-    so a window starting above the ground state yields k > 0 entries.
+    count of thresholded sign changes of the outward sweep, reusing every
+    probe sweep of the call, and located at the Dirichlet root
+    u(r_max) = 0 to |dE| <= 1e-10 max(1, |E|). Where r_max is classically
+    allowed at the bracket's upper energy (a box level), regula falsi on
+    the scaled endpoint closes the bracket and the outward sweep is the
+    state. Where r_max is forbidden, that endpoint is +-1 except
+    exponentially close to the level, so Newton steps on Cooley's energy
+    correction close it instead, each from one outward sweep matched to
+    one inward sweep from u(r_max) = 0; the last matched sweep is the
+    state, so its exponentially growing outward tail never enters it.
+    E_window may be None, in which case a window is grown automatically
+    from the interior potential floor; a grid so coarse that the sweep
+    already has nodes at that floor raises ResolutionError. Level indices
+    are global (equal to the node count), so a window starting above the
+    ground state yields k > 0 entries.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -388,12 +451,26 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
         notes.append(
             f"window [{e_lo:.6g}, {e_hi:.6g}] holds {available} of {n_states} requested levels")
 
+    def match(E, a):
+        # the last point classically allowed at a stays allowed at every E >= a
+        m = int(np.max(np.flatnonzero(veff <= a), initial=1))
+        u, mismatch, defect = _matched_sweep(pref * (veff - E), h2, u0, u1, m)
+        return u, mismatch, -defect / pref
+
     levels = []
     wfs = []
     for k in range(k_lo, k_lo + min(n_states, available)):
-        E = _locate_level(probe, samples, k)
-        v, log_scale = _numerov_state(pref * (veff - E), h2, u0, u1)
-        u = v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
+        lo, hi = _locate_level(probe, samples, k)
+        if lo[2] * hi[2] < 0.0 and veff[-1] > hi[0]:
+            # r_max classically forbidden: the endpoint is saturated
+            E, u = _cooley(match, lo, hi)
+        else:
+            if lo[2] * hi[2] < 0.0:
+                E = _illinois(lambda E: probe(E)[2], lo[0], lo[2], hi[0], hi[2])
+            else:
+                # the count bisection closed without an endpoint sign change
+                E = 0.5 * (lo[0] + hi[0])
+            u = _unit_max(*_numerov_sweep(pref * (veff - E), h2, u0, u1))
         nrm = math.sqrt(float(np.trapezoid(u * u, r)))
         u /= nrm
         if u[int(np.argmax(np.abs(u)))] < 0.0:

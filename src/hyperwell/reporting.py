@@ -373,7 +373,7 @@ def build_validate_report(config) -> dict:
         except HyperwellError as exc:
             cross_checks.append({**tag, "error": str(exc)})
         try:
-            wf = RadialWavefunction(params, consts, level.n, level.l, level.eps2)
+            wf = RadialWavefunction(params, consts, level.n, level.l, dp)
             ode_rows.append({**tag, "r_samples": samples,
                              "residual": ode_residual(wf, params, consts, level.energy,
                                                       level.l, samples, h=_ODE_H)})

@@ -1,0 +1,69 @@
+"""Exact levels of the surrogate (Eckart) problem and their bound-state gate."""
+
+import pytest
+
+from hyperwell.errors import DomainError
+from hyperwell.exact import surrogate_level
+from hyperwell.potential import PhysicalConstants, PotentialParams
+
+CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # s = hbar^2/(2m) = 1
+
+
+def family_params(**kw):
+    return PotentialParams(**{"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0,
+                              "V0": 0.0, "V1": 0.0, "V2": 0.0, "alpha": 1.0, **kw})
+
+
+COTH20 = family_params(a=1.0, V0=20.0)  # A = 20, B = C = 0, asymptote -20
+
+
+def test_pure_coth_levels():
+    # kappa_0 = 1: E_n = -(n+1)^2 - 100/(n+1)^2, bound while 20 > 2(n+1)^2
+    for n, energy, bound in ((0, -101.0, True), (1, -29.0, True),
+                             (2, -9.0 - 100.0 / 9.0, True), (3, -22.25, False)):
+        lv = surrogate_level(COTH20, CONSTS, n, 0)
+        assert (lv.n, lv.l) == (n, 0)
+        assert lv.energy == pytest.approx(energy, rel=1e-15)
+        assert lv.bound is bound
+
+
+def test_unbound_value_below_asymptote_is_not_bound():
+    # l = 2 gives kappa = 3; n = 1 evaluates to -22.25, below the asymptote
+    # -20, yet 20 > 2 (1 + 3)^2 fails, so it is no level
+    lv = surrogate_level(COTH20, CONSTS, 1, 2)
+    assert lv.energy == pytest.approx(-22.25, rel=1e-15)
+    assert lv.energy < -20.0
+    assert lv.bound is False
+    assert surrogate_level(COTH20, CONSTS, 0, 2).bound is True
+
+
+def test_surrogate_barrier_shifts_b():
+    # at l the surrogate barrier adds s l(l+1) alpha^2 to B = b V1 - c V2
+    params = family_params(a=1.5, V0=20.0, b=0.5, V1=1.0, c=-1.0, V2=0.5, d=0.3, alpha=1.7)
+    for l in range(3):
+        shift = l * (l + 1) * params.alpha**2
+        shifted = family_params(a=1.5, V0=20.0, b=0.5, V1=1.0, c=-1.0 - shift / 0.5, V2=0.5,
+                                d=0.3, alpha=1.7)
+        for n in range(3):
+            at_l = surrogate_level(params, CONSTS, n, l)
+            at_zero = surrogate_level(shifted, CONSTS, n, 0)
+            assert at_l.energy == pytest.approx(at_zero.energy, rel=1e-12)
+            assert at_l.bound is at_zero.bound
+
+
+def test_units_enter_through_s():
+    # s = hbar^2/(2m) = 2 doubles every energy of a potential scaled by 2
+    consts = PhysicalConstants(hbar=2.0, mass=1.0)
+    scaled = family_params(a=1.0, V0=40.0)
+    for n in range(3):
+        assert surrogate_level(scaled, consts, n, 1).energy == pytest.approx(
+            2.0 * surrogate_level(COTH20, CONSTS, n, 1).energy, rel=1e-14)
+
+
+def test_fall_to_centre_and_bad_indices_rejected():
+    with pytest.raises(DomainError, match="fall to centre"):
+        surrogate_level(family_params(a=1.0, V0=20.0, c=1.0, V2=1.0), CONSTS, 0, 0)
+    with pytest.raises(DomainError):
+        surrogate_level(COTH20, CONSTS, -1, 0)
+    with pytest.raises(DomainError):
+        surrogate_level(COTH20, CONSTS, 0, 1.5)

@@ -16,6 +16,7 @@ from hyperwell.errors import (
     SamplingError,
     StructureError,
 )
+from hyperwell.exact import surrogate_level
 from hyperwell.oracle import (
     ComparisonReport,
     NumericSpectrum,
@@ -130,10 +131,13 @@ class TestOscillatorFixture:
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-6, 10.0, 8000)
         fd = fd_spectrum(oscillator, 0, CONSTS, grid, 3)
-        nv = numerov_spectrum(oscillator, 0, CONSTS, grid, (0.5, 13.0), 3)
-        for k in range(3):
-            e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
-            assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6
+        # r_max is classically forbidden at every level; below 0 no point is
+        # classically allowed, so the first matched sweeps match at r_1
+        for window in ((0.5, 13.0), (-5.0, 13.0)):
+            nv = numerov_spectrum(oscillator, 0, CONSTS, grid, window, 3)
+            for k in range(3):
+                e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
+                assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6, (window, k)
 
     def test_centrifugal_l_one(self):
         # V = r^2 + l(l+1)/r^2 with l = 1: even oscillator levels 5, 9
@@ -304,6 +308,74 @@ class TestNumerovLevels:
                 _, below = oracle._numerov_probe(veff - (E - tol), h2, 0.0, u1)
                 _, above = oracle._numerov_probe(veff - (E + tol), h2, 0.0, u1)
                 assert below * above < 0.0, (l, k)
+
+    # FAULT's two s-wave bound levels are the exact Eckart levels -53 and
+    # -30.7778; each bound is the solver's measured error plus 10%
+    DEEP_ERROR_BOUNDS = {
+        ("numerov", 2000): (1.1 * 2.173e-2, 1.1 * 4.767e-3),
+        ("numerov", 8000): (1.1 * 3.609e-4, 1.1 * 7.892e-5),
+        ("fd", 2000): (1.1 * 7.245e-2, 1.1 * 1.996e-2),
+        ("fd", 8000): (1.1 * 4.473e-3, 1.1 * 1.233e-3),
+    }
+
+    @pytest.mark.parametrize("solver, n_points", DEEP_ERROR_BOUNDS)
+    def test_deep_levels_pinned_to_exact(self, solver, n_points):
+        exact = [surrogate_level(self.FAULT, CONSTS, n, 0) for n in range(3)]
+        assert [lv.bound for lv in exact] == [True, True, False]
+        assert exact[0].energy == pytest.approx(-53.0, rel=1e-15)
+        assert exact[1].energy == pytest.approx(-30.7778, abs=1e-4)
+
+        def well(r):
+            return eval_potential(self.FAULT, r)
+
+        grid = default_grid(1.0, n_points)
+        if solver == "numerov":
+            spec = numerov_spectrum(well, 0, CONSTS, grid, None, 2)
+        else:
+            spec = fd_spectrum(well, 0, CONSTS, grid, 2)
+        for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
+            assert abs(spec.levels[k][1] - exact[k].energy) <= bound, k
+
+    @pytest.mark.parametrize("l, n_points, budget", [
+        (0, 2000, 40), (0, 8000, 40), (1, 2000, 50), (1, 8000, 50)])
+    def test_deep_level_sweep_budget(self, monkeypatch, l, n_points, budget):
+        # a matched outward/inward pair covers the grid once, so sweeps are
+        # counted as grid points swept over n_points
+        swept = [0]
+        real_sweep = oracle._numerov_sweep
+
+        def counting(f, *args):
+            swept[0] += f.shape[0]
+            return real_sweep(f, *args)
+
+        monkeypatch.setattr(oracle, "_numerov_sweep", counting)
+
+        def well(r):
+            return eval_potential(self.FAULT, r)
+
+        spec = numerov_spectrum(well, l, CONSTS, default_grid(1.0, n_points), None, 3)
+        assert spec.node_counts() == [0, 1, 2]
+        assert swept[0] / n_points <= budget
+
+    @pytest.mark.parametrize("name", WELLS)
+    def test_matched_mismatch_root(self, name):
+        # every level whose r_max is classically forbidden sits on a sign
+        # change of the matched mismatch, within the level tolerance
+        params, l, n_points = self.WELLS[name]
+        grid = default_grid(params.alpha, n_points)
+        r = grid.points()
+        # hbar^2/(2m) = 1, so f = veff - E
+        veff = eval_potential(params, r) + l * (l + 1) / (r * r)
+        h2 = grid.h ** 2
+        spec = numerov_spectrum(lambda x: eval_potential(params, x), l, CONSTS, grid, None, 3)
+        deep = [E for _, E, _ in spec.levels if veff[-1] > E]
+        assert deep
+        for E in deep:
+            tol = 1e-10 * max(1.0, abs(E))
+            m = int(np.flatnonzero(veff <= E - tol)[-1])
+            below = oracle._matched_sweep(veff - (E - tol), h2, 0.0, grid.h ** (l + 1), m)[1]
+            above = oracle._matched_sweep(veff - (E + tol), h2, 0.0, grid.h ** (l + 1), m)[1]
+            assert below * above < 0.0, E
 
     def test_floor_with_nodes_is_resolution_error(self):
         params = family_params(a=1.0, V0=1000.0)
