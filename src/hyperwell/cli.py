@@ -5,8 +5,9 @@ validate, nu-check. Outputs are deterministic; a timestamp appears only
 as a '#' comment when --stamp is given (CSV outputs only, since JSON
 carries no comments).
 
-Exit codes: 0 success, 2 configuration error, 3 internal error,
-4 singular analytic case (wavefunction).
+Exit codes: 0 success, 2 configuration error (also an unreadable config
+or an unwritable output path), 3 internal error, 4 singular analytic case
+(wavefunction).
 """
 
 from __future__ import annotations
@@ -59,9 +60,12 @@ def _diag(message: str, severity: str = "error"):
 def _emit(text: str, out_path):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from None
 
 
 def _load_config(args) -> RunConfig:
@@ -124,10 +128,9 @@ def cmd_potential(args) -> int:
         alphas = (base.alpha,)
     r = config.grid.points()
     header = ["r"] + [f"V_alpha={a:.9g}" for a in alphas]
-    columns = [scan_series(with_alpha(base, a), r) for a in alphas]
-    rows = [[r[i]] + [col[i] for col in columns] for i in range(len(r))]
+    columns = [r.tolist()] + [scan_series(with_alpha(base, a), r) for a in alphas]
     comments = _head_comments(args, [f"kind = {args.kind}"])
-    _emit(csv_document(header, rows, head_comments=comments), config.out_path)
+    _emit(csv_document(header, columns, head_comments=comments), config.out_path)
     return EXIT_OK
 
 
@@ -137,12 +140,11 @@ def cmd_effective(args) -> int:
     r = config.grid.points()
     l_list = config.l_list
     header = ["r"] + [f"Veff_l={l}" for l in l_list]
-    columns = [scan_series(params, r, consts=consts, l=int(l),
-                           approximate=args.approximate) for l in l_list]
-    rows = [[r[i]] + [col[i] for col in columns] for i in range(len(r))]
+    columns = [r.tolist()] + [scan_series(params, r, consts=consts, l=int(l),
+                                          approximate=args.approximate) for l in l_list]
     barrier = "cosech2 surrogate" if args.approximate else "exact 1/r^2"
     comments = _head_comments(args, [f"centrifugal barrier: {barrier}"])
-    _emit(csv_document(header, rows, head_comments=comments), config.out_path)
+    _emit(csv_document(header, columns, head_comments=comments), config.out_path)
     return EXIT_OK
 
 
@@ -172,8 +174,8 @@ def cmd_wavefunction(args) -> int:
         return EXIT_SINGULAR
     r = config.grid.points()
     values = wf(r)
-    rows = [[r[i], values[i].real, values[i].imag, abs(values[i]) ** 2]
-            for i in range(len(r))]
+    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
+               (abs(values) ** 2).tolist()]
     achieved = wf.norm_integral * abs(wf.norm_constant) ** 2
     tail = [
         f"n = {n}, l = {l}, branch = {level.branch}",
@@ -184,7 +186,7 @@ def cmd_wavefunction(args) -> int:
     ]
     if args.stamp:
         tail.append(stamp_comment())
-    _emit(csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], rows, tail_comments=tail),
+    _emit(csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], columns, tail_comments=tail),
           config.out_path)
     return EXIT_OK
 

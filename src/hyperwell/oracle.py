@@ -85,7 +85,6 @@ class NumericSpectrum:
     wavefunctions: tuple  # per-level full-grid samples, L2-normalized
     grid: RadialGrid
     r: np.ndarray
-    unreliable: bool = False
     notes: tuple = ()
 
     def __post_init__(self):
@@ -483,7 +482,6 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    matching: str
     rows: tuple  # of (n, re_analytic, im_analytic, e_numeric, delta_abs, delta_rel)
     max_abs_delta: float
     max_rel_delta: float
@@ -517,8 +515,7 @@ def compare_levels(analytic, numeric: NumericSpectrum) -> ComparisonReport:
         summary = (max(abs_d), max(rel_d), sum(abs_d) / len(abs_d))
     else:
         summary = (0.0, 0.0, 0.0)
-    return ComparisonReport("ByIndex", tuple(rows), summary[0], summary[1],
-                            summary[2], tuple(notes))
+    return ComparisonReport(tuple(rows), summary[0], summary[1], summary[2], tuple(notes))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
 """Machine-readable outputs: CSV documents and JSON reports.
 
 All emitters are deterministic: identical inputs produce byte-identical
-output. Numbers render with 9 significant digits in CSV; JSON keeps full
-double precision. Timestamps never appear in data; an optional stamp
-line goes into `#` comments only.
+output. Timestamps never appear in data; an optional stamp line goes into
+`#` comments only.
+
+CSV cells: 9 significant digits (`{:.9g}`); an empty cell where a term is
+non-finite (a `scan_series` gap); `nan` printed as is. JSON keeps full
+double precision, and a complex number renders as {"re": ..., "im": ...}.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
-import math
 from dataclasses import replace
-
-import numpy as np
 
 from . import oracle
 from .analytic import (
@@ -48,56 +48,34 @@ _SINGULAR_LIMIT_PRODUCTS = tuple(10.0 ** (-k) for k in range(1, 9))
 
 def fmt_number(x) -> str:
     """One CSV cell: 9 significant digits, empty cell for a gap."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.9g}"
+    return "" if x is None else f"{x:.9g}"
 
 
-def csv_document(header, rows, head_comments=(), tail_comments=()) -> str:
-    """Comma-separated document with LF endings and '#' comment lines."""
-    ncol = len(header)
+def csv_document(header, columns, head_comments=(), tail_comments=()) -> str:
+    """Comma-separated document with LF endings and '#' comment lines.
+
+    `columns` holds one sequence of numbers per header field, with None
+    for a gap; columns of unequal length raise ValueError.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"expected {len(header)} columns, got {len(columns)}")
     lines = [f"# {c}" for c in head_comments]
     lines.append(",".join(header))
-    for row in rows:
-        if len(row) != ncol:
-            raise ValueError(f"ragged CSV row: expected {ncol} cells, got {len(row)}")
-        lines.append(",".join(cell if isinstance(cell, str) else fmt_number(cell)
-                              for cell in row))
+    lines.extend(",".join(row)
+                 for row in zip(*(map(fmt_number, col) for col in columns), strict=True))
     lines.extend(f"# {c}" for c in tail_comments)
     return "\n".join(lines) + "\n"
 
 
-def complex_pair(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def jsonable(obj):
-    """Recursively convert complex numbers and numpy scalars/arrays."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+def _json_default(obj):
+    """The encoder's hook: a complex number renders as {"re", "im"}."""
     if isinstance(obj, complex):
-        return complex_pair(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return complex_pair(complex(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def json_document(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=False, default=_json_default) + "\n"
 
 
 def stamp_comment() -> str:
@@ -123,9 +101,9 @@ def _config_echo(config) -> dict:
 def _level_record(level: EnergyLevel) -> dict:
     return {
         "branch": level.branch,
-        "eps2": complex_pair(level.eps2),
-        "energy": complex_pair(level.energy),
-        "energy_alt": complex_pair(level.energy_alt),
+        "eps2": level.eps2,
+        "energy": level.energy,
+        "energy_alt": level.energy_alt,
         "residual_quantization": level.residual_quantization,
         "imag_magnitude": level.imag_magnitude,
     }
@@ -166,14 +144,19 @@ def build_spectrum_report(config, variant="quadratic") -> dict:
 # oracle report
 # ---------------------------------------------------------------------------
 
-def _spectrum_record(spec: oracle.NumericSpectrum) -> dict:
+def _spectrum_record(spec: oracle.NumericSpectrum, flagged: bool) -> dict:
+    """One solver's levels; `flagged` marks a fall-to-center case."""
+    notes = list(spec.notes)
+    if flagged:
+        notes.append("origin attraction exceeds the fall-to-center threshold; "
+                     "levels depend on r_min")
     return {
         "method": spec.method,
         "energies": [e for _, e, _ in spec.levels],
         "indices": [k for k, _, _ in spec.levels],
         "node_counts": [c for _, _, c in spec.levels],
-        "unreliable": spec.unreliable,
-        "notes": list(spec.notes),
+        "unreliable": flagged,
+        "notes": notes,
     }
 
 
@@ -191,18 +174,12 @@ def _oracle_block(config, l, n_states):
         nm = numerov_spectrum(bare, l, consts, grid, None, n_states)
     except HyperwellError as exc:
         return {"l": int(l), "n_states": n_states, "error": str(exc)}, None
-    for spec in (fd, nm):
-        spec.unreliable = flagged
-        if flagged:
-            spec.notes = spec.notes + (
-                "origin attraction exceeds the fall-to-center threshold; "
-                "levels depend on r_min",)
     m = min(len(fd.levels), len(nm.levels))
     cross = [abs(fd.levels[i][1] - nm.levels[i][1]) / max(1.0, abs(fd.levels[i][1]))
              for i in range(m)]
     block = {"l": int(l), "n_states": n_states,
-             "fd": _spectrum_record(fd),
-             "numerov": _spectrum_record(nm),
+             "fd": _spectrum_record(fd, flagged),
+             "numerov": _spectrum_record(nm, flagged),
              "cross_delta_rel": cross}
     return block, fd
 
@@ -236,8 +213,8 @@ def nu_check_entry(params, consts, n, l, branch="plus") -> dict:
     by_name = {lv.branch: lv for lv in levels}
     level = by_name.get(branch, levels[0])
     dp = dimensionless_from_eps2(params, consts, level.eps2, l)
-    entry["eps2"] = complex_pair(level.eps2)
-    entry["energy"] = complex_pair(level.energy)
+    entry["eps2"] = level.eps2
+    entry["energy"] = level.energy
     entry["diagnostics"] = closed_form_diagnostics(dp, n)
     return entry
 
@@ -318,8 +295,8 @@ def build_validate_report(config) -> dict:
                 chosen.append(choose_level(quad))
                 try:
                     spec = energy_levels(params, consts, n, l, variant="spectrum")
-                    row["quadratic_eps2"] = [complex_pair(lv.eps2) for lv in quad]
-                    row["spectrum_eps2"] = [complex_pair(lv.eps2) for lv in spec]
+                    row["quadratic_eps2"] = [lv.eps2 for lv in quad]
+                    row["spectrum_eps2"] = [lv.eps2 for lv in spec]
                     row["max_root_delta"] = max(abs(q.eps2 - s.eps2)
                                                 for q, s in zip(quad, spec))
                 except HyperwellError as exc:
@@ -346,7 +323,7 @@ def build_validate_report(config) -> dict:
             continue
         rep = compare_levels(chosen, fd)
         comparison.append({
-            "l": int(l), "matching": rep.matching,
+            "l": int(l), "matching": "ByIndex",
             "rows": [list(row) for row in rep.rows],
             "max_abs_delta": rep.max_abs_delta,
             "max_rel_delta": rep.max_rel_delta,

@@ -149,9 +149,6 @@ def jacobi(spec: JacobiSpec):
     for name, val in (("a", spec.a), ("b", spec.b)):
         if not cmath.isfinite(complex(val)):
             raise DomainError(f"jacobi: parameter {name} must be finite")
-    if spec.n >= 2:
-        for k in range(2, spec.n + 1):
-            _recurrence_guard(k, complex(spec.a), complex(spec.b))
     return _jacobi_recurrence(spec.n, complex(spec.a), complex(spec.b), spec.x)
 
 

@@ -136,6 +136,17 @@ class TestCliExitCodes:
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
 
+    def test_unwritable_output_is_2(self, tmp_path):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"output.path = {out}\n")
+        for args in (("--config", str(CONFIGS / "general.cfg"), "--out", str(out)),
+                     ("--config", str(cfg))):
+            proc = run_cli("potential", *args)
+            assert proc.returncode == 2
+            assert f"cannot write output {str(out)!r}" in proc.stderr
+            assert "internal" not in proc.stderr
+
     def test_bad_key_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("potential.bogus = 1\n")

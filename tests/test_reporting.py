@@ -1,13 +1,28 @@
-"""The validate report in-process: call budget, a partly singular case, and
-the oracle block it shares with the oracle report."""
+"""The reports in-process: the validate report's call budget, a partly
+singular case and the oracle block it shares with the oracle report, and
+the CSV and JSON renderers against per-row and recursive-walk references."""
 
+import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from hyperwell import analytic, oracle
+from hyperwell.analytic import energy_levels, radial_wavefunction
 from hyperwell.config import parse_config
-from hyperwell.reporting import build_oracle_report, build_validate_report, json_document
+from hyperwell.potential import scan_series
+from hyperwell.reporting import (
+    build_nu_check_report,
+    build_oracle_report,
+    build_spectrum_report,
+    build_validate_report,
+    csv_document,
+    json_document,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -77,3 +92,87 @@ def test_validate_partly_singular():
         config = load(name)
         assert (json_document(build_validate_report(config)["oracle"]["per_l"])
                 == json_document(build_oracle_report(config)["per_l"]))
+
+
+# ---------------------------------------------------------------------------
+# renderers
+# ---------------------------------------------------------------------------
+
+def reference_cell(x):
+    if x is None:
+        return ""
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    return f"{x:.9g}"
+
+
+def reference_csv(header, rows, head_comments=(), tail_comments=()):
+    """Row-by-row rendering, one cell at a time."""
+    lines = [f"# {c}" for c in head_comments] + [",".join(header)]
+    for row in rows:
+        assert len(row) == len(header)
+        lines.append(",".join(reference_cell(cell) for cell in row))
+    lines.extend(f"# {c}" for c in tail_comments)
+    return "\n".join(lines) + "\n"
+
+
+def reference_jsonable(obj):
+    """Recursive copy with complex numbers and numpy values made plain."""
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        return {"re": z.real, "im": z.imag}
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def test_csv_columns_match_row_rendering():
+    config = load("general")
+    r = config.grid.points()
+    level = energy_levels(config.params, config.consts, 1, 1)[0]
+    values = radial_wavefunction(config.params, config.consts, level)(r)
+    # r = 0 lies outside the domain, so the first potential cell is a gap
+    potential = scan_series(config.params, np.concatenate(([0.0], r[1:])))
+    assert potential[0] is None
+    columns = [r.tolist(), potential, values.real.tolist(), values.imag.tolist(),
+               (np.abs(values) ** 2).tolist()]
+    header = ["r", "V", "Re_R", "Im_R", "abs_R_sq"]
+    rows = [[r[i], potential[i], values[i].real, values[i].imag, abs(values[i]) ** 2]
+            for i in range(len(r))]
+    text = csv_document(header, columns, head_comments=["head"], tail_comments=["a", "b"])
+    assert text == reference_csv(header, rows, ["head"], ["a", "b"])
+
+
+def test_csv_cell_rules():
+    text = csv_document(["x", "y"], [[None, float("nan"), -0.0, 1 / 3],
+                                     [1e-300, 2.5, float("inf"), None]])
+    assert text == "x,y\n,1e-300\nnan,2.5\n-0,inf\n0.333333333,\n"
+    with pytest.raises(ValueError):
+        csv_document(["x", "y"], [[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError):
+        csv_document(["x", "y"], [[1.0]])
+
+
+@pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
+def test_json_matches_recursive_walk(name):
+    config = load(name)
+    for doc in (build_validate_report(config), build_oracle_report(config),
+                build_spectrum_report(config), build_nu_check_report(config)):
+        expected = json.dumps(reference_jsonable(doc), indent=2, ensure_ascii=False) + "\n"
+        assert json_document(doc) == expected
+
+
+def test_json_refuses_other_values():
+    with pytest.raises(TypeError):
+        json_document({"x": object()})
