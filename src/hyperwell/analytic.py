@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,8 +54,12 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 _SQRT2 = math.sqrt(2.0)
 
-# normalization quadrature window, in units of 1/alpha
+# normalization quadrature window, in units of 1/alpha, and its relative tolerance
 _NORM_WINDOW = (1e-6, 40.0)
+_NORM_RTOL = 1e-8
+
+# central-difference step of ode_residual
+_ODE_H = 1e-4
 
 
 @dataclass(frozen=True)
@@ -333,7 +337,6 @@ def closed_form_diagnostics(dp: DimensionlessParams, n) -> dict:
         "branch": list(sol.branch),
         "multiplicity": sol.multiplicity,
     })
-    sol.diagnostics.update(diag)
     return diag
 
 
@@ -367,14 +370,14 @@ class RadialWavefunction:
     |R|^2 over the fixed window [1e-6/alpha, 40/alpha] equal to 1.
     """
 
-    def __init__(self, params, consts, n, l, dp: DimensionlessParams, norm_constant=1.0 + 0.0j):
+    def __init__(self, params, consts, n, l, dp: DimensionlessParams):
         self.params = params
         self.consts = consts
         self.n = int(n)
         self.l = int(l)
         self.dp = dp
         self.aux = aux_quantities(dp, params, consts, self.n, self.l)
-        self.norm_constant = complex(norm_constant)
+        self.norm_constant = 1.0 + 0.0j
         self.norm_window = (_NORM_WINDOW[0] / params.alpha, _NORM_WINDOW[1] / params.alpha)
         self.norm_integral = None
 
@@ -444,13 +447,12 @@ def _adaptive_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
         f"{max_doublings} doublings")
 
 
-def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True,
-                        quad_rtol=1e-8) -> RadialWavefunction:
+def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True) -> RadialWavefunction:
     """Build R(r) for an energy level, normalized on the standard window.
 
     Normalization integrates |R|^2 by Romberg integration on nested
     log-r samples over [1e-6/alpha, 40/alpha] to a relative tolerance of
-    quad_rtol (1e-8 by default).
+    1e-8.
     Renormalizing an already normalized wavefunction is a no-op up to
     rounding.
     """
@@ -459,7 +461,7 @@ def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True,
     if not normalize:
         return wf
     integral = _adaptive_log_trapezoid(
-        lambda r: np.abs(wf(r)) ** 2, wf.norm_window[0], wf.norm_window[1], quad_rtol)
+        lambda r: np.abs(wf(r)) ** 2, wf.norm_window[0], wf.norm_window[1], _NORM_RTOL)
     if not (integral > 0.0) or not math.isfinite(integral):
         raise NonNormalizableError(
             f"normalization integral is {integral}; cannot scale", end="origin")
@@ -487,7 +489,7 @@ def _ode_residual_core(f_sample, w_sample, beta, r_samples, h):
 
 
 def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
-                 h=1e-4, rtol=None) -> float:
+                 rtol=None) -> float:
     """Residual of the pre-substitution radial ODE at F = R exp(+beta r/2).
 
     The operator checked is F'' - beta F' + W(r) F with
@@ -497,9 +499,10 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
 
     evaluated faithfully to the closed-form derivation (beta^2/4 is the
     dimensionless beta squared over four). Returns the max scaled residual
-    over the samples. With rtol set, the residual is re-measured at h/2
-    and a ResolutionError is raised if the Richardson-estimated truncation
-    error exceeds rtol, i.e. if the measurement is step-limited.
+    over the samples, by central differences with step h = 1e-4. With
+    rtol set, the residual is re-measured at h/2 and a ResolutionError is
+    raised if the Richardson-estimated truncation error exceeds rtol, i.e.
+    if the measurement is step-limited.
     """
     energy = complex(energy)
     pref = 2.0 * consts.mass / consts.hbar**2
@@ -517,13 +520,13 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
                        - params.alpha**2 * l * (l + 1) * csch2
                        - params.d + dp.beta2 / 4.0)
 
-    res_h = _ode_residual_core(f_sample, w_sample, beta, r_samples, h)
+    res_h = _ode_residual_core(f_sample, w_sample, beta, r_samples, _ODE_H)
     if rtol is not None:
-        res_h2 = _ode_residual_core(f_sample, w_sample, beta, r_samples, h / 2.0)
+        res_h2 = _ode_residual_core(f_sample, w_sample, beta, r_samples, _ODE_H / 2.0)
         truncation = abs(res_h - res_h2) * (4.0 / 3.0)
         if truncation > rtol:
             raise ResolutionError(
                 f"ode_residual: estimated truncation {truncation:.3e} exceeds "
-                f"rtol = {rtol}; reduce h")
+                f"rtol = {rtol} at step h = {_ODE_H}")
         return res_h2
     return res_h

@@ -49,11 +49,10 @@ def _color_ok(stream) -> bool:
         and not os.environ.get("NO_COLOR")
 
 
-def _diag(message: str, severity: str = "error"):
-    prefix = f"hyperwell: {severity}: "
+def _diag(message: str):
+    prefix = "hyperwell: error: "
     if _color_ok(sys.stderr):
-        code = "31" if severity == "error" else "33"
-        prefix = f"\x1b[{code}m{prefix}\x1b[0m"
+        prefix = f"\x1b[31m{prefix}\x1b[0m"
     print(prefix + message, file=sys.stderr)
 
 
@@ -148,13 +147,6 @@ def cmd_effective(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    config = _single_alpha(args, _load_config(args))
-    report = build_spectrum_report(config, variant=args.variant)
-    _emit(json_document(report), config.out_path)
-    return EXIT_OK
-
-
 def cmd_wavefunction(args) -> int:
     config = _single_alpha(args, _load_config(args))
     if len(config.n_list) != 1:
@@ -191,24 +183,11 @@ def cmd_wavefunction(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_report(args) -> int:
+    """spectrum, oracle, validate and nu-check: args.report(config, args)
+    builds the command's report, emitted as one JSON document."""
     config = _single_alpha(args, _load_config(args))
-    report = build_oracle_report(config)
-    _emit(json_document(report), config.out_path)
-    return EXIT_OK
-
-
-def cmd_validate(args) -> int:
-    config = _single_alpha(args, _load_config(args))
-    report = build_validate_report(config)
-    _emit(json_document(report), config.out_path)
-    return EXIT_OK
-
-
-def cmd_nu_check(args) -> int:
-    config = _single_alpha(args, _load_config(args))
-    report = build_nu_check_report(config, branch=args.branch)
-    _emit(json_document(report), config.out_path)
+    _emit(json_document(args.report(config, args)), config.out_path)
     return EXIT_OK
 
 
@@ -253,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="l list or range")
     p.add_argument("--variant", default="quadratic", choices=["quadratic", "spectrum"],
                    help="printed grouping of the quantization constant term")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_report, report=lambda config, args: build_spectrum_report(
+        config, variant=args.variant))
 
     p = subs.add_parser("wavefunction", help="radial wavefunction samples as CSV")
     _add_common(p)
@@ -269,14 +249,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="single alpha override")
     p.add_argument("--n", help="level list or range (max sets how many states)")
     p.add_argument("--l", help="l list or range")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_report, report=lambda config, args: build_oracle_report(config))
 
     p = subs.add_parser("validate", help="full analytic-vs-oracle validation JSON")
     _add_common(p)
     p.add_argument("--alpha", help="single alpha override")
     p.add_argument("--n", help="level list or range")
     p.add_argument("--l", help="l list or range")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_report, report=lambda config, args: build_validate_report(config))
 
     p = subs.add_parser("nu-check", help="engine vs printed closed forms as JSON")
     _add_common(p)
@@ -285,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="l list or range")
     p.add_argument("--branch", default="plus", choices=["plus", "minus"],
                    help="quantization root used for the diagnostics")
-    p.set_defaults(func=cmd_nu_check)
+    p.set_defaults(func=cmd_report, report=lambda config, args: build_nu_check_report(
+        config, branch=args.branch))
 
     return parser
 
@@ -295,10 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _diag(str(exc))
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         _diag(str(exc))
         return EXIT_CONFIG
     except BrokenPipeError:

@@ -19,7 +19,7 @@ diagnostics mapping rather than patch either side.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class NUSolution:
     branch: tuple  # (k label, pi sign label)
     multiplicity: int = 1
     alternatives: tuple = ()
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def tau_prime(self):

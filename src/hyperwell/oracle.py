@@ -2,10 +2,12 @@
 
 Two deliberately different methods act as ground truth for the closed
 forms: a finite-difference discretization diagonalized by Sturm-sequence
-bisection, and Numerov shooting, bracketed by node counts and closed on
-the Dirichlet root, by regula falsi on the endpoint where r_max is
+bisection, and Numerov shooting in an energy window grown from the
+interior potential floor, bracketed by node counts and closed on the
+Dirichlet root, by regula falsi on the endpoint where r_max is
 classically allowed and by Cooley's matched-sweep correction where it is
-forbidden. Both solve
+forbidden. Both return the lowest levels, level k as entry k, each state
+normalized and signed the same way. Both solve
 
     -(hbar^2/2m) u'' + [V(r) + hbar^2 l(l+1)/(2m r^2)] u = E u
 
@@ -129,6 +131,17 @@ def _count_sign_changes(u: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(np.sign(sig)) != 0))
 
 
+def _finish_state(u, r):
+    """(u, node count) of a full-grid state: u L2-normalized by the
+    trapezoid rule and signed so that its first component above 1e-8 of
+    the maximum amplitude, in the lobe nearest the origin, is positive."""
+    u = u / math.sqrt(float(np.trapezoid(u * u, r)))
+    mag = np.abs(u)
+    if u[int(np.argmax(mag > _NODE_EPS * np.max(mag)))] < 0.0:
+        u = -u
+    return u, _count_sign_changes(u[1:-1])
+
+
 def _check_states(n_states, grid):
     if not isinstance(n_states, (int, np.integer)) or n_states < 0:
         raise DomainError(f"n_states must be a non-negative integer, got {n_states!r}")
@@ -144,7 +157,7 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     The symmetric tridiagonal operator is diagonalized by LAPACK dstebz
     (bisection with Sturm-sequence eigenvalue counts) and dstein (inverse
     iteration); each eigenvector is L2-normalized with the trapezoid rule
-    and signed so that its largest-magnitude component is positive.
+    and signed so that its lobe nearest the origin is positive.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -165,14 +178,10 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     levels = []
     wfs = []
     for k in range(n_states):
-        v = vecs[:, k]
-        if v[int(np.argmax(np.abs(v)))] < 0.0:
-            v = -v
         u = np.zeros(grid.n_points)
-        u[1:-1] = v
-        nrm = math.sqrt(float(np.trapezoid(u * u, r)))
-        u /= nrm
-        levels.append((k, float(energies[k]), _count_sign_changes(u[1:-1])))
+        u[1:-1] = vecs[:, k]
+        u, nodes = _finish_state(u, r)
+        levels.append((k, float(energies[k]), nodes))
         wfs.append(u)
     return NumericSpectrum("FiniteDifference", tuple(levels), tuple(wfs), grid, r)
 
@@ -376,28 +385,28 @@ def _locate_level(probe, samples, k):
         f"after {_MAX_BISECT} iterations")
 
 
-def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericSpectrum:
-    """Levels inside E_window by Numerov shooting.
+def numerov_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
+    """The lowest n_states levels by Numerov shooting; level k is entry k
+    and has k nodes.
 
     The start is the discrete regular solution u ~ (r - r_min)^(l+1),
     so u = 0 exactly at the left boundary (identical to the Dirichlet
     condition the finite-difference oracle imposes, and immune to a
-    singular potential sample at r_min). Each level is bracketed by the
-    count of thresholded sign changes of the outward sweep, reusing every
-    probe sweep of the call, and located at the Dirichlet root
-    u(r_max) = 0 to |dE| <= 1e-10 max(1, |E|). Where r_max is classically
-    allowed at the bracket's upper energy (a box level), regula falsi on
-    the scaled endpoint closes the bracket and the outward sweep is the
-    state. Where r_max is forbidden, that endpoint is +-1 except
-    exponentially close to the level, so Newton steps on Cooley's energy
-    correction close it instead, each from one outward sweep matched to
-    one inward sweep from u(r_max) = 0; the last matched sweep is the
-    state, so its exponentially growing outward tail never enters it.
-    E_window may be None, in which case a window is grown automatically
-    from the interior potential floor; a grid so coarse that the sweep
-    already has nodes at that floor raises ResolutionError. Level indices
-    are global (equal to the node count), so a window starting above the
-    ground state yields k > 0 entries.
+    singular potential sample at r_min). The energy window starts 1 below
+    the interior potential floor, where no state has nodes; a grid so
+    coarse that the sweep already has nodes there raises ResolutionError.
+    Its width doubles until the sweep at its upper end has n_states nodes.
+    Each level is bracketed by the count of thresholded sign changes of
+    the outward sweep, reusing every probe sweep of the call, and located
+    at the Dirichlet root u(r_max) = 0 to |dE| <= 1e-10 max(1, |E|).
+    Where r_max is classically allowed at the bracket's upper energy (a
+    box level), regula falsi on the scaled endpoint closes the bracket
+    and the outward sweep is the state. Where r_max is forbidden, that
+    endpoint is +-1 except exponentially close to the level, so Newton
+    steps on Cooley's energy correction close it instead, each from one
+    outward sweep matched to one inward sweep from u(r_max) = 0; the last
+    matched sweep is the state, so its exponentially growing outward tail
+    never enters it.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -415,40 +424,22 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
         samples.append((E, *_numerov_probe(pref * (veff - E), h2, u0, u1)))
         return samples[-1]
 
-    notes = []
-    if E_window is None:
-        # interior floor: boundary samples may be singular and only ever
-        # multiply the u = 0 start value
-        e_lo = float(np.min(veff[1:-1])) - 1.0
-        k_lo = probe(e_lo)[1]
-        if k_lo:
-            # no state has nodes below the potential minimum
-            raise ResolutionError(
-                f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
-                f"minimum; n_points = {grid.n_points} is too coarse for this potential")
-        e_hi = e_lo + 1.0
-        for _ in range(_MAX_BISECT):
-            k_hi = probe(e_hi)[1]
-            if k_hi >= k_lo + n_states:
-                break
-            e_hi = e_lo + 2.0 * (e_hi - e_lo)
-        else:
-            raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
-        notes.append(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]")
+    # interior floor: boundary samples may be singular and only ever
+    # multiply the u = 0 start value
+    e_lo = float(np.min(veff[1:-1])) - 1.0
+    k_lo = probe(e_lo)[1]
+    if k_lo:
+        # no state has nodes below the potential minimum
+        raise ResolutionError(
+            f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
+            f"minimum; n_points = {grid.n_points} is too coarse for this potential")
+    e_hi = e_lo + 1.0
+    for _ in range(_MAX_BISECT):
+        if probe(e_hi)[1] >= n_states:
+            break
+        e_hi = e_lo + 2.0 * (e_hi - e_lo)
     else:
-        e_lo, e_hi = float(E_window[0]), float(E_window[1])
-        if not (e_lo < e_hi):
-            raise DomainError(f"numerov_spectrum: empty window [{e_lo}, {e_hi}]")
-        k_lo = probe(e_lo)[1]
-        k_hi = probe(e_hi)[1]
-    available = k_hi - k_lo
-    if available <= 0:
-        return NumericSpectrum(
-            "Numerov", (), (), grid, r,
-            notes=(f"searched window [{e_lo:.6g}, {e_hi:.6g}]: no levels found",))
-    if available < n_states:
-        notes.append(
-            f"window [{e_lo:.6g}, {e_hi:.6g}] holds {available} of {n_states} requested levels")
+        raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
 
     def match(E, a):
         # the last point classically allowed at a stays allowed at every E >= a
@@ -458,7 +449,7 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
 
     levels = []
     wfs = []
-    for k in range(k_lo, k_lo + min(n_states, available)):
+    for k in range(n_states):
         lo, hi = _locate_level(probe, samples, k)
         if lo[2] * hi[2] < 0.0 and veff[-1] > hi[0]:
             # r_max classically forbidden: the endpoint is saturated
@@ -470,14 +461,11 @@ def numerov_spectrum(potential, l, consts, grid, E_window, n_states) -> NumericS
                 # the count bisection closed without an endpoint sign change
                 E = 0.5 * (lo[0] + hi[0])
             u = _unit_max(*_numerov_sweep(pref * (veff - E), h2, u0, u1))
-        nrm = math.sqrt(float(np.trapezoid(u * u, r)))
-        u /= nrm
-        if u[int(np.argmax(np.abs(u)))] < 0.0:
-            u = -u
-        levels.append((k, E, _count_sign_changes(u[1:-1])))
+        u, nodes = _finish_state(u, r)
+        levels.append((k, E, nodes))
         wfs.append(u)
     return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), grid, r,
-                           notes=tuple(notes))
+                           notes=(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]",))
 
 
 @dataclass(frozen=True)

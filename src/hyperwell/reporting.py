@@ -35,9 +35,6 @@ from .potential import eval_potential
 
 SCHEMA_VERSION = 1
 
-# central-difference step of the validate report's ODE residual
-_ODE_H = 1e-4
-
 # beta -> 0+ probe: the a*V0 products walked toward the singular limit
 _SINGULAR_LIMIT_PRODUCTS = tuple(10.0 ** (-k) for k in range(1, 9))
 
@@ -171,7 +168,7 @@ def _oracle_block(config, l, n_states):
     flagged = fall_to_center_unreliable(params, consts, l)
     try:
         fd = fd_spectrum(bare, l, consts, grid, n_states)
-        nm = numerov_spectrum(bare, l, consts, grid, None, n_states)
+        nm = numerov_spectrum(bare, l, consts, grid, n_states)
     except HyperwellError as exc:
         return {"l": int(l), "n_states": n_states, "error": str(exc)}, None
     m = min(len(fd.levels), len(nm.levels))
@@ -353,7 +350,7 @@ def build_validate_report(config) -> dict:
             wf = RadialWavefunction(params, consts, level.n, level.l, dp)
             ode_rows.append({**tag, "r_samples": samples,
                              "residual": ode_residual(wf, params, consts, level.energy,
-                                                      level.l, samples, h=_ODE_H)})
+                                                      level.l, samples)})
         except HyperwellError as exc:
             ode_rows.append({**tag, "error": str(exc)})
         try:

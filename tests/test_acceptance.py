@@ -272,13 +272,13 @@ def test_criterion_06_oracle_correctness():
     cross_worst = 0.0
     box_fine = RadialGrid(1e-9, 1.0, 4000)
     fd = fd_spectrum(box_potential, 0, CONSTS, box_fine, 3)
-    nv = numerov_spectrum(box_potential, 0, CONSTS, box_fine, (0.5, 100.0), 3)
+    nv = numerov_spectrum(box_potential, 0, CONSTS, box_fine, 3)
     for k in range(3):
         cross_worst = max(cross_worst, abs(fd.levels[k][1] - nv.levels[k][1])
                           / max(1.0, abs(nv.levels[k][1])))
     osc_fine = RadialGrid(1e-6, 10.0, 8000)
     fd = fd_spectrum(oscillator_potential, 0, CONSTS, osc_fine, 3)
-    nv = numerov_spectrum(oscillator_potential, 0, CONSTS, osc_fine, (0.5, 13.0), 3)
+    nv = numerov_spectrum(oscillator_potential, 0, CONSTS, osc_fine, 3)
     for k in range(3):
         cross_worst = max(cross_worst, abs(fd.levels[k][1] - nv.levels[k][1])
                           / max(1.0, abs(nv.levels[k][1])))

@@ -431,7 +431,7 @@ class TestOdeResidual:
         def exact(r):
             return np.sin(2.0 * np.asarray(r, dtype=float))
 
-        res = ode_residual(exact, free, CONSTS, E, 0, [0.5, 1.0, 2.0], h=1e-4)
+        res = ode_residual(exact, free, CONSTS, E, 0, [0.5, 1.0, 2.0])
         assert res < 1e-5
 
     def test_order_one_residual_at_quantization_roots(self):
@@ -439,7 +439,7 @@ class TestOdeResidual:
         # the residual is O(1), reported rather than asserted away
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
         wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
-        res = ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [0.5, 1.0, 2.0, 4.0], h=1e-4)
+        res = ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [0.5, 1.0, 2.0, 4.0])
         assert 0.1 < res < 10.0
 
     def test_resolution_error_when_step_limited(self):
@@ -453,11 +453,11 @@ class TestOdeResidual:
             return math.sin(1000.0 * float(r))
 
         with pytest.raises(ResolutionError):
-            ode_residual(fast_exact, free, CONSTS, 1e6, 0, [1.0], h=1e-4, rtol=1e-8)
+            ode_residual(fast_exact, free, CONSTS, 1e6, 0, [1.0], rtol=1e-8)
 
     def test_sample_too_close_to_origin(self):
         from hyperwell.errors import SamplingError
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
         wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
         with pytest.raises(SamplingError):
-            ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [5e-5], h=1e-4)
+            ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [5e-5])

@@ -1,5 +1,6 @@
 """Numeric oracle: FD on LAPACK, Numerov shooting, study machinery."""
 
+import functools
 import math
 from pathlib import Path
 
@@ -94,22 +95,15 @@ class TestBoxFixture:
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-9, 1.0, 4000)
         fd = fd_spectrum(box, 0, CONSTS, grid, 3)
-        nv = numerov_spectrum(box, 0, CONSTS, grid, (0.5, 100.0), 3)
+        nv = numerov_spectrum(box, 0, CONSTS, grid, 3)
         for k in range(3):
             e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6
 
     def test_numerov_auto_window(self):
-        spec = numerov_spectrum(box, 0, CONSTS, BOX_GRID, None, 2)
+        spec = numerov_spectrum(box, 0, CONSTS, BOX_GRID, 2)
         assert spec.levels[0][1] == pytest.approx(math.pi**2, rel=1e-3)
         assert any("window auto-selected" in note for note in spec.notes)
-
-    def test_numerov_global_indices(self):
-        # a window starting above the ground state returns k > 0 entries
-        spec = numerov_spectrum(box, 0, CONSTS, BOX_GRID, (20.0, 100.0), 2)
-        ks = [lv[0] for lv in spec.levels]
-        assert ks[0] == 1  # first excited state is the lowest level above 20
-        assert [lv[2] for lv in spec.levels] == ks
 
     def test_order_h_squared_convergence(self):
         exact = math.pi**2
@@ -131,13 +125,11 @@ class TestOscillatorFixture:
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-6, 10.0, 8000)
         fd = fd_spectrum(oscillator, 0, CONSTS, grid, 3)
-        # r_max is classically forbidden at every level; below 0 no point is
-        # classically allowed, so the first matched sweeps match at r_1
-        for window in ((0.5, 13.0), (-5.0, 13.0)):
-            nv = numerov_spectrum(oscillator, 0, CONSTS, grid, window, 3)
-            for k in range(3):
-                e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
-                assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6, (window, k)
+        # r_max is classically forbidden at every level
+        nv = numerov_spectrum(oscillator, 0, CONSTS, grid, 3)
+        for k in range(3):
+            e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
+            assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6, k
 
     def test_centrifugal_l_one(self):
         # V = r^2 + l(l+1)/r^2 with l = 1: even oscillator levels 5, 9
@@ -235,10 +227,10 @@ class TestNumerovSweep:
         def wall(r):
             return np.where(np.asarray(r, dtype=float) > 1.0, 1e6, 0.0)
 
-        cases = ((oscillator, RadialGrid(1e-6, 10.0, 8000), (0.5, 13.0), 3),
-                 (wall, RadialGrid(1e-9, 1.9, 1901), (0.5, 30.0), 1))
-        for potential, grid, window, n_states in cases:
-            spec = numerov_spectrum(potential, 0, CONSTS, grid, window, n_states)
+        cases = ((oscillator, RadialGrid(1e-6, 10.0, 8000), 3),
+                 (wall, RadialGrid(1e-9, 1.9, 1901), 1))
+        for potential, grid, n_states in cases:
+            spec = numerov_spectrum(potential, 0, CONSTS, grid, n_states)
             assert len(spec.wavefunctions) == n_states
             for vec in spec.wavefunctions:
                 assert np.all(np.isfinite(vec))
@@ -275,7 +267,7 @@ class TestNumerovLevels:
         def well(r):
             return eval_potential(params, r)
 
-        assert numerov_spectrum(well, l, CONSTS, grid, None, 3).node_counts() == [0, 1, 2]
+        assert numerov_spectrum(well, l, CONSTS, grid, 3).node_counts() == [0, 1, 2]
         assert fd_spectrum(well, l, CONSTS, grid, 3).node_counts() == [0, 1, 2]
 
     def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
@@ -297,7 +289,7 @@ class TestNumerovLevels:
             sweeps.clear()
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_numerov_sweep", counting)
-                spec = numerov_spectrum(well, l, cfg.consts, cfg.grid, None, 3)
+                spec = numerov_spectrum(well, l, cfg.consts, cfg.grid, 3)
             assert len(sweeps) <= 60, (l, len(sweeps))
             # hbar^2/(2m) = 1, so f = veff - E
             veff = well(r) + l * (l + 1) / (r * r)
@@ -330,7 +322,7 @@ class TestNumerovLevels:
 
         grid = default_grid(1.0, n_points)
         if solver == "numerov":
-            spec = numerov_spectrum(well, 0, CONSTS, grid, None, 2)
+            spec = numerov_spectrum(well, 0, CONSTS, grid, 2)
         else:
             spec = fd_spectrum(well, 0, CONSTS, grid, 2)
         for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
@@ -353,21 +345,42 @@ class TestNumerovLevels:
         def well(r):
             return eval_potential(self.FAULT, r)
 
-        spec = numerov_spectrum(well, l, CONSTS, default_grid(1.0, n_points), None, 3)
+        spec = numerov_spectrum(well, l, CONSTS, default_grid(1.0, n_points), 3)
         assert spec.node_counts() == [0, 1, 2]
         assert swept[0] / n_points <= budget
 
-    @pytest.mark.parametrize("name", WELLS)
-    def test_matched_mismatch_root(self, name):
+    # (potential, l, grid, lowest match index or None); V = r^2/16 has its
+    # ground level 0.75 within 1 of the interior floor, so that level's
+    # count bracket starts at the floor, where r_1 is the only classically
+    # allowed interior point, and its matched sweeps match at m = 1
+    MATCHED = {
+        **{name: (functools.partial(eval_potential, params), l,
+                  default_grid(params.alpha, n_points), None)
+           for name, (params, l, n_points) in WELLS.items()},
+        "oscillator m=1": (lambda r: oscillator(r) / 16.0, 0, default_grid(1.0, 2000), 1),
+    }
+
+    @pytest.mark.parametrize("name", MATCHED)
+    def test_matched_mismatch_root(self, monkeypatch, name):
         # every level whose r_max is classically forbidden sits on a sign
         # change of the matched mismatch, within the level tolerance
-        params, l, n_points = self.WELLS[name]
-        grid = default_grid(params.alpha, n_points)
+        potential, l, grid, lowest_match = self.MATCHED[name]
         r = grid.points()
         # hbar^2/(2m) = 1, so f = veff - E
-        veff = eval_potential(params, r) + l * (l + 1) / (r * r)
+        veff = potential(r) + l * (l + 1) / (r * r)
         h2 = grid.h ** 2
-        spec = numerov_spectrum(lambda x: eval_potential(params, x), l, CONSTS, grid, None, 3)
+        matched_at = []
+        real_matched = oracle._matched_sweep
+
+        def recording(f, h2, u0, u1, m):
+            matched_at.append(m)
+            return real_matched(f, h2, u0, u1, m)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_matched_sweep", recording)
+            spec = numerov_spectrum(potential, l, CONSTS, grid, 3)
+        if lowest_match is not None:
+            assert min(matched_at) == lowest_match
         deep = [E for _, E, _ in spec.levels if veff[-1] > E]
         assert deep
         for E in deep:
@@ -385,8 +398,8 @@ class TestNumerovLevels:
 
         for l in range(3):
             with pytest.raises(ResolutionError, match="n_points = 2000"):
-                numerov_spectrum(well, l, CONSTS, default_grid(1.0, 2000), None, 3)
-        spec = numerov_spectrum(well, 0, CONSTS, default_grid(1.0, 8000), None, 3)
+                numerov_spectrum(well, l, CONSTS, default_grid(1.0, 2000), 3)
+        spec = numerov_spectrum(well, 0, CONSTS, default_grid(1.0, 8000), 3)
         assert spec.node_counts() == [0, 1, 2]
 
 
@@ -425,10 +438,16 @@ class TestSpectrumStructure:
         spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 0)
         assert spec.levels == ()
 
-    def test_fd_largest_component_positive(self):
-        spec = fd_spectrum(oscillator, 0, CONSTS, OSC_GRID, 3)
-        for vec in spec.wavefunctions:
-            assert vec[int(np.argmax(np.abs(vec)))] > 0.0
+    def test_near_origin_lobe_positive(self):
+        # box level 1 has two mirror-image lobes whose extremes differ only
+        # by roundoff, so a largest-component rule would pick its sign by chance
+        specs = (fd_spectrum(oscillator, 0, CONSTS, OSC_GRID, 3),
+                 fd_spectrum(box, 0, CONSTS, BOX_GRID, 2),
+                 numerov_spectrum(box, 0, CONSTS, BOX_GRID, 2))
+        for spec in specs:
+            for k, vec in enumerate(spec.wavefunctions):
+                lobe = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))]
+                assert lobe[0] > 0.0, (spec.method, k)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -437,12 +456,6 @@ class TestSpectrumStructure:
         monkeypatch.setattr(oracle, "eigh_tridiagonal", failing)
         with pytest.raises(ConvergenceError):
             fd_spectrum(box, 0, CONSTS, BOX_GRID, 1)
-
-    def test_empty_numerov_window_noted(self):
-        # a window strictly between two levels holds nothing
-        spec = numerov_spectrum(box, 0, CONSTS, BOX_GRID, (11.0, 12.0), 2)
-        assert spec.levels == ()
-        assert any("no levels found" in note for note in spec.notes)
 
 
 class TestCompare:
