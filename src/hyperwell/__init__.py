@@ -22,7 +22,6 @@ from .analytic import (
     quantization_coefficients,
     quantization_residual,
     radial_wavefunction,
-    wavefunction_parts,
 )
 from .errors import (
     ConfigError,
@@ -60,7 +59,6 @@ from .potential import (
     rosen_morse_params,
     scan_series,
     scarf_params,
-    special_case_params,
     with_alpha,
 )
 from .special import JacobiSpec, hyperbolic_pair, jacobi, jacobi_sum, principal_sqrt, solve_quadratic

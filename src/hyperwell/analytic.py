@@ -34,19 +34,10 @@ from .errors import (
     DomainError,
     NonNormalizableError,
     NoPhysicalBranchError,
-    ResolutionError,
     SamplingError,
     SingularCoefficientError,
 )
-from .nu import (
-    NUProblem,
-    Poly,
-    enumerate_branches,
-    k_candidates,
-    lambda_n_of,
-    pi_tau_select,
-    radicand_coeffs,
-)
+from .nu import NUProblem, Poly, enumerate_branches, lambda_n_of, pi_tau_select, radicand_coeffs
 from .potential import PhysicalConstants, PotentialParams
 from .special import JacobiSpec, hyperbolic_pair, principal_sqrt, solve_quadratic
 
@@ -54,9 +45,11 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 _SQRT2 = math.sqrt(2.0)
 
-# normalization quadrature window, in units of 1/alpha, and its relative tolerance
+# normalization quadrature window, in units of 1/alpha, its relative tolerance
+# and the most midpoint doublings of its 513-point start
 _NORM_WINDOW = (1e-6, 40.0)
 _NORM_RTOL = 1e-8
+_NORM_DOUBLINGS = 14
 
 # central-difference step of ode_residual
 _ODE_H = 1e-4
@@ -259,22 +252,30 @@ def quantization_residual(problem: NUProblem, sol, n) -> float:
     return abs(complex(sol.lam) - lambda_n_of(problem, sol.tau, n))
 
 
-def closed_form_diagnostics(dp: DimensionlessParams, n) -> dict:
+def closed_form_diagnostics(dp: DimensionlessParams, n):
     """Deltas between the mechanical engine and the reference closed forms.
 
     Covers the k candidates, the selected tau, both printed lambda sign
     variants, and the printed discrete eigenvalue whose index is swapped
-    for the auxiliary u in the reference text.
+    for the auxiliary u in the reference text. One enumerate_branches pass
+    feeds everything: the k candidates are ``branches[::2]`` and
+    pi_tau_select picks from the same list.
+
+    Returns (diagnostics, engine check). The engine check holds the
+    mismatch |lambda - lambda_n| on the physical branch, or, when no
+    branch has Re(tau') < 0, the smallest mismatch over every branch,
+    with ``physical_branch`` saying which.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"closed_form_diagnostics: n must be a non-negative integer")
     problem = nu_problem(dp)
+    branches = enumerate_branches(problem)
     u = _u_of(dp)
     v = _v_of(dp)
     base = dp.gamma2 - dp.eps2 - dp.beta2 / 4.0
     rad = principal_sqrt(u * u - v * v)
     k_ref = (base + rad, base - rad)
-    ks = k_candidates(problem)
+    ks = [b.k for b in branches[::2]]
 
     def disc_at(k):
         p = radicand_coeffs(problem, k)
@@ -312,7 +313,6 @@ def closed_form_diagnostics(dp: DimensionlessParams, n) -> dict:
     }
 
     # deltas hold for every enumerated branch, whether or not one qualifies
-    branches = enumerate_branches(problem)
     diag["branch_tau_primes"] = [complex(c.tau.c1) for c in branches]
     nearest = min(branches, key=lambda c: abs(c.tau.c0 - tau_ref.c0)
                   + abs(c.tau.c1 - tau_ref.c1))
@@ -327,35 +327,19 @@ def closed_form_diagnostics(dp: DimensionlessParams, n) -> dict:
     diag["lambda_reference_minus_residual"] = float(
         min(abs(c.lam - lam_ref_minus) for c in branches))
     try:
-        sol = pi_tau_select(problem)
+        sol = pi_tau_select(branches)
     except NoPhysicalBranchError as exc:
         diag["selection_error"] = str(exc)
-        return diag
+        mismatch = min(quantization_residual(problem, b, n) for b in branches)
+        return diag, {"engine_lambda_mismatch": mismatch, "physical_branch": False}
     diag.update({
         "tau_mechanical": list(sol.tau.coeffs()),
         "lambda_mechanical": complex(sol.lam),
         "branch": list(sol.branch),
         "multiplicity": sol.multiplicity,
     })
-    return diag
-
-
-def wavefunction_parts(aux: AuxQuantities, s):
-    """Weight function rho and bare factor phi at the engine variable s.
-
-    rho = (1+s^2)^(-2) ((1+is)/(1-is))^(mu + i nu)
-    phi = (1+is)^((mu+B)/2) (1-is)^((mu-B)/2)
-
-    Complex powers take the principal branch. s = +/- i are poles.
-    """
-    s = complex(s)
-    if min(abs(s - 1j), abs(s + 1j)) < 1e-12:
-        raise DomainError(f"wavefunction_parts: s = {s} is a pole (s = +/- i)")
-    one_plus = 1.0 + 1j * s
-    one_minus = 1.0 - 1j * s
-    rho = (1.0 + s * s) ** -2.0 * (one_plus / one_minus) ** (aux.mu + 1j * aux.nu)
-    phi = one_plus ** ((aux.mu + aux.B) / 2.0) * one_minus ** ((aux.mu - aux.B) / 2.0)
-    return rho, phi
+    return diag, {"engine_lambda_mismatch": quantization_residual(problem, sol, n),
+                  "physical_branch": True}
 
 
 class RadialWavefunction:
@@ -403,10 +387,6 @@ class RadialWavefunction:
             out = self.norm_constant * envelope * poly * np.exp(-self.dp.beta * arr / 2.0)
         return complex(out) if scalar else np.asarray(out, dtype=complex)
 
-    def psi(self, r):
-        """Full radial solution R(r)/r."""
-        return self(r) / np.asarray(r, dtype=float)
-
 
 def _log_samples(f, t, lt, ht):
     """f(r) r at r = exp(t), the integrand in the dt measure; non-finite raises."""
@@ -420,7 +400,7 @@ def _log_samples(f, t, lt, ht):
     return vals
 
 
-def _adaptive_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
+def _adaptive_log_trapezoid(f, lo, hi, rtol):
     """Romberg integration in t = log r on nested samples, to relative rtol.
 
     Starts from a 513-point trapezoid; each doubling samples only the new
@@ -432,7 +412,7 @@ def _adaptive_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
     h = (ht - lt) / intervals
     vals = _log_samples(f, np.linspace(lt, ht, intervals + 1), lt, ht)
     row = [h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))]
-    for _ in range(max_doublings):
+    for _ in range(_NORM_DOUBLINGS):
         h /= 2.0
         mid = _log_samples(f, np.linspace(lt + h, ht - h, intervals), lt, ht)
         intervals *= 2
@@ -444,10 +424,10 @@ def _adaptive_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
         row = new
     raise ConvergenceError(
         f"normalization quadrature did not reach rtol = {rtol} after "
-        f"{max_doublings} doublings")
+        f"{_NORM_DOUBLINGS} doublings")
 
 
-def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True) -> RadialWavefunction:
+def radial_wavefunction(params, consts, level: EnergyLevel) -> RadialWavefunction:
     """Build R(r) for an energy level, normalized on the standard window.
 
     Normalization integrates |R|^2 by Romberg integration on nested
@@ -458,8 +438,6 @@ def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True) -> R
     """
     wf = RadialWavefunction(params, consts, level.n, level.l,
                             dimensionless_from_eps2(params, consts, level.eps2, level.l))
-    if not normalize:
-        return wf
     integral = _adaptive_log_trapezoid(
         lambda r: np.abs(wf(r)) ** 2, wf.norm_window[0], wf.norm_window[1], _NORM_RTOL)
     if not (integral > 0.0) or not math.isfinite(integral):
@@ -470,26 +448,7 @@ def radial_wavefunction(params, consts, level: EnergyLevel, normalize=True) -> R
     return wf
 
 
-def _ode_residual_core(f_sample, w_sample, beta, r_samples, h):
-    """max_i |F'' - beta F' + W F| / scale over the samples, by central differences."""
-    worst = 0.0
-    scale = 1.0
-    for r in r_samples:
-        r = float(r)
-        if r - h <= 0:
-            raise SamplingError(f"ode_residual: r = {r} too close to 0 for step h = {h}", r=r)
-        fm, f0, fp = f_sample(r - h), f_sample(r), f_sample(r + h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        d1 = (fp - fm) / (2.0 * h)
-        w = w_sample(r)
-        resid = abs(d2 - beta * d1 + w * f0)
-        scale = max(scale, abs(d2), abs(beta * d1), abs(w * f0))
-        worst = max(worst, resid)
-    return worst / scale
-
-
-def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
-                 rtol=None) -> float:
+def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -> float:
     """Residual of the pre-substitution radial ODE at F = R exp(+beta r/2).
 
     The operator checked is F'' - beta F' + W(r) F with
@@ -499,34 +458,33 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples,
 
     evaluated faithfully to the closed-form derivation (beta^2/4 is the
     dimensionless beta squared over four). Returns the max scaled residual
-    over the samples, by central differences with step h = 1e-4. With
-    rtol set, the residual is re-measured at h/2 and a ResolutionError is
-    raised if the Richardson-estimated truncation error exceeds rtol, i.e.
-    if the measurement is step-limited.
+    max_i |F'' - beta F' + W F| / scale over the samples, by central
+    differences with step h = 1e-4.
     """
     energy = complex(energy)
     pref = 2.0 * consts.mass / consts.hbar**2
     dp = dimensionless_from_eps2(params, consts, 0.0, l)
-    beta = dp.beta
+    beta, h = dp.beta, _ODE_H
 
     def f_sample(r):
         return complex(wf(r)) * cmath.exp(beta * r / 2.0)
 
-    def w_sample(r):
+    worst = 0.0
+    scale = 1.0
+    for r in r_samples:
+        r = float(r)
+        if r - h <= 0:
+            raise SamplingError(f"ode_residual: r = {r} too close to 0 for step h = {h}", r=r)
+        fm, f0, fp = f_sample(r - h), f_sample(r), f_sample(r + h)
+        d2 = (fp - 2.0 * f0 + fm) / (h * h)
+        d1 = (fp - fm) / (2.0 * h)
         coth, csch2 = hyperbolic_pair(params.alpha * r)
-        return pref * (energy + params.a * params.V0 * coth
-                       - params.b * params.V1 * coth * coth
-                       + params.c * params.V2 * csch2
-                       - params.alpha**2 * l * (l + 1) * csch2
-                       - params.d + dp.beta2 / 4.0)
-
-    res_h = _ode_residual_core(f_sample, w_sample, beta, r_samples, _ODE_H)
-    if rtol is not None:
-        res_h2 = _ode_residual_core(f_sample, w_sample, beta, r_samples, _ODE_H / 2.0)
-        truncation = abs(res_h - res_h2) * (4.0 / 3.0)
-        if truncation > rtol:
-            raise ResolutionError(
-                f"ode_residual: estimated truncation {truncation:.3e} exceeds "
-                f"rtol = {rtol} at step h = {_ODE_H}")
-        return res_h2
-    return res_h
+        w = pref * (energy + params.a * params.V0 * coth
+                    - params.b * params.V1 * coth * coth
+                    + params.c * params.V2 * csch2
+                    - params.alpha**2 * l * (l + 1) * csch2
+                    - params.d + dp.beta2 / 4.0)
+        resid = abs(d2 - beta * d1 + w * f0)
+        scale = max(scale, abs(d2), abs(beta * d1), abs(w * f0))
+        worst = max(worst, resid)
+    return worst / scale

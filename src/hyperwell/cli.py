@@ -26,7 +26,13 @@ from .config import (
     with_alpha_override,
 )
 from .errors import ConfigError, DomainError, HyperwellError, SingularCoefficientError
-from .potential import scan_series, special_case_params, with_alpha
+from .potential import (
+    poschl_teller_params,
+    rosen_morse_params,
+    scan_series,
+    scarf_params,
+    with_alpha,
+)
 from .reporting import (
     build_nu_check_report,
     build_oracle_report,
@@ -99,11 +105,11 @@ def _kind_params(config, kind: str):
     if kind == "general":
         return p
     if kind == "rosen-morse":
-        return special_case_params(kind, a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha)
+        return rosen_morse_params(a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha)
     if kind == "poschl-teller":
-        return special_case_params(kind, c=p.c, V2=p.V2, alpha=p.alpha)
+        return poschl_teller_params(c=p.c, V2=p.V2, alpha=p.alpha)
     if kind == "scarf":
-        return special_case_params(kind, b=p.b, V1=p.V1, alpha=p.alpha)
+        return scarf_params(b=p.b, V1=p.V1, alpha=p.alpha)
     raise ConfigError(f"unknown --kind {kind!r}")
 
 

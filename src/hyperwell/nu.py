@@ -9,11 +9,11 @@ engine finds the shift constants k that make the auxiliary radicand a
 perfect square, builds pi and tau = tau_bar + 2 pi for every branch,
 keeps the branches with Re(tau') < 0, and exposes the two eigenvalue
 expressions lambda = k + pi' and lambda_n = -n tau' - n(n-1) sigma''/2.
+A caller enumerates the branches once and selects from that list.
 
 Everything is computed mechanically from the input triple. Where a
 published closed form for a specific family disagrees with the mechanical
-result, the caller is expected to record the difference in the solution's
-diagnostics mapping rather than patch either side.
+result, the caller records the difference rather than patch either side.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(self.c1, 2.0 * self.c2, 0.0)
 
-    def degree(self) -> int:
-        if self.c2 != 0:
-            return 2
-        if self.c1 != 0:
-            return 1
-        return 0
-
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
@@ -81,7 +74,6 @@ class NUSolution:
     lam: complex  # k + pi'
     branch: tuple  # (k label, pi sign label)
     multiplicity: int = 1
-    alternatives: tuple = ()
 
     @property
     def tau_prime(self):
@@ -151,7 +143,11 @@ _PI_LABELS = {1.0: "PlusPi", -1.0: "MinusPi"}
 
 
 def enumerate_branches(problem: NUProblem):
-    """All (k, pi sign) branches as unselected NUSolution records."""
+    """All (k, pi sign) branches as unselected NUSolution records.
+
+    Ordered by k candidate, then + before - pi sign, so ``branches[::2]``
+    holds one branch per k candidate in k_candidates order.
+    """
     q = _half_gap(problem)
     branches = []
     ks = k_candidates(problem)
@@ -170,28 +166,23 @@ def enumerate_branches(problem: NUProblem):
                 k=complex(k), pi=pi, tau=tau, lam=complex(lam),
                 branch=(label, _PI_LABELS[sign]),
             ))
-    # 2 sign choices per candidate, always
-    assert len(branches) == 2 * len(ks), "branch enumeration lost a k/sign combination"
     return branches
 
 
-def pi_tau_select(problem: NUProblem) -> NUSolution:
-    """Pick the branch with Re(tau') < 0.
+def pi_tau_select(branches) -> NUSolution:
+    """Pick the branch with Re(tau') < 0 from an enumerate_branches list.
 
     When several branches qualify, the one with the most negative Re(tau')
-    becomes the primary solution; all qualifiers are kept on
-    ``alternatives`` and ``multiplicity`` says how many there were. With no
+    is returned and ``multiplicity`` says how many qualified. With no
     qualifying branch a NoPhysicalBranchError lists every tau'.
     """
-    branches = enumerate_branches(problem)
     admissible = [b for b in branches if b.tau_prime.real < 0.0]
     if not admissible:
         taus = [b.tau_prime for b in branches]
         raise NoPhysicalBranchError(
             f"no branch has Re(tau') < 0; tau' candidates: {taus}", tau_primes=taus)
-    admissible.sort(key=lambda b: b.tau_prime.real)
-    primary = admissible[0]
-    return replace(primary, multiplicity=len(admissible), alternatives=tuple(admissible[1:]))
+    primary = min(admissible, key=lambda b: b.tau_prime.real)
+    return replace(primary, multiplicity=len(admissible))
 
 
 def lambda_n_of(problem: NUProblem, tau: Poly, n) -> complex:

@@ -98,19 +98,13 @@ class NumericSpectrum:
         return [c for _, _, c in self.levels]
 
 
-def _sample_callable(potential, r: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vectorized potential callable on the grid."""
-    try:
-        v = np.asarray(potential(r), dtype=float)
-        if v.shape == r.shape:
-            return v
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(potential(float(ri))) for ri in r], dtype=float)
-
-
 def _effective_samples(potential, l, consts, r) -> np.ndarray:
-    v = _sample_callable(potential, r)
+    """V + the centrifugal term on the grid; `potential` maps an array of r
+    to an array of the same shape."""
+    v = np.asarray(potential(r), dtype=float)
+    if v.shape != r.shape:
+        raise DomainError(
+            f"potential returned shape {v.shape} for a grid of shape {r.shape}")
     if l:
         v = v + consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass * r * r)
     bad = ~np.isfinite(v)
@@ -478,22 +472,28 @@ class ComparisonReport:
 
 
 def compare_levels(analytic, numeric: NumericSpectrum) -> ComparisonReport:
-    """Per-index deltas between analytic levels and an oracle spectrum.
+    """Deltas between analytic levels and an oracle spectrum, level by level.
 
-    Deltas are complex-modulus distances |E_analytic - E_numeric|; relative
-    deltas are against |E_numeric| (floored at 1). This is a report; no
-    agreement is asserted anywhere.
+    Analytic level n is paired with oracle level n, which is entry n: both
+    solvers return level k as entry k. A level n beyond the spectrum is
+    not compared. When the two lists differ in length (an analytic path
+    singular at some state, or an n list that does not start at 0), a note
+    names the levels compared. Deltas are complex-modulus distances
+    |E_analytic - E_numeric|; relative deltas are against |E_numeric|
+    (floored at 1). This is a report; no agreement is asserted anywhere.
     """
     notes = []
-    m = min(len(analytic), len(numeric.levels))
+    paired = [lvl for lvl in analytic if lvl.n < len(numeric.levels)]
     if len(analytic) != len(numeric.levels):
+        ns = [lvl.n for lvl in paired]
+        which = (f"first {len(ns)}" if ns == list(range(len(ns)))
+                 else "n = " + ", ".join(map(str, ns)))
         notes.append(
             f"length mismatch: {len(analytic)} analytic vs "
-            f"{len(numeric.levels)} numeric levels; compared first {m}")
+            f"{len(numeric.levels)} numeric levels; compared {which}")
     rows = []
-    for i in range(m):
-        lvl = analytic[i]
-        e_num = float(numeric.levels[i][1])
+    for lvl in paired:
+        e_num = float(numeric.levels[lvl.n][1])
         d = abs(complex(lvl.energy) - e_num)
         rows.append((lvl.n, float(lvl.energy.real), float(lvl.energy.imag),
                      e_num, d, d / max(1.0, abs(e_num))))

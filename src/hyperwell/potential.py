@@ -228,24 +228,6 @@ def scarf_params(b, V1, alpha):
     return PotentialParams(a=0.0, b=b, c=0.0, d=0.0, V0=0.0, V1=V1, V2=0.0, alpha=alpha)
 
 
-SPECIAL_CASES = {
-    "general": None,
-    "rosen-morse": rosen_morse_params,
-    "poschl-teller": poschl_teller_params,
-    "scarf": scarf_params,
-}
-
-
-def special_case_params(kind, **kwargs):
-    """Build PotentialParams for a named shape; see SPECIAL_CASES for names."""
-    if kind not in SPECIAL_CASES:
-        raise DomainError(
-            f"unknown potential kind {kind!r}; available: {', '.join(sorted(SPECIAL_CASES))}")
-    if kind == "general":
-        return PotentialParams(**kwargs)
-    return SPECIAL_CASES[kind](**kwargs)
-
-
 def with_alpha(params: PotentialParams, alpha: float) -> PotentialParams:
     """Copy of params with a different screening rate."""
     return replace(params, alpha=alpha)

@@ -23,13 +23,9 @@ from .analytic import (
     closed_form_diagnostics,
     dimensionless_from_eps2,
     energy_levels,
-    nu_problem,
     ode_residual,
-    quantization_residual,
 )
-from . import nu
-from .errors import HyperwellError, NoPhysicalBranchError, SingularCoefficientError
-from .nu import pi_tau_select
+from .errors import HyperwellError, SingularCoefficientError
 from .oracle import compare_levels, fall_to_center_unreliable, fd_spectrum, numerov_spectrum
 from .potential import eval_potential
 
@@ -212,7 +208,7 @@ def nu_check_entry(params, consts, n, l, branch="plus") -> dict:
     dp = dimensionless_from_eps2(params, consts, level.eps2, l)
     entry["eps2"] = level.eps2
     entry["energy"] = level.energy
-    entry["diagnostics"] = closed_form_diagnostics(dp, n)
+    entry["diagnostics"] = closed_form_diagnostics(dp, n)[0]
     return entry
 
 
@@ -243,24 +239,6 @@ def _singular_limit_section(params, consts, n, l):
         except HyperwellError as exc:
             rows.append({"a_V0": product, "error": str(exc)})
     return rows
-
-
-def _engine_cross_check(problem, n) -> dict:
-    """|lambda - lambda_n| for the engine at a quantization root.
-
-    When no branch qualifies as physical (Re(tau') < 0), which the
-    mechanical engine does find at roots of the printed quadratic, fall
-    back to the closest mismatch over every enumerated branch so the
-    section quantifies instead of erroring out.
-    """
-    try:
-        sol = pi_tau_select(problem)
-        return {"engine_lambda_mismatch": quantization_residual(problem, sol, n),
-                "physical_branch": True}
-    except NoPhysicalBranchError:
-        mismatch = min(quantization_residual(problem, b, n)
-                       for b in nu.enumerate_branches(problem))
-        return {"engine_lambda_mismatch": mismatch, "physical_branch": False}
 
 
 def build_validate_report(config) -> dict:
@@ -309,7 +287,7 @@ def build_validate_report(config) -> dict:
         analytic_section["singular_limit"] = None
     report["analytic"] = analytic_section
 
-    # ByIndex comparison of chosen analytic levels against the FD oracle
+    # ByIndex comparison: chosen analytic level n against FD level n
     n_states = _n_states(config)
     blocks, comparison = [], []
     for l, chosen in zip(config.l_list, chosen_per_l):
@@ -343,9 +321,12 @@ def build_validate_report(config) -> dict:
         tag = {"n": level.n, "l": level.l, "branch": level.branch}
         dp = dimensionless_from_eps2(params, consts, level.eps2, level.l)
         try:
-            cross_checks.append({**tag, **_engine_cross_check(nu_problem(dp), level.n)})
+            diagnostics, engine = closed_form_diagnostics(dp, level.n)
+            cross_checks.append({**tag, **engine})
+            nu_rows.append({**tag, "diagnostics": diagnostics})
         except HyperwellError as exc:
             cross_checks.append({**tag, "error": str(exc)})
+            nu_rows.append({**tag, "error": str(exc)})
         try:
             wf = RadialWavefunction(params, consts, level.n, level.l, dp)
             ode_rows.append({**tag, "r_samples": samples,
@@ -353,10 +334,6 @@ def build_validate_report(config) -> dict:
                                                       level.l, samples)})
         except HyperwellError as exc:
             ode_rows.append({**tag, "error": str(exc)})
-        try:
-            nu_rows.append({**tag, "diagnostics": closed_form_diagnostics(dp, level.n)})
-        except HyperwellError as exc:
-            nu_rows.append({**tag, "error": str(exc)})
     if any_singular and not any(chosen_per_l):
         note = "analytic path singular for every requested state"
         cross_checks.append({"note": note})

@@ -131,7 +131,7 @@ def test_criterion_02_k_printed_form():
         base = gamma2 - eps2 - beta2 / 4.0
         rad = principal_sqrt(u * u - v * v)
         printed = (base + rad, base - rad)
-        diag = closed_form_diagnostics(DimensionlessParams(eps2, beta2, gamma2, beta), 0)
+        diag = closed_form_diagnostics(DimensionlessParams(eps2, beta2, gamma2, beta), 0)[0]
         transcription_worst = max(transcription_worst, max(
             abs(got - want) / max(abs(want), 1.0)
             for got, want in zip(diag["k_reference"], printed)))
@@ -172,7 +172,7 @@ def test_criterion_03_lambda_n_mechanical():
         assert lambda_n_of(prob, tau_ref, 0) == 0.0  # exactly
     # the printed deviation (index swapped for u) is recorded in diagnostics
     lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
-    diag = closed_form_diagnostics(dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0), 1)
+    diag = closed_form_diagnostics(dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0), 1)[0]
     swap_present = diag["lambda_n_printed_delta"] > 1.0
     swap_identity = diag["lambda_n_index_swap_delta"] < 1e-12
     ok = worst <= 1e-12 and swap_present and swap_identity

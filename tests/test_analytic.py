@@ -22,22 +22,26 @@ from hyperwell.analytic import (
     quantization_coefficients,
     quantization_residual,
     radial_wavefunction,
-    wavefunction_parts,
 )
 from hyperwell.config import parse_config
 from hyperwell.errors import (
     ConvergenceError,
     DomainError,
     NonNormalizableError,
-    ResolutionError,
     SingularCoefficientError,
 )
-from hyperwell.nu import lambda_n_of, pi_tau_select
+from hyperwell.nu import enumerate_branches, lambda_n_of, pi_tau_select
 from hyperwell.potential import PhysicalConstants, PotentialParams
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def raw_wavefunction(params, consts, level):
+    """The level's unnormalized R(r): norm_constant 1."""
+    return RadialWavefunction(params, consts, level.n, level.l,
+                              dimensionless_from_eps2(params, consts, level.eps2, level.l))
 
 
 class TestDimensionless:
@@ -183,7 +187,7 @@ class TestDiagnostics:
     def test_always_has_delta_keys(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
         dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 0)
+        diag = closed_form_diagnostics(dp, 0)[0]
         for key in ("k_mechanical", "k_reference", "k_best_pair_delta",
                     "k_reference_disc", "k_mechanical_disc", "tau_reference",
                     "lambda_n_printed_delta", "lambda_n_index_swap_delta",
@@ -194,7 +198,7 @@ class TestDiagnostics:
     def test_mechanical_k_has_zero_discriminant(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
         dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 0)
+        diag = closed_form_diagnostics(dp, 0)[0]
         assert max(diag["k_mechanical_disc"]) < 1e-10
         # the reference closed form does NOT satisfy the perfect-square
         # condition here; the deltas quantify the discrepancy
@@ -206,36 +210,26 @@ class TestDiagnostics:
         # reference-tau value exactly
         lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
         dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 1)
+        diag = closed_form_diagnostics(dp, 1)[0]
         assert diag["lambda_n_index_swap_delta"] < 1e-12
         assert diag["lambda_n_printed_delta"] > 1.0
 
     def test_lambda_zero_at_n_zero(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
         dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 0)
+        diag = closed_form_diagnostics(dp, 0)[0]
         assert abs(diag["lambda_n_from_reference_tau"]) == 0.0
 
     def test_quantization_residual_gauge(self):
         # a self-consistent textbook problem has residual ~0 at quantized eps
         from hyperwell.nu import NUProblem, Poly
         prob = NUProblem(Poly(1.0), Poly(7.0, 0.0, -1.0), Poly(0.0))  # oscillator n=3
-        sol = pi_tau_select(prob)
+        sol = pi_tau_select(enumerate_branches(prob))
         assert quantization_residual(prob, sol, 3) < 1e-12
         assert quantization_residual(prob, sol, 2) == pytest.approx(2.0)
 
 
 class TestWavefunction:
-    def test_parts_pole_guard(self):
-        dp = dimensionless_from_eps2(DEMO, CONSTS, 1.0, 0)
-        aux = aux_quantities(dp, DEMO, CONSTS, 0, 0)
-        rho, phi = wavefunction_parts(aux, 0.5)
-        assert cmath.isfinite(rho) and cmath.isfinite(phi)
-        with pytest.raises(DomainError):
-            wavefunction_parts(aux, 1j)
-        with pytest.raises(DomainError):
-            wavefunction_parts(aux, -1j + 1e-15)
-
     def test_normalized_on_window(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
         wf = radial_wavefunction(DEMO, CONSTS, lv)
@@ -255,7 +249,7 @@ class TestWavefunction:
 
     def test_degree_zero_skips_polynomial(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
+        wf = raw_wavefunction(DEMO, CONSTS, lv)
         # structurally: degree 0 never calls the polynomial layer, so a
         # poisoned jacobi must not be reachable
         import hyperwell.analytic as analytic_mod
@@ -272,17 +266,12 @@ class TestWavefunction:
 
     def test_degree_two_uses_polynomial(self):
         lv = energy_levels(DEMO, CONSTS, 2, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
+        wf = raw_wavefunction(DEMO, CONSTS, lv)
         assert cmath.isfinite(wf(0.8))
-
-    def test_psi_is_r_over_r(self):
-        lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
-        assert wf.psi(2.0) == pytest.approx(wf(2.0) / 2.0)
 
     def test_vectorized_matches_scalar(self):
         lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
+        wf = raw_wavefunction(DEMO, CONSTS, lv)
         r = np.array([0.3, 1.0, 4.0])
         v = wf(r)
         for i, ri in enumerate(r):
@@ -383,7 +372,7 @@ class TestNormalizationQuadrature:
             for n, l in states:
                 for lv in energy_levels(params, consts, n, l):
                     wf = radial_wavefunction(params, consts, lv)
-                    raw = radial_wavefunction(params, consts, lv, normalize=False)
+                    raw = raw_wavefunction(params, consts, lv)
                     ref = reference_log_trapezoid(lambda r: np.abs(raw(r)) ** 2,
                                                   *raw.norm_window, 1e-8)
                     assert wf.norm_integral == pytest.approx(ref, rel=1e-8)
@@ -408,7 +397,7 @@ class TestNormalizationQuadrature:
         assert info.value.end == end
         assert calls == [513, 512]
 
-    def test_never_converging_raises(self):
+    def test_never_converging_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
         calls = []
 
@@ -416,8 +405,9 @@ class TestNormalizationQuadrature:
             calls.append(r.size)
             return rng.random(r.size) / r
 
+        monkeypatch.setattr(analytic, "_NORM_DOUBLINGS", 3)
         with pytest.raises(ConvergenceError, match="3 doublings"):
-            analytic._adaptive_log_trapezoid(noise, 1e-6, 40.0, 1e-8, max_doublings=3)
+            analytic._adaptive_log_trapezoid(noise, 1e-6, 40.0, 1e-8)
         assert calls == [513, 512, 1024, 2048]
 
 
@@ -438,26 +428,13 @@ class TestOdeResidual:
         # the closed-form pair (E, R) does not satisfy the radial equation:
         # the residual is O(1), reported rather than asserted away
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
+        wf = raw_wavefunction(DEMO, CONSTS, lv)
         res = ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [0.5, 1.0, 2.0, 4.0])
         assert 0.1 < res < 10.0
-
-    def test_resolution_error_when_step_limited(self):
-        # F = sin(1000 r) exactly solves F'' + 1e6 F = 0, so the continuum
-        # residual is zero -- what the finite differences measure at
-        # h = 1e-4 is pure truncation (~(1000 h)^2/12), which Richardson
-        # flags against a tight rtol
-        free = PotentialParams(a=0.0, b=0.0, c=0.0, d=0.0, V0=0.0, V1=0.0, V2=0.0, alpha=1.0)
-
-        def fast_exact(r):
-            return math.sin(1000.0 * float(r))
-
-        with pytest.raises(ResolutionError):
-            ode_residual(fast_exact, free, CONSTS, 1e6, 0, [1.0], rtol=1e-8)
 
     def test_sample_too_close_to_origin(self):
         from hyperwell.errors import SamplingError
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv, normalize=False)
+        wf = raw_wavefunction(DEMO, CONSTS, lv)
         with pytest.raises(SamplingError):
             ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [5e-5])

@@ -414,13 +414,10 @@ class TestSpectrumStructure:
                 r=BOX_GRID.points(),
             )
 
-    def test_scalar_potential_fallback(self):
-        # a scalar-only callable (raises on arrays) must still sample
-        def scalar_only(r):
-            return float(r) ** 2
-
-        spec = fd_spectrum(scalar_only, 0, CONSTS, OSC_GRID, 1)
-        assert spec.levels[0][1] == pytest.approx(3.0, rel=1e-3)
+    def test_wrong_shape_rejected(self):
+        # the potential must map the grid array to an array of its shape
+        with pytest.raises(DomainError, match="shape"):
+            fd_spectrum(lambda r: 0.0, 0, CONSTS, OSC_GRID, 1)
 
     def test_nonfinite_sample_named(self):
         def bad(r):

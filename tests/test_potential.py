@@ -17,7 +17,6 @@ from hyperwell.potential import (
     rosen_morse_params,
     scan_series,
     scarf_params,
-    special_case_params,
     with_alpha,
 )
 
@@ -180,15 +179,6 @@ class TestSpecialCases:
         r = 1.3
         coth = math.cosh(r) / math.sinh(r)
         assert eval_potential(p, r) == pytest.approx(0.05 * 0.5 * coth**2, rel=1e-12)
-
-    def test_registry_dispatch(self):
-        p = special_case_params("scarf", b=0.05, V1=0.5, alpha=2.0)
-        assert p.alpha == 2.0
-        q = special_case_params(
-            "general", a=1.0, b=0.0, c=0.0, d=0.0, V0=1.0, V1=0.0, V2=0.0, alpha=1.0)
-        assert q.a == 1.0
-        with pytest.raises(DomainError):
-            special_case_params("unknown-shape")
 
     def test_with_alpha(self):
         p = with_alpha(DEMO, 3.0)

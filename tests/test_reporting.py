@@ -1,6 +1,7 @@
-"""The reports in-process: the validate report's call budget, a partly
-singular case and the oracle block it shares with the oracle report, and
-the CSV and JSON renderers against per-row and recursive-walk references."""
+"""The reports in-process: the validate and nu-check call budgets, the
+level-n pairing of comparison rows, a partly singular case and the oracle
+block validate shares with the oracle report, and the CSV and JSON
+renderers against per-row and recursive-walk references."""
 
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperwell import analytic, oracle
+from hyperwell import analytic, nu, oracle
 from hyperwell.analytic import energy_levels, radial_wavefunction
 from hyperwell.config import parse_config
 from hyperwell.potential import scan_series
@@ -53,11 +54,36 @@ def load(name, **states):
 
 
 def test_validate_call_budget(monkeypatch):
-    counts = count_calls(monkeypatch, analytic.energy_levels,
+    counts = count_calls(monkeypatch, analytic.energy_levels, analytic.nu_problem,
+                         nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select,
                          oracle.fd_spectrum, oracle.numerov_spectrum)
     build_validate_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
-    # one quadratic and one spectrum-variant call per state, one solver pair per l
-    assert counts == {"energy_levels": 18, "fd_spectrum": 3, "numerov_spectrum": 3}
+    # one quadratic and one spectrum-variant call per state, one engine pass
+    # (triple, branch enumeration, selection) per state, one solver pair per l
+    assert counts == {"energy_levels": 18, "nu_problem": 9, "enumerate_branches": 9,
+                      "k_candidates": 9, "pi_tau_select": 9,
+                      "fd_spectrum": 3, "numerov_spectrum": 3}
+
+
+def test_nu_check_call_budget(monkeypatch):
+    counts = count_calls(monkeypatch, nu.enumerate_branches, nu.k_candidates,
+                         nu.pi_tau_select)
+    build_nu_check_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
+    # one branch enumeration and one selection per state
+    assert counts == {"enumerate_branches": 9, "k_candidates": 9, "pi_tau_select": 9}
+
+
+def test_validate_pairs_level_n_with_oracle_level_n():
+    # an n list that does not start at 0 still meets FD level n, entry n
+    for n_list in ((1, 2), (2,)):
+        doc = build_validate_report(load("general", n_list=n_list, l_list=(0,)))
+        fd = doc["oracle"]["per_l"][0]["fd"]["energies"]
+        comparison = doc["comparison"]["per_l"][0]
+        assert [row[0] for row in comparison["rows"]] == list(n_list)
+        assert [row[3] for row in comparison["rows"]] == [fd[n] for n in n_list]
+        names = ", ".join(map(str, n_list))
+        assert comparison["notes"] == [
+            f"length mismatch: {len(n_list)} analytic vs 3 numeric levels; compared n = {names}"]
 
 
 def test_validate_partly_singular():
