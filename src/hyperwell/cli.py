@@ -100,17 +100,13 @@ def _single_alpha(args, config) -> RunConfig:
     return config
 
 
-def _kind_params(config, kind: str):
-    p = config.params
-    if kind == "general":
-        return p
-    if kind == "rosen-morse":
-        return rosen_morse_params(a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha)
-    if kind == "poschl-teller":
-        return poschl_teller_params(c=p.c, V2=p.V2, alpha=p.alpha)
-    if kind == "scarf":
-        return scarf_params(b=p.b, V1=p.V1, alpha=p.alpha)
-    raise ConfigError(f"unknown --kind {kind!r}")
+# potential --kind: the shape constructor applied to the potential block
+_KINDS = {
+    "general": lambda p: p,
+    "rosen-morse": lambda p: rosen_morse_params(a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha),
+    "poschl-teller": lambda p: poschl_teller_params(c=p.c, V2=p.V2, alpha=p.alpha),
+    "scarf": lambda p: scarf_params(b=p.b, V1=p.V1, alpha=p.alpha),
+}
 
 
 def _head_comments(args, lines):
@@ -126,7 +122,7 @@ def _head_comments(args, lines):
 
 def cmd_potential(args) -> int:
     config = _load_config(args)
-    base = _kind_params(config, args.kind)
+    base = _KINDS[args.kind](config.params)
     if args.alpha:
         alphas = parse_float_list(args.alpha, where="--alpha")
     else:
@@ -218,8 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("potential", help="potential curve CSV, one column per alpha")
     _add_common(p)
     p.add_argument("--alpha", help="comma list of alpha values, e.g. 1,2,3,4")
-    p.add_argument("--kind", default="general",
-                   choices=["general", "rosen-morse", "poschl-teller", "scarf"],
+    p.add_argument("--kind", default="general", choices=list(_KINDS),
                    help="shape constructor applied to the potential block")
     p.set_defaults(func=cmd_potential)
 

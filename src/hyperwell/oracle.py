@@ -37,9 +37,9 @@ from .special import hyperbolic_pair
 
 _NODE_EPS = 1e-8
 _LOG_NODE_EPS = math.log(_NODE_EPS)
-# a Numerov block ends before its strict growth bound passes e^600, so its
-# values stay well inside the float64 range (e^709) whatever the input
-_LOG_BLOCK_GROWTH = 600.0
+# a Numerov block keeps values up to e^600 times its carry-ins (at most 1),
+# well inside the float64 range (e^709) whatever the input
+_MAX_VALUE = math.exp(600.0)
 _SWEEP_FAILED = "numerov sweep: singular or non-finite recurrence step"
 _MAX_BISECT = 200
 # dstebz bisects until an interval is below max(tol, 2 ulp |E|); a tol this
@@ -184,22 +184,19 @@ def _numerov_sweep(f, h2, u0, u1):
     """Integrate u'' = f u outward from (u0, u1); return (v, log_scale).
 
     The three-term recurrence c_(j+1) u_(j+1) = d_j u_j - c_(j-1) u_(j-1),
-    with c = 1 - h2 f/12 and d = 2 (1 + 5 h2 f/12), is solved as
-    lower-triangular banded systems (LAPACK dtbtrs, two sub-diagonals)
-    in blocks. Each block starts from its two carry-in values renormalised
-    to a maximum of 1 and ends before the product of the per-step bounds
-    max(1, (|d_j| + |c_(j-1)|)/|c_(j+1)|) passes e^600, so no value can
-    overflow. The sweep is u = v exp(log_scale) pointwise. A singular or
-    non-finite step raises EvaluationOverflowError.
+    with c = 1 - h2 f/12 and d = 2 (1 + 5 h2 f/12), is solved as one
+    lower-triangular banded system over the rest of the grid (LAPACK
+    dtbtrs, two sub-diagonals) from two carry-in values renormalised to a
+    maximum of 1. Forward substitution makes every value before the first
+    one above e^600 (or non-finite) exact, so that prefix is kept and the
+    solve restarts from its last two values. The sweep is
+    u = v exp(log_scale) pointwise. A singular step, or a restart that
+    keeps no value, raises EvaluationOverflowError.
     """
     n = f.shape[0]
-    c = 1.0 - h2 * f / 12.0
-    d = 2.0 * (1.0 + 5.0 * h2 * f / 12.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        growth = np.log(np.maximum(1.0, (np.abs(d[1:-1]) + np.abs(c[:-2])) / np.abs(c[2:])))
-    if not np.all(np.isfinite(growth)):
-        raise EvaluationOverflowError(_SWEEP_FAILED)
-    bound = np.cumsum(growth)
+    q = (h2 / 12.0) * f
+    c = 1.0 - q
+    d = 2.0 + 10.0 * q
     # column k holds the coefficients of u_(k+2) in band storage
     ab = np.empty((3, n - 2), order="F")
     ab[0] = c[2:]
@@ -208,26 +205,25 @@ def _numerov_sweep(f, h2, u0, u1):
     v = np.empty(n)
     v[0], v[1] = u0, u1
     log_scale = np.zeros(n)
-    start, done, level = 2, 0.0, 0.0
+    start, level = 2, 0.0
     while start < n:
-        stop = max(start + 1, 2 + int(np.searchsorted(
-            bound, done + _LOG_BLOCK_GROWTH, side="right")))
         w0, w1 = v[start - 2], v[start - 1]
         carry = max(abs(w0), abs(w1))
         if carry > 0.0:
             w0, w1 = w0 / carry, w1 / carry
             level += math.log(carry)
-        rhs = np.zeros(stop - start)
-        # the carry-ins enter the block's first two equations only
+        rhs = np.zeros(n - start)
+        # the carry-ins enter the first two equations only
         rhs[0] = d[start - 1] * w1 - c[start - 2] * w0
         rhs[1:2] = -c[start - 1] * w1
-        x, info = dtbtrs(ab[:, start - 2:stop - 2], rhs, uplo="L")
-        if info != 0 or not np.all(np.isfinite(x)):
+        x, info = dtbtrs(ab[:, start - 2:], rhs, uplo="L", overwrite_b=True)
+        bad = np.flatnonzero(~(np.abs(x) <= _MAX_VALUE))
+        kept = int(bad[0]) if bad.size else x.size
+        if info != 0 or kept == 0:
             raise EvaluationOverflowError(_SWEEP_FAILED)
-        v[start:stop] = x
-        log_scale[start:stop] = level
-        done = bound[stop - 3]
-        start = stop
+        v[start:start + kept] = x[:kept]
+        log_scale[start:start + kept] = level
+        start += kept
     return v, log_scale
 
 
@@ -250,7 +246,8 @@ def _numerov_probe(f, h2, u0, u1):
     """
     v, log_scale = _numerov_sweep(f, h2, u0, u1)
     amp = _log_amplitude(v, log_scale)
-    signs = np.sign(v[amp > np.maximum.accumulate(amp) + _LOG_NODE_EPS])
+    # amp is never NaN, so fmax (faster here) gives maximum's running max
+    signs = np.sign(v[amp > np.fmax.accumulate(amp) + _LOG_NODE_EPS])
     count = int(np.count_nonzero(signs[1:] != signs[:-1]))
     end = 0.0 if v[-1] == 0.0 else float(v[-1]) * math.exp(log_scale[-1] - np.max(amp))
     return count, end

@@ -221,9 +221,37 @@ class TestNumerovSweep:
         with pytest.raises(EvaluationOverflowError):
             oracle._numerov_probe(f, 1.0, 0.0, 1e-3)
 
+    def test_restarts_match_exact_discrete_solution(self):
+        # constant f: u_j = u_1 sinh(j theta)/sinh(theta) with
+        # cosh(theta) = d/(2c) solves the recurrence exactly; it grows by
+        # ~e^2986, so the sweep restarts from renormalised carry-ins
+        n, h2, u1 = 3000, 1.0, 1e-8
+        f = np.ones(n)
+        c, d = 1.0 - h2 / 12.0, 2.0 * (1.0 + 5.0 * h2 / 12.0)
+        theta = math.acosh(d / (2.0 * c))
+        v, log_scale = oracle._numerov_sweep(f, h2, 0.0, u1)
+        assert np.all(np.abs(v) <= math.exp(600.0))
+        assert len(np.unique(log_scale)) > 5
+        j = np.arange(1, n)
+        exact = (math.log(u1) + j * theta + np.log1p(-np.exp(-2.0 * j * theta))
+                 - math.log(2.0 * math.sinh(theta)))
+        assert exact[-1] > 2980.0
+        got = oracle._log_amplitude(v[1:], log_scale[1:])
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.maximum(np.abs(exact), 1.0))
+        assert np.all(v[1:] > 0.0)
+
+    def test_non_finite_step_raises(self):
+        # the solve keeps the values before the NaN, then the restart from
+        # there keeps none
+        f = np.zeros(64)
+        f[30] = np.nan
+        with pytest.raises(EvaluationOverflowError):
+            oracle._numerov_sweep(f, 1.0, 0.0, 1e-3)
+
     def test_wavefunctions_normalized(self):
-        # past r = 1 the wall has h^2 f = 1, so the sweep's last block grows
-        # by ~e^400: u*u overflows unless u is scaled by its global maximum
+        # past r = 1 the wall has h^2 f = 1, so the sweep grows by ~e^875
+        # there, across two blocks: u*u overflows unless u is scaled by its
+        # global maximum
         def wall(r):
             return np.where(np.asarray(r, dtype=float) > 1.0, 1e6, 0.0)
 
