@@ -39,9 +39,7 @@ from .errors import (
 )
 from .nu import NUProblem, Poly, enumerate_branches, lambda_n_of, pi_tau_select, radicand_coeffs
 from .potential import PhysicalConstants, PotentialParams
-from .special import JacobiSpec, hyperbolic_pair, principal_sqrt, solve_quadratic
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+from .special import hyperbolic_pair, principal_sqrt, solve_quadratic
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -366,26 +364,20 @@ class RadialWavefunction:
         self.norm_integral = None
 
     def __call__(self, r):
-        scalar = np.isscalar(r) or getattr(r, "ndim", 0) == 0
         arr = np.asarray(r, dtype=float)
-        if arr.size == 0:
-            return np.zeros(0, dtype=complex)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            bad = arr if scalar else float(np.atleast_1d(arr)[
-                ~(np.isfinite(np.atleast_1d(arr)) & (np.atleast_1d(arr) > 0))][0])
-            raise SamplingError(f"wavefunction sample r = {bad} outside (0, inf)", r=bad)
-        coth, _ = hyperbolic_pair(self.params.alpha * arr)
-        z = 1j * np.asarray(coth, dtype=complex)
+        bad = ~(np.isfinite(arr) & (arr > 0))
+        if np.any(bad):
+            r_bad = float(arr[bad][0])
+            raise SamplingError(f"wavefunction sample r = {r_bad} outside (0, inf)", r=r_bad)
+        # coth * 1j keeps numpy's complex arithmetic on 0-d input too, where
+        # coth is a numpy scalar and 1j * coth would be a Python complex
+        z = hyperbolic_pair(self.params.alpha * arr)[0] * 1j
         aux = self.aux
         with np.errstate(over="ignore", invalid="ignore"):
             envelope = ((1.0 + z) ** ((aux.mu + aux.B) / 2.0)
                         * (1.0 - z) ** ((aux.mu - aux.B) / 2.0))
-            if self.n == 0:
-                poly = 1.0 + 0.0j  # degree zero: no polynomial evaluation at all
-            else:
-                poly = special.jacobi(JacobiSpec(self.n, 2.0 + aux.A, 2.0 - aux.A, z))
-            out = self.norm_constant * envelope * poly * np.exp(-self.dp.beta * arr / 2.0)
-        return complex(out) if scalar else np.asarray(out, dtype=complex)
+            poly = special.jacobi(self.n, 2.0 + aux.A, 2.0 - aux.A, z)
+            return self.norm_constant * envelope * poly * np.exp(-self.dp.beta * arr / 2.0)
 
 
 def _log_samples(f, t, lt, ht):

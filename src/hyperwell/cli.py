@@ -278,7 +278,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DomainError) as exc:
-        _diag(str(exc))
+        line = getattr(exc, "line", None)
+        _diag(str(exc) if line is None else f"line {line}: {exc}")
         return EXIT_CONFIG
     except BrokenPipeError:
         return EXIT_OK

@@ -23,7 +23,7 @@ _POTENTIAL_DEFAULTS = {
     "V0": 1.0, "V1": 0.5, "V2": 0.02, "alpha": 1.0,
 }
 _CONSTANT_DEFAULTS = {"hbar": 1.0, "mass": 0.5}
-_GRID_DEFAULTS = {"r_min": 1e-6, "r_max": None, "n_points": 2000}
+_GRID_DEFAULTS = {"r_min": 1e-6, "n_points": 2000}
 _STATE_DEFAULTS = {"n": (0, 1, 2), "l": (0,)}
 
 _FLOAT_KEYS = {
@@ -35,6 +35,11 @@ _FLOAT_KEYS = {
 _INT_KEYS = {"grid.n_points"}
 _LIST_KEYS = {"state.n", "state.l"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | {"output.path"}
+
+
+def _default_r_max(alpha):
+    # e^(-2 alpha r) is below 1e-34 here, so the asymptote is fully reached
+    return 40.0 / alpha
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,7 @@ def parse_config(text: str) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     if r_max is None:
-        r_max = 40.0 / params.alpha
+        r_max = _default_r_max(params.alpha)
     try:
         grid = RadialGrid(r_min, r_max, n_points)
     except DomainError as exc:
@@ -188,5 +193,5 @@ def with_alpha_override(config: RunConfig, alpha: float) -> RunConfig:
         raise ConfigError(str(exc)) from None
     grid = config.grid
     if not config.r_max_explicit:
-        grid = RadialGrid(grid.r_min, 40.0 / params.alpha, grid.n_points)
+        grid = RadialGrid(grid.r_min, _default_r_max(params.alpha), grid.n_points)
     return replace(config, params=params, grid=grid)

@@ -38,24 +38,31 @@ class ExactLevel:
     bound: bool
 
 
+def kappa_radicand(params: PotentialParams, consts: PhysicalConstants, l) -> float:
+    """1/4 + B/(s alpha^2) + l(l+1), the radicand of kappa_l.
+
+    Negative where the attractive cosech^2 term falls to the centre: kappa_l
+    is then not real, and bound states cease to exist.
+    """
+    s_alpha2 = consts.hbar**2 / (2.0 * consts.mass) * params.alpha**2
+    return 0.25 + (params.b * params.V1 - params.c * params.V2) / s_alpha2 + l * (l + 1)
+
+
 def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) -> ExactLevel:
     """Level n of the surrogate problem at angular momentum l.
 
-    Raises DomainError where 1/4 + B/(s alpha^2) + l(l+1) < 0: the
-    attractive cosech^2 term then falls to the centre and kappa_l is not
-    real.
+    Raises DomainError where kappa_radicand is negative (fall to centre).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"surrogate_level: n must be a non-negative integer, got {n!r}")
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise DomainError(f"surrogate_level: l must be a non-negative integer, got {l!r}")
-    s_alpha2 = consts.hbar**2 / (2.0 * consts.mass) * params.alpha**2
-    A = params.a * params.V0
-    B = params.b * params.V1 - params.c * params.V2
-    C = params.b * params.V1 + params.d
-    radicand = 0.25 + B / s_alpha2 + l * (l + 1)
+    radicand = kappa_radicand(params, consts, l)
     if radicand < 0.0:
         raise DomainError(
             f"surrogate_level: 1/4 + B/(s alpha^2) + l(l+1) = {radicand} < 0 (fall to centre)")
+    s_alpha2 = consts.hbar**2 / (2.0 * consts.mass) * params.alpha**2
+    A = params.a * params.V0
+    C = params.b * params.V1 + params.d
     q = s_alpha2 * (n + 0.5 + math.sqrt(radicand)) ** 2
     return ExactLevel(int(n), int(l), C - q - A * A / (4.0 * q), A > 2.0 * q)

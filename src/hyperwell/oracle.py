@@ -32,6 +32,7 @@ from .errors import (
     SamplingError,
     StructureError,
 )
+from .exact import kappa_radicand
 from .potential import PhysicalConstants, PotentialParams, eval_potential
 from .special import hyperbolic_pair
 
@@ -72,14 +73,6 @@ class RadialGrid:
         return np.linspace(self.r_min, self.r_max, self.n_points)
 
 
-def default_grid(alpha: float, n_points: int = 2000) -> RadialGrid:
-    """The standard solve window [1e-6, 40/alpha]; the tail term e^(-2 alpha r)
-    is below 1e-34 at the far end, so the asymptote is fully reached."""
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise DomainError(f"default_grid: alpha must be positive and finite, got {alpha!r}")
-    return RadialGrid(1e-6, 40.0 / alpha, n_points)
-
-
 @dataclass
 class NumericSpectrum:
     method: str  # 'FiniteDifference' or 'Numerov'
@@ -93,9 +86,6 @@ class NumericSpectrum:
         es = [e for _, e, _ in self.levels]
         if any(e2 <= e1 for e1, e2 in zip(es, es[1:])):
             raise StructureError(f"{self.method}: energies not strictly increasing: {es}")
-
-    def node_counts(self):
-        return [c for _, _, c in self.levels]
 
 
 def _effective_samples(potential, l, consts, r) -> np.ndarray:
@@ -511,17 +501,12 @@ class StudyReport:
     unreliable: bool
     notes: tuple = ()
 
-    def max_rel_shift(self) -> float:
-        return max((row[4] for row in self.levels), default=0.0)
-
 
 def fall_to_center_unreliable(params: PotentialParams, consts: PhysicalConstants, l) -> bool:
     """True when the origin's inverse-square coefficient is attractive past
-    the critical -hbar^2/(8m), where ground-truth bound states cease to exist
-    and grid results depend on r_min."""
-    c_inv = (params.b * params.V1 - params.c * params.V2) / params.alpha**2 \
-        + consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass)
-    return c_inv < -consts.hbar**2 / (8.0 * consts.mass)
+    the critical -hbar^2/(8m) (exact.kappa_radicand < 0), where ground-truth
+    bound states cease to exist and grid results depend on r_min."""
+    return kappa_radicand(params, consts, l) < 0.0
 
 
 def approximation_study(params: PotentialParams, consts, l, grid, n_states) -> StudyReport:

@@ -116,70 +116,43 @@ def _barrier(params, consts, l, arr, approximate):
 
 
 def eval_potential(params: PotentialParams, r):
-    """V(r) for scalar or array r > 0.
+    """V(r) for r > 0, shaped like r.
 
     Raises DomainError for r outside (0, inf) and EvaluationOverflowError,
     naming the term, if an active term evaluates non-finite.
     """
-    scalar = np.isscalar(r) or getattr(r, "ndim", 0) == 0
     arr = np.asarray(r, dtype=float)
-    if arr.size == 0:
-        return arr.copy()
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise DomainError("eval_potential: r must lie in (0, inf)")
     out, coth, csch2 = _potential_values(params, arr)
-    if not np.all(np.isfinite(out)):
+    bad = ~np.isfinite(out)
+    if np.any(bad):
         term = _name_offender(params, coth, csch2)
-        flat_out = np.atleast_1d(np.asarray(out, dtype=float))
-        flat_r = np.atleast_1d(arr)
-        bad_r = float(flat_r[~np.isfinite(flat_out)][0])
         raise EvaluationOverflowError(
-            f"eval_potential: term {term} is non-finite at r = {bad_r}")
-    return float(out) if scalar else out
+            f"eval_potential: term {term} is non-finite at r = {float(arr[bad][0])}")
+    return out
 
 
 def centrifugal_approx(alpha: float, r):
     """The short-range replacement for 1/r^2 and its pointwise quality.
 
-    Returns ``(approx, exact, rel_error)`` where approx = alpha^2
-    cosech^2(alpha r), exact = 1/r^2 and rel_error = |approx - exact| r^2
-    = 1 - (alpha r)^2 cosech^2(alpha r). A series branch below
-    alpha r = 1e-3 avoids the cancellation in the direct difference; the
-    leading behaviour is (alpha r)^2 / 3.
+    Returns ``(approx, exact, rel_error)``, each shaped like r, where
+    approx = alpha^2 cosech^2(alpha r), exact = 1/r^2 and rel_error =
+    |approx - exact| r^2 = 1 - (alpha r)^2 cosech^2(alpha r). A series
+    branch below alpha r = 1e-3 avoids the cancellation in the direct
+    difference; the leading behaviour is (alpha r)^2 / 3.
     """
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"centrifugal_approx: alpha must be positive, got {alpha!r}")
-    scalar = np.isscalar(r) or getattr(r, "ndim", 0) == 0
     arr = np.asarray(r, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise DomainError("centrifugal_approx: r must lie in (0, inf)")
     x = alpha * arr
     _, csch2 = hyperbolic_pair(x)
-    approx = alpha**2 * csch2
-    exact = 1.0 / (arr * arr)
     x2 = x * x
     series = x2 / 3.0 - x2 * x2 / 15.0 + 2.0 * x2 * x2 * x2 / 189.0
-    direct = np.abs(1.0 - x2 * csch2)
-    rel = np.where(x < 1e-3, series, direct)
-    if scalar:
-        return float(approx), float(exact), float(rel)
-    return approx, exact, rel
-
-
-def effective_potential(params, consts, l, r, approximate=False):
-    """V(r) plus the centrifugal barrier hbar^2 l(l+1)/(2m r^2).
-
-    With approximate=True the barrier uses alpha^2 cosech^2(alpha r) in
-    place of 1/r^2, which is the substitution that makes the closed-form
-    spectrum possible for l > 0.
-    """
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainError(f"effective_potential: l must be a non-negative integer, got {l!r}")
-    base = eval_potential(params, r)
-    if l == 0:
-        return base
-    out = base + _barrier(params, consts, l, np.asarray(r, dtype=float), approximate)
-    return float(out) if np.isscalar(r) or getattr(r, "ndim", 0) == 0 else out
+    rel = np.where(x < 1e-3, series, np.abs(1.0 - x2 * csch2))
+    return alpha**2 * csch2, 1.0 / (arr * arr), rel
 
 
 def scan_series(params, r_values, consts=None, l=0, approximate=False):

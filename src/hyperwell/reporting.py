@@ -17,7 +17,6 @@ from dataclasses import replace
 
 from . import oracle
 from .analytic import (
-    DEFAULT_CONSTANTS,
     EnergyLevel,
     RadialWavefunction,
     closed_form_diagnostics,

@@ -1,4 +1,4 @@
-"""Scalar special functions used by both the analytic and numeric layers.
+"""Special functions used by both the analytic and numeric layers.
 
 Everything here is branch-explicit: complex square roots and powers always
 take the principal branch, and the hyperbolic pair switches to an
@@ -8,7 +8,6 @@ asymptotic form before ``sinh`` can overflow.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +19,13 @@ ASYMPTOTIC_SWITCH = 20.0
 
 
 def hyperbolic_pair(z):
-    """Return ``(coth(z), cosech^2(z))`` for ``z > 0``.
+    """Return ``(coth(z), cosech^2(z))`` for ``z > 0``, each shaped like z.
 
-    Accepts a scalar or an ndarray. For ``z > 20`` the pair is evaluated
-    asymptotically as ``(1, 4 exp(-2z))``; the direct formulas would lose
-    nothing before ~700 but the switch keeps cosech^2 finite for any z.
+    For ``z > 20`` the pair is evaluated asymptotically as
+    ``(1, 4 exp(-2z))``; the direct formulas would lose nothing before
+    ~700 but the switch keeps cosech^2 finite for any z.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     arr = np.asarray(z, dtype=float)
-    if arr.size == 0:
-        return (arr.copy(), arr.copy())
     if not np.all(np.isfinite(arr)):
         raise DomainError("hyperbolic_pair: argument must be finite")
     if np.any(arr <= 0.0):
@@ -43,8 +39,6 @@ def hyperbolic_pair(z):
         coth = np.where(big, 1.0, coth)
         # exp underflows to 0 beyond z ~ 368, which is the correct limit
         csch2 = np.where(big, 4.0 * np.exp(-2.0 * arr), csch2)
-    if scalar:
-        return (float(coth), float(csch2))
     return (coth, csch2)
 
 
@@ -92,20 +86,6 @@ def solve_quadratic(c2, c1, c0):
     return roots, residuals
 
 
-@dataclass(frozen=True)
-class JacobiSpec:
-    """Degree, the two (possibly complex) parameters, and the argument."""
-
-    n: int
-    a: complex
-    b: complex
-    x: object  # complex scalar or ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise DomainError(f"JacobiSpec: degree must be a non-negative integer, got {self.n!r}")
-
-
 def _binom(z, m):
     """Generalized binomial C(z, m) for integer m >= 0 via the product form."""
     out = 1.0 + 0.0j
@@ -125,8 +105,8 @@ def _recurrence_guard(k, a, b):
 
 
 def _jacobi_recurrence(n, a, b, x):
-    """Three-term recurrence; x may be a complex scalar or ndarray."""
-    p_prev = np.ones_like(np.asarray(x, dtype=complex)) if not np.isscalar(x) else 1.0 + 0.0j
+    """Three-term recurrence on a complex array x."""
+    p_prev = np.ones_like(x)
     if n == 0:
         return p_prev
     p = ((a + b + 2.0) * x + (a - b)) / 2.0
@@ -139,29 +119,30 @@ def _jacobi_recurrence(n, a, b, x):
     return p
 
 
-def jacobi(spec: JacobiSpec):
-    """Jacobi polynomial P_n^(a,b)(x) with complex parameters.
+def jacobi(n, a, b, x):
+    """Jacobi polynomial P_n^(a,b)(x) with complex parameters, shaped like x.
 
     Degrees 0 and 1 come from the closed forms; higher degrees run the
     standard three-term recurrence, which raises DegenerateParameterError
     if a leading coefficient vanishes for some intermediate degree.
     """
-    for name, val in (("a", spec.a), ("b", spec.b)):
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"jacobi: degree must be a non-negative integer, got {n!r}")
+    for name, val in (("a", a), ("b", b)):
         if not cmath.isfinite(complex(val)):
             raise DomainError(f"jacobi: parameter {name} must be finite")
-    return _jacobi_recurrence(spec.n, complex(spec.a), complex(spec.b), spec.x)
+    return _jacobi_recurrence(n, complex(a), complex(b), np.asarray(x, dtype=complex))
 
 
-def jacobi_sum(spec: JacobiSpec):
+def jacobi_sum(n, a, b, x):
     """P_n^(a,b)(x) by the explicit finite sum; the recurrence's test oracle.
 
     P_n = sum_s C(n+a, n-s) C(n+b, s) ((x-1)/2)^s ((x+1)/2)^(n-s)
     """
-    n, a, b = spec.n, complex(spec.a), complex(spec.b)
-    x = spec.x if np.isscalar(spec.x) else np.asarray(spec.x, dtype=complex)
+    x = np.asarray(x, dtype=complex)
     lo = (x - 1.0) / 2.0
     hi = (x + 1.0) / 2.0
-    total = 0.0 + 0.0j if np.isscalar(x) else np.zeros_like(x)
+    total = np.zeros_like(x)
     for s in range(n + 1):
         total = total + _binom(n + a, n - s) * _binom(n + b, s) * lo**s * hi ** (n - s)
     return total

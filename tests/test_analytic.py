@@ -30,7 +30,7 @@ from hyperwell.errors import (
     NonNormalizableError,
     SingularCoefficientError,
 )
-from hyperwell.nu import enumerate_branches, lambda_n_of, pi_tau_select
+from hyperwell.nu import enumerate_branches, pi_tau_select
 from hyperwell.potential import PhysicalConstants, PotentialParams
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
@@ -246,23 +246,6 @@ class TestWavefunction:
         n1 = wf.norm_constant
         wf2 = radial_wavefunction(DEMO, CONSTS, lv)
         assert wf2.norm_constant == pytest.approx(n1, rel=1e-12)
-
-    def test_degree_zero_skips_polynomial(self):
-        lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = raw_wavefunction(DEMO, CONSTS, lv)
-        # structurally: degree 0 never calls the polynomial layer, so a
-        # poisoned jacobi must not be reachable
-        import hyperwell.analytic as analytic_mod
-
-        orig = analytic_mod.special.jacobi
-        try:
-            def boom(spec):
-                raise AssertionError("polynomial layer reached for n = 0")
-            analytic_mod.special.jacobi = boom
-            val = wf(1.0)
-        finally:
-            analytic_mod.special.jacobi = orig
-        assert cmath.isfinite(val)
 
     def test_degree_two_uses_polynomial(self):
         lv = energy_levels(DEMO, CONSTS, 2, 0)[0]

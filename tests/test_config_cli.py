@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperwell.cli import main
 from hyperwell.config import (
     parse_config,
     parse_float_list,
@@ -154,6 +155,13 @@ class TestCliExitCodes:
         assert proc.returncode == 2
         assert "potential.bogus" in proc.stderr
 
+    def test_config_error_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("potential.a = 1\nbogus line\n")
+        assert main(["spectrum", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "hyperwell: error: line 2: expected 'section.key = value'\n")
+
     def test_repeated_state_entry_is_2(self):
         for flag, value in (("--n", "1,1,0"), ("--l", "0,1,0")):
             proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"),
@@ -195,6 +203,19 @@ class TestCliExitCodes:
             capture_output=True, text=True, timeout=120, cwd=str(REPO))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+    def test_closed_form_layers_load_no_scipy(self):
+        # only the oracle solves with LAPACK; the closed forms, the potential
+        # and the exact surrogate levels import nothing from scipy
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyperwell.analytic, hyperwell.potential, hyperwell.special, "
+             "hyperwell.nu, hyperwell.exact; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120, cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCliDeterminism:

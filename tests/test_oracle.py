@@ -24,7 +24,6 @@ from hyperwell.oracle import (
     RadialGrid,
     approximation_study,
     compare_levels,
-    default_grid,
     fall_to_center_unreliable,
     fd_spectrum,
     numerov_spectrum,
@@ -36,6 +35,10 @@ CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1
 
 BOX_GRID = RadialGrid(1e-9, 1.0, 2000)
 OSC_GRID = RadialGrid(1e-6, 10.0, 2000)
+
+
+def node_counts(spec):
+    return [c for _, _, c in spec.levels]
 
 
 def box(r):
@@ -63,11 +66,6 @@ class TestGrid:
         with pytest.raises(DomainError):
             RadialGrid(0.1, 1.0, 8)
 
-    def test_default_grid(self):
-        g = default_grid(2.0)
-        assert g.r_min == pytest.approx(1e-6)
-        assert g.r_max == pytest.approx(20.0)
-        assert g.n_points == 2000
 
 
 class TestBoxFixture:
@@ -290,13 +288,13 @@ class TestNumerovLevels:
     @pytest.mark.parametrize("name", WELLS)
     def test_level_k_has_k_nodes(self, name):
         params, l, n_points = self.WELLS[name]
-        grid = default_grid(params.alpha, n_points)
+        grid = RadialGrid(1e-6, 40.0 / params.alpha, n_points)
 
         def well(r):
             return eval_potential(params, r)
 
-        assert numerov_spectrum(well, l, CONSTS, grid, 3).node_counts() == [0, 1, 2]
-        assert fd_spectrum(well, l, CONSTS, grid, 3).node_counts() == [0, 1, 2]
+        assert node_counts(numerov_spectrum(well, l, CONSTS, grid, 3)) == [0, 1, 2]
+        assert node_counts(fd_spectrum(well, l, CONSTS, grid, 3)) == [0, 1, 2]
 
     def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
         cfg = parse_config((REPO / "configs" / "general.cfg").read_text())
@@ -348,7 +346,7 @@ class TestNumerovLevels:
         def well(r):
             return eval_potential(self.FAULT, r)
 
-        grid = default_grid(1.0, n_points)
+        grid = RadialGrid(1e-6, 40.0, n_points)
         if solver == "numerov":
             spec = numerov_spectrum(well, 0, CONSTS, grid, 2)
         else:
@@ -373,8 +371,8 @@ class TestNumerovLevels:
         def well(r):
             return eval_potential(self.FAULT, r)
 
-        spec = numerov_spectrum(well, l, CONSTS, default_grid(1.0, n_points), 3)
-        assert spec.node_counts() == [0, 1, 2]
+        spec = numerov_spectrum(well, l, CONSTS, RadialGrid(1e-6, 40.0, n_points), 3)
+        assert node_counts(spec) == [0, 1, 2]
         assert swept[0] / n_points <= budget
 
     # (potential, l, grid, lowest match index or None); V = r^2/16 has its
@@ -383,9 +381,9 @@ class TestNumerovLevels:
     # allowed interior point, and its matched sweeps match at m = 1
     MATCHED = {
         **{name: (functools.partial(eval_potential, params), l,
-                  default_grid(params.alpha, n_points), None)
+                  RadialGrid(1e-6, 40.0 / params.alpha, n_points), None)
            for name, (params, l, n_points) in WELLS.items()},
-        "oscillator m=1": (lambda r: oscillator(r) / 16.0, 0, default_grid(1.0, 2000), 1),
+        "oscillator m=1": (lambda r: oscillator(r) / 16.0, 0, RadialGrid(1e-6, 40.0, 2000), 1),
     }
 
     @pytest.mark.parametrize("name", MATCHED)
@@ -426,9 +424,9 @@ class TestNumerovLevels:
 
         for l in range(3):
             with pytest.raises(ResolutionError, match="n_points = 2000"):
-                numerov_spectrum(well, l, CONSTS, default_grid(1.0, 2000), 3)
-        spec = numerov_spectrum(well, 0, CONSTS, default_grid(1.0, 8000), 3)
-        assert spec.node_counts() == [0, 1, 2]
+                numerov_spectrum(well, l, CONSTS, RadialGrid(1e-6, 40.0, 2000), 3)
+        spec = numerov_spectrum(well, 0, CONSTS, RadialGrid(1e-6, 40.0, 8000), 3)
+        assert node_counts(spec) == [0, 1, 2]
 
 
 class TestSpectrumStructure:
@@ -542,7 +540,7 @@ class TestApproximationStudy:
         assert k == 0
         assert d_abs == pytest.approx(abs(e_exact - e_approx))
         assert d_rel == pytest.approx(d_abs / abs(e_exact), rel=1e-9)
-        assert rep.max_rel_shift() == pytest.approx(d_rel)
+        assert max(row[4] for row in rep.levels) == pytest.approx(d_rel)
 
     def test_surrogate_softens_barrier(self):
         # alpha^2 csch^2 < 1/r^2, so the approximate level sits lower

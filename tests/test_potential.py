@@ -11,7 +11,6 @@ from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
     centrifugal_approx,
-    effective_potential,
     eval_potential,
     poschl_teller_params,
     rosen_morse_params,
@@ -97,32 +96,28 @@ class TestCentrifugalApprox:
 
 
 class TestEffectivePotential:
+    """scan_series with l > 0: V plus the exact or the surrogate barrier."""
+
     def test_l_zero_is_bare(self):
         r = np.linspace(0.1, 5.0, 9)
-        assert np.allclose(effective_potential(DEMO, CONSTS, 0, r), eval_potential(DEMO, r))
+        assert np.allclose(scan_series(DEMO, r, consts=CONSTS, l=0), eval_potential(DEMO, r))
 
     def test_exact_barrier(self):
         r = 0.7
         want = eval_potential(DEMO, r) + 1.0**2 * 2 * 3 / (2 * 0.5) / r**2
-        assert effective_potential(DEMO, CONSTS, 2, r) == pytest.approx(want, rel=1e-14)
+        assert scan_series(DEMO, [r], consts=CONSTS, l=2)[0] == pytest.approx(want, rel=1e-14)
 
     def test_approximate_barrier(self):
         r = 0.7
         csch2 = 1.0 / math.sinh(DEMO.alpha * r) ** 2
         want = eval_potential(DEMO, r) + (1.0 / (2 * 0.5)) * 2 * DEMO.alpha**2 * csch2
-        got = effective_potential(DEMO, CONSTS, 1, r, approximate=True)
+        got = scan_series(DEMO, [r], consts=CONSTS, l=1, approximate=True)[0]
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_ordering_in_l(self):
         r = np.geomspace(1e-3, 30.0, 40)
-        v1 = effective_potential(DEMO, CONSTS, 1, r)
-        v2 = effective_potential(DEMO, CONSTS, 2, r)
-        v3 = effective_potential(DEMO, CONSTS, 3, r)
+        v1, v2, v3 = (np.array(scan_series(DEMO, r, consts=CONSTS, l=l)) for l in (1, 2, 3))
         assert np.all(v1 < v2) and np.all(v2 < v3)
-
-    def test_negative_l_rejected(self):
-        with pytest.raises(DomainError):
-            effective_potential(DEMO, CONSTS, -1, 1.0)
 
 
 class TestScanSeries:
@@ -140,7 +135,7 @@ class TestScanSeries:
 
     def test_effective_path(self):
         vals = scan_series(DEMO, [0.5], consts=CONSTS, l=2)
-        assert vals[0] == pytest.approx(effective_potential(DEMO, CONSTS, 2, 0.5))
+        assert vals[0] == pytest.approx(eval_potential(DEMO, 0.5) + 6.0 / 0.25, rel=1e-14)
 
     def test_overflowing_barrier_is_a_gap(self):
         # r^2 is subnormal at 5e-155, so both barriers overflow there
@@ -151,8 +146,8 @@ class TestScanSeries:
                 vals = scan_series(params, [5e-155, 0.5], consts=CONSTS, l=1,
                                    approximate=approximate)
                 assert vals[0] is None
-                assert vals[1] == pytest.approx(
-                    effective_potential(params, CONSTS, 1, 0.5, approximate=approximate))
+                assert vals[1] == scan_series(params, [0.5], consts=CONSTS, l=1,
+                                              approximate=approximate)[0]
 
 
 class TestSpecialCases:

@@ -7,7 +7,6 @@ import pytest
 
 from hyperwell.errors import DegenerateParameterError, DomainError, SingularCoefficientError
 from hyperwell.special import (
-    JacobiSpec,
     hyperbolic_pair,
     jacobi,
     jacobi_sum,
@@ -120,9 +119,9 @@ class TestJacobi:
     def test_low_degree_closed_forms(self):
         a, b = 0.3 + 0.1j, -0.2 + 0.4j
         x = 0.37 - 0.81j
-        assert jacobi(JacobiSpec(0, a, b, x)) == pytest.approx(1.0 + 0j)
+        assert jacobi(0, a, b, x) == pytest.approx(1.0 + 0j)
         p1 = ((a + b + 2.0) * x + (a - b)) / 2.0
-        assert jacobi(JacobiSpec(1, a, b, x)) == pytest.approx(p1, rel=1e-14)
+        assert jacobi(1, a, b, x) == pytest.approx(p1, rel=1e-14)
 
     def test_recurrence_vs_explicit_sum(self):
         rng = np.random.default_rng(2024)
@@ -132,12 +131,11 @@ class TestJacobi:
             a = complex(rng.normal(), rng.normal())
             b = complex(rng.normal(), rng.normal())
             x = complex(rng.normal(), rng.normal())
-            spec = JacobiSpec(n, a, b, x)
             try:
-                got = jacobi(spec)
+                got = jacobi(n, a, b, x)
             except DegenerateParameterError:
                 continue  # guard fired; the invariant only applies off the degenerate set
-            want = jacobi_sum(spec)
+            want = jacobi_sum(n, a, b, x)
             scale = max(abs(want), 1.0)
             assert abs(got - want) / scale < 1e-10
             checked += 1
@@ -146,25 +144,25 @@ class TestJacobi:
         # P_n^(a,b)(1) = C(n+a, n) for integer a
         for a in range(0, 5):
             for n in range(0, 7):
-                val = jacobi(JacobiSpec(n, float(a), 0.25, 1.0))
+                val = jacobi(n, float(a), 0.25, 1.0)
                 want = math.comb(n + a, n)
                 assert abs(val - want) < 1e-12 * max(1.0, want)
 
     def test_vectorized_argument(self):
         x = np.linspace(-1.0, 1.0, 11) + 0.1j
-        got = jacobi(JacobiSpec(4, 0.5, 1.5, x))
+        got = jacobi(4, 0.5, 1.5, x)
         for i, xi in enumerate(x):
-            assert got[i] == pytest.approx(jacobi(JacobiSpec(4, 0.5, 1.5, complex(xi))), rel=1e-12)
+            assert got[i] == pytest.approx(jacobi(4, 0.5, 1.5, complex(xi)), rel=1e-12)
 
     def test_degenerate_recurrence_guard(self):
         # a + b = -2 makes the k=2 leading coefficient 2k(k+a+b)(2k+a+b-2) vanish
         with pytest.raises(DegenerateParameterError):
-            jacobi(JacobiSpec(3, -1.0, -1.0, 0.3))
+            jacobi(3, -1.0, -1.0, 0.3)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
-            JacobiSpec(-1, 0.0, 0.0, 0.5)
+            jacobi(-1, 0.0, 0.0, 0.5)
 
     def test_nonfinite_parameter_rejected(self):
         with pytest.raises(DomainError):
-            jacobi(JacobiSpec(2, float("nan"), 0.0, 0.5))
+            jacobi(2, float("nan"), 0.0, 0.5)
