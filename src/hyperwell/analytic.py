@@ -453,30 +453,26 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
     max_i |F'' - beta F' + W F| / scale over the samples, by central
     differences with step h = 1e-4.
     """
-    energy = complex(energy)
     pref = 2.0 * consts.mass / consts.hbar**2
     dp = dimensionless_from_eps2(params, consts, 0.0, l)
     beta, h = dp.beta, _ODE_H
-
-    def f_sample(r):
-        return complex(wf(r)) * cmath.exp(beta * r / 2.0)
-
-    worst = 0.0
-    scale = 1.0
-    for r in r_samples:
-        r = float(r)
-        if r - h <= 0:
-            raise SamplingError(f"ode_residual: r = {r} too close to 0 for step h = {h}", r=r)
-        fm, f0, fp = f_sample(r - h), f_sample(r), f_sample(r + h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        d1 = (fp - fm) / (2.0 * h)
-        coth, csch2 = hyperbolic_pair(params.alpha * r)
-        w = pref * (energy + params.a * params.V0 * coth
-                    - params.b * params.V1 * coth * coth
-                    + params.c * params.V2 * csch2
-                    - params.alpha**2 * l * (l + 1) * csch2
-                    - params.d + dp.beta2 / 4.0)
-        resid = abs(d2 - beta * d1 + w * f0)
-        scale = max(scale, abs(d2), abs(beta * d1), abs(w * f0))
-        worst = max(worst, resid)
-    return worst / scale
+    r = np.asarray(r_samples, dtype=float)
+    close = r - h <= 0
+    if np.any(close):
+        r_bad = float(r[close][0])
+        raise SamplingError(f"ode_residual: r = {r_bad} too close to 0 for step h = {h}", r=r_bad)
+    # rows r - h, r, r + h: every sample of F in one wavefunction call
+    rs = np.stack((r - h, r, r + h))
+    fm, f0, fp = wf(rs) * np.exp(beta * rs / 2.0)
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    d1 = (fp - fm) / (2.0 * h)
+    coth, csch2 = hyperbolic_pair(params.alpha * r)
+    w = pref * (complex(energy) + params.a * params.V0 * coth
+                - params.b * params.V1 * coth * coth
+                + params.c * params.V2 * csch2
+                - params.alpha**2 * l * (l + 1) * csch2
+                - params.d + dp.beta2 / 4.0)
+    resid = np.abs(d2 - beta * d1 + w * f0)
+    terms = np.abs(np.stack((d2, beta * d1, w * f0)))
+    scale = max(1.0, float(np.max(terms, initial=0.0)))
+    return float(np.max(resid, initial=0.0)) / scale

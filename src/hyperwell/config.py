@@ -5,7 +5,9 @@ with `#` comments and blank lines ignored. Sections: potential,
 constants, state, grid, output. Unknown keys are rejected with the line
 number; missing keys fall back to documented defaults (hbar = 1,
 2m = 1, grid [1e-6, 40/alpha] with 2000 points, states n = 0..2 at
-l = 0, and the bundled demo potential parameters).
+l = 0, and the bundled demo potential parameters). `RadialGrid`, the
+uniform grid both oracles solve on, lives here, so that parsing a config
+loads no eigensolver.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
-from .oracle import RadialGrid
 from .potential import PhysicalConstants, PotentialParams
 
 # demo defaults: the general-family parameter set used by the bundled configs
@@ -35,6 +38,31 @@ _FLOAT_KEYS = {
 _INT_KEYS = {"grid.n_points"}
 _LIST_KEYS = {"state.n", "state.l"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | {"output.path"}
+
+
+@dataclass(frozen=True)
+class RadialGrid:
+    """Uniform grid on [r_min, r_max], boundary points included."""
+
+    r_min: float
+    r_max: float
+    n_points: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise DomainError("RadialGrid: endpoints must be finite")
+        if not (0.0 < self.r_min < self.r_max):
+            raise DomainError(
+                f"RadialGrid: need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 16:
+            raise DomainError(f"RadialGrid: n_points must be an integer >= 16, got {self.n_points!r}")
+
+    @property
+    def h(self) -> float:
+        return (self.r_max - self.r_min) / (self.n_points - 1)
+
+    def points(self) -> np.ndarray:
+        return np.linspace(self.r_min, self.r_max, self.n_points)
 
 
 def _default_r_max(alpha):

@@ -1,13 +1,14 @@
 """Independent numerical bound-state solvers for the radial equation.
 
 Two deliberately different methods act as ground truth for the closed
-forms: a finite-difference discretization diagonalized by Sturm-sequence
-bisection, and Numerov shooting in an energy window grown from the
-interior potential floor, bracketed by node counts and closed on the
-Dirichlet root, by regula falsi on the endpoint where r_max is
-classically allowed and by Cooley's matched-sweep correction where it is
-forbidden. Both return the lowest levels, level k as entry k, each state
-normalized and signed the same way. Both solve
+forms: a finite-difference discretization, its levels bracketed by
+Sturm-sequence bisection and closed by a Rayleigh-Ritz step on the
+inverse-iteration vectors, and Numerov shooting in an energy window
+grown from the interior potential floor, bracketed by node counts and
+closed on the Dirichlet root, by regula falsi on the endpoint where
+r_max is classically allowed and by Cooley's matched-sweep correction
+where it is forbidden. Both return the lowest levels, level k as entry
+k, each state normalized and signed the same way. Both solve
 
     -(hbar^2/2m) u'' + [V(r) + hbar^2 l(l+1)/(2m r^2)] u = E u
 
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
+from .config import RadialGrid
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -43,34 +45,16 @@ _LOG_NODE_EPS = math.log(_NODE_EPS)
 _MAX_VALUE = math.exp(600.0)
 _SWEEP_FAILED = "numerov sweep: singular or non-finite recurrence step"
 _MAX_BISECT = 200
-# dstebz bisects until an interval is below max(tol, 2 ulp |E|); a tol this
-# small leaves the relative two-ulp floor in charge
-_EIG_ABSTOL = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform grid on [r_min, r_max], boundary points included."""
-
-    r_min: float
-    r_max: float
-    n_points: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise DomainError("RadialGrid: endpoints must be finite")
-        if not (0.0 < self.r_min < self.r_max):
-            raise DomainError(
-                f"RadialGrid: need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 16:
-            raise DomainError(f"RadialGrid: n_points must be an integer >= 16, got {self.n_points!r}")
-
-    @property
-    def h(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_points - 1)
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_points)
+# dstebz bisects each level to an interval this wide; the Rayleigh-Ritz
+# step on its dstein vectors gives the digits, so the bracket only has to
+# be narrow enough for inverse iteration to converge
+_EIG_ABSTOL = 1e-6
+# a level above those asked for must lie this far above the top bracket:
+# within about one bracket width it stays mixed into the top vector, which
+# the Ritz step cannot undo from outside the block; from three widths on
+# inverse iteration clears it (double well: 4e-13 relative at a 2.8e-6
+# split). FD levels of the bundled, fixed and seeded inputs are >= 0.017 apart.
+_EIG_GAP = 10 * _EIG_ABSTOL
 
 
 @dataclass
@@ -138,10 +122,24 @@ def _check_states(n_states, grid):
 def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     """Lowest n_states levels by 3-point finite differences.
 
-    The symmetric tridiagonal operator is diagonalized by LAPACK dstebz
-    (bisection with Sturm-sequence eigenvalue counts) and dstein (inverse
-    iteration); each eigenvector is L2-normalized with the trapezoid rule
-    and signed so that its lobe nearest the origin is positive.
+    LAPACK dstebz brackets each level of the symmetric tridiagonal
+    operator T to an absolute width of 1e-6 by Sturm-sequence bisection,
+    and dstein gives a vector per bracket by inverse iteration. The levels
+    are the Ritz values of T on the span V of those vectors (the
+    eigenvalues of V^T T V, n_states x n_states) and the states the
+    matching Ritz vectors (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4). For separated levels a Ritz value is the Rayleigh quotient
+    w + v^T (T - w) v at its bracket's midpoint w: one O(N) step in place
+    of the further bisection down to 2 ulp, and more accurate, since the
+    Sturm counts of bisection round at eps ||T||. Where two levels share a
+    bracket the step also separates their mixed vectors.
+
+    ConvergenceError is raised for a level outside its bracket,
+    |E - w| > 1e-6 (a polluted vector), and for a level above the block
+    within 1e-5 of the top bracket, whose share of the top vector the
+    block cannot remove (asking for one more state resolves it). Each
+    state is L2-normalized with the trapezoid rule and signed so that its
+    lobe nearest the origin is positive.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -154,10 +152,30 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     diag = 2.0 * t + veff
     off = np.full(diag.shape[0] - 1, -t)
     try:
-        energies, vecs = eigh_tridiagonal(
+        coarse, vecs = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, n_states - 1), tol=_EIG_ABSTOL)
+        # two Sturm counts: a tol wider than the range ends dstebz's bisection
+        # at once, leaving one entry per level up to the top bracket + _EIG_GAP
+        reach = eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="v",
+            select_range=(-np.inf, coarse[-1] + _EIG_GAP), tol=np.inf).size
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"fd_spectrum: LAPACK eigensolver failed: {exc}") from exc
+    if reach > n_states:
+        raise ConvergenceError(
+            f"fd_spectrum: level {n_states} lies within {_EIG_GAP:g} of level "
+            f"{n_states - 1}; their vectors are separated only when both are asked for")
+    tv = diag[:, None] * vecs
+    tv[1:] += off[:, None] * vecs[:-1]
+    tv[:-1] += off[:, None] * vecs[1:]
+    energies, rotation = np.linalg.eigh(vecs.T @ tv)
+    far = np.flatnonzero(np.abs(energies - coarse) > _EIG_ABSTOL)
+    if far.size:
+        k = int(far[0])
+        raise ConvergenceError(
+            f"fd_spectrum: level {k} at {energies[k]!r} left its bracket "
+            f"{coarse[k]!r} +- {_EIG_ABSTOL:g}")
+    vecs = vecs @ rotation
 
     levels = []
     wfs = []

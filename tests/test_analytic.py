@@ -415,6 +415,39 @@ class TestOdeResidual:
         res = ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [0.5, 1.0, 2.0, 4.0])
         assert 0.1 < res < 10.0
 
+    def test_matches_pointwise_reference(self):
+        # one scalar wavefunction call per sample, the loop the array path
+        # replaced; the h = 1e-4 second difference scales an ulp by 1/h^2
+        def reference(wf, params, energy, l, r_samples):
+            pref = 2.0 * CONSTS.mass / CONSTS.hbar**2
+            dp = dimensionless_from_eps2(params, CONSTS, 0.0, l)
+            h = 1e-4
+            worst, scale = 0.0, 1.0
+            for r in r_samples:
+                fm, f0, fp = (complex(wf(x)) * cmath.exp(dp.beta * x / 2.0)
+                              for x in (r - h, r, r + h))
+                d2 = (fp - 2.0 * f0 + fm) / (h * h)
+                d1 = (fp - fm) / (2.0 * h)
+                coth = 1.0 / math.tanh(params.alpha * r)
+                csch2 = 1.0 / math.sinh(params.alpha * r) ** 2
+                w = pref * (energy + params.a * params.V0 * coth
+                            - params.b * params.V1 * coth * coth
+                            + params.c * params.V2 * csch2
+                            - params.alpha**2 * l * (l + 1) * csch2
+                            - params.d + dp.beta2 / 4.0)
+                scale = max(scale, abs(d2), abs(dp.beta * d1), abs(w * f0))
+                worst = max(worst, abs(d2 - dp.beta * d1 + w * f0))
+            return worst / scale
+
+        samples = [0.5, 1.0, 2.0, 4.0]
+        for n in range(3):
+            for l in range(2):
+                lv = energy_levels(DEMO, CONSTS, n, l)[0]
+                wf = raw_wavefunction(DEMO, CONSTS, lv)
+                got = ode_residual(wf, DEMO, CONSTS, lv.energy, l, samples)
+                assert got == pytest.approx(reference(wf, DEMO, lv.energy, l, samples),
+                                            rel=1e-8), (n, l)
+
     def test_sample_too_close_to_origin(self):
         from hyperwell.errors import SamplingError
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]

@@ -217,6 +217,15 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_config_loads_no_eigensolver(self):
+        # the grid is part of the config, so parsing one never loads LAPACK
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyperwell.config; print('scipy.linalg' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestCliDeterminism:
     def test_byte_identical_json(self):

@@ -28,12 +28,19 @@ def test_head_against_itself():
 def test_difference_report():
     same = {"code": 0, "stdout": "a\n1.0\n", "stderr": ""}
     moved = {"code": 3, "stdout": "a\n1.5\n", "stderr": "hyperwell: error: x\n"}
+    nudged = {"code": 0, "stdout": "a\n1.1\n", "stderr": ""}
+    longer = {"code": 0, "stdout": "a\n1.0\n2.0\n", "stderr": ""}
     out = io.StringIO()
-    assert golden.compare(["one", "two"], [same, same], [same, moved], out=out) == 1
+    labels = ["one", "two", "three", "four"]
+    assert golden.compare(labels, [same] * 4, [same, moved, nudged, longer], out=out) == 3
     lines = out.getvalue().splitlines()
     assert lines[0] == "identical  one"
     assert lines[1:8] == ["DIFFERS    two", "  exit codes: 0 -> 3",
                           "  stdout line 2:", "    - 1.0", "    + 1.5",
                           "  stderr line 1:", "    - <end>"]
-    assert lines[-2] == "  max relative numeric delta: 0.333"
-    assert lines[-1] == "1 identical, 1 differing of 2 commands"
+    assert "  max relative numeric delta: 0.333" in lines
+    assert lines[-3] == "  max relative numeric delta: numbers differ in count"
+    assert lines[-2] == "1 identical, 3 differing of 4 commands"
+    # the largest delta over all differing commands, not the last one's
+    assert lines[-1] == ("largest relative numeric delta: 0.333 in two; "
+                         "1 with numbers differing in count")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from hyperwell import oracle
 from hyperwell.config import parse_config
@@ -429,6 +430,91 @@ class TestNumerovLevels:
         assert node_counts(spec) == [0, 1, 2]
 
 
+def sturm_levels(diag, off, n_levels, points=255):
+    """The lowest n_levels eigenvalues of the symmetric tridiagonal matrix
+    (diag, off), by Sturm-count multisection in np.longdouble from the
+    Gershgorin interval: each pass counts the eigenvalues below `points`
+    abscissae inside every level's bracket and keeps the two around it."""
+    d = diag.astype(np.longdouble)
+    e2 = off.astype(np.longdouble) ** 2
+    reach = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+    lo = np.full(n_levels, np.min(diag - reach) - 1.0, dtype=np.longdouble)
+    hi = np.full(n_levels, np.max(diag + reach) + 1.0, dtype=np.longdouble)
+    frac = np.arange(1, points + 1, dtype=np.longdouble) / (points + 1)
+    k = np.arange(n_levels)[:, None]
+    eps = np.finfo(np.longdouble).eps
+    while np.any(hi - lo > 8 * eps * np.maximum(np.abs(lo), np.abs(hi))):
+        x = lo[:, None] + (hi - lo)[:, None] * frac
+        q = d[0] - x
+        below = (q < 0).astype(int)
+        with np.errstate(divide="ignore"):
+            for i in range(1, d.size):
+                q = (d[i] - x) - e2[i - 1] / q
+                below += q < 0
+        lo = np.max(np.where(below <= k, x, lo[:, None]), axis=1)
+        hi = np.min(np.where(below > k, x, hi[:, None]), axis=1)
+    return (lo + hi) / 2
+
+
+def fd_with_matrix(monkeypatch, potential, l, grid, n_states):
+    """fd_spectrum's result and the (diag, off) it handed to LAPACK."""
+    seen = []
+
+    def recording(diag, off, **kwargs):
+        seen.append((diag.copy(), off.copy()))
+        return eigh_tridiagonal(diag, off, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    return fd_spectrum(potential, l, CONSTS, grid, n_states), seen[0]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+class TestFdAccuracy:
+    """FD levels against a long-double Sturm bisection of the same matrix."""
+
+    def test_fault_levels(self, monkeypatch):
+        # worst relative error measured 8.2e-16; bisection to 2 ulp, the
+        # previous method, was off by up to 8.7e-15 here
+        fault = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        worst = 0.0
+        for l in (0, 1):
+            spec, matrix = fd_with_matrix(
+                monkeypatch, lambda r: eval_potential(fault, r), l, grid, 3)
+            ref = sturm_levels(*matrix, 3)
+            for (_, e, _), e_ref in zip(spec.levels, ref, strict=True):
+                worst = max(worst, float(abs(e - e_ref) / max(1.0, abs(e_ref))))
+        assert worst <= 1.1 * 8.2e-16
+
+    GRID = RadialGrid(1e-9, 1.0, 2001)
+
+    @staticmethod
+    def double_well(r):
+        # two identical wells behind a barrier of 4e4: their symmetric and
+        # antisymmetric levels lie 8.0e-9 apart, inside one coarse bracket
+        return np.where(np.abs(r - 0.5) < 0.05025, 4e4, 0.0)
+
+    def test_near_degenerate_pair(self, monkeypatch):
+        # both levels in the block: the Ritz step separates their vectors
+        spec, matrix = fd_with_matrix(monkeypatch, self.double_well, 0, self.GRID, 2)
+        ref = sturm_levels(*matrix, 2)
+        split = float(ref[1] - ref[0])
+        assert 0.0 < split < oracle._EIG_ABSTOL
+        energies = [e for _, e, _ in spec.levels]
+        assert energies[0] < energies[1]
+        for e, e_ref in zip(energies, ref, strict=True):
+            assert abs(e - float(e_ref)) <= 1e-3 * split
+        assert node_counts(spec) == [0, 1]
+
+    def test_pair_across_the_block_end_raises(self):
+        # asked for one level of the pair, or for three, the top vector
+        # mixes in a level the block does not hold
+        for n_states in (1, 3):
+            with pytest.raises(ConvergenceError, match=f"level {n_states} lies within"):
+                fd_spectrum(self.double_well, 0, CONSTS, self.GRID, n_states)
+
+
 class TestSpectrumStructure:
     def test_strictly_increasing_enforced(self):
         with pytest.raises(StructureError):
@@ -479,6 +565,20 @@ class TestSpectrumStructure:
         monkeypatch.setattr(oracle, "eigh_tridiagonal", failing)
         with pytest.raises(ConvergenceError):
             fd_spectrum(box, 0, CONSTS, BOX_GRID, 1)
+
+    def test_polluted_vector_is_convergence_error(self, monkeypatch):
+        # a vector that is no eigenvector moves its level out of the bracket
+        def polluted(*args, **kwargs):
+            if kwargs.get("eigvals_only"):
+                return eigh_tridiagonal(*args, **kwargs)
+            coarse, vecs = eigh_tridiagonal(*args, **kwargs)
+            vecs[:, 0] = np.random.default_rng(7).standard_normal(vecs.shape[0])
+            vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
+            return coarse, vecs
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", polluted)
+        with pytest.raises(ConvergenceError, match="left its bracket"):
+            fd_spectrum(box, 0, CONSTS, BOX_GRID, 2)
 
 
 class TestCompare:

@@ -11,7 +11,8 @@ leaves nothing behind); the new tree is this checkout's working tree, or
 "identical", or else the exit codes, the first differing line of stdout or
 stderr and the largest delta between corresponding numbers of the two
 outputs, relative to their magnitude floored at 1 (as the reports' own
-relative deltas are).
+relative deltas are). A run with differences ends with the largest of
+those deltas over all differing commands and the command that holds it.
 No expected output is stored: both trees run on the same machine, so the
 LAPACK build cannot matter.
 
@@ -180,6 +181,8 @@ def first_difference(a: str, b: str):
 
 def compare(labels, base, new, out=sys.stdout) -> int:
     differing = 0
+    worst = None  # (delta, label) of the largest delta over differing commands
+    uncounted = 0
     for label, r0, r1 in zip(labels, base, new, strict=True):
         if r0 == r1:
             print(f"identical  {label}", file=out)
@@ -195,8 +198,17 @@ def compare(labels, base, new, out=sys.stdout) -> int:
         delta = max_rel_delta(r0["stdout"], r1["stdout"])
         shown = "numbers differ in count" if delta is None else f"{delta:.3g}"
         print(f"  max relative numeric delta: {shown}", file=out)
+        if delta is None:
+            uncounted += 1
+        elif worst is None or delta > worst[0]:
+            worst = (delta, label)
     print(f"{len(labels) - differing} identical, {differing} differing "
           f"of {len(labels)} commands", file=out)
+    if differing:
+        shown = "none comparable" if worst is None else f"{worst[0]:.3g} in {worst[1]}"
+        if uncounted:
+            shown += f"; {uncounted} with numbers differing in count"
+        print(f"largest relative numeric delta: {shown}", file=out)
     return differing
 
 
