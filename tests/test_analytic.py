@@ -416,8 +416,9 @@ class TestOdeResidual:
         assert 0.1 < res < 10.0
 
     def test_matches_pointwise_reference(self):
-        # one scalar wavefunction call per sample, the loop the array path
-        # replaced; the h = 1e-4 second difference scales an ulp by 1/h^2
+        # one scalar wavefunction call per sample as reference: array and
+        # scalar evaluation differ by an ulp, which the h = 1e-4 second
+        # difference scales by 1/h^2
         def reference(wf, params, energy, l, r_samples):
             pref = 2.0 * CONSTS.mass / CONSTS.hbar**2
             dp = dimensionless_from_eps2(params, CONSTS, 0.0, l)
