@@ -45,16 +45,19 @@ _LOG_NODE_EPS = math.log(_NODE_EPS)
 _MAX_VALUE = math.exp(600.0)
 _SWEEP_FAILED = "numerov sweep: singular or non-finite recurrence step"
 _MAX_BISECT = 200
-# dstebz bisects each level to an interval this wide; the Rayleigh-Ritz
-# step on its dstein vectors gives the digits, so the bracket only has to
-# be narrow enough for inverse iteration to converge
-_EIG_ABSTOL = 1e-6
-# a level above those asked for must lie this far above the top bracket:
-# within about one bracket width it stays mixed into the top vector, which
-# the Ritz step cannot undo from outside the block; from three widths on
-# inverse iteration clears it (double well: 4e-13 relative at a 2.8e-6
-# split). FD levels of the bundled, fixed and seeded inputs are >= 0.017 apart.
-_EIG_GAP = 10 * _EIG_ABSTOL
+# dstebz bisects each level to an interval this wide relative to the
+# Gershgorin bound ||T|| of the operator, so the bracket scales with the
+# energy unit and takes the same ~37 Sturm counts per level in any unit;
+# its counts round at about eps ||T||, far inside it. The Rayleigh-Ritz
+# step on the dstein vectors gives the digits, so the bracket only has to
+# be narrow enough for inverse iteration to converge. The lowest three FD
+# levels of the bundled, fixed and seeded inputs lie >= 6000 brackets apart.
+_EIG_RTOL = 1e-11
+# a level above the block must lie this many brackets above its top, or
+# the block grows: closer, it stays mixed into the top vector, which the
+# Ritz step cannot undo from outside the block (double well, top level
+# off by 5e-11 relative at a 1.3-bracket split, 7e-12 at 2.2, 8e-15 at 4)
+_EIG_GAP = 10.0
 
 
 @dataclass
@@ -123,23 +126,25 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     """Lowest n_states levels by 3-point finite differences.
 
     LAPACK dstebz brackets each level of the symmetric tridiagonal
-    operator T to an absolute width of 1e-6 by Sturm-sequence bisection,
-    and dstein gives a vector per bracket by inverse iteration. The levels
-    are the Ritz values of T on the span V of those vectors (the
-    eigenvalues of V^T T V, n_states x n_states) and the states the
+    operator T by Sturm-sequence bisection to a width tol of 1e-11 times
+    its Gershgorin bound ||T||, and dstein gives a vector per bracket by
+    inverse iteration. The levels are the Ritz values of T on the span V
+    of those vectors (the eigenvalues of V^T T V) and the states the
     matching Ritz vectors (Parlett, The Symmetric Eigenvalue Problem,
     ch. 4). For separated levels a Ritz value is the Rayleigh quotient
     w + v^T (T - w) v at its bracket's midpoint w: one O(N) step in place
     of the further bisection down to 2 ulp, and more accurate, since the
     Sturm counts of bisection round at eps ||T||. Where two levels share a
-    bracket the step also separates their mixed vectors.
+    bracket the step also separates their mixed vectors. A level above the
+    block within 10 tol of its top would stay mixed into the top vector,
+    so the block grows until the next level lies further up, and the
+    lowest n_states Ritz pairs are returned.
 
     ConvergenceError is raised for a level outside its bracket,
-    |E - w| > 1e-6 (a polluted vector), and for a level above the block
-    within 1e-5 of the top bracket, whose share of the top vector the
-    block cannot remove (asking for one more state resolves it). Each
-    state is L2-normalized with the trapezoid rule and signed so that its
-    lobe nearest the origin is positive.
+    |E - w| > tol (a polluted vector), and where the block would have to
+    grow to n_points/4 levels. Each state is L2-normalized with the
+    trapezoid rule and signed so that its lobe nearest the origin is
+    positive.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -151,31 +156,37 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     t = consts.hbar**2 / (2.0 * consts.mass * h * h)
     diag = 2.0 * t + veff
     off = np.full(diag.shape[0] - 1, -t)
+    tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
+    block = n_states
     try:
-        coarse, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, n_states - 1), tol=_EIG_ABSTOL)
-        # two Sturm counts: a tol wider than the range ends dstebz's bisection
-        # at once, leaving one entry per level up to the top bracket + _EIG_GAP
-        reach = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="v",
-            select_range=(-np.inf, coarse[-1] + _EIG_GAP), tol=np.inf).size
+        while True:
+            coarse, vecs = eigh_tridiagonal(
+                diag, off, select="i", select_range=(0, block - 1), tol=tol)
+            # two Sturm counts: a tol wider than the range ends dstebz's
+            # bisection at once, leaving one entry per level up to the bound
+            reach = eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="v",
+                select_range=(-np.inf, coarse[-1] + _EIG_GAP * tol), tol=np.inf).size
+            if reach <= block:
+                break
+            if reach >= grid.n_points / 4:
+                raise ConvergenceError(
+                    f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
+                    f"other closer than {_EIG_GAP * tol:.3g}")
+            block = reach
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"fd_spectrum: LAPACK eigensolver failed: {exc}") from exc
-    if reach > n_states:
-        raise ConvergenceError(
-            f"fd_spectrum: level {n_states} lies within {_EIG_GAP:g} of level "
-            f"{n_states - 1}; their vectors are separated only when both are asked for")
     tv = diag[:, None] * vecs
     tv[1:] += off[:, None] * vecs[:-1]
     tv[:-1] += off[:, None] * vecs[1:]
     energies, rotation = np.linalg.eigh(vecs.T @ tv)
-    far = np.flatnonzero(np.abs(energies - coarse) > _EIG_ABSTOL)
+    far = np.flatnonzero(np.abs(energies - coarse) > tol)
     if far.size:
         k = int(far[0])
         raise ConvergenceError(
             f"fd_spectrum: level {k} at {energies[k]!r} left its bracket "
-            f"{coarse[k]!r} +- {_EIG_ABSTOL:g}")
-    vecs = vecs @ rotation
+            f"{coarse[k]!r} +- {tol:.3g}")
+    vecs = vecs @ rotation[:, :n_states]
 
     levels = []
     wfs = []

@@ -23,9 +23,10 @@ from hyperwell.analytic import (
     dimensionless_from_eps2,
     energy_levels,
 )
+from hyperwell.config import RadialGrid
 from hyperwell.errors import DegenerateParameterError, SingularCoefficientError
 from hyperwell.nu import NUProblem, Poly, k_candidates, lambda_n_of, radicand_coeffs
-from hyperwell.oracle import RadialGrid, approximation_study, fd_spectrum, numerov_spectrum
+from hyperwell.oracle import approximation_study, fd_spectrum, numerov_spectrum
 from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,

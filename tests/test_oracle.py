@@ -1,5 +1,6 @@
 """Numeric oracle: FD on LAPACK, Numerov shooting, study machinery."""
 
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from hyperwell import oracle
-from hyperwell.config import parse_config
+from hyperwell.config import RadialGrid, parse_config
 from hyperwell.errors import (
     ConvergenceError,
     DomainError,
@@ -22,7 +23,6 @@ from hyperwell.exact import surrogate_level
 from hyperwell.oracle import (
     ComparisonReport,
     NumericSpectrum,
-    RadialGrid,
     approximation_study,
     compare_levels,
     fall_to_center_unreliable,
@@ -473,19 +473,50 @@ def fd_with_matrix(monkeypatch, potential, l, grid, n_states):
 class TestFdAccuracy:
     """FD levels against a long-double Sturm bisection of the same matrix."""
 
+    FAULT = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
+
     def test_fault_levels(self, monkeypatch):
-        # worst relative error measured 8.2e-16; dstebz alone, bisecting to
-        # 2 ulp, is off by up to 8.7e-15 here
-        fault = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
+        # worst relative error measured 8.2e-16 (3.7 eps); dstebz alone,
+        # bisecting to 2 ulp, is off by up to 8.7e-15 (39 eps) here
         grid = RadialGrid(1e-6, 40.0, 2000)
         worst = 0.0
         for l in (0, 1):
             spec, matrix = fd_with_matrix(
-                monkeypatch, lambda r: eval_potential(fault, r), l, grid, 3)
+                monkeypatch, lambda r: eval_potential(self.FAULT, r), l, grid, 3)
             ref = sturm_levels(*matrix, 3)
             for (_, e, _), e_ref in zip(spec.levels, ref, strict=True):
                 worst = max(worst, float(abs(e - e_ref) / max(1.0, abs(e_ref))))
-        assert worst <= 1.1 * 8.2e-16
+        assert worst <= 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e8])
+    def test_energy_unit(self, scale):
+        # hbar^2/2m and every V coefficient times `scale` multiply T, and so
+        # every level, by `scale`; the brackets must follow (measured
+        # agreement 6.5e-15 relative)
+        fault = dataclasses.replace(self.FAULT, V0=28.0 * scale, V2=scale)
+        consts = PhysicalConstants(hbar=1.0, mass=0.5 / scale)
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        for l in (0, 1):
+            ref = fd_spectrum(lambda r: eval_potential(self.FAULT, r), l, CONSTS, grid, 3)
+            spec = fd_spectrum(lambda r: eval_potential(fault, r), l, consts, grid, 3)
+            assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
+            for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
+                assert e / scale == pytest.approx(e_ref, rel=1e-13)
+
+    def test_dense_box_levels(self):
+        # general.cfg out to r_max = 3000: levels 2 and 3 are box levels
+        # 5.5e-6 apart; both solve and match the 2-ulp bisection
+        cfg = parse_config((REPO / "configs" / "general.cfg").read_text()
+                           + "grid.r_max = 3000\ngrid.n_points = 8000\n")
+        spec = fd_spectrum(lambda r: eval_potential(cfg.params, r), 0, cfg.consts, cfg.grid, 4)
+        r = cfg.grid.points()[1:-1]
+        t = 1.0 / cfg.grid.h**2
+        ref = eigh_tridiagonal(2.0 * t + eval_potential(cfg.params, r), np.full(r.size - 1, -t),
+                               eigvals_only=True, select="i", select_range=(0, 3))
+        energies = [e for _, e, _ in spec.levels]
+        assert 0.0 < ref[3] - ref[2] < 1e-5
+        assert energies == pytest.approx(ref, rel=1e-11)
+        assert node_counts(spec) == [0, 1, 2, 3]
 
     GRID = RadialGrid(1e-9, 1.0, 2001)
 
@@ -495,24 +526,18 @@ class TestFdAccuracy:
         # antisymmetric levels lie 8.0e-9 apart, inside one coarse bracket
         return np.where(np.abs(r - 0.5) < 0.05025, 4e4, 0.0)
 
-    def test_near_degenerate_pair(self, monkeypatch):
-        # both levels in the block: the Ritz step separates their vectors
-        spec, matrix = fd_with_matrix(monkeypatch, self.double_well, 0, self.GRID, 2)
-        ref = sturm_levels(*matrix, 2)
-        split = float(ref[1] - ref[0])
-        assert 0.0 < split < oracle._EIG_ABSTOL
+    @pytest.mark.parametrize("n_states", [1, 2, 3])
+    def test_near_degenerate_pair(self, monkeypatch, n_states):
+        # the pair in the block or across its end: the block grows to hold
+        # both, and the Ritz step separates their vectors
+        spec, matrix = fd_with_matrix(monkeypatch, self.double_well, 0, self.GRID, n_states)
+        ref = sturm_levels(*matrix, n_states)
+        split = float(ref[1] - ref[0]) if n_states > 1 else 8.0e-9
         energies = [e for _, e, _ in spec.levels]
-        assert energies[0] < energies[1]
+        assert all(e1 < e2 for e1, e2 in zip(energies, energies[1:]))
         for e, e_ref in zip(energies, ref, strict=True):
             assert abs(e - float(e_ref)) <= 1e-3 * split
-        assert node_counts(spec) == [0, 1]
-
-    def test_pair_across_the_block_end_raises(self):
-        # asked for one level of the pair, or for three, the top vector
-        # mixes in a level the block does not hold
-        for n_states in (1, 3):
-            with pytest.raises(ConvergenceError, match=f"level {n_states} lies within"):
-                fd_spectrum(self.double_well, 0, CONSTS, self.GRID, n_states)
+        assert node_counts(spec) == list(range(n_states))
 
 
 class TestSpectrumStructure:
@@ -579,6 +604,13 @@ class TestSpectrumStructure:
         monkeypatch.setattr(oracle, "eigh_tridiagonal", polluted)
         with pytest.raises(ConvergenceError, match="left its bracket"):
             fd_spectrum(box, 0, CONSTS, BOX_GRID, 2)
+
+    def test_block_growth_is_bounded(self, monkeypatch):
+        # with every level closer than the gap the block would hold the
+        # whole spectrum; it stops at n_points/4
+        monkeypatch.setattr(oracle, "_EIG_GAP", 1e15)
+        with pytest.raises(ConvergenceError, match="closer than"):
+            fd_spectrum(box, 0, CONSTS, BOX_GRID, 1)
 
 
 class TestCompare:
