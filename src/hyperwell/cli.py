@@ -2,8 +2,8 @@
 
 Subcommands: potential, effective, spectrum, wavefunction, oracle,
 validate, nu-check. Outputs are deterministic; a timestamp appears only
-as a '#' comment when --stamp is given (CSV outputs only, since JSON
-carries no comments).
+as a '#' comment when --stamp is given, which only the CSV commands
+(potential, effective, wavefunction) take, since JSON carries no comments.
 
 Exit codes: 0 success, 2 configuration error (also an unreadable config
 or an unwritable output path), 3 internal error, 4 singular analytic case
@@ -111,7 +111,7 @@ _KINDS = {
 
 def _head_comments(args, lines):
     out = list(lines)
-    if getattr(args, "stamp", False):
+    if args.stamp:
         out.append(stamp_comment())
     return out
 
@@ -197,11 +197,12 @@ def cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, csv=False):
     sub.add_argument("--config", help="path to a key-value config document")
     sub.add_argument("--out", help="output path, or - for stdout (default)")
-    sub.add_argument("--stamp", action="store_true",
-                     help="add a timestamp comment line to CSV output")
+    if csv:
+        sub.add_argument("--stamp", action="store_true",
+                         help="add a timestamp comment line to the CSV")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,14 +213,14 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("potential", help="potential curve CSV, one column per alpha")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--alpha", help="comma list of alpha values, e.g. 1,2,3,4")
     p.add_argument("--kind", default="general", choices=list(_KINDS),
                    help="shape constructor applied to the potential block")
     p.set_defaults(func=cmd_potential)
 
     p = subs.add_parser("effective", help="effective potential CSV, one column per l")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--alpha", help="single alpha override")
     p.add_argument("--l", help="comma list or range of l values, e.g. 1,2,3")
     p.add_argument("--approximate", action="store_true",
@@ -237,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         config, variant=args.variant))
 
     p = subs.add_parser("wavefunction", help="radial wavefunction samples as CSV")
-    _add_common(p)
+    _add_common(p, csv=True)
     p.add_argument("--alpha", help="single alpha override")
     p.add_argument("--n", help="single level index")
     p.add_argument("--l", help="single angular momentum")

@@ -10,9 +10,10 @@ r_max is classically allowed and by Cooley's matched-sweep correction
 where it is forbidden. Both return the lowest levels, level k as entry
 k, each state normalized and signed the same way. Both solve
 
-    -(hbar^2/2m) u'' + [V(r) + hbar^2 l(l+1)/(2m r^2)] u = E u
+    -(hbar^2/2m) u'' + V_eff(r) u = E u
 
-with Dirichlet ends on a uniform grid, entirely in real arithmetic.
+with Dirichlet ends on a uniform grid, entirely in real arithmetic, from
+one sample of V_eff per grid point (potential.effective_potential).
 Comparison against analytic levels is reported, never asserted.
 """
 
@@ -25,7 +26,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
-from .config import RadialGrid
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -35,8 +35,7 @@ from .errors import (
     StructureError,
 )
 from .exact import kappa_radicand
-from .potential import PhysicalConstants, PotentialParams, eval_potential
-from .special import hyperbolic_pair
+from .potential import PhysicalConstants, PotentialParams, effective_potential
 
 _NODE_EPS = 1e-8
 _LOG_NODE_EPS = math.log(_NODE_EPS)
@@ -65,7 +64,6 @@ class NumericSpectrum:
     method: str  # 'FiniteDifference' or 'Numerov'
     levels: tuple  # of (k, energy, node_count)
     wavefunctions: tuple  # per-level full-grid samples, L2-normalized
-    grid: RadialGrid
     r: np.ndarray
     notes: tuple = ()
 
@@ -75,20 +73,18 @@ class NumericSpectrum:
             raise StructureError(f"{self.method}: energies not strictly increasing: {es}")
 
 
-def _effective_samples(potential, l, consts, r) -> np.ndarray:
-    """V + the centrifugal term on the grid; `potential` maps an array of r
-    to an array of the same shape."""
-    v = np.asarray(potential(r), dtype=float)
+def _check_samples(veff, r) -> np.ndarray:
+    """veff as a contiguous float array, refused unless it holds one finite
+    sample per grid point."""
+    v = np.ascontiguousarray(veff, dtype=float)
     if v.shape != r.shape:
         raise DomainError(
-            f"potential returned shape {v.shape} for a grid of shape {r.shape}")
-    if l:
-        v = v + consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass * r * r)
+            f"effective potential has shape {v.shape} for a grid of shape {r.shape}")
     bad = ~np.isfinite(v)
     if np.any(bad):
         raise SamplingError(
             f"potential non-finite at r = {float(r[bad][0])}", r=float(r[bad][0]))
-    return np.ascontiguousarray(v)
+    return v
 
 
 def _count_sign_changes(u: np.ndarray) -> int:
@@ -122,8 +118,9 @@ def _check_states(n_states, grid):
             "(need n_states < n_points/4)")
 
 
-def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
-    """Lowest n_states levels by 3-point finite differences.
+def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
+    """Lowest n_states levels by 3-point finite differences on veff, the
+    effective potential at grid.points().
 
     LAPACK dstebz brackets each level of the symmetric tridiagonal
     operator T by Sturm-sequence bisection to a width tol of 1e-11 times
@@ -148,13 +145,12 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     """
     _check_states(n_states, grid)
     r = grid.points()
+    veff = _check_samples(veff, r)
     if n_states == 0:
-        return NumericSpectrum("FiniteDifference", (), (), grid, r)
-    r_int = r[1:-1]
-    veff = _effective_samples(potential, l, consts, r_int)
+        return NumericSpectrum("FiniteDifference", (), (), r)
     h = grid.h
     t = consts.hbar**2 / (2.0 * consts.mass * h * h)
-    diag = 2.0 * t + veff
+    diag = 2.0 * t + veff[1:-1]
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
     block = n_states
@@ -196,7 +192,7 @@ def fd_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
         u, nodes = _finish_state(u, r)
         levels.append((k, float(energies[k]), nodes))
         wfs.append(u)
-    return NumericSpectrum("FiniteDifference", tuple(levels), tuple(wfs), grid, r)
+    return NumericSpectrum("FiniteDifference", tuple(levels), tuple(wfs), r)
 
 
 def _numerov_sweep(f, h2, u0, u1):
@@ -395,16 +391,17 @@ def _locate_level(probe, samples, k):
         f"after {_MAX_BISECT} iterations")
 
 
-def numerov_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
-    """The lowest n_states levels by Numerov shooting; level k is entry k
-    and has k nodes.
+def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
+    """The lowest n_states levels by Numerov shooting on veff, the
+    effective potential at grid.points(); level k is entry k and has k
+    nodes.
 
-    The start is the discrete regular solution u ~ (r - r_min)^(l+1),
-    so u = 0 exactly at the left boundary (identical to the Dirichlet
-    condition the finite-difference oracle imposes, and immune to a
-    singular potential sample at r_min). The energy window starts 1 below
-    the interior potential floor, where no state has nodes; a grid so
-    coarse that the sweep already has nodes there raises ResolutionError.
+    Every sweep starts from (u_0, u_1) = (0, h), so u = 0 exactly at the
+    left boundary (identical to the Dirichlet condition the
+    finite-difference oracle imposes, and immune to a singular potential
+    sample at r_min); u_1 only scales the sweep. The energy window starts
+    1 below the interior potential floor, where no state has nodes; a grid
+    so coarse that the sweep already has nodes there raises ResolutionError.
     Its width doubles until the sweep at its upper end has n_states nodes.
     Each level is bracketed by the count of thresholded sign changes of
     the outward sweep, reusing every probe sweep of the call, and located
@@ -420,14 +417,13 @@ def numerov_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
     """
     _check_states(n_states, grid)
     r = grid.points()
+    veff = _check_samples(veff, r)
     if n_states == 0:
-        return NumericSpectrum("Numerov", (), (), grid, r)
-    veff = _effective_samples(potential, l, consts, r)
+        return NumericSpectrum("Numerov", (), (), r)
     h = grid.h
     h2 = h * h
     pref = 2.0 * consts.mass / consts.hbar**2
-    u0 = 0.0
-    u1 = h ** (l + 1)
+    u0, u1 = 0.0, h
     samples = []  # (E, node count, endpoint) of every sweep in this call
 
     def probe(E):
@@ -474,7 +470,7 @@ def numerov_spectrum(potential, l, consts, grid, n_states) -> NumericSpectrum:
         u, nodes = _finish_state(u, r)
         levels.append((k, E, nodes))
         wfs.append(u)
-    return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), grid, r,
+    return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), r,
                            notes=(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]",))
 
 
@@ -548,18 +544,10 @@ def approximation_study(params: PotentialParams, consts, l, grid, n_states) -> S
     """
     if not isinstance(l, (int, np.integer)) or l < 1:
         raise DomainError(f"approximation_study: requires l >= 1, got {l!r}")
-
-    def bare(r):
-        return eval_potential(params, r)
-
-    cent = consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass)
-
-    def surrogate(r):
-        _, csch2 = hyperbolic_pair(params.alpha * np.asarray(r, dtype=float))
-        return eval_potential(params, r) + cent * params.alpha**2 * csch2
-
-    exact = fd_spectrum(bare, l, consts, grid, n_states)
-    approx = fd_spectrum(surrogate, 0, consts, grid, n_states)
+    r = grid.points()
+    exact = fd_spectrum(effective_potential(params, consts, l, r), consts, grid, n_states)
+    approx = fd_spectrum(effective_potential(params, consts, l, r, approximate=True),
+                         consts, grid, n_states)
     notes = []
     m = min(len(exact.levels), len(approx.levels))
     if m < n_states:

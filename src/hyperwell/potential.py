@@ -109,6 +109,7 @@ def _potential_values(params, arr):
 
 
 def _barrier(params, consts, l, arr, approximate):
+    """hbar^2 l(l+1)/(2m r^2), or its surrogate with alpha^2 cosech^2(alpha r) for 1/r^2."""
     coef = consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass)
     if approximate:
         return coef * params.alpha**2 * hyperbolic_pair(params.alpha * arr)[1]
@@ -131,6 +132,15 @@ def eval_potential(params: PotentialParams, r):
         raise EvaluationOverflowError(
             f"eval_potential: term {term} is non-finite at r = {float(arr[bad][0])}")
     return out
+
+
+def effective_potential(params, consts, l, r, approximate=False):
+    """V(r) plus the centrifugal barrier of l (the cosech^2 surrogate with
+    approximate), shaped like r; raises as eval_potential does."""
+    v = eval_potential(params, r)
+    if l:
+        v = v + _barrier(params, consts, l, np.asarray(r, dtype=float), approximate)
+    return v
 
 
 def centrifugal_approx(alpha: float, r):

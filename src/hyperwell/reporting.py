@@ -26,7 +26,7 @@ from .analytic import (
 )
 from .errors import HyperwellError, SingularCoefficientError
 from .oracle import compare_levels, fall_to_center_unreliable, fd_spectrum, numerov_spectrum
-from .potential import eval_potential
+from .potential import effective_potential
 
 SCHEMA_VERSION = 1
 
@@ -153,27 +153,33 @@ def _spectrum_record(spec: oracle.NumericSpectrum, flagged: bool) -> dict:
 
 
 def _oracle_block(config, l, n_states):
-    """The rendered FD and Numerov block of one l and its FD spectrum
-    (None when a solver fails; the block then carries the error)."""
+    """The rendered FD and Numerov block of one l and its FD spectrum.
+
+    Both solvers take the same samples of the effective potential. The
+    block keeps the record of each solver that solved; where one fails,
+    or the sampling does, it carries the first error instead of the cross
+    deltas, and the FD spectrum returned is None unless FD solved."""
     params, consts, grid = config.params, config.consts, config.grid
-
-    def bare(r):
-        return eval_potential(params, r)
-
-    flagged = fall_to_center_unreliable(params, consts, l)
+    block = {"l": int(l), "n_states": n_states}
     try:
-        fd = fd_spectrum(bare, l, consts, grid, n_states)
-        nm = numerov_spectrum(bare, l, consts, grid, n_states)
+        veff = effective_potential(params, consts, l, grid.points())
     except HyperwellError as exc:
-        return {"l": int(l), "n_states": n_states, "error": str(exc)}, None
-    m = min(len(fd.levels), len(nm.levels))
-    cross = [abs(fd.levels[i][1] - nm.levels[i][1]) / max(1.0, abs(fd.levels[i][1]))
-             for i in range(m)]
-    block = {"l": int(l), "n_states": n_states,
-             "fd": _spectrum_record(fd, flagged),
-             "numerov": _spectrum_record(nm, flagged),
-             "cross_delta_rel": cross}
-    return block, fd
+        return {**block, "error": str(exc)}, None
+    flagged = fall_to_center_unreliable(params, consts, l)
+    spectra, errors = {}, []
+    for key, solver in (("fd", fd_spectrum), ("numerov", numerov_spectrum)):
+        try:
+            spectra[key] = solver(veff, consts, grid, n_states)
+            block[key] = _spectrum_record(spectra[key], flagged)
+        except HyperwellError as exc:
+            errors.append(str(exc))
+    if errors:
+        block["error"] = errors[0]
+    else:
+        fd, nm = spectra["fd"].levels, spectra["numerov"].levels
+        block["cross_delta_rel"] = [abs(fd[i][1] - nm[i][1]) / max(1.0, abs(fd[i][1]))
+                                    for i in range(min(len(fd), len(nm)))]
+    return block, spectra.get("fd")
 
 
 def _n_states(config) -> int:
@@ -293,6 +299,7 @@ def build_validate_report(config) -> dict:
         block, fd = _oracle_block(config, l, n_states)
         blocks.append(block)
         if fd is None:
+            # FD failed (its error is the block's first) or never ran
             comparison.append({"l": int(l), "error": block["error"]})
             continue
         rep = compare_levels(chosen, fd)

@@ -252,14 +252,14 @@ def test_criterion_06_oracle_correctness():
 
     # box ground state at n_points = 2000
     box_grid = RadialGrid(1e-9, 1.0, 2000)
-    fd_box = fd_spectrum(box_potential, 0, CONSTS, box_grid, 3)
+    fd_box = fd_spectrum(box_potential(box_grid.points()), CONSTS, box_grid, 3)
     box_err = abs(fd_box.levels[0][1] - math.pi**2) / math.pi**2
     if box_err > 1e-3:
         failures.append(f"box ground err {box_err:.2e}")
 
     # oscillator odd levels
     osc_grid = RadialGrid(1e-6, 10.0, 2000)
-    fd_osc = fd_spectrum(oscillator_potential, 0, CONSTS, osc_grid, 3)
+    fd_osc = fd_spectrum(oscillator_potential(osc_grid.points()), CONSTS, osc_grid, 3)
     for k, exact in enumerate((3.0, 7.0, 11.0)):
         err = abs(fd_osc.levels[k][1] - exact) / exact
         if err > 1e-3:
@@ -269,14 +269,14 @@ def test_criterion_06_oracle_correctness():
     # measurement: the box needs 4000 points for level 2, the oscillator 8000)
     cross_worst = 0.0
     box_fine = RadialGrid(1e-9, 1.0, 4000)
-    fd = fd_spectrum(box_potential, 0, CONSTS, box_fine, 3)
-    nv = numerov_spectrum(box_potential, 0, CONSTS, box_fine, 3)
+    fd = fd_spectrum(box_potential(box_fine.points()), CONSTS, box_fine, 3)
+    nv = numerov_spectrum(box_potential(box_fine.points()), CONSTS, box_fine, 3)
     for k in range(3):
         cross_worst = max(cross_worst, abs(fd.levels[k][1] - nv.levels[k][1])
                           / max(1.0, abs(nv.levels[k][1])))
     osc_fine = RadialGrid(1e-6, 10.0, 8000)
-    fd = fd_spectrum(oscillator_potential, 0, CONSTS, osc_fine, 3)
-    nv = numerov_spectrum(oscillator_potential, 0, CONSTS, osc_fine, 3)
+    fd = fd_spectrum(oscillator_potential(osc_fine.points()), CONSTS, osc_fine, 3)
+    nv = numerov_spectrum(oscillator_potential(osc_fine.points()), CONSTS, osc_fine, 3)
     for k in range(3):
         cross_worst = max(cross_worst, abs(fd.levels[k][1] - nv.levels[k][1])
                           / max(1.0, abs(nv.levels[k][1])))
@@ -284,8 +284,9 @@ def test_criterion_06_oracle_correctness():
         failures.append(f"FD vs Numerov worst rel {cross_worst:.2e}")
 
     # O(h^2) convergence
-    coarse = fd_spectrum(box_potential, 0, CONSTS, RadialGrid(1e-9, 1.0, 1001), 1)
-    fine = fd_spectrum(box_potential, 0, CONSTS, RadialGrid(1e-9, 1.0, 2001), 1)
+    coarse_grid, fine_grid = RadialGrid(1e-9, 1.0, 1001), RadialGrid(1e-9, 1.0, 2001)
+    coarse = fd_spectrum(box_potential(coarse_grid.points()), CONSTS, coarse_grid, 1)
+    fine = fd_spectrum(box_potential(fine_grid.points()), CONSTS, fine_grid, 1)
     ratio = (abs(coarse.levels[0][1] - math.pi**2)
              / abs(fine.levels[0][1] - math.pi**2))
     if not 3.5 < ratio < 4.5:

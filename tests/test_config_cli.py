@@ -245,6 +245,17 @@ class TestCliDeterminism:
         proc = run_cli("potential", "--config", str(CONFIGS / "general.cfg"), "--out", "-")
         assert "generated" not in proc.stdout
 
+    def test_stamp_only_on_csv_commands(self):
+        # the JSON commands carry no comments, so they refuse the flag
+        proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"), "--stamp")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --stamp" in proc.stderr
+        assert proc.stdout == ""
+        for command in ("spectrum", "oracle", "nu-check"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--stamp"])
+            assert info.value.code == 2
+
     def test_stamp_only_in_comments(self):
         proc = run_cli("potential", "--config", str(CONFIGS / "general.cfg"),
                        "--stamp", "--out", "-")

@@ -22,7 +22,7 @@ def test_head_against_itself():
                            "--base", "HEAD", "--new", "HEAD", "--quick"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.endswith("6 identical, 0 differing of 6 commands\n")
+    assert proc.stdout.endswith("7 identical, 0 differing of 7 commands\n")
 
 
 def test_difference_report():

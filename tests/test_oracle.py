@@ -29,7 +29,12 @@ from hyperwell.oracle import (
     fd_spectrum,
     numerov_spectrum,
 )
-from hyperwell.potential import PhysicalConstants, PotentialParams, eval_potential
+from hyperwell.potential import (
+    PhysicalConstants,
+    PotentialParams,
+    effective_potential,
+    eval_potential,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1
@@ -42,13 +47,13 @@ def node_counts(spec):
     return [c for _, _, c in spec.levels]
 
 
-def box(r):
-    return np.zeros_like(np.asarray(r, dtype=float))
+def box(grid):
+    return np.zeros(grid.n_points)
 
 
-def oscillator(r):
-    arr = np.asarray(r, dtype=float)
-    return arr * arr
+def oscillator(grid):
+    r = grid.points()
+    return r * r
 
 
 class TestGrid:
@@ -73,7 +78,7 @@ class TestBoxFixture:
     """Infinite square well on (0, 1): E_k = ((k+1) pi)^2 in these units."""
 
     def test_fd_ground_state(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 3)
+        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 3)
         exact = [math.pi**2 * (k + 1) ** 2 for k in range(3)]
         for k in range(3):
             assert spec.levels[k][1] == pytest.approx(exact[k], rel=1e-3)
@@ -81,11 +86,11 @@ class TestBoxFixture:
         assert abs(spec.levels[0][1] - exact[0]) / exact[0] < 1e-6
 
     def test_node_theorem(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 3)
+        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 3)
         assert [lv[2] for lv in spec.levels] == [0, 1, 2]
 
     def test_wavefunction_normalized(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 2)
+        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
         r = BOX_GRID.points()
         for vec in spec.wavefunctions:
             assert np.trapezoid(vec * vec, r) == pytest.approx(1.0, abs=1e-8)
@@ -93,21 +98,22 @@ class TestBoxFixture:
 
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-9, 1.0, 4000)
-        fd = fd_spectrum(box, 0, CONSTS, grid, 3)
-        nv = numerov_spectrum(box, 0, CONSTS, grid, 3)
+        fd = fd_spectrum(box(grid), CONSTS, grid, 3)
+        nv = numerov_spectrum(box(grid), CONSTS, grid, 3)
         for k in range(3):
             e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6
 
     def test_numerov_auto_window(self):
-        spec = numerov_spectrum(box, 0, CONSTS, BOX_GRID, 2)
+        spec = numerov_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
         assert spec.levels[0][1] == pytest.approx(math.pi**2, rel=1e-3)
         assert any("window auto-selected" in note for note in spec.notes)
 
     def test_order_h_squared_convergence(self):
         exact = math.pi**2
-        coarse = fd_spectrum(box, 0, CONSTS, RadialGrid(1e-9, 1.0, 1001), 1)
-        fine = fd_spectrum(box, 0, CONSTS, RadialGrid(1e-9, 1.0, 2001), 1)
+        coarse_grid, fine_grid = RadialGrid(1e-9, 1.0, 1001), RadialGrid(1e-9, 1.0, 2001)
+        coarse = fd_spectrum(box(coarse_grid), CONSTS, coarse_grid, 1)
+        fine = fd_spectrum(box(fine_grid), CONSTS, fine_grid, 1)
         err_c = abs(coarse.levels[0][1] - exact)
         err_f = abs(fine.levels[0][1] - exact)
         assert 3.5 < err_c / err_f < 4.5
@@ -117,22 +123,23 @@ class TestOscillatorFixture:
     """V = r^2 with u(0) = 0: the odd oscillator levels 3, 7, 11."""
 
     def test_fd_levels(self):
-        spec = fd_spectrum(oscillator, 0, CONSTS, OSC_GRID, 3)
+        spec = fd_spectrum(oscillator(OSC_GRID), CONSTS, OSC_GRID, 3)
         for k, exact in enumerate((3.0, 7.0, 11.0)):
             assert spec.levels[k][1] == pytest.approx(exact, rel=1e-3)
 
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-6, 10.0, 8000)
-        fd = fd_spectrum(oscillator, 0, CONSTS, grid, 3)
+        fd = fd_spectrum(oscillator(grid), CONSTS, grid, 3)
         # r_max is classically forbidden at every level
-        nv = numerov_spectrum(oscillator, 0, CONSTS, grid, 3)
+        nv = numerov_spectrum(oscillator(grid), CONSTS, grid, 3)
         for k in range(3):
             e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6, k
 
     def test_centrifugal_l_one(self):
         # V = r^2 + l(l+1)/r^2 with l = 1: even oscillator levels 5, 9
-        spec = fd_spectrum(oscillator, 1, CONSTS, OSC_GRID, 2)
+        r = OSC_GRID.points()
+        spec = fd_spectrum(oscillator(OSC_GRID) + 2.0 / (r * r), CONSTS, OSC_GRID, 2)
         assert spec.levels[0][1] == pytest.approx(5.0, rel=1e-3)
         assert spec.levels[1][1] == pytest.approx(9.0, rel=1e-3)
 
@@ -251,13 +258,11 @@ class TestNumerovSweep:
         # past r = 1 the wall has h^2 f = 1, so the sweep grows by ~e^875
         # there, across two blocks: u*u overflows unless u is scaled by its
         # global maximum
-        def wall(r):
-            return np.where(np.asarray(r, dtype=float) > 1.0, 1e6, 0.0)
-
-        cases = ((oscillator, RadialGrid(1e-6, 10.0, 8000), 3),
-                 (wall, RadialGrid(1e-9, 1.9, 1901), 1))
-        for potential, grid, n_states in cases:
-            spec = numerov_spectrum(potential, 0, CONSTS, grid, n_states)
+        osc_grid, wall_grid = RadialGrid(1e-6, 10.0, 8000), RadialGrid(1e-9, 1.9, 1901)
+        wall = np.where(wall_grid.points() > 1.0, 1e6, 0.0)
+        cases = ((oscillator(osc_grid), osc_grid, 3), (wall, wall_grid, 1))
+        for veff, grid, n_states in cases:
+            spec = numerov_spectrum(veff, CONSTS, grid, n_states)
             assert len(spec.wavefunctions) == n_states
             for vec in spec.wavefunctions:
                 assert np.all(np.isfinite(vec))
@@ -290,19 +295,12 @@ class TestNumerovLevels:
     def test_level_k_has_k_nodes(self, name):
         params, l, n_points = self.WELLS[name]
         grid = RadialGrid(1e-6, 40.0 / params.alpha, n_points)
-
-        def well(r):
-            return eval_potential(params, r)
-
-        assert node_counts(numerov_spectrum(well, l, CONSTS, grid, 3)) == [0, 1, 2]
-        assert node_counts(fd_spectrum(well, l, CONSTS, grid, 3)) == [0, 1, 2]
+        veff = effective_potential(params, CONSTS, l, grid.points())
+        assert node_counts(numerov_spectrum(veff, CONSTS, grid, 3)) == [0, 1, 2]
+        assert node_counts(fd_spectrum(veff, CONSTS, grid, 3)) == [0, 1, 2]
 
     def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
         cfg = parse_config((REPO / "configs" / "general.cfg").read_text())
-
-        def well(r):
-            return eval_potential(cfg.params, r)
-
         sweeps = []
         real_sweep = oracle._numerov_sweep
 
@@ -310,22 +308,20 @@ class TestNumerovLevels:
             sweeps.append(1)
             return real_sweep(*args)
 
-        r = cfg.grid.points()
-        h2 = cfg.grid.h ** 2
+        h = cfg.grid.h
         for l in range(3):
+            veff = effective_potential(cfg.params, cfg.consts, l, cfg.grid.points())
             sweeps.clear()
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_numerov_sweep", counting)
-                spec = numerov_spectrum(well, l, cfg.consts, cfg.grid, 3)
+                spec = numerov_spectrum(veff, cfg.consts, cfg.grid, 3)
             assert len(sweeps) <= 60, (l, len(sweeps))
             # hbar^2/(2m) = 1, so f = veff - E
-            veff = well(r) + l * (l + 1) / (r * r)
-            u1 = cfg.grid.h ** (l + 1)
             for k, E, _ in spec.levels:
                 assert E > veff[-1]  # every demo level is a box state
                 tol = 1e-10 * max(1.0, abs(E))
-                _, below = oracle._numerov_probe(veff - (E - tol), h2, 0.0, u1)
-                _, above = oracle._numerov_probe(veff - (E + tol), h2, 0.0, u1)
+                _, below = oracle._numerov_probe(veff - (E - tol), h * h, 0.0, h)
+                _, above = oracle._numerov_probe(veff - (E + tol), h * h, 0.0, h)
                 assert below * above < 0.0, (l, k)
 
     # FAULT's two s-wave bound levels are the exact Eckart levels -53 and
@@ -344,14 +340,9 @@ class TestNumerovLevels:
         assert exact[0].energy == pytest.approx(-53.0, rel=1e-15)
         assert exact[1].energy == pytest.approx(-30.7778, abs=1e-4)
 
-        def well(r):
-            return eval_potential(self.FAULT, r)
-
         grid = RadialGrid(1e-6, 40.0, n_points)
-        if solver == "numerov":
-            spec = numerov_spectrum(well, 0, CONSTS, grid, 2)
-        else:
-            spec = fd_spectrum(well, 0, CONSTS, grid, 2)
+        solve = numerov_spectrum if solver == "numerov" else fd_spectrum
+        spec = solve(eval_potential(self.FAULT, grid.points()), CONSTS, grid, 2)
         for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
             assert abs(spec.levels[k][1] - exact[k].energy) <= bound, k
 
@@ -368,34 +359,32 @@ class TestNumerovLevels:
             return real_sweep(f, *args)
 
         monkeypatch.setattr(oracle, "_numerov_sweep", counting)
-
-        def well(r):
-            return eval_potential(self.FAULT, r)
-
-        spec = numerov_spectrum(well, l, CONSTS, RadialGrid(1e-6, 40.0, n_points), 3)
+        grid = RadialGrid(1e-6, 40.0, n_points)
+        spec = numerov_spectrum(effective_potential(self.FAULT, CONSTS, l, grid.points()),
+                                CONSTS, grid, 3)
         assert node_counts(spec) == [0, 1, 2]
         assert swept[0] / n_points <= budget
 
-    # (potential, l, grid, lowest match index or None); V = r^2/16 has its
-    # ground level 0.75 within 1 of the interior floor, so that level's
-    # count bracket starts at the floor, where r_1 is the only classically
-    # allowed interior point, and its matched sweeps match at m = 1
+    # (effective potential of r, grid, lowest match index or None);
+    # V = r^2/16 has its ground level 0.75 within 1 of the interior floor,
+    # so that level's count bracket starts at the floor, where r_1 is the
+    # only classically allowed interior point, and its matched sweeps
+    # match at m = 1
     MATCHED = {
-        **{name: (functools.partial(eval_potential, params), l,
+        **{name: (functools.partial(effective_potential, params, CONSTS, l),
                   RadialGrid(1e-6, 40.0 / params.alpha, n_points), None)
            for name, (params, l, n_points) in WELLS.items()},
-        "oscillator m=1": (lambda r: oscillator(r) / 16.0, 0, RadialGrid(1e-6, 40.0, 2000), 1),
+        "oscillator m=1": (lambda r: r * r / 16.0, RadialGrid(1e-6, 40.0, 2000), 1),
     }
 
     @pytest.mark.parametrize("name", MATCHED)
     def test_matched_mismatch_root(self, monkeypatch, name):
         # every level whose r_max is classically forbidden sits on a sign
         # change of the matched mismatch, within the level tolerance
-        potential, l, grid, lowest_match = self.MATCHED[name]
-        r = grid.points()
+        potential, grid, lowest_match = self.MATCHED[name]
         # hbar^2/(2m) = 1, so f = veff - E
-        veff = potential(r) + l * (l + 1) / (r * r)
-        h2 = grid.h ** 2
+        veff = potential(grid.points())
+        h = grid.h
         matched_at = []
         real_matched = oracle._matched_sweep
 
@@ -405,7 +394,7 @@ class TestNumerovLevels:
 
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_matched_sweep", recording)
-            spec = numerov_spectrum(potential, l, CONSTS, grid, 3)
+            spec = numerov_spectrum(veff, CONSTS, grid, 3)
         if lowest_match is not None:
             assert min(matched_at) == lowest_match
         deep = [E for _, E, _ in spec.levels if veff[-1] > E]
@@ -413,21 +402,55 @@ class TestNumerovLevels:
         for E in deep:
             tol = 1e-10 * max(1.0, abs(E))
             m = int(np.flatnonzero(veff <= E - tol)[-1])
-            below = oracle._matched_sweep(veff - (E - tol), h2, 0.0, grid.h ** (l + 1), m)[1]
-            above = oracle._matched_sweep(veff - (E + tol), h2, 0.0, grid.h ** (l + 1), m)[1]
+            below = oracle._matched_sweep(veff - (E - tol), h * h, 0.0, h, m)[1]
+            above = oracle._matched_sweep(veff - (E + tol), h * h, 0.0, h, m)[1]
             assert below * above < 0.0, E
 
     def test_floor_with_nodes_is_resolution_error(self):
         params = family_params(a=1.0, V0=1000.0)
-
-        def well(r):
-            return eval_potential(params, r)
-
+        coarse, fine = RadialGrid(1e-6, 40.0, 2000), RadialGrid(1e-6, 40.0, 8000)
         for l in range(3):
             with pytest.raises(ResolutionError, match="n_points = 2000"):
-                numerov_spectrum(well, l, CONSTS, RadialGrid(1e-6, 40.0, 2000), 3)
-        spec = numerov_spectrum(well, 0, CONSTS, RadialGrid(1e-6, 40.0, 8000), 3)
+                numerov_spectrum(effective_potential(params, CONSTS, l, coarse.points()),
+                                 CONSTS, coarse, 3)
+        spec = numerov_spectrum(eval_potential(params, fine.points()), CONSTS, fine, 3)
         assert node_counts(spec) == [0, 1, 2]
+
+
+class TestSurrogateLevels:
+    """Both oracles on FAULT (perfbench.inputs.FAULT) with the cosech^2
+    surrogate barrier, which makes the problem Eckart at every l, pinned
+    to the exact levels of exact.surrogate_level where its bound flag is
+    set."""
+
+    FAULT = TestNumerovLevels.FAULT
+    # (solver, l, n_points) -> per bound level n, 1.1 times the measured
+    # relative error
+    REL_ERROR_BOUNDS = {
+        ("fd", 1, 2000): (1.1 * 1.951e-4, 1.1 * 3.434e-5),
+        ("fd", 1, 8000): (1.1 * 1.221e-5, 1.1 * 2.144e-6),
+        ("fd", 2, 2000): (1.1 * 9.880e-6,),
+        ("fd", 2, 8000): (1.1 * 6.170e-7,),
+        ("numerov", 1, 2000): (1.1 * 2.754e-6, 1.1 * 3.730e-7),
+        ("numerov", 1, 8000): (1.1 * 1.202e-8, 1.1 * 1.620e-9),
+        ("numerov", 2, 2000): (1.1 * 8.682e-9,),
+        ("numerov", 2, 8000): (1.1 * 8.831e-12,),
+    }
+
+    @pytest.mark.parametrize("solver, l, n_points", REL_ERROR_BOUNDS)
+    def test_bound_levels_pinned_to_exact(self, solver, l, n_points):
+        # at l = 2 the formula's n = 1 value, -29.37, lies below the
+        # asymptote -28 yet is no level: only the bound flag admits one
+        bounds = self.REL_ERROR_BOUNDS[solver, l, n_points]
+        exact = [surrogate_level(self.FAULT, CONSTS, n, l) for n in range(3)]
+        assert [lv.bound for lv in exact] == [n < len(bounds) for n in range(3)]
+        grid = RadialGrid(1e-6, 40.0, n_points)
+        veff = effective_potential(self.FAULT, CONSTS, l, grid.points(), approximate=True)
+        solve = numerov_spectrum if solver == "numerov" else fd_spectrum
+        spec = solve(veff, CONSTS, grid, 3)
+        assert node_counts(spec) == [0, 1, 2]
+        for lv, rel in zip(exact, bounds):
+            assert abs(spec.levels[lv.n][1] - lv.energy) <= rel * abs(lv.energy), lv.n
 
 
 def sturm_levels(diag, off, n_levels, points=255):
@@ -456,7 +479,7 @@ def sturm_levels(diag, off, n_levels, points=255):
     return (lo + hi) / 2
 
 
-def fd_with_matrix(monkeypatch, potential, l, grid, n_states):
+def fd_with_matrix(monkeypatch, veff, grid, n_states):
     """fd_spectrum's result and the (diag, off) it handed to LAPACK."""
     seen = []
 
@@ -465,7 +488,7 @@ def fd_with_matrix(monkeypatch, potential, l, grid, n_states):
         return eigh_tridiagonal(diag, off, **kwargs)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
-    return fd_spectrum(potential, l, CONSTS, grid, n_states), seen[0]
+    return fd_spectrum(veff, CONSTS, grid, n_states), seen[0]
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -482,7 +505,7 @@ class TestFdAccuracy:
         worst = 0.0
         for l in (0, 1):
             spec, matrix = fd_with_matrix(
-                monkeypatch, lambda r: eval_potential(self.FAULT, r), l, grid, 3)
+                monkeypatch, effective_potential(self.FAULT, CONSTS, l, grid.points()), grid, 3)
             ref = sturm_levels(*matrix, 3)
             for (_, e, _), e_ref in zip(spec.levels, ref, strict=True):
                 worst = max(worst, float(abs(e - e_ref) / max(1.0, abs(e_ref))))
@@ -496,9 +519,10 @@ class TestFdAccuracy:
         fault = dataclasses.replace(self.FAULT, V0=28.0 * scale, V2=scale)
         consts = PhysicalConstants(hbar=1.0, mass=0.5 / scale)
         grid = RadialGrid(1e-6, 40.0, 2000)
+        r = grid.points()
         for l in (0, 1):
-            ref = fd_spectrum(lambda r: eval_potential(self.FAULT, r), l, CONSTS, grid, 3)
-            spec = fd_spectrum(lambda r: eval_potential(fault, r), l, consts, grid, 3)
+            ref = fd_spectrum(effective_potential(self.FAULT, CONSTS, l, r), CONSTS, grid, 3)
+            spec = fd_spectrum(effective_potential(fault, consts, l, r), consts, grid, 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
             for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
                 assert e / scale == pytest.approx(e_ref, rel=1e-13)
@@ -510,7 +534,7 @@ class TestFdAccuracy:
         # small ||T||)
         cfg = parse_config((REPO / "configs" / "general.cfg").read_text()
                            + "grid.r_max = 3000\ngrid.n_points = 8000\n")
-        spec = fd_spectrum(lambda r: eval_potential(cfg.params, r), 0, cfg.consts, cfg.grid, 3)
+        spec = fd_spectrum(eval_potential(cfg.params, cfg.grid.points()), cfg.consts, cfg.grid, 3)
         r = cfg.grid.points()[1:-1]
         t = 1.0 / cfg.grid.h**2
         ref = eigh_tridiagonal(2.0 * t + eval_potential(cfg.params, r), np.full(r.size - 1, -t),
@@ -522,17 +546,15 @@ class TestFdAccuracy:
 
     GRID = RadialGrid(1e-9, 1.0, 2001)
 
-    @staticmethod
-    def double_well(r):
-        # two identical wells behind a barrier of 4e4: their symmetric and
-        # antisymmetric levels lie 8.0e-9 apart, inside one coarse bracket
-        return np.where(np.abs(r - 0.5) < 0.05025, 4e4, 0.0)
+    # two identical wells behind a barrier of 4e4: their symmetric and
+    # antisymmetric levels lie 8.0e-9 apart, inside one coarse bracket
+    DOUBLE_WELL = np.where(np.abs(GRID.points() - 0.5) < 0.05025, 4e4, 0.0)
 
     @pytest.mark.parametrize("n_states", [1, 2, 3])
     def test_near_degenerate_pair(self, monkeypatch, n_states):
         # the pair in the block or across its end: the block grows to hold
         # both, and the Ritz step separates their vectors
-        spec, matrix = fd_with_matrix(monkeypatch, self.double_well, 0, self.GRID, n_states)
+        spec, matrix = fd_with_matrix(monkeypatch, self.DOUBLE_WELL, self.GRID, n_states)
         ref = sturm_levels(*matrix, n_states)
         split = float(ref[1] - ref[0]) if n_states > 1 else 8.0e-9
         energies = [e for _, e, _ in spec.levels]
@@ -549,37 +571,39 @@ class TestSpectrumStructure:
                 method="FiniteDifference",
                 levels=((0, 2.0, 0), (1, 1.0, 1)),
                 wavefunctions=(),
-                grid=BOX_GRID,
                 r=BOX_GRID.points(),
             )
 
     def test_wrong_shape_rejected(self):
-        # the potential must map the grid array to an array of its shape
-        with pytest.raises(DomainError, match="shape"):
-            fd_spectrum(lambda r: 0.0, 0, CONSTS, OSC_GRID, 1)
+        # one sample per grid point, no more and no fewer
+        short = np.zeros(OSC_GRID.n_points - 1)
+        for solver in (fd_spectrum, numerov_spectrum):
+            with pytest.raises(DomainError, match="shape"):
+                solver(short, CONSTS, OSC_GRID, 1)
 
     def test_nonfinite_sample_named(self):
-        def bad(r):
-            arr = np.asarray(r, dtype=float)
-            return np.where(np.abs(arr - 0.5) < 0.01, np.nan, 0.0)
-
-        with pytest.raises(SamplingError):
-            fd_spectrum(bad, 0, CONSTS, BOX_GRID, 1)
+        r = BOX_GRID.points()
+        bad = np.where(np.abs(r - 0.5) < 0.01, np.nan, 0.0)
+        for solver in (fd_spectrum, numerov_spectrum):
+            with pytest.raises(SamplingError, match="non-finite") as info:
+                solver(bad, CONSTS, BOX_GRID, 1)
+            assert info.value.r == r[np.isnan(bad)][0]
 
     def test_too_many_states_rejected(self):
         with pytest.raises(DomainError):
-            fd_spectrum(box, 0, CONSTS, RadialGrid(1e-9, 1.0, 100), 30)
+            grid = RadialGrid(1e-9, 1.0, 100)
+            fd_spectrum(box(grid), CONSTS, grid, 30)
 
     def test_zero_states(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 0)
+        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 0)
         assert spec.levels == ()
 
     def test_near_origin_lobe_positive(self):
         # box level 1 has two mirror-image lobes whose extremes differ only
         # by roundoff, so a largest-component rule would pick its sign by chance
-        specs = (fd_spectrum(oscillator, 0, CONSTS, OSC_GRID, 3),
-                 fd_spectrum(box, 0, CONSTS, BOX_GRID, 2),
-                 numerov_spectrum(box, 0, CONSTS, BOX_GRID, 2))
+        specs = (fd_spectrum(oscillator(OSC_GRID), CONSTS, OSC_GRID, 3),
+                 fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2),
+                 numerov_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2))
         for spec in specs:
             for k, vec in enumerate(spec.wavefunctions):
                 lobe = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))]
@@ -591,7 +615,7 @@ class TestSpectrumStructure:
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", failing)
         with pytest.raises(ConvergenceError):
-            fd_spectrum(box, 0, CONSTS, BOX_GRID, 1)
+            fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
 
     def test_polluted_vector_is_convergence_error(self, monkeypatch):
         # a vector that is no eigenvector moves its level out of the bracket
@@ -605,14 +629,14 @@ class TestSpectrumStructure:
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", polluted)
         with pytest.raises(ConvergenceError, match="left its bracket"):
-            fd_spectrum(box, 0, CONSTS, BOX_GRID, 2)
+            fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
 
     def test_block_growth_is_bounded(self, monkeypatch):
         # with every level closer than the gap the block would hold the
         # whole spectrum; it stops at n_points/4
         monkeypatch.setattr(oracle, "_EIG_GAP", 1e15)
         with pytest.raises(ConvergenceError, match="closer than"):
-            fd_spectrum(box, 0, CONSTS, BOX_GRID, 1)
+            fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
 
 
 class TestCompare:
@@ -622,7 +646,7 @@ class TestCompare:
             self.energy = energy
 
     def test_by_index_deltas(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 2)
+        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
         analytic = [self.FakeLevel(0, complex(math.pi**2, 0.1)),
                     self.FakeLevel(1, complex(4 * math.pi**2, -0.2))]
         rep = compare_levels(analytic, spec)
@@ -633,7 +657,7 @@ class TestCompare:
         assert rep.max_abs_delta >= rep.mean_abs_delta
 
     def test_length_mismatch_noted(self):
-        spec = fd_spectrum(box, 0, CONSTS, BOX_GRID, 2)
+        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
         rep = compare_levels([self.FakeLevel(0, complex(9.8, 0.0))], spec)
         assert len(rep.rows) == 1
         assert any("length mismatch" in note for note in rep.notes)

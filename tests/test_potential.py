@@ -11,6 +11,7 @@ from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
     centrifugal_approx,
+    effective_potential,
     eval_potential,
     poschl_teller_params,
     rosen_morse_params,
@@ -96,16 +97,21 @@ class TestCentrifugalApprox:
 
 
 class TestEffectivePotential:
-    """scan_series with l > 0: V plus the exact or the surrogate barrier."""
+    """effective_potential, and scan_series with l > 0: V plus the exact or
+    the surrogate barrier."""
 
     def test_l_zero_is_bare(self):
         r = np.linspace(0.1, 5.0, 9)
         assert np.allclose(scan_series(DEMO, r, consts=CONSTS, l=0), eval_potential(DEMO, r))
+        assert np.array_equal(effective_potential(DEMO, CONSTS, 0, r), eval_potential(DEMO, r))
 
     def test_exact_barrier(self):
         r = 0.7
         want = eval_potential(DEMO, r) + 1.0**2 * 2 * 3 / (2 * 0.5) / r**2
         assert scan_series(DEMO, [r], consts=CONSTS, l=2)[0] == pytest.approx(want, rel=1e-14)
+        assert effective_potential(DEMO, CONSTS, 2, [r]) == pytest.approx([want], rel=1e-14)
+        with pytest.raises(DomainError):
+            effective_potential(DEMO, CONSTS, 2, [r, -1.0])
 
     def test_approximate_barrier(self):
         r = 0.7
@@ -113,6 +119,8 @@ class TestEffectivePotential:
         want = eval_potential(DEMO, r) + (1.0 / (2 * 0.5)) * 2 * DEMO.alpha**2 * csch2
         got = scan_series(DEMO, [r], consts=CONSTS, l=1, approximate=True)[0]
         assert got == pytest.approx(want, rel=1e-14)
+        got = effective_potential(DEMO, CONSTS, 1, [r], approximate=True)
+        assert got == pytest.approx([want], rel=1e-14)
 
     def test_ordering_in_l(self):
         r = np.geomspace(1e-3, 30.0, 40)

@@ -1,7 +1,8 @@
 """The reports in-process: the validate and nu-check call budgets, the
 level-n pairing of comparison rows, a partly singular case and the oracle
 block validate shares with the oracle report, and the CSV and JSON
-renderers against per-row and recursive-walk references."""
+renderers against per-row and recursive-walk references. An oracle block
+keeps each solver that solved beside the other's error."""
 
 import json
 import math
@@ -12,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperwell import analytic, nu, oracle
+from hyperwell import analytic, nu, oracle, potential
 from hyperwell.analytic import energy_levels, radial_wavefunction
 from hyperwell.config import parse_config
-from hyperwell.potential import scan_series
+from hyperwell.errors import ConvergenceError
+from hyperwell.potential import PhysicalConstants, scan_series
 from hyperwell.reporting import (
     build_nu_check_report,
     build_oracle_report,
@@ -56,13 +58,15 @@ def load(name, **states):
 def test_validate_call_budget(monkeypatch):
     counts = count_calls(monkeypatch, analytic.energy_levels, analytic.nu_problem,
                          nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select,
-                         oracle.fd_spectrum, oracle.numerov_spectrum)
+                         oracle.fd_spectrum, oracle.numerov_spectrum,
+                         potential.eval_potential)
     build_validate_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
     # one quadratic and one spectrum-variant call per state, one engine pass
-    # (triple, branch enumeration, selection) per state, one solver pair per l
+    # (triple, branch enumeration, selection) per state, one solver pair per
+    # l on one sampling of V
     assert counts == {"energy_levels": 18, "nu_problem": 9, "enumerate_branches": 9,
                       "k_candidates": 9, "pi_tau_select": 9,
-                      "fd_spectrum": 3, "numerov_spectrum": 3}
+                      "fd_spectrum": 3, "numerov_spectrum": 3, "eval_potential": 3}
 
 
 def test_nu_check_call_budget(monkeypatch):
@@ -84,6 +88,34 @@ def test_validate_pairs_level_n_with_oracle_level_n():
         names = ", ".join(map(str, n_list))
         assert comparison["notes"] == [
             f"length mismatch: {len(n_list)} analytic vs 3 numeric levels; compared n = {names}"]
+
+
+def test_oracle_block_keeps_the_solver_that_solved(monkeypatch):
+    config = load("general", n_list=(0, 1, 2), l_list=(0,))
+    block = build_oracle_report(config)["per_l"][0]
+    assert list(block) == ["l", "n_states", "fd", "numerov", "cross_delta_rel"]
+
+    # past fall to center (mass 500) Numerov refuses the grid while FD
+    # solves; validate still compares against FD
+    heavy = replace(config, consts=PhysicalConstants(hbar=1.0, mass=500.0))
+    doc = build_validate_report(heavy)
+    block = doc["oracle"]["per_l"][0]
+    assert list(block) == ["l", "n_states", "fd", "error"]
+    assert block["error"].startswith("numerov_spectrum: the sweep has 1998 nodes")
+    assert block["fd"]["node_counts"] == [0, 1, 2]
+    rows = doc["comparison"]["per_l"][0]["rows"]
+    assert [row[3] for row in rows] == block["fd"]["energies"]
+
+    # a failing FD leaves Numerov's record and nothing to compare against
+    def failing(*args):
+        raise ConvergenceError("fd_spectrum: no levels")
+
+    monkeypatch.setattr("hyperwell.reporting.fd_spectrum", failing)
+    doc = build_validate_report(config)
+    block = doc["oracle"]["per_l"][0]
+    assert list(block) == ["l", "n_states", "numerov", "error"]
+    assert block["error"] == "fd_spectrum: no levels"
+    assert doc["comparison"]["per_l"][0] == {"l": 0, "error": "fd_spectrum: no levels"}
 
 
 def test_validate_partly_singular():

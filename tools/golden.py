@@ -114,7 +114,8 @@ def command_list(workdir: Path, quick: bool):
         return [["spectrum", "--config", general, "--n", "0..1", "--l", "0..1"],
                 ["nu-check", "--config", general, "--n", "0", "--l", "0"],
                 ["wavefunction", "--config", general, "--n", "1", "--l", "0"],
-                ["validate", "--config", general, "--n", "0", "--l", "0"]] + errors[:2]
+                ["validate", "--config", general, "--n", "0", "--l", "0"],
+                ["oracle", "--config", general, "--n", "0..1", "--l", "1"]] + errors[:2]
     commands = []
     for path in configs:
         cfg = ["--config", str(path)]
