@@ -62,13 +62,15 @@ class DimensionlessParams:
     gamma2: complex
     beta: complex
 
+    def sigma_big(self, n) -> complex:
+        """The spectrum constant Sigma; n enters only through n(n+1)."""
+        return self.beta2 / 2.0 - self.gamma2 + float(n * (n + 1))
+
 
 @dataclass(frozen=True)
 class AuxQuantities:
     u: complex
     v: complex
-    sigma_big: complex
-    v_aux: complex
     mu: complex
     nu: complex
     A: complex
@@ -88,8 +90,14 @@ class EnergyLevel:
 
 
 def _prefactor(params: PotentialParams, consts: PhysicalConstants) -> float:
-    # 2m / (hbar^2 alpha^2), the factor that nondimensionalizes energies
-    return 2.0 * consts.mass / (consts.hbar**2 * params.alpha**2)
+    # 1 / (s alpha^2), the factor that nondimensionalizes energies
+    return 1.0 / (consts.s * params.alpha**2)
+
+
+def _eps2_shift(params, pref, dp) -> float:
+    # the printed constant between E and -eps^2/pref, beta^2/4 + c V2 - alpha^2 l(l+1),
+    # with c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1
+    return dp.beta2.real / 4.0 + dp.gamma2.real / pref + params.b * params.V1
 
 
 def dimensionless_params(params, consts, energy, l) -> DimensionlessParams:
@@ -100,17 +108,16 @@ def dimensionless_params(params, consts, energy, l) -> DimensionlessParams:
     if not cmath.isfinite(energy):
         raise DomainError("dimensionless_params: energy must be finite")
     dp = dimensionless_from_eps2(params, consts, 0.0, l)
-    eps2 = -_prefactor(params, consts) * (energy + dp.beta2.real / 4.0 + params.c * params.V2
-                                          - params.alpha**2 * l * (l + 1) - params.d)
+    pref = _prefactor(params, consts)
+    eps2 = -pref * (energy + _eps2_shift(params, pref, dp) - params.d)
     return replace(dp, eps2=complex(eps2))
 
 
 def dimensionless_from_eps2(params, consts, eps2, l) -> DimensionlessParams:
     """Coefficients for a known eps^2 (e.g. a quantization root), no E needed."""
     pref = _prefactor(params, consts)
-    beta2 = complex(pref * params.a * params.V0)
-    gamma2 = complex(pref * (params.c * params.V2 - params.b * params.V1
-                             - params.alpha**2 * l * (l + 1)))
+    beta2 = complex(pref * params.A)
+    gamma2 = complex(pref * (-params.B - params.alpha**2 * l * (l + 1)))
     return DimensionlessParams(eps2=complex(eps2), beta2=beta2, gamma2=gamma2,
                                beta=principal_sqrt(beta2))
 
@@ -133,39 +140,16 @@ def _v_of(dp: DimensionlessParams) -> complex:
     return 1j * dp.beta * principal_sqrt(dp.gamma2 + 2.5 * dp.beta2)
 
 
-def _sigma_big(params, consts, n, l) -> float:
-    # the spectrum constant Sigma; n enters only through n(n+1)
-    return _prefactor(params, consts) * (params.a * params.V0 / 2.0 - params.c * params.V2
-                                         + params.b * params.V1
-                                         + params.alpha**2 * l * (l + 1)) + float(n * (n + 1))
-
-
-def _v_aux(params, consts, l) -> complex:
-    return 1j * _prefactor(params, consts) * principal_sqrt(complex(
-        params.a * params.V0 + params.c * params.V2 - params.b * params.V1
-        - params.alpha**2 * l * (l + 1)))
-
-
-def aux_quantities(dp, params, consts, n, l) -> AuxQuantities:
-    """u, v, the spectrum constant, and the wavefunction exponents.
+def aux_quantities(dp) -> AuxQuantities:
+    """u, v and the wavefunction exponents.
 
     mu = 2 - sqrt(u+v), nu = sqrt(u-v), A = mu + i nu, B = (nu + beta)/(2i).
-    The auxiliary voltage-like constant v_aux keeps its printed leading i;
-    a negative radicand is absorbed by the complex square root.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"aux_quantities: n must be a non-negative integer, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainError(f"aux_quantities: l must be a non-negative integer, got {l!r}")
     u = _u_of(dp)
     v = _v_of(dp)
-    sigma_big = _sigma_big(params, consts, n, l)
-    v_aux = _v_aux(params, consts, l)
     mu = 2.0 - principal_sqrt(u + v)
     nu = principal_sqrt(u - v)
-    return AuxQuantities(
-        u=u, v=v, sigma_big=complex(sigma_big), v_aux=v_aux,
-        mu=mu, nu=nu, A=mu + 1j * nu, B=(nu + dp.beta) / 2j)
+    return AuxQuantities(u=u, v=v, mu=mu, nu=nu, A=mu + 1j * nu, B=(nu + dp.beta) / 2j)
 
 
 def quantization_coefficients(params, consts, n, l, variant="quadratic"):
@@ -193,7 +177,7 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
     if v == 0:
         raise SingularCoefficientError(
             "quantization_coefficients: v = 0 makes the 1/(2v) term singular")
-    sigma_big = _sigma_big(params, consts, n, l)
+    sigma_big = dp.sigma_big(n)
     r8 = 8.0 * _SQRT2
     c2 = (n + 1) / (r8 * beta * gamma) + 1j * (gamma / (r8 * beta) - 1.0 / (2.0 * v))
     c1 = -(1.0 + (1j * beta2 / 4.0) * (1.0 + 1.0 / v))
@@ -201,16 +185,18 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
     if variant == "quadratic":
         c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v + 1j * v) + tail)
     else:
-        c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v) + 1j * _v_aux(params, consts, l)
-               + tail)
+        # the auxiliary constant v_aux keeps its printed leading i and pref;
+        # a negative radicand is absorbed by the complex square root
+        pref = _prefactor(params, consts)
+        v_aux = 1j * pref * principal_sqrt((beta2 + gamma2) / pref)
+        c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v) + 1j * v_aux + tail)
     return c2, c1, c0
 
 
 def _invert_eps2(params, consts, z, l):
     """Solve the eps^2 definition for E; returns (primary, alternate grouping)."""
     pref = _prefactor(params, consts)
-    beta2 = dimensionless_from_eps2(params, consts, z, l).beta2
-    core = -z / pref - beta2 / 4.0 - params.c * params.V2 + params.alpha**2 * l * (l + 1)
+    core = -z / pref - _eps2_shift(params, pref, dimensionless_from_eps2(params, consts, z, l))
     return core + params.d, core - params.d
 
 
@@ -358,7 +344,7 @@ class RadialWavefunction:
         self.n = int(n)
         self.l = int(l)
         self.dp = dp
-        self.aux = aux_quantities(dp, params, consts, self.n, self.l)
+        self.aux = aux_quantities(dp)
         self.norm_constant = 1.0 + 0.0j
         self.norm_window = (_NORM_WINDOW[0] / params.alpha, _NORM_WINDOW[1] / params.alpha)
         self.norm_integral = None
@@ -453,7 +439,7 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
     max_i |F'' - beta F' + W F| / scale over the samples, by central
     differences with step h = 1e-4.
     """
-    pref = 2.0 * consts.mass / consts.hbar**2
+    pref = 1.0 / consts.s
     dp = dimensionless_from_eps2(params, consts, 0.0, l)
     beta, h = dp.beta, _ODE_H
     r = np.asarray(r_samples, dtype=float)

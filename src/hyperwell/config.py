@@ -13,6 +13,7 @@ loads no eigensolver.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,9 +142,9 @@ def _parse_assignments(text):
         key = key.strip()
         value = value.strip()
         if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key {key!r}", line=lineno, field=key)
+            raise ConfigError(f"unknown key {key!r}", line=lineno)
         if not value:
-            raise ConfigError(f"empty value for {key}", line=lineno, field=key)
+            raise ConfigError(f"empty value for {key}", line=lineno)
         seen[key] = (value, lineno)
     return seen
 
@@ -159,10 +160,9 @@ def parse_config(text: str) -> RunConfig:
         try:
             x = float(value)
         except ValueError:
-            raise ConfigError(f"{key}: not a number: {value!r}",
-                              line=lineno, field=key) from None
+            raise ConfigError(f"{key}: not a number: {value!r}", line=lineno) from None
         if not math.isfinite(x):
-            raise ConfigError(f"{key}: must be finite", line=lineno, field=key)
+            raise ConfigError(f"{key}: must be finite", line=lineno)
         return x, True
 
     pot = {}
@@ -179,7 +179,7 @@ def parse_config(text: str) -> RunConfig:
             n_points = int(value)
         except ValueError:
             raise ConfigError(f"grid.n_points: not an integer: {value!r}",
-                              line=lineno, field="grid.n_points") from None
+                              line=lineno) from None
     else:
         n_points = _GRID_DEFAULTS["n_points"]
 
@@ -190,24 +190,28 @@ def parse_config(text: str) -> RunConfig:
         try:
             return parse_int_list(value, where=key)
         except ConfigError as exc:
-            raise ConfigError(str(exc), line=lineno, field=key) from None
+            raise ConfigError(str(exc), line=lineno) from None
 
     n_list = take_list("state.n", _STATE_DEFAULTS["n"])
     l_list = take_list("state.l", _STATE_DEFAULTS["l"])
 
     out_path = seen["output.path"][0] if "output.path" in seen else None
 
-    try:
-        params = PotentialParams(**pot)
-        consts = PhysicalConstants(hbar=hbar, mass=mass)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    def build(cls, keys, **values):
+        # a refused value's error names its key; the first such key set here gives the line
+        try:
+            return cls(**values)
+        except DomainError as exc:
+            lines = [seen[k][1] for k in keys
+                     if k in seen and re.search(rf"\b{k.partition('.')[2]}\b", str(exc))]
+            raise ConfigError(str(exc), line=lines[0] if lines else None) from None
+
+    params = build(PotentialParams, ("potential.alpha",), **pot)
+    consts = build(PhysicalConstants, ("constants.hbar", "constants.mass"), hbar=hbar, mass=mass)
     if r_max is None:
         r_max = _default_r_max(params.alpha)
-    try:
-        grid = RadialGrid(r_min, r_max, n_points)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = build(RadialGrid, ("grid.n_points", "grid.r_min", "grid.r_max"),
+                 r_min=r_min, r_max=r_max, n_points=n_points)
     return RunConfig(params=params, consts=consts, n_list=n_list, l_list=l_list,
                      grid=grid, out_path=out_path,
                      r_max_explicit=r_max_explicit)

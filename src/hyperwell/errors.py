@@ -65,7 +65,6 @@ class StructureError(HyperwellError, ValueError):
 class ConfigError(HyperwellError, ValueError):
     """Config parse or validation failure; carries a line number when known."""
 
-    def __init__(self, message, line=None, field=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.field = field

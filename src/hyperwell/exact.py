@@ -1,15 +1,12 @@
 """Exact levels of the surrogate radial problem.
 
-With s = hbar^2/(2m), the family potential is the Eckart form
-
-    V(r) = -A coth(alpha r) + B cosech^2(alpha r) + C,
-    A = a V0,  B = b V1 - c V2,  C = b V1 + d,
-
-because coth^2 = 1 + cosech^2. Replacing the centrifugal term
-s l(l+1)/r^2 by its surrogate s l(l+1) alpha^2 cosech^2(alpha r), the
-approximation the closed forms rest on, only shifts B to
-B + s l(l+1) alpha^2, so the surrogate problem is Eckart at every l
-(C. Eckart, Phys. Rev. 35, 1303 (1930)). Its levels are
+The family potential is the Eckart form V = -A coth(alpha r) +
+B cosech^2(alpha r) + C, read from PotentialParams.A/B/C, and s = hbar^2/(2m)
+from PhysicalConstants.s. Replacing the centrifugal term s l(l+1)/r^2 by
+its surrogate s l(l+1) alpha^2 cosech^2(alpha r), the approximation the
+closed forms rest on, only shifts B to B + s l(l+1) alpha^2, so the
+surrogate problem is Eckart at every l (C. Eckart, Phys. Rev. 35, 1303
+(1930)). Its levels are
 
     E_(n,l) = C - s alpha^2 (n + kappa_l)^2 - A^2 / (4 s alpha^2 (n + kappa_l)^2),
     kappa_l = 1/2 + sqrt(1/4 + B/(s alpha^2) + l(l+1)),
@@ -44,8 +41,7 @@ def kappa_radicand(params: PotentialParams, consts: PhysicalConstants, l) -> flo
     Negative where the attractive cosech^2 term falls to the centre: kappa_l
     is then not real, and bound states cease to exist.
     """
-    s_alpha2 = consts.hbar**2 / (2.0 * consts.mass) * params.alpha**2
-    return 0.25 + (params.b * params.V1 - params.c * params.V2) / s_alpha2 + l * (l + 1)
+    return 0.25 + params.B / (consts.s * params.alpha**2) + l * (l + 1)
 
 
 def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) -> ExactLevel:
@@ -61,8 +57,6 @@ def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) ->
     if radicand < 0.0:
         raise DomainError(
             f"surrogate_level: 1/4 + B/(s alpha^2) + l(l+1) = {radicand} < 0 (fall to centre)")
-    s_alpha2 = consts.hbar**2 / (2.0 * consts.mass) * params.alpha**2
-    A = params.a * params.V0
-    C = params.b * params.V1 + params.d
-    q = s_alpha2 * (n + 0.5 + math.sqrt(radicand)) ** 2
-    return ExactLevel(int(n), int(l), C - q - A * A / (4.0 * q), A > 2.0 * q)
+    A = params.A
+    q = consts.s * params.alpha**2 * (n + 0.5 + math.sqrt(radicand)) ** 2
+    return ExactLevel(int(n), int(l), params.C - q - A * A / (4.0 * q), A > 2.0 * q)

@@ -149,7 +149,7 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     if n_states == 0:
         return NumericSpectrum("FiniteDifference", (), (), r)
     h = grid.h
-    t = consts.hbar**2 / (2.0 * consts.mass * h * h)
+    t = consts.s / (h * h)
     diag = 2.0 * t + veff[1:-1]
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
@@ -422,7 +422,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         return NumericSpectrum("Numerov", (), (), r)
     h = grid.h
     h2 = h * h
-    pref = 2.0 * consts.mass / consts.hbar**2
+    pref = 1.0 / consts.s
     u0, u1 = 0.0, h
     samples = []  # (E, node count, endpoint) of every sweep in this call
 

@@ -5,10 +5,11 @@ The family is
     V(r) = -a V0 coth(alpha r) + b V1 coth^2(alpha r)
            - c V2 cosech^2(alpha r) + d
 
-with depths V0, V1, V2 and screening rate alpha > 0. Named special cases
-zero out (or flip) coefficients; the general shape tends to the constant
--a V0 + b V1 + d as r -> infinity and is singular at the origin whenever
-a, b or c is active.
+with depths V0, V1, V2 and screening rate alpha > 0. As coth^2 =
+1 + cosech^2, it is the Eckart form -A coth + B cosech^2 + C, whose
+coefficients PotentialParams.A, .B and .C hold; named special cases zero
+out (or flip) coefficients. V tends to C - A as r -> infinity and is
+singular at the origin whenever a, b or c is active.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .special import hyperbolic_pair
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Shape coefficients a, b, c, d plus depths V0, V1, V2 and rate alpha."""
+    """Shape coefficients a, b, c, d plus depths V0, V1, V2 and rate alpha;
+    A = a V0, B = b V1 - c V2 and C = b V1 + d are the Eckart coefficients."""
 
     a: float
     b: float
@@ -44,9 +46,21 @@ class PotentialParams:
             raise DomainError(f"PotentialParams: alpha must be positive, got {self.alpha}")
 
     @property
+    def A(self):
+        return self.a * self.V0
+
+    @property
+    def B(self):
+        return self.b * self.V1 - self.c * self.V2
+
+    @property
+    def C(self):
+        return self.b * self.V1 + self.d
+
+    @property
     def asymptote(self):
         """Limit of V(r) as r -> infinity."""
-        return -self.a * self.V0 + self.b * self.V1 + self.d
+        return self.C - self.A
 
 
 @dataclass(frozen=True)
@@ -59,6 +73,11 @@ class PhysicalConstants:
             val = getattr(self, name)
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise DomainError(f"PhysicalConstants: {name} must be positive and finite")
+
+    @property
+    def s(self):
+        """hbar^2/(2m), the only place hbar and m are combined."""
+        return self.hbar**2 / (2.0 * self.mass)
 
 
 def _eval_from_pair(params, coth, csch2):
@@ -109,8 +128,8 @@ def _potential_values(params, arr):
 
 
 def _barrier(params, consts, l, arr, approximate):
-    """hbar^2 l(l+1)/(2m r^2), or its surrogate with alpha^2 cosech^2(alpha r) for 1/r^2."""
-    coef = consts.hbar**2 * l * (l + 1) / (2.0 * consts.mass)
+    """s l(l+1)/r^2, or its surrogate with alpha^2 cosech^2(alpha r) for 1/r^2."""
+    coef = consts.s * l * (l + 1)
     if approximate:
         return coef * params.alpha**2 * hyperbolic_pair(params.alpha * arr)[1]
     return coef / (arr * arr)

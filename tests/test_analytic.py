@@ -88,16 +88,16 @@ class TestDimensionless:
 class TestAuxQuantities:
     def test_demo_frozen_values(self):
         dp = dimensionless_from_eps2(DEMO, CONSTS, 1.0 + 0.0j, 0)
-        aux = aux_quantities(dp, DEMO, CONSTS, 0, 0)
+        aux = aux_quantities(dp)
         # v = i beta sqrt(gamma2 + 2.5 beta2) = i sqrt(2.535)
         assert aux.v == pytest.approx(1j * math.sqrt(2.535), rel=1e-9)
-        assert aux.sigma_big == pytest.approx(0.465)  # 0.5 - 0.04 + 0.005 + 0
+        assert dp.sigma_big(0) == pytest.approx(0.465)  # 0.5 - 0.04 + 0.005 + 0
         # u = sqrt(eps4 + eps2 beta2/2) + gamma2 at eps2 = 1
         assert aux.u == pytest.approx(cmath.sqrt(1.5) + 0.035, rel=1e-12)
 
     def test_exponent_relations(self):
         dp = dimensionless_from_eps2(DEMO, CONSTS, 0.3 - 0.1j, 1)
-        aux = aux_quantities(dp, DEMO, CONSTS, 2, 1)
+        aux = aux_quantities(dp)
         assert aux.mu == pytest.approx(2.0 - cmath.sqrt(aux.u + aux.v), rel=1e-12)
         assert aux.nu == pytest.approx(cmath.sqrt(aux.u - aux.v), rel=1e-12)
         assert aux.A == pytest.approx(aux.mu + 1j * aux.nu, rel=1e-12)
@@ -105,15 +105,21 @@ class TestAuxQuantities:
 
     def test_u_regular_at_zero_eps2(self):
         dp = dimensionless_from_eps2(DEMO, CONSTS, 0.0, 0)
-        aux = aux_quantities(dp, DEMO, CONSTS, 0, 0)
+        aux = aux_quantities(dp)
         assert aux.u == pytest.approx(dp.gamma2)
 
     def test_n_enters_sigma_big_only(self):
         dp = dimensionless_from_eps2(DEMO, CONSTS, 1.0, 0)
-        a0 = aux_quantities(dp, DEMO, CONSTS, 0, 0)
-        a2 = aux_quantities(dp, DEMO, CONSTS, 2, 0)
-        assert a2.sigma_big - a0.sigma_big == pytest.approx(6.0)
-        assert a2.u == a0.u and a2.v == a0.v and a2.A == a0.A
+        assert dp.sigma_big(2) - dp.sigma_big(0) == pytest.approx(6.0)
+
+    def test_sigma_big_is_the_printed_constant(self):
+        # printed: pref (a V0/2 - c V2 + b V1 + alpha^2 l(l+1)) + n(n+1),
+        # here with s = 2 and alpha = 2, so pref = 1/(s alpha^2) = 1/8
+        params = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02,
+                                 alpha=2.0)
+        dp = dimensionless_from_eps2(params, PhysicalConstants(hbar=2.0, mass=1.0), 0.0, 1)
+        want = (0.5 - 0.04 + 0.005 + 4.0 * 2) / 8.0 + 2
+        assert dp.sigma_big(1) == pytest.approx(want, rel=1e-14)
 
 
 class TestQuantizationCoefficients:

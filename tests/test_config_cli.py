@@ -109,6 +109,20 @@ class TestParseConfig:
                 parse_config(text)
             assert info.value.line == line
 
+    def test_refused_value_named_with_line(self):
+        # the line of the key that set the value; r_min < r_max names r_min
+        # when it is set and r_max when only that is
+        for text, match, line in (
+                ("potential.a = 1\npotential.alpha = -1", "alpha must be positive", 2),
+                ("constants.hbar = 2\nconstants.mass = 0", "mass must be positive", 2),
+                ("grid.r_max = 40\ngrid.r_min = 50", "r_min < r_max", 2),
+                ("grid.r_min = 50", "r_min < r_max", 1),
+                ("potential.a = 1\ngrid.r_max = 1e-7", "r_min < r_max", 2),
+                ("state.n = 0\ngrid.n_points = 4", "n_points must be", 2)):
+            with pytest.raises(ConfigError, match=match) as info:
+                parse_config(text)
+            assert info.value.line == line, text
+
     def test_repeated_state_entry_named_with_line(self):
         with pytest.raises(ConfigError, match=r"state.n: repeated entry 1 in '0,1,1'") as info:
             parse_config("potential.a = 1\nstate.n = 0,1,1")

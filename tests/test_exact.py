@@ -1,5 +1,7 @@
 """Exact levels of the surrogate (Eckart) problem and their bound-state gate."""
 
+import dataclasses
+
 import pytest
 
 from hyperwell.errors import DomainError
@@ -58,6 +60,40 @@ def test_units_enter_through_s():
     for n in range(3):
         assert surrogate_level(scaled, consts, n, 1).energy == pytest.approx(
             2.0 * surrogate_level(COTH20, CONSTS, n, 1).energy, rel=1e-14)
+
+
+# perfbench.inputs.FAULT: an Eckart well with two deep s-wave levels
+FAULT = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
+
+
+def scaled(params, f, alpha=None):
+    """params with every depth, d included, times f, and alpha if given."""
+    return dataclasses.replace(params, V0=f * params.V0, V1=f * params.V1, V2=f * params.V2,
+                               d=f * params.d, alpha=params.alpha if alpha is None else alpha)
+
+
+def assert_levels_scale(params, consts, factor):
+    # every level of (params, consts) is `factor` times FAULT's at s = 1
+    for l in range(3):
+        for n in range(3):
+            ref = surrogate_level(FAULT, CONSTS, n, l)
+            lv = surrogate_level(params, consts, n, l)
+            assert lv.bound is ref.bound
+            assert abs(lv.energy / factor - ref.energy) <= 1e-14 * abs(ref.energy)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1e3, 1e6])
+def test_energy_unit_scaling(lam):
+    # (s, V) -> (lam s, lam V) multiplies every level by lam
+    consts = PhysicalConstants(hbar=1.0, mass=0.5 / lam)
+    assert consts.s == pytest.approx(lam, rel=1e-15)
+    assert_levels_scale(scaled(FAULT, lam), consts, lam)
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
+def test_length_scaling(mu):
+    # r -> r / mu: alpha -> mu alpha and V -> mu^2 V multiply every level by mu^2
+    assert_levels_scale(scaled(FAULT, mu * mu, alpha=mu * FAULT.alpha), CONSTS, mu * mu)
 
 
 def test_fall_to_centre_and_bad_indices_rejected():

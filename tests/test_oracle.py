@@ -452,6 +452,23 @@ class TestSurrogateLevels:
         for lv, rel in zip(exact, bounds):
             assert abs(spec.levels[lv.n][1] - lv.energy) <= rel * abs(lv.energy), lv.n
 
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
+    def test_fd_length_scaling(self, mu):
+        # r -> r / mu: alpha -> mu alpha, grid -> grid / mu and V -> mu^2 V
+        # give the same matrix times mu^2, so every level times mu^2, to
+        # FD's documented 2.0e-13 (measured 3.8e-15)
+        fault = dataclasses.replace(self.FAULT, V0=28.0 * mu * mu, V2=mu * mu, alpha=mu)
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        small = RadialGrid(1e-6 / mu, 40.0 / mu, 2000)
+        for l in (0, 1):
+            ref = fd_spectrum(effective_potential(self.FAULT, CONSTS, l, grid.points()),
+                              CONSTS, grid, 3)
+            spec = fd_spectrum(effective_potential(fault, CONSTS, l, small.points()),
+                               CONSTS, small, 3)
+            assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
+            for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
+                assert abs(e / (mu * mu) - e_ref) <= 2.0e-13 * abs(e_ref)
+
 
 def sturm_levels(diag, off, n_levels, points=255):
     """The lowest n_levels eigenvalues of the symmetric tridiagonal matrix

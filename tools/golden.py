@@ -20,6 +20,8 @@ The list covers every command on the bundled configs, on the benchmark's
 fixed inputs FAULT and FALL and on 4 seeded `draw_bound` draws, at 2000
 and 8000 points, plus the error cases: a bad config, a bad grid, a
 repeated state entry, an unreadable config and an unwritable output.
+All of those have hbar^2/(2m) = 1, so two more inputs set it elsewhere:
+FAULT with mass 5 (s = 0.1) and the first draw with hbar 2 (s = 4).
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -43,6 +45,9 @@ SIZES = (2000, 8000)
 DRAWS = 4
 SEED = 2011
 STATE_LISTS = (("0..2", "0..2"), ("0..1", "0"), ("0", "1,2"))
+# name, input, and the constants line that moves s = hbar^2/(2m) off 1
+OTHER_S = (("fault_mass5", "fault", "constants.mass = 0.5", "constants.mass = 5"),
+           ("draw0_hbar2", "draw0", "constants.hbar = 1", "constants.hbar = 2"))
 WAVEFUNCTIONS = [(n, l, b) for n in range(3) for l in range(2) for b in ("plus", "minus")]
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|\b(?:nan|NaN|inf|Infinity)\b)")
@@ -92,6 +97,11 @@ def write_configs(workdir: Path, quick: bool):
             for size in sizes:
                 path = workdir / f"{name}_{size}.cfg"
                 path.write_text(inputs.cfg_text(p, size))
+                paths.append(path)
+        for name, base, old, new in OTHER_S:
+            for size in sizes:
+                path = workdir / f"{name}_{size}.cfg"
+                path.write_text(inputs.cfg_text(seeded[base], size).replace(old, new))
                 paths.append(path)
     return paths
 
