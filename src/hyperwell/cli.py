@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: potential, effective, spectrum, wavefunction, oracle,
-validate, nu-check. Outputs are deterministic; a timestamp appears only
-as a '#' comment when --stamp is given, which only the CSV commands
-(potential, effective, wavefunction) take, since JSON carries no comments.
+validate, nu-check. Each takes one path: the --config document is parsed
+with the --n, --l, --alpha and --out flags as assignments that override
+its own, `reporting` builds the command's document, and it is emitted.
+Outputs are deterministic; a timestamp appears only as a '#' comment
+when --stamp is given, which only the CSV commands (potential, effective,
+wavefunction) take, since JSON carries no comments.
 
 Exit codes: 0 success, 2 configuration error (also an unreadable config
 or an unwritable output path), 3 internal error, 4 singular analytic case
@@ -15,33 +18,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .analytic import energy_levels, radial_wavefunction
-from .config import (
-    RunConfig,
-    parse_config,
-    parse_float_list,
-    parse_int_list,
-    with_alpha_override,
-)
+from .config import RunConfig, parse_config, parse_float_list
 from .errors import ConfigError, DomainError, HyperwellError, SingularCoefficientError
-from .potential import (
-    poschl_teller_params,
-    rosen_morse_params,
-    scan_series,
-    scarf_params,
-    with_alpha,
-)
+from .potential import KINDS
 from .reporting import (
     build_nu_check_report,
     build_oracle_report,
     build_spectrum_report,
     build_validate_report,
-    csv_document,
-    fmt_number,
+    effective_csv,
     json_document,
-    stamp_comment,
+    potential_csv,
+    wavefunction_csv,
 )
 
 EXIT_OK = 0
@@ -73,124 +62,25 @@ def _emit(text: str, out_path):
         raise ConfigError(f"cannot write output {out_path!r}: {exc}") from None
 
 
+# the flags that assign a config key: (args attribute, key)
+_OVERRIDES = (("n", "state.n"), ("l", "state.l"), ("alpha", "potential.alpha"),
+              ("out", "output.path"))
+
+
 def _load_config(args) -> RunConfig:
+    """The --config document with the command's flags as overriding assignments."""
     text = ""
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    config = parse_config(text)
-    if getattr(args, "n", None):
-        config = replace(config, n_list=parse_int_list(args.n, where="--n"))
-    if getattr(args, "l", None):
-        config = replace(config, l_list=parse_int_list(args.l, where="--l"))
-    if getattr(args, "out", None):
-        config = replace(config, out_path=args.out)
-    return config
-
-
-def _single_alpha(args, config) -> RunConfig:
-    if getattr(args, "alpha", None):
-        values = parse_float_list(args.alpha, where="--alpha")
-        if len(values) != 1:
-            raise ConfigError(f"this command takes a single --alpha, got {args.alpha!r}")
-        config = with_alpha_override(config, values[0])
-    return config
-
-
-# potential --kind: the shape constructor applied to the potential block
-_KINDS = {
-    "general": lambda p: p,
-    "rosen-morse": lambda p: rosen_morse_params(a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha),
-    "poschl-teller": lambda p: poschl_teller_params(c=p.c, V2=p.V2, alpha=p.alpha),
-    "scarf": lambda p: scarf_params(b=p.b, V1=p.V1, alpha=p.alpha),
-}
-
-
-def _head_comments(args, lines):
-    out = list(lines)
-    if args.stamp:
-        out.append(stamp_comment())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_potential(args) -> int:
-    config = _load_config(args)
-    base = _KINDS[args.kind](config.params)
-    if args.alpha:
-        alphas = parse_float_list(args.alpha, where="--alpha")
-    else:
-        alphas = (base.alpha,)
-    r = config.grid.points()
-    header = ["r"] + [f"V_alpha={a:.9g}" for a in alphas]
-    columns = [r.tolist()] + [scan_series(with_alpha(base, a), r) for a in alphas]
-    comments = _head_comments(args, [f"kind = {args.kind}"])
-    _emit(csv_document(header, columns, head_comments=comments), config.out_path)
-    return EXIT_OK
-
-
-def cmd_effective(args) -> int:
-    config = _single_alpha(args, _load_config(args))
-    params, consts = config.params, config.consts
-    r = config.grid.points()
-    l_list = config.l_list
-    header = ["r"] + [f"Veff_l={l}" for l in l_list]
-    columns = [r.tolist()] + [scan_series(params, r, consts=consts, l=int(l),
-                                          approximate=args.approximate) for l in l_list]
-    barrier = "cosech2 surrogate" if args.approximate else "exact 1/r^2"
-    comments = _head_comments(args, [f"centrifugal barrier: {barrier}"])
-    _emit(csv_document(header, columns, head_comments=comments), config.out_path)
-    return EXIT_OK
-
-
-def cmd_wavefunction(args) -> int:
-    config = _single_alpha(args, _load_config(args))
-    if len(config.n_list) != 1:
-        raise ConfigError(f"wavefunction needs a single n, got {list(config.n_list)}")
-    if len(config.l_list) != 1:
-        raise ConfigError(f"wavefunction needs a single l, got {list(config.l_list)}")
-    n, l = config.n_list[0], config.l_list[0]
-    try:
-        levels = energy_levels(config.params, config.consts, n, l)
-        by_name = {lv.branch: lv for lv in levels}
-        level = by_name.get(args.branch)
-        if level is None:
-            raise ConfigError(f"no branch {args.branch!r} for this state")
-        wf = radial_wavefunction(config.params, config.consts, level)
-    except SingularCoefficientError as exc:
-        _diag(str(exc))
-        return EXIT_SINGULAR
-    r = config.grid.points()
-    values = wf(r)
-    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
-               (abs(values) ** 2).tolist()]
-    achieved = wf.norm_integral * abs(wf.norm_constant) ** 2
-    tail = [
-        f"n = {n}, l = {l}, branch = {level.branch}",
-        f"energy = {fmt_number(level.energy.real)} + {fmt_number(level.energy.imag)}i",
-        f"N = {fmt_number(wf.norm_constant.real)} + {fmt_number(wf.norm_constant.imag)}i",
-        f"norm_integral = {fmt_number(achieved)} over "
-        f"[{fmt_number(wf.norm_window[0])}, {fmt_number(wf.norm_window[1])}]",
-    ]
-    if args.stamp:
-        tail.append(stamp_comment())
-    _emit(csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], columns, tail_comments=tail),
-          config.out_path)
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    """spectrum, oracle, validate and nu-check: args.report(config, args)
-    builds the command's report, emitted as one JSON document."""
-    config = _single_alpha(args, _load_config(args))
-    _emit(json_document(args.report(config, args)), config.out_path)
-    return EXIT_OK
+    alpha = getattr(args, "alpha", None)
+    if alpha and len(parse_float_list(alpha, where="--alpha")) != 1:
+        raise ConfigError(f"this command takes a single --alpha, got {alpha!r}")
+    return parse_config(text, {key: (getattr(args, dest), f"--{dest}")
+                               for dest, key in _OVERRIDES if getattr(args, dest, None)})
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +96,7 @@ def _add_common(sub, csv=False):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand sets `document(config, args)`, the text it prints."""
     parser = argparse.ArgumentParser(
         prog="hyperwell",
         description="Bound states of a generalized inverted hyperbolic potential: "
@@ -214,10 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("potential", help="potential curve CSV, one column per alpha")
     _add_common(p, csv=True)
-    p.add_argument("--alpha", help="comma list of alpha values, e.g. 1,2,3,4")
-    p.add_argument("--kind", default="general", choices=list(_KINDS),
+    p.add_argument("--alpha", dest="alphas", help="comma list of alpha values, e.g. 1,2,3,4")
+    p.add_argument("--kind", default="general", choices=list(KINDS),
                    help="shape constructor applied to the potential block")
-    p.set_defaults(func=cmd_potential)
+    p.set_defaults(document=lambda config, args: potential_csv(
+        config, args.kind, args.alphas and parse_float_list(args.alphas, where="--alpha"),
+        args.stamp))
 
     p = subs.add_parser("effective", help="effective potential CSV, one column per l")
     _add_common(p, csv=True)
@@ -225,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="comma list or range of l values, e.g. 1,2,3")
     p.add_argument("--approximate", action="store_true",
                    help="use the cosech^2 surrogate barrier instead of 1/r^2")
-    p.set_defaults(func=cmd_effective)
+    p.set_defaults(document=lambda config, args: effective_csv(
+        config, args.approximate, args.stamp))
 
     p = subs.add_parser("spectrum", help="closed-form energy levels as JSON")
     _add_common(p)
@@ -234,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="l list or range")
     p.add_argument("--variant", default="quadratic", choices=["quadratic", "spectrum"],
                    help="printed grouping of the quantization constant term")
-    p.set_defaults(func=cmd_report, report=lambda config, args: build_spectrum_report(
-        config, variant=args.variant))
+    p.set_defaults(document=lambda config, args: json_document(build_spectrum_report(
+        config, variant=args.variant)))
 
     p = subs.add_parser("wavefunction", help="radial wavefunction samples as CSV")
     _add_common(p, csv=True)
@@ -244,21 +138,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="single angular momentum")
     p.add_argument("--branch", default="plus", choices=["plus", "minus"],
                    help="which quantization root feeds the envelope")
-    p.set_defaults(func=cmd_wavefunction)
+    p.set_defaults(document=lambda config, args: wavefunction_csv(
+        config, args.branch, args.stamp))
 
     p = subs.add_parser("oracle", help="numerical spectra (FD and Numerov) as JSON")
     _add_common(p)
     p.add_argument("--alpha", help="single alpha override")
     p.add_argument("--n", help="level list or range (max sets how many states)")
     p.add_argument("--l", help="l list or range")
-    p.set_defaults(func=cmd_report, report=lambda config, args: build_oracle_report(config))
+    p.set_defaults(document=lambda config, args: json_document(build_oracle_report(config)))
 
     p = subs.add_parser("validate", help="full analytic-vs-oracle validation JSON")
     _add_common(p)
     p.add_argument("--alpha", help="single alpha override")
     p.add_argument("--n", help="level list or range")
     p.add_argument("--l", help="l list or range")
-    p.set_defaults(func=cmd_report, report=lambda config, args: build_validate_report(config))
+    p.set_defaults(document=lambda config, args: json_document(build_validate_report(config)))
 
     p = subs.add_parser("nu-check", help="engine vs printed closed forms as JSON")
     _add_common(p)
@@ -267,17 +162,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", help="l list or range")
     p.add_argument("--branch", default="plus", choices=["plus", "minus"],
                    help="quantization root used for the diagnostics")
-    p.set_defaults(func=cmd_report, report=lambda config, args: build_nu_check_report(
-        config, branch=args.branch))
+    p.set_defaults(document=lambda config, args: json_document(build_nu_check_report(
+        config, branch=args.branch)))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Every command: the config with its flags, one document, emitted."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args)
+        _emit(args.document(config, args), config.out_path)
+        return EXIT_OK
+    except SingularCoefficientError as exc:
+        _diag(str(exc))
+        return EXIT_SINGULAR
     except (ConfigError, DomainError) as exc:
         line = getattr(exc, "line", None)
         _diag(str(exc) if line is None else f"line {line}: {exc}")

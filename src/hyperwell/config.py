@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,13 @@ class RadialGrid:
         return np.linspace(self.r_min, self.r_max, self.n_points)
 
 
+# alpha r_max of the default grid: e^(-2 alpha r) is below 1e-34 there, so
+# the asymptote is fully reached
+DEFAULT_REACH = 40.0
+
+
 def _default_r_max(alpha):
-    # e^(-2 alpha r) is below 1e-34 here, so the asymptote is fully reached
-    return 40.0 / alpha
+    return DEFAULT_REACH / alpha
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,6 @@ class RunConfig:
     l_list: tuple
     grid: RadialGrid
     out_path: object = None
-    r_max_explicit: bool = False
 
 
 def parse_int_list(text, where="value"):
@@ -131,6 +134,7 @@ def parse_float_list(text, where="value"):
 
 
 def _parse_assignments(text):
+    """key -> (value, name, line) of each assignment; the last one wins."""
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,52 +149,58 @@ def _parse_assignments(text):
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if not value:
             raise ConfigError(f"empty value for {key}", line=lineno)
-        seen[key] = (value, lineno)
+        seen[key] = (value, key, lineno)
     return seen
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a config document; defaults fill the gaps."""
+def parse_config(text: str, overrides=None) -> RunConfig:
+    """Parse and fully validate a config document; defaults fill the gaps.
+
+    `overrides` maps keys to (value, flag) assignments made after the
+    document's own, so a document value they replace is never read; an
+    error in one names the flag and no line. grid.r_max, unless assigned,
+    follows the final alpha.
+    """
     seen = _parse_assignments(text)
+    for key, (value, flag) in (overrides or {}).items():
+        seen[key] = (value, flag, None)
 
     def take_float(key, default):
         if key not in seen:
-            return default, False
-        value, lineno = seen[key]
+            return default
+        value, name, line = seen[key]
         try:
             x = float(value)
         except ValueError:
-            raise ConfigError(f"{key}: not a number: {value!r}", line=lineno) from None
+            raise ConfigError(f"{name}: not a number: {value!r}", line=line) from None
         if not math.isfinite(x):
-            raise ConfigError(f"{key}: must be finite", line=lineno)
-        return x, True
+            raise ConfigError(f"{name}: must be finite", line=line)
+        return x
 
-    pot = {}
-    for name, default in _POTENTIAL_DEFAULTS.items():
-        pot[name], _ = take_float(f"potential.{name}", default)
-    hbar, _ = take_float("constants.hbar", _CONSTANT_DEFAULTS["hbar"])
-    mass, _ = take_float("constants.mass", _CONSTANT_DEFAULTS["mass"])
-    r_min, _ = take_float("grid.r_min", _GRID_DEFAULTS["r_min"])
-    r_max, r_max_explicit = take_float("grid.r_max", None)
+    pot = {name: take_float(f"potential.{name}", default)
+           for name, default in _POTENTIAL_DEFAULTS.items()}
+    hbar = take_float("constants.hbar", _CONSTANT_DEFAULTS["hbar"])
+    mass = take_float("constants.mass", _CONSTANT_DEFAULTS["mass"])
+    r_min = take_float("grid.r_min", _GRID_DEFAULTS["r_min"])
+    r_max = take_float("grid.r_max", None)
 
     if "grid.n_points" in seen:
-        value, lineno = seen["grid.n_points"]
+        value, name, line = seen["grid.n_points"]
         try:
             n_points = int(value)
         except ValueError:
-            raise ConfigError(f"grid.n_points: not an integer: {value!r}",
-                              line=lineno) from None
+            raise ConfigError(f"{name}: not an integer: {value!r}", line=line) from None
     else:
         n_points = _GRID_DEFAULTS["n_points"]
 
     def take_list(key, default):
         if key not in seen:
             return default
-        value, lineno = seen[key]
+        value, name, line = seen[key]
         try:
-            return parse_int_list(value, where=key)
+            return parse_int_list(value, where=name)
         except ConfigError as exc:
-            raise ConfigError(str(exc), line=lineno) from None
+            raise ConfigError(str(exc), line=line) from None
 
     n_list = take_list("state.n", _STATE_DEFAULTS["n"])
     l_list = take_list("state.l", _STATE_DEFAULTS["l"])
@@ -202,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
         try:
             return cls(**values)
         except DomainError as exc:
-            lines = [seen[k][1] for k in keys
+            lines = [seen[k][2] for k in keys
                      if k in seen and re.search(rf"\b{k.partition('.')[2]}\b", str(exc))]
             raise ConfigError(str(exc), line=lines[0] if lines else None) from None
 
@@ -213,17 +223,5 @@ def parse_config(text: str) -> RunConfig:
     grid = build(RadialGrid, ("grid.n_points", "grid.r_min", "grid.r_max"),
                  r_min=r_min, r_max=r_max, n_points=n_points)
     return RunConfig(params=params, consts=consts, n_list=n_list, l_list=l_list,
-                     grid=grid, out_path=out_path,
-                     r_max_explicit=r_max_explicit)
+                     grid=grid, out_path=out_path)
 
-
-def with_alpha_override(config: RunConfig, alpha: float) -> RunConfig:
-    """Replace alpha, re-deriving the default grid extent unless it was pinned."""
-    try:
-        params = replace(config.params, alpha=float(alpha))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-    grid = config.grid
-    if not config.r_max_explicit:
-        grid = RadialGrid(grid.r_min, _default_r_max(params.alpha), grid.n_points)
-    return replace(config, params=params, grid=grid)

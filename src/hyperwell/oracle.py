@@ -475,50 +475,6 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple  # of (n, re_analytic, im_analytic, e_numeric, delta_abs, delta_rel)
-    max_abs_delta: float
-    max_rel_delta: float
-    mean_abs_delta: float
-    notes: tuple = ()
-
-
-def compare_levels(analytic, numeric: NumericSpectrum) -> ComparisonReport:
-    """Deltas between analytic levels and an oracle spectrum, level by level.
-
-    Analytic level n is paired with oracle level n, which is entry n: both
-    solvers return level k as entry k. A level n beyond the spectrum is
-    not compared. When the two lists differ in length (an analytic path
-    singular at some state, or an n list that does not start at 0), a note
-    names the levels compared. Deltas are complex-modulus distances
-    |E_analytic - E_numeric|; relative deltas are against |E_numeric|
-    (floored at 1). This is a report; no agreement is asserted anywhere.
-    """
-    notes = []
-    paired = [lvl for lvl in analytic if lvl.n < len(numeric.levels)]
-    if len(analytic) != len(numeric.levels):
-        ns = [lvl.n for lvl in paired]
-        which = (f"first {len(ns)}" if ns == list(range(len(ns)))
-                 else "n = " + ", ".join(map(str, ns)))
-        notes.append(
-            f"length mismatch: {len(analytic)} analytic vs "
-            f"{len(numeric.levels)} numeric levels; compared {which}")
-    rows = []
-    for lvl in paired:
-        e_num = float(numeric.levels[lvl.n][1])
-        d = abs(complex(lvl.energy) - e_num)
-        rows.append((lvl.n, float(lvl.energy.real), float(lvl.energy.imag),
-                     e_num, d, d / max(1.0, abs(e_num))))
-    if rows:
-        abs_d = [row[4] for row in rows]
-        rel_d = [row[5] for row in rows]
-        summary = (max(abs_d), max(rel_d), sum(abs_d) / len(abs_d))
-    else:
-        summary = (0.0, 0.0, 0.0)
-    return ComparisonReport(tuple(rows), summary[0], summary[1], summary[2], tuple(notes))
-
-
-@dataclass(frozen=True)
 class StudyReport:
     alpha: float
     l: int

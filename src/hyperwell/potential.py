@@ -15,7 +15,7 @@ singular at the origin whenever a, b or c is active.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,6 +230,11 @@ def scarf_params(b, V1, alpha):
     return PotentialParams(a=0.0, b=b, c=0.0, d=0.0, V0=0.0, V1=V1, V2=0.0, alpha=alpha)
 
 
-def with_alpha(params: PotentialParams, alpha: float) -> PotentialParams:
-    """Copy of params with a different screening rate."""
-    return replace(params, alpha=alpha)
+
+# potential --kind: the shape constructor applied to a potential block
+KINDS = {
+    "general": lambda p: p,
+    "rosen-morse": lambda p: rosen_morse_params(a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha),
+    "poschl-teller": lambda p: poschl_teller_params(c=p.c, V2=p.V2, alpha=p.alpha),
+    "scarf": lambda p: scarf_params(b=p.b, V1=p.V1, alpha=p.alpha),
+}

@@ -1,4 +1,5 @@
-"""Machine-readable outputs: CSV documents and JSON reports.
+"""Every document a command prints: the potential, effective-potential and
+wavefunction CSVs and the JSON reports.
 
 All emitters are deterministic: identical inputs produce byte-identical
 output. Timestamps never appear in data; an optional stamp line goes into
@@ -23,10 +24,11 @@ from .analytic import (
     dimensionless_from_eps2,
     energy_levels,
     ode_residual,
+    radial_wavefunction,
 )
-from .errors import HyperwellError, SingularCoefficientError
-from .oracle import compare_levels, fall_to_center_unreliable, fd_spectrum, numerov_spectrum
-from .potential import effective_potential
+from .errors import ConfigError, HyperwellError, SingularCoefficientError
+from .oracle import fall_to_center_unreliable, fd_spectrum, numerov_spectrum
+from .potential import KINDS, effective_potential, scan_series
 
 SCHEMA_VERSION = 1
 
@@ -73,6 +75,71 @@ def json_document(obj) -> str:
 def stamp_comment() -> str:
     return "generated " + _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
+
+def _comments(lines, stamp):
+    return [*lines, stamp_comment()] if stamp else lines
+
+
+# ---------------------------------------------------------------------------
+# CSV documents
+# ---------------------------------------------------------------------------
+
+def potential_csv(config, kind="general", alphas=None, stamp=False) -> str:
+    """V of the potential block under the shape constructor `kind`, one
+    column per alpha (the block's own when alphas is None)."""
+    base = KINDS[kind](config.params)
+    alphas = alphas or (base.alpha,)
+    r = config.grid.points()
+    header = ["r"] + [f"V_alpha={a:.9g}" for a in alphas]
+    columns = [r.tolist()] + [scan_series(replace(base, alpha=a), r) for a in alphas]
+    return csv_document(header, columns, head_comments=_comments([f"kind = {kind}"], stamp))
+
+
+def effective_csv(config, approximate=False, stamp=False) -> str:
+    """The effective potential, one column per l; `approximate` puts the
+    cosech^2 surrogate in place of the 1/r^2 barrier."""
+    r = config.grid.points()
+    header = ["r"] + [f"Veff_l={l}" for l in config.l_list]
+    columns = [r.tolist()] + [scan_series(config.params, r, consts=config.consts, l=int(l),
+                                          approximate=approximate) for l in config.l_list]
+    barrier = "cosech2 surrogate" if approximate else "exact 1/r^2"
+    return csv_document(header, columns,
+                        head_comments=_comments([f"centrifugal barrier: {barrier}"], stamp))
+
+
+def wavefunction_csv(config, branch="plus", stamp=False) -> str:
+    """R of the single state in config on its grid, from the quantization
+    root `branch`; raises SingularCoefficientError where the closed form
+    divides by zero."""
+    if len(config.n_list) != 1:
+        raise ConfigError(f"wavefunction needs a single n, got {list(config.n_list)}")
+    if len(config.l_list) != 1:
+        raise ConfigError(f"wavefunction needs a single l, got {list(config.l_list)}")
+    n, l = config.n_list[0], config.l_list[0]
+    by_name = {lv.branch: lv for lv in energy_levels(config.params, config.consts, n, l)}
+    level = by_name.get(branch)
+    if level is None:
+        raise ConfigError(f"no branch {branch!r} for this state")
+    wf = radial_wavefunction(config.params, config.consts, level)
+    r = config.grid.points()
+    values = wf(r)
+    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
+               (abs(values) ** 2).tolist()]
+    achieved = wf.norm_integral * abs(wf.norm_constant) ** 2
+    tail = [
+        f"n = {n}, l = {l}, branch = {level.branch}",
+        f"energy = {fmt_number(level.energy.real)} + {fmt_number(level.energy.imag)}i",
+        f"N = {fmt_number(wf.norm_constant.real)} + {fmt_number(wf.norm_constant.imag)}i",
+        f"norm_integral = {fmt_number(achieved)} over "
+        f"[{fmt_number(wf.norm_window[0])}, {fmt_number(wf.norm_window[1])}]",
+    ]
+    return csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], columns,
+                        tail_comments=_comments(tail, stamp))
+
+
+# ---------------------------------------------------------------------------
+# JSON reports
+# ---------------------------------------------------------------------------
 
 def _config_echo(config) -> dict:
     p = config.params
@@ -231,6 +298,41 @@ def build_nu_check_report(config, branch="plus") -> dict:
 # full validation report
 # ---------------------------------------------------------------------------
 
+def comparison_rows(analytic, numeric: oracle.NumericSpectrum) -> dict:
+    """ByIndex deltas between analytic levels and an oracle spectrum.
+
+    Analytic level n is paired with oracle level n, which is entry n: both
+    solvers return level k as entry k. A level n beyond the spectrum is
+    not compared. When the two lists differ in length (an analytic path
+    singular at some state, or an n list that does not start at 0), a note
+    names the levels compared. Each row is (n, Re E, Im E, E_numeric,
+    delta_abs, delta_rel): the complex-modulus distance |E - E_numeric| and
+    that distance over |E_numeric| floored at 1. This is a report; no
+    agreement is asserted anywhere.
+    """
+    notes = []
+    paired = [lv for lv in analytic if lv.n < len(numeric.levels)]
+    if len(analytic) != len(numeric.levels):
+        ns = [lv.n for lv in paired]
+        which = (f"first {len(ns)}" if ns == list(range(len(ns)))
+                 else "n = " + ", ".join(map(str, ns)))
+        notes.append(
+            f"length mismatch: {len(analytic)} analytic vs "
+            f"{len(numeric.levels)} numeric levels; compared {which}")
+    rows = []
+    for lv in paired:
+        e_num = float(numeric.levels[lv.n][1])
+        d = abs(complex(lv.energy) - e_num)
+        rows.append([lv.n, float(lv.energy.real), float(lv.energy.imag),
+                     e_num, d, d / max(1.0, abs(e_num))])
+    abs_d = [row[4] for row in rows] or [0.0]
+    return {"matching": "ByIndex", "rows": rows,
+            "max_abs_delta": max(abs_d),
+            "max_rel_delta": max([row[5] for row in rows] or [0.0]),
+            "mean_abs_delta": sum(abs_d) / len(abs_d),
+            "notes": notes}
+
+
 def _singular_limit_section(params, consts, n, l):
     """Walk a*V0 -> 0+ and record how the quantization roots behave."""
     rows = []
@@ -292,7 +394,6 @@ def build_validate_report(config) -> dict:
         analytic_section["singular_limit"] = None
     report["analytic"] = analytic_section
 
-    # ByIndex comparison: chosen analytic level n against FD level n
     n_states = _n_states(config)
     blocks, comparison = [], []
     for l, chosen in zip(config.l_list, chosen_per_l):
@@ -301,16 +402,8 @@ def build_validate_report(config) -> dict:
         if fd is None:
             # FD failed (its error is the block's first) or never ran
             comparison.append({"l": int(l), "error": block["error"]})
-            continue
-        rep = compare_levels(chosen, fd)
-        comparison.append({
-            "l": int(l), "matching": "ByIndex",
-            "rows": [list(row) for row in rep.rows],
-            "max_abs_delta": rep.max_abs_delta,
-            "max_rel_delta": rep.max_rel_delta,
-            "mean_abs_delta": rep.mean_abs_delta,
-            "notes": list(rep.notes),
-        })
+        else:
+            comparison.append({"l": int(l), **comparison_rows(chosen, fd)})
     report["oracle"] = {"per_l": blocks}
     report["comparison"] = {
         "row_fields": ["n", "re_analytic", "im_analytic", "e_numeric",

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from hyperwell.cli import main
-from hyperwell.config import (
-    parse_config,
-    parse_float_list,
-    parse_int_list,
-    with_alpha_override,
-)
+from hyperwell.config import parse_config, parse_float_list, parse_int_list
 from hyperwell.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -96,7 +91,6 @@ class TestParseConfig:
         assert cfg.consts.mass == 1.0
         assert cfg.grid.n_points == 512 and cfg.grid.r_max == 7.5
         assert cfg.n_list == (0, 1) and cfg.l_list == (0, 2)
-        assert cfg.r_max_explicit
 
     def test_default_r_max_follows_alpha(self):
         cfg = parse_config("potential.alpha = 4")
@@ -137,12 +131,32 @@ class TestParseConfig:
             parse_config("potential.alpha = -1")
 
     def test_alpha_override(self):
-        cfg = parse_config("")
-        cfg2 = with_alpha_override(cfg, 2.0)
+        alpha = {"potential.alpha": ("2", "--alpha")}
+        cfg2 = parse_config("", alpha)
         assert cfg2.params.alpha == 2.0
         assert cfg2.grid.r_max == pytest.approx(20.0)  # re-derived
-        cfg3 = with_alpha_override(parse_config("grid.r_max = 5"), 2.0)
+        cfg3 = parse_config("grid.r_max = 5", alpha)
         assert cfg3.grid.r_max == 5.0  # explicit r_max wins
+
+    def test_override_replaces_the_document_value_unread(self):
+        # a flag is an assignment after the document's own: the value it
+        # replaces is never validated
+        with pytest.raises(ConfigError, match="repeated entry 0"):
+            parse_config("state.n = 0,0")
+        cfg = parse_config("state.n = 0,0\npotential.alpha = -1",
+                           {"state.n": ("1", "--n"), "potential.alpha": ("4", "--alpha")})
+        assert cfg.n_list == (1,) and cfg.params.alpha == 4.0
+        assert cfg.grid.r_max == pytest.approx(10.0)
+
+    def test_override_error_names_the_flag(self):
+        for overrides, message in (
+                ({"state.n": ("0,0", "--n")}, "--n: repeated entry 0 in '0,0'"),
+                ({"state.l": ("x", "--l")}, "--l: bad integer 'x'"),
+                ({"potential.alpha": ("0", "--alpha")},
+                 "PotentialParams: alpha must be positive, got 0.0")):
+            with pytest.raises(ConfigError) as info:
+                parse_config("potential.a = 1\npotential.alpha = 2\nstate.n = 0", overrides)
+            assert str(info.value) == message and info.value.line is None
 
 
 class TestCliExitCodes:
@@ -175,6 +189,14 @@ class TestCliExitCodes:
         assert main(["spectrum", "--config", str(bad)]) == 2
         assert capsys.readouterr().err == (
             "hyperwell: error: line 2: expected 'section.key = value'\n")
+
+    def test_flag_replaces_a_refused_document_value(self, tmp_path, capsys):
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text("state.n = 0,0\n")
+        assert main(["spectrum", "--config", str(cfg)]) == 2
+        assert "line 1: state.n: repeated entry 0" in capsys.readouterr().err
+        assert main(["spectrum", "--config", str(cfg), "--n", "1"]) == 0
+        assert [e["n"] for e in json.loads(capsys.readouterr().out)["entries"]] == [1]
 
     def test_repeated_state_entry_is_2(self):
         for flag, value in (("--n", "1,1,0"), ("--l", "0,1,0")):

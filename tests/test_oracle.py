@@ -21,10 +21,8 @@ from hyperwell.errors import (
 )
 from hyperwell.exact import surrogate_level
 from hyperwell.oracle import (
-    ComparisonReport,
     NumericSpectrum,
     approximation_study,
-    compare_levels,
     fall_to_center_unreliable,
     fd_spectrum,
     numerov_spectrum,
@@ -654,30 +652,6 @@ class TestSpectrumStructure:
         monkeypatch.setattr(oracle, "_EIG_GAP", 1e15)
         with pytest.raises(ConvergenceError, match="closer than"):
             fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
-
-
-class TestCompare:
-    class FakeLevel:
-        def __init__(self, n, energy):
-            self.n = n
-            self.energy = energy
-
-    def test_by_index_deltas(self):
-        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
-        analytic = [self.FakeLevel(0, complex(math.pi**2, 0.1)),
-                    self.FakeLevel(1, complex(4 * math.pi**2, -0.2))]
-        rep = compare_levels(analytic, spec)
-        assert isinstance(rep, ComparisonReport)
-        assert len(rep.rows) == 2
-        for row in rep.rows:
-            assert row[4] >= abs(row[2])  # modulus delta includes the imag part
-        assert rep.max_abs_delta >= rep.mean_abs_delta
-
-    def test_length_mismatch_noted(self):
-        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
-        rep = compare_levels([self.FakeLevel(0, complex(9.8, 0.0))], spec)
-        assert len(rep.rows) == 1
-        assert any("length mismatch" in note for note in rep.notes)
 
 
 class TestFallToCenter:

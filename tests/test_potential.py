@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hyperwell.potential import (
     rosen_morse_params,
     scan_series,
     scarf_params,
-    with_alpha,
 )
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
@@ -147,7 +147,7 @@ class TestScanSeries:
 
     def test_overflowing_barrier_is_a_gap(self):
         # r^2 is subnormal at 5e-155, so both barriers overflow there
-        params = with_alpha(DEMO, 2.0)
+        params = replace(DEMO, alpha=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for approximate in (False, True):
@@ -184,11 +184,12 @@ class TestSpecialCases:
         assert eval_potential(p, r) == pytest.approx(0.05 * 0.5 * coth**2, rel=1e-12)
 
     def test_with_alpha(self):
-        p = with_alpha(DEMO, 3.0)
+        # a copy at another alpha, as `potential --alpha` takes, is validated again
+        p = replace(DEMO, alpha=3.0)
         assert p.alpha == 3.0
         assert p.a == DEMO.a and p.V2 == DEMO.V2
         with pytest.raises(DomainError):
-            with_alpha(DEMO, 0.0)
+            replace(DEMO, alpha=0.0)
 
 
 class TestConstants:

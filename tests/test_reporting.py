@@ -23,6 +23,7 @@ from hyperwell.reporting import (
     build_oracle_report,
     build_spectrum_report,
     build_validate_report,
+    comparison_rows,
     csv_document,
     json_document,
 )
@@ -88,6 +89,34 @@ def test_validate_pairs_level_n_with_oracle_level_n():
         names = ", ".join(map(str, n_list))
         assert comparison["notes"] == [
             f"length mismatch: {len(n_list)} analytic vs 3 numeric levels; compared n = {names}"]
+
+
+class FakeLevel:
+    def __init__(self, n, energy):
+        self.n = n
+        self.energy = energy
+
+
+# the two lowest box levels, pi^2 and 4 pi^2, as an FD spectrum
+BOX = oracle.NumericSpectrum("FiniteDifference", ((0, 9.8696, 0), (1, 39.478, 1)),
+                             (), np.zeros(2))
+
+
+def test_comparison_by_index_deltas():
+    comparison = comparison_rows([FakeLevel(0, complex(math.pi**2, 0.1)),
+                                  FakeLevel(1, complex(4 * math.pi**2, -0.2))], BOX)
+    assert comparison["matching"] == "ByIndex" and comparison["notes"] == []
+    assert len(comparison["rows"]) == 2
+    for row in comparison["rows"]:
+        assert row[4] >= abs(row[2])  # modulus delta includes the imag part
+    assert comparison["max_abs_delta"] >= comparison["mean_abs_delta"]
+
+
+def test_comparison_length_mismatch_noted():
+    comparison = comparison_rows([FakeLevel(0, complex(9.8, 0.0))], BOX)
+    assert len(comparison["rows"]) == 1
+    assert comparison["notes"] == [
+        "length mismatch: 1 analytic vs 2 numeric levels; compared first 1"]
 
 
 def test_oracle_block_keeps_the_solver_that_solved(monkeypatch):
