@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dtbtrs
 
+from .config import DEFAULT_REACH
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -57,6 +56,20 @@ _EIG_RTOL = 1e-11
 # Ritz step cannot undo from outside the block (double well, top level
 # off by 5e-11 relative at a 1.3-bracket split, 7e-12 at 2.2, 8e-15 at 4)
 _EIG_GAP = 10.0
+
+
+# scipy.linalg loads on the first solve, so that the commands that never
+# solve (all but oracle and validate) start without it, about 0.3 s sooner
+def eigh_tridiagonal(*args, **kwargs):
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(*args, **kwargs)
+
+
+def dtbtrs(*args, **kwargs):
+    from scipy.linalg.lapack import dtbtrs
+
+    return dtbtrs(*args, **kwargs)
 
 
 @dataclass
@@ -268,14 +281,15 @@ def _numerov_probe(f, h2, u0, u1):
     return count, end
 
 
-def _level_tol(E):
-    return 1e-10 * max(1.0, abs(E))
+def _level_tol(E, unit):
+    return 1e-10 * max(unit, abs(E))
 
 
-def _illinois(endpoint, a, fa, b, fb):
+def _illinois(endpoint, a, fa, b, fb, unit):
     """Root of endpoint(E) in [a, b], where fa and fb have opposite signs,
     by regula falsi with the Illinois halving of a retained end (Dowell
-    and Jarratt, BIT 11, 1971), to a bracket of width 1e-10 max(1, |E|)."""
+    and Jarratt, BIT 11, 1971), to a bracket of width
+    1e-10 max(unit, |E|)."""
     side = 0
     for _ in range(_MAX_BISECT):
         x = (a * fb - b * fa) / (fb - fa)
@@ -292,7 +306,7 @@ def _illinois(endpoint, a, fa, b, fb):
             if side == -1:
                 fb *= 0.5
             side = -1
-        if b - a <= _level_tol(x):
+        if b - a <= _level_tol(x, unit):
             return 0.5 * (a + b)
     raise ConvergenceError(
         f"numerov_spectrum: regula falsi not converged after {_MAX_BISECT} iterations")
@@ -332,7 +346,7 @@ def _matched_sweep(f, h2, u0, u1, m):
     return u, mismatch, float(residual * c[1] * u[m] / np.dot(u, u))
 
 
-def _cooley(match, lo, hi):
+def _cooley(match, lo, hi, unit):
     """Level in the single-level bracket of probe samples (lo, hi), as
     (E, u) of its last matched evaluation. match(E, a) gives _matched_sweep's
     (u, mismatch) at E, matched at the last point classically allowed at
@@ -341,7 +355,7 @@ def _cooley(match, lo, hi):
     Newton steps on the correction, kept inside the bracket by the sign of
     the mismatch, which is opposite to the probe endpoint's at both ends:
     a step that leaves the bracket is replaced by bisection. Stops on a
-    sign-changing bracket of width 1e-10 max(1, |E|).
+    sign-changing bracket of width 1e-10 max(unit, |E|).
     """
     a, b = lo[0], hi[0]
     E = 0.5 * (a + b)
@@ -353,7 +367,7 @@ def _cooley(match, lo, hi):
             a = E
         else:
             b = E
-        tol = _level_tol(E)
+        tol = _level_tol(E, unit)
         if b - a <= tol:
             return E, u
         if abs(step) < 0.5 * tol:
@@ -367,13 +381,13 @@ def _cooley(match, lo, hi):
         f"numerov_spectrum: matched Newton steps not converged after {_MAX_BISECT} iterations")
 
 
-def _locate_level(probe, samples, k):
+def _locate_level(probe, samples, k, unit):
     """The (E, count, endpoint) samples (lo, hi) that bracket level k,
     from the samples swept so far. Bisection on the node count narrows
     the bracket until it holds level k alone, with count k below, k + 1
     above and a sign change of the endpoint across it. Without that sign
     change the count bisection runs until the bracket is narrower than
-    1e-10 max(1, |E|)."""
+    1e-10 max(unit, |E|)."""
     lo = max((s for s in samples if s[1] <= k), key=lambda s: s[0])
     hi = min((s for s in samples if s[1] > k and s[0] > lo[0]), key=lambda s: s[0])
     for _ in range(_MAX_BISECT):
@@ -384,7 +398,7 @@ def _locate_level(probe, samples, k):
             hi = mid
         else:
             lo = mid
-        if hi[0] - lo[0] <= _level_tol(mid[0]):
+        if hi[0] - lo[0] <= _level_tol(mid[0], unit):
             return lo, hi
     raise ConvergenceError(
         f"numerov_spectrum: bisection for level {k} not converged "
@@ -399,21 +413,26 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     Every sweep starts from (u_0, u_1) = (0, h), so u = 0 exactly at the
     left boundary (identical to the Dirichlet condition the
     finite-difference oracle imposes, and immune to a singular potential
-    sample at r_min); u_1 only scales the sweep. The energy window starts
-    1 below the interior potential floor, where no state has nodes; a grid
-    so coarse that the sweep already has nodes there raises ResolutionError.
-    Its width doubles until the sweep at its upper end has n_states nodes.
-    Each level is bracketed by the count of thresholded sign changes of
-    the outward sweep, reusing every probe sweep of the call, and located
-    at the Dirichlet root u(r_max) = 0 to |dE| <= 1e-10 max(1, |E|).
+    sample at r_min); u_1 only scales the sweep. Energies are counted in
+    the unit s (40/r_max)^2, with s = hbar^2/2m: s alpha^2 on the default
+    grid, and 1 at s = 1 and r_max = 40. Scaling the energy unit or the
+    length then scales the window and every tolerance with the levels.
+    The energy window starts 1 unit below the interior potential floor,
+    where no state has nodes; a grid so coarse that the sweep already has
+    nodes there raises ResolutionError. Its width starts at 1 unit and
+    doubles until the sweep at its upper end has n_states nodes. Each
+    level is bracketed by the count of thresholded sign changes of the
+    outward sweep, reusing every probe sweep of the call, and located at
+    the Dirichlet root u(r_max) = 0 to |dE| <= 1e-10 max(unit, |E|).
     Where r_max is classically allowed at the bracket's upper energy (a
-    box level), regula falsi on the scaled endpoint closes the bracket
-    and the outward sweep is the state. Where r_max is forbidden, that
-    endpoint is +-1 except exponentially close to the level, so Newton
-    steps on Cooley's energy correction close it instead, each from one
-    outward sweep matched to one inward sweep from u(r_max) = 0; the last
-    matched sweep is the state, so its exponentially growing outward tail
-    never enters it.
+    box level), regula falsi on the scaled endpoint closes the bracket.
+    Where r_max is forbidden, that endpoint is +-1 except exponentially
+    close to the level, so Newton steps on Cooley's energy correction
+    close it instead, each from one outward sweep matched to one inward
+    sweep from u(r_max) = 0. Wherever r_max is forbidden at the level
+    itself, the state is one such matched sweep at the level (the last
+    one of the Newton steps), so the outward sweep's exponentially growing
+    tail never enters it; elsewhere the outward sweep is the state.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -423,6 +442,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     h = grid.h
     h2 = h * h
     pref = 1.0 / consts.s
+    unit = consts.s * (DEFAULT_REACH / grid.r_max) ** 2
     u0, u1 = 0.0, h
     samples = []  # (E, node count, endpoint) of every sweep in this call
 
@@ -432,14 +452,14 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
 
     # interior floor: boundary samples may be singular and only ever
     # multiply the u = 0 start value
-    e_lo = float(np.min(veff[1:-1])) - 1.0
+    e_lo = float(np.min(veff[1:-1])) - unit
     k_lo = probe(e_lo)[1]
     if k_lo:
         # no state has nodes below the potential minimum
         raise ResolutionError(
             f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
             f"minimum; n_points = {grid.n_points} is too coarse for this potential")
-    e_hi = e_lo + 1.0
+    e_hi = e_lo + unit
     for _ in range(_MAX_BISECT):
         if probe(e_hi)[1] >= n_states:
             break
@@ -456,17 +476,22 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     levels = []
     wfs = []
     for k in range(n_states):
-        lo, hi = _locate_level(probe, samples, k)
+        lo, hi = _locate_level(probe, samples, k, unit)
         if lo[2] * hi[2] < 0.0 and veff[-1] > hi[0]:
             # r_max classically forbidden: the endpoint is saturated
-            E, u = _cooley(match, lo, hi)
+            E, u = _cooley(match, lo, hi, unit)
         else:
             if lo[2] * hi[2] < 0.0:
-                E = _illinois(lambda E: probe(E)[2], lo[0], lo[2], hi[0], hi[2])
+                E = _illinois(lambda E: probe(E)[2], lo[0], lo[2], hi[0], hi[2], unit)
             else:
                 # the count bisection closed without an endpoint sign change
                 E = 0.5 * (lo[0] + hi[0])
-            u = _unit_max(*_numerov_sweep(pref * (veff - E), h2, u0, u1))
+            if veff[-1] > E:
+                # a level bound below the asymptote whose bracket reaches
+                # above it: the outward sweep's tail grows past the level
+                u = match(E, lo[0])[0]
+            else:
+                u = _unit_max(*_numerov_sweep(pref * (veff - E), h2, u0, u1))
         u, nodes = _finish_state(u, r)
         levels.append((k, E, nodes))
         wfs.append(u)

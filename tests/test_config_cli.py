@@ -253,6 +253,25 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_only_the_solving_commands_load_lapack(self):
+        # scipy.linalg loads on the first solve: about 0.3 s of start-up
+        # that the commands which never solve do not pay
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from hyperwell.cli import main",
+            "for command in sys.argv[2:]:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        code = main([*command.split(), '--config', sys.argv[1]])",
+            "    print(command.split()[0], code, 'scipy.linalg' in sys.modules)"])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(CONFIGS / "general.cfg"), "potential",
+             "effective", "spectrum", "wavefunction --n 0 --l 0", "nu-check", "oracle"],
+            capture_output=True, text=True, timeout=120, cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "potential 0 False", "effective 0 False", "spectrum 0 False",
+            "wavefunction 0 False", "nu-check 0 False", "oracle 0 True"]
+
     def test_config_loads_no_eigensolver(self):
         # the grid is part of the config, so parsing one never loads LAPACK
         proc = subprocess.run(

@@ -45,6 +45,34 @@ def node_counts(spec):
     return [c for _, _, c in spec.levels]
 
 
+def swept_numerov(monkeypatch, veff, consts, grid):
+    """The lowest three Numerov levels and the grid points their sweeps
+    covered (a matched outward/inward pair covers the grid once)."""
+    swept = [0]
+    real_sweep = oracle._numerov_sweep
+
+    def counting(f, *args):
+        swept[0] += f.shape[0]
+        return real_sweep(f, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_numerov_sweep", counting)
+        spec = numerov_spectrum(veff, consts, grid, 3)
+    return spec, swept[0]
+
+
+def assert_numerov_scales(monkeypatch, ref, scaled, factor):
+    """Numerov on `scaled` (veff, consts, grid) finds the levels it finds on
+    `ref` times factor, to its documented 1e-10, in at most one full-grid
+    sweep more."""
+    spec_ref, swept_ref = swept_numerov(monkeypatch, *ref)
+    spec, swept = swept_numerov(monkeypatch, *scaled)
+    assert node_counts(spec) == node_counts(spec_ref) == [0, 1, 2]
+    for (_, e, _), (_, e_ref, _) in zip(spec.levels, spec_ref.levels, strict=True):
+        assert abs(e / factor - e_ref) <= 1e-10 * abs(e_ref)
+    assert swept <= swept_ref + ref[2].n_points
+
+
 def box(grid):
     return np.zeros(grid.n_points)
 
@@ -347,21 +375,12 @@ class TestNumerovLevels:
     @pytest.mark.parametrize("l, n_points, budget", [
         (0, 2000, 40), (0, 8000, 40), (1, 2000, 50), (1, 8000, 50)])
     def test_deep_level_sweep_budget(self, monkeypatch, l, n_points, budget):
-        # a matched outward/inward pair covers the grid once, so sweeps are
-        # counted as grid points swept over n_points
-        swept = [0]
-        real_sweep = oracle._numerov_sweep
-
-        def counting(f, *args):
-            swept[0] += f.shape[0]
-            return real_sweep(f, *args)
-
-        monkeypatch.setattr(oracle, "_numerov_sweep", counting)
+        # sweeps are counted as grid points swept over n_points
         grid = RadialGrid(1e-6, 40.0, n_points)
-        spec = numerov_spectrum(effective_potential(self.FAULT, CONSTS, l, grid.points()),
-                                CONSTS, grid, 3)
+        spec, swept = swept_numerov(
+            monkeypatch, effective_potential(self.FAULT, CONSTS, l, grid.points()), CONSTS, grid)
         assert node_counts(spec) == [0, 1, 2]
-        assert swept[0] / n_points <= budget
+        assert swept / n_points <= budget
 
     # (effective potential of r, grid, lowest match index or None);
     # V = r^2/16 has its ground level 0.75 within 1 of the interior floor,
@@ -450,22 +469,38 @@ class TestSurrogateLevels:
         for lv, rel in zip(exact, bounds):
             assert abs(spec.levels[lv.n][1] - lv.energy) <= rel * abs(lv.energy), lv.n
 
+    @pytest.mark.parametrize("n_points", [3995, 8010])
+    def test_excited_bound_state_is_a_matched_sweep(self, n_points):
+        # level 1 at l = 1 (-28.136) is bound below the asymptote -28, but
+        # its count bracket reaches above it, so regula falsi closes it; the
+        # outward sweep there grows past the level and crosses zero near
+        # r_max, which read [0, 2, 2]
+        grid = RadialGrid(1e-6, 40.0, n_points)
+        veff = effective_potential(self.FAULT, CONSTS, 1, grid.points(), approximate=True)
+        spec = numerov_spectrum(veff, CONSTS, grid, 3)
+        assert spec.levels[1][1] < veff[-1]
+        assert node_counts(spec) == [0, 1, 2]
+
     @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
-    def test_fd_length_scaling(self, mu):
+    def test_fd_length_scaling(self, monkeypatch, mu):
         # r -> r / mu: alpha -> mu alpha, grid -> grid / mu and V -> mu^2 V
         # give the same matrix times mu^2, so every level times mu^2, to
-        # FD's documented 2.0e-13 (measured 3.8e-15)
+        # FD's documented 2.0e-13 (measured 3.8e-15); Numerov counts
+        # energies in s (40/r_max)^2, so its levels follow too (measured
+        # 5.0e-11)
         fault = dataclasses.replace(self.FAULT, V0=28.0 * mu * mu, V2=mu * mu, alpha=mu)
         grid = RadialGrid(1e-6, 40.0, 2000)
         small = RadialGrid(1e-6 / mu, 40.0 / mu, 2000)
         for l in (0, 1):
-            ref = fd_spectrum(effective_potential(self.FAULT, CONSTS, l, grid.points()),
-                              CONSTS, grid, 3)
-            spec = fd_spectrum(effective_potential(fault, CONSTS, l, small.points()),
-                               CONSTS, small, 3)
+            veff_ref = effective_potential(self.FAULT, CONSTS, l, grid.points())
+            veff = effective_potential(fault, CONSTS, l, small.points())
+            ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
+            spec = fd_spectrum(veff, CONSTS, small, 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
             for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
                 assert abs(e / (mu * mu) - e_ref) <= 2.0e-13 * abs(e_ref)
+            assert_numerov_scales(monkeypatch, (veff_ref, CONSTS, grid),
+                                  (veff, CONSTS, small), mu * mu)
 
 
 def sturm_levels(diag, off, n_levels, points=255):
@@ -527,20 +562,25 @@ class TestFdAccuracy:
         assert worst <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("scale", [1e-6, 1e8])
-    def test_energy_unit(self, scale):
+    def test_energy_unit(self, monkeypatch, scale):
         # hbar^2/2m and every V coefficient times `scale` multiply T, and so
         # every level, by `scale`; the brackets must follow (measured
-        # agreement 6.5e-15 relative)
+        # agreement 6.5e-15 relative). Numerov's window and tolerances
+        # scale with its unit s (40/r_max)^2 (measured 5.0e-11)
         fault = dataclasses.replace(self.FAULT, V0=28.0 * scale, V2=scale)
         consts = PhysicalConstants(hbar=1.0, mass=0.5 / scale)
         grid = RadialGrid(1e-6, 40.0, 2000)
         r = grid.points()
         for l in (0, 1):
-            ref = fd_spectrum(effective_potential(self.FAULT, CONSTS, l, r), CONSTS, grid, 3)
-            spec = fd_spectrum(effective_potential(fault, consts, l, r), consts, grid, 3)
+            veff_ref = effective_potential(self.FAULT, CONSTS, l, r)
+            veff = effective_potential(fault, consts, l, r)
+            ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
+            spec = fd_spectrum(veff, consts, grid, 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
             for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
                 assert e / scale == pytest.approx(e_ref, rel=1e-13)
+            assert_numerov_scales(monkeypatch, (veff_ref, CONSTS, grid),
+                                  (veff, consts, grid), scale)
 
     def test_dense_box_levels(self):
         # general.cfg out to r_max = 3000: levels 1 to 3 are box levels 5.5e-6
