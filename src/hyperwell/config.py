@@ -2,43 +2,26 @@
 
 The document format is one `section.key = value` assignment per line,
 with `#` comments and blank lines ignored. Sections: potential,
-constants, state, grid, output. Unknown keys are rejected with the line
-number; missing keys fall back to documented defaults (hbar = 1,
-2m = 1, grid [1e-6, 40/alpha] with 2000 points, states n = 0..2 at
-l = 0, and the bundled demo potential parameters). `RadialGrid`, the
-uniform grid both oracles solve on, lives here, so that parsing a config
-loads no eigensolver.
+constants, state, grid, output. `KEYS` is the one table of keys, each
+with its conversion and default: the potential, constants and grid keys
+are the fields of `PotentialParams`, `PhysicalConstants` and
+`RadialGrid`, defaulting to the bundled demo potential, the constants'
+own field defaults and a grid [1e-6, 40/alpha] of 2000 points; states
+default to n = 0..2 at l = 0. Unknown keys are rejected with the line
+number. `RadialGrid`, the uniform grid both oracles solve on, lives
+here, so that parsing a config loads no eigensolver.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .potential import PhysicalConstants, PotentialParams
-
-# demo defaults: the general-family parameter set used by the bundled configs
-_POTENTIAL_DEFAULTS = {
-    "a": 1.0, "b": 0.01, "c": 2.0, "d": 2.0,
-    "V0": 1.0, "V1": 0.5, "V2": 0.02, "alpha": 1.0,
-}
-_CONSTANT_DEFAULTS = {"hbar": 1.0, "mass": 0.5}
-_GRID_DEFAULTS = {"r_min": 1e-6, "n_points": 2000}
-_STATE_DEFAULTS = {"n": (0, 1, 2), "l": (0,)}
-
-_FLOAT_KEYS = {
-    "potential.a", "potential.b", "potential.c", "potential.d",
-    "potential.V0", "potential.V1", "potential.V2", "potential.alpha",
-    "constants.hbar", "constants.mass",
-    "grid.r_min", "grid.r_max",
-}
-_INT_KEYS = {"grid.n_points"}
-_LIST_KEYS = {"state.n", "state.l"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | {"output.path"}
 
 
 @dataclass(frozen=True)
@@ -69,10 +52,6 @@ class RadialGrid:
 # alpha r_max of the default grid: e^(-2 alpha r) is below 1e-34 there, so
 # the asymptote is fully reached
 DEFAULT_REACH = 40.0
-
-
-def _default_r_max(alpha):
-    return DEFAULT_REACH / alpha
 
 
 @dataclass(frozen=True)
@@ -133,9 +112,47 @@ def parse_float_list(text, where="value"):
     return tuple(out)
 
 
-def _parse_assignments(text):
-    """key -> (value, name, line) of each assignment; the last one wins."""
-    seen = {}
+def _field_keys(section, cls, defaults=None):
+    """section.field -> (conversion, default) for each field of a dataclass;
+    without `defaults`, the fields' own defaults."""
+    return {f"{section}.{f.name}": ({"float": float, "int": int}[f.type],
+                                    f.default if defaults is None else defaults[f.name])
+            for f in fields(cls)}
+
+
+# key -> (conversion, default), in the order values are converted; a
+# grid.r_max of None follows the final alpha (DEFAULT_REACH / alpha)
+KEYS = {
+    **_field_keys("potential", PotentialParams, {
+        "a": 1.0, "b": 0.01, "c": 2.0, "d": 2.0,
+        "V0": 1.0, "V1": 0.5, "V2": 0.02, "alpha": 1.0}),
+    **_field_keys("constants", PhysicalConstants),
+    **_field_keys("grid", RadialGrid, {"r_min": 1e-6, "r_max": None, "n_points": 2000}),
+    "state.n": (parse_int_list, (0, 1, 2)),
+    "state.l": (parse_int_list, (0,)),
+    "output.path": (str, None),
+}
+
+
+def _convert(convert, text, name, line):
+    """An assigned value through its key's conversion; errors name `name`."""
+    try:
+        if convert is parse_int_list:
+            return parse_int_list(text, where=name)
+        value = convert(text)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), line=line) from None
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{name}: not {kind}: {text!r}", line=line) from None
+    if convert is float and not math.isfinite(value):
+        raise ConfigError(f"{name}: must be finite", line=line)
+    return value
+
+
+def _assignments(text, overrides):
+    """(key, value, name, line) of each assignment: the document's lines,
+    then the overrides, each named by its flag and with no line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,14 +160,9 @@ def _parse_assignments(text):
         if "=" not in line:
             raise ConfigError(f"expected 'section.key = value'", line=lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
-        if not value:
-            raise ConfigError(f"empty value for {key}", line=lineno)
-        seen[key] = (value, key, lineno)
-    return seen
+        yield key.strip(), value.strip(), key.strip(), lineno
+    for key, (value, flag) in overrides.items():
+        yield key, value, flag, None
 
 
 def parse_config(text: str, overrides=None) -> RunConfig:
@@ -161,67 +173,31 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     error in one names the flag and no line. grid.r_max, unless assigned,
     follows the final alpha.
     """
-    seen = _parse_assignments(text)
-    for key, (value, flag) in (overrides or {}).items():
-        seen[key] = (value, flag, None)
+    seen = {}  # key -> (value, name, line); the last assignment wins
+    for key, value, name, line in _assignments(text, overrides or {}):
+        if key not in KEYS:
+            raise ConfigError(f"unknown key {key!r}", line=line)
+        if not value:
+            raise ConfigError(f"empty value for {name}", line=line)
+        seen[key] = (value, name, line)
 
-    def take_float(key, default):
-        if key not in seen:
-            return default
-        value, name, line = seen[key]
-        try:
-            x = float(value)
-        except ValueError:
-            raise ConfigError(f"{name}: not a number: {value!r}", line=line) from None
-        if not math.isfinite(x):
-            raise ConfigError(f"{name}: must be finite", line=line)
-        return x
+    values = {key: _convert(convert, *seen[key]) if key in seen else default
+              for key, (convert, default) in KEYS.items()}
 
-    pot = {name: take_float(f"potential.{name}", default)
-           for name, default in _POTENTIAL_DEFAULTS.items()}
-    hbar = take_float("constants.hbar", _CONSTANT_DEFAULTS["hbar"])
-    mass = take_float("constants.mass", _CONSTANT_DEFAULTS["mass"])
-    r_min = take_float("grid.r_min", _GRID_DEFAULTS["r_min"])
-    r_max = take_float("grid.r_max", None)
-
-    if "grid.n_points" in seen:
-        value, name, line = seen["grid.n_points"]
-        try:
-            n_points = int(value)
-        except ValueError:
-            raise ConfigError(f"{name}: not an integer: {value!r}", line=line) from None
-    else:
-        n_points = _GRID_DEFAULTS["n_points"]
-
-    def take_list(key, default):
-        if key not in seen:
-            return default
-        value, name, line = seen[key]
-        try:
-            return parse_int_list(value, where=name)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), line=line) from None
-
-    n_list = take_list("state.n", _STATE_DEFAULTS["n"])
-    l_list = take_list("state.l", _STATE_DEFAULTS["l"])
-
-    out_path = seen["output.path"][0] if "output.path" in seen else None
-
-    def build(cls, keys, **values):
+    def build(cls, section):
         # a refused value's error names its key; the first such key set here gives the line
+        keys = {f"{section}.{f.name}": f.name for f in fields(cls)}
         try:
-            return cls(**values)
+            return cls(**{name: values[key] for key, name in keys.items()})
         except DomainError as exc:
-            lines = [seen[k][2] for k in keys
-                     if k in seen and re.search(rf"\b{k.partition('.')[2]}\b", str(exc))]
+            lines = [seen[key][2] for key, name in keys.items()
+                     if key in seen and re.search(rf"\b{name}\b", str(exc))]
             raise ConfigError(str(exc), line=lines[0] if lines else None) from None
 
-    params = build(PotentialParams, ("potential.alpha",), **pot)
-    consts = build(PhysicalConstants, ("constants.hbar", "constants.mass"), hbar=hbar, mass=mass)
-    if r_max is None:
-        r_max = _default_r_max(params.alpha)
-    grid = build(RadialGrid, ("grid.n_points", "grid.r_min", "grid.r_max"),
-                 r_min=r_min, r_max=r_max, n_points=n_points)
-    return RunConfig(params=params, consts=consts, n_list=n_list, l_list=l_list,
-                     grid=grid, out_path=out_path)
-
+    params = build(PotentialParams, "potential")
+    consts = build(PhysicalConstants, "constants")
+    if values["grid.r_max"] is None:
+        values["grid.r_max"] = DEFAULT_REACH / params.alpha
+    grid = build(RadialGrid, "grid")
+    return RunConfig(params=params, consts=consts, n_list=values["state.n"],
+                     l_list=values["state.l"], grid=grid, out_path=values["output.path"])

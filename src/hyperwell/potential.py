@@ -15,7 +15,7 @@ singular at the origin whenever a, b or c is active.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,10 +38,10 @@ class PotentialParams:
     alpha: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "V0", "V1", "V2", "alpha"):
-            val = getattr(self, name)
+        for f in fields(self):
+            val = getattr(self, f.name)
             if not (isinstance(val, (int, float)) and math.isfinite(val)):
-                raise DomainError(f"PotentialParams: {name} must be a finite real, got {val!r}")
+                raise DomainError(f"PotentialParams: {f.name} must be a finite real, got {val!r}")
         if self.alpha <= 0:
             raise DomainError(f"PotentialParams: alpha must be positive, got {self.alpha}")
 
@@ -69,10 +69,10 @@ class PhysicalConstants:
     mass: float = 0.5  # natural units: hbar = 2m = 1
 
     def __post_init__(self):
-        for name in ("hbar", "mass"):
-            val = getattr(self, name)
+        for f in fields(self):
+            val = getattr(self, f.name)
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
-                raise DomainError(f"PhysicalConstants: {name} must be positive and finite")
+                raise DomainError(f"PhysicalConstants: {f.name} must be positive and finite")
 
     @property
     def s(self):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import oracle
 from .analytic import (
@@ -142,15 +142,9 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
 # ---------------------------------------------------------------------------
 
 def _config_echo(config) -> dict:
-    p = config.params
-    return {
-        "potential": {"a": p.a, "b": p.b, "c": p.c, "d": p.d,
-                      "V0": p.V0, "V1": p.V1, "V2": p.V2, "alpha": p.alpha},
-        "constants": {"hbar": config.consts.hbar, "mass": config.consts.mass},
-        "state": {"n": list(config.n_list), "l": list(config.l_list)},
-        "grid": {"r_min": config.grid.r_min, "r_max": config.grid.r_max,
-                 "n_points": config.grid.n_points},
-    }
+    return {"potential": asdict(config.params), "constants": asdict(config.consts),
+            "state": {"n": list(config.n_list), "l": list(config.l_list)},
+            "grid": asdict(config.grid)}
 
 
 # ---------------------------------------------------------------------------
