@@ -70,7 +70,7 @@ _OVERRIDES = (("n", "state.n"), ("l", "state.l"), ("alpha", "potential.alpha"),
 def _load_config(args) -> RunConfig:
     """The --config document with the command's flags as overriding assignments."""
     text = ""
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -80,7 +80,8 @@ def _load_config(args) -> RunConfig:
     if alpha and len(parse_float_list(alpha, where="--alpha")) != 1:
         raise ConfigError(f"this command takes a single --alpha, got {alpha!r}")
     return parse_config(text, {key: (getattr(args, dest), f"--{dest}")
-                               for dest, key in _OVERRIDES if getattr(args, dest, None)})
+                               for dest, key in _OVERRIDES
+                               if getattr(args, dest, None) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="general", choices=list(KINDS),
                    help="shape constructor applied to the potential block")
     p.set_defaults(document=lambda config, args: potential_csv(
-        config, args.kind, args.alphas and parse_float_list(args.alphas, where="--alpha"),
+        config, args.kind,
+        None if args.alphas is None else parse_float_list(args.alphas, where="--alpha"),
         args.stamp))
 
     p = subs.add_parser("effective", help="effective potential CSV, one column per l")

@@ -96,24 +96,14 @@ def _eval_from_pair(params, coth, csch2):
     return out
 
 
-_TERM_NAMES = (
-    ("a", "V0", "a*V0*coth"),
-    ("b", "V1", "b*V1*coth^2"),
-    ("c", "V2", "c*V2*cosech^2"),
-)
-
-
 def _name_offender(params, coth, csch2):
-    # identify which active term went non-finite, for the error message
-    pieces = {
-        "a*V0*coth": params.a * params.V0 * np.asarray(coth),
-        "b*V1*coth^2": params.b * params.V1 * np.asarray(coth) ** 2,
-        "c*V2*cosech^2": params.c * params.V2 * np.asarray(csch2),
-    }
-    for coeff, depth, label in _TERM_NAMES:
-        if getattr(params, coeff) * getattr(params, depth) != 0.0:
-            if not np.all(np.isfinite(pieces[label])):
-                return label
+    # the first active term that went non-finite, for the error message
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, coef, values in (("a*V0*coth", params.a * params.V0, coth),
+                                   ("b*V1*coth^2", params.b * params.V1, coth * coth),
+                                   ("c*V2*cosech^2", params.c * params.V2, csch2)):
+            if coef != 0.0 and not np.all(np.isfinite(coef * values)):
+                return name
     return "potential"
 
 

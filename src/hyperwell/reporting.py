@@ -16,6 +16,8 @@ import datetime as _dt
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import oracle
 from .analytic import (
     EnergyLevel,
@@ -123,8 +125,9 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
     wf = radial_wavefunction(config.params, config.consts, level)
     r = config.grid.points()
     values = wf(r)
-    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
-               (abs(values) ** 2).tolist()]
+    with np.errstate(over="ignore"):  # |R|^2 is inf where |R| passes 1e154
+        abs_sq = abs(values) ** 2
+    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(), abs_sq.tolist()]
     achieved = wf.norm_integral * abs(wf.norm_constant) ** 2
     tail = [
         f"n = {n}, l = {l}, branch = {level.branch}",

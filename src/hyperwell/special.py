@@ -32,8 +32,10 @@ def hyperbolic_pair(z):
         raise DomainError(f"hyperbolic_pair: argument must be positive, got {float(np.min(arr))}")
     safe = np.minimum(arr, ASYMPTOTIC_SWITCH)
     sh = np.sinh(safe)
-    coth = np.cosh(safe) / sh
-    csch2 = 1.0 / (sh * sh)
+    # near 0 both overflow to inf, which callers name as a non-finite term
+    with np.errstate(over="ignore", divide="ignore"):
+        coth = np.cosh(safe) / sh
+        csch2 = 1.0 / (sh * sh)
     big = arr > ASYMPTOTIC_SWITCH
     if np.any(big):
         coth = np.where(big, 1.0, coth)

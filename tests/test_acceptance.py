@@ -48,8 +48,9 @@ def report(num, ok, detail, elapsed, limit):
 
 
 def run_cli(*args, timeout=60):
+    """The CLI in a subprocess, with warnings as errors as in pytest itself."""
     return subprocess.run(
-        [sys.executable, "-m", "hyperwell", *args],
+        [sys.executable, "-W", "error", "-m", "hyperwell", *args],
         capture_output=True, text=True, timeout=timeout, cwd=str(REPO),
         env=dict(os.environ))
 

@@ -12,6 +12,7 @@ import pytest
 from hyperwell.cli import main
 from hyperwell.config import parse_config, parse_float_list, parse_int_list
 from hyperwell.errors import ConfigError
+from hyperwell.reporting import build_spectrum_report
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -19,11 +20,12 @@ SCHEMAS = REPO / "src" / "hyperwell" / "schemas"
 
 
 def run_cli(*args, env_extra=None, timeout=120):
+    """The CLI in a subprocess, with warnings as errors as in pytest itself."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "hyperwell", *args],
+        [sys.executable, "-W", "error", "-m", "hyperwell", *args],
         capture_output=True, text=True, env=env, timeout=timeout, cwd=str(REPO))
 
 
@@ -92,6 +94,24 @@ class TestParseConfig:
         assert cfg.grid.n_points == 512 and cfg.grid.r_max == 7.5
         assert cfg.n_list == (0, 1) and cfg.l_list == (0, 2)
 
+    @pytest.mark.parametrize("text", [
+        *(path.read_text() for path in sorted(CONFIGS.glob("*.cfg"))),
+        "\n".join(["potential.a = -1", "potential.b = 0.25", "potential.c = 3",
+                   "potential.d = -0.5", "potential.V0 = 2.5", "potential.V1 = 0.125",
+                   "potential.V2 = 7", "potential.alpha = 2", "constants.hbar = 1.5",
+                   "constants.mass = 3", "grid.r_min = 1e-3", "grid.r_max = 7.5",
+                   "grid.n_points = 512", "state.n = 2,0", "state.l = 1..3"]),
+    ])
+    def test_config_echo_round_trip(self, text):
+        # a report's config echo, written back as a document, parses to the
+        # same RunConfig: the parser and the echo know every field
+        cfg = parse_config(text)
+        echo = build_spectrum_report(cfg)["config"]
+        lines = [f"{section}.{key} = "
+                 + (",".join(map(str, value)) if isinstance(value, list) else repr(value))
+                 for section, keys in echo.items() for key, value in keys.items()]
+        assert parse_config("\n".join(lines)) == cfg
+
     def test_default_r_max_follows_alpha(self):
         cfg = parse_config("potential.alpha = 4")
         assert cfg.grid.r_max == pytest.approx(10.0)
@@ -111,6 +131,7 @@ class TestParseConfig:
                 ("constants.hbar = 2\nconstants.mass = 0", "mass must be positive", 2),
                 ("grid.r_max = 40\ngrid.r_min = 50", "r_min < r_max", 2),
                 ("grid.r_min = 50", "r_min < r_max", 1),
+                ("potential.a = 1\ngrid.r_max = 0", "r_min < r_max", 2),
                 ("potential.a = 1\ngrid.r_max = 1e-7", "r_min < r_max", 2),
                 ("state.n = 0\ngrid.n_points = 4", "n_points must be", 2)):
             with pytest.raises(ConfigError, match=match) as info:
@@ -197,6 +218,32 @@ class TestCliExitCodes:
         assert "line 1: state.n: repeated entry 0" in capsys.readouterr().err
         assert main(["spectrum", "--config", str(cfg), "--n", "1"]) == 0
         assert [e["n"] for e in json.loads(capsys.readouterr().out)["entries"]] == [1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--n", ""], "empty value for --n"),
+        (["spectrum", "--l", ""], "empty value for --l"),
+        (["spectrum", "--alpha", ""], "empty value for --alpha"),
+        (["spectrum", "--out", ""], "empty value for --out"),
+        (["potential", "--alpha", ""], "--alpha: empty entry in list ''"),
+        (["spectrum", "--config", ""], "cannot read config ''"),
+    ])
+    def test_empty_flag_value_is_2(self, argv, message, capsys):
+        # a flag that is given is an assignment, even an empty one
+        config = [] if "--config" in argv else ["--config", str(CONFIGS / "general.cfg")]
+        assert main([*argv, *config]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"hyperwell: error: {message}")
+        assert captured.out == ""
+
+    def test_overflowing_potential_is_a_block_error(self, tmp_path):
+        # the potential overflows at r_min; the l-block says so, and no
+        # numpy warning reaches stderr (run_cli makes warnings errors)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("grid.r_min = 1e-200\n")
+        proc = run_cli("oracle", "--config", str(cfg))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["per_l"][0]["error"] == (
+            "eval_potential: term b*V1*coth^2 is non-finite at r = 1e-200")
 
     def test_repeated_state_entry_is_2(self):
         for flag, value in (("--n", "1,1,0"), ("--l", "0,1,0")):

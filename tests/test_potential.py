@@ -1,13 +1,14 @@
 """Potential family: evaluation, asymptote, centrifugal surrogate, special shapes."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hyperwell.errors import DomainError
+from hyperwell.errors import DomainError, EvaluationOverflowError
 from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
@@ -55,6 +56,18 @@ class TestEvalPotential:
             eval_potential(DEMO, -1.0)
         with pytest.raises(DomainError):
             eval_potential(DEMO, float("nan"))
+
+    @pytest.mark.parametrize("params, r, term", [
+        (DEMO, 1e-200, "b*V1*coth^2"),
+        (replace(DEMO, b=0.0), 1e-200, "c*V2*cosech^2"),
+        (PotentialParams(a=1.0, b=0, c=0, d=0, V0=1.0, V1=0, V2=0, alpha=1.0), 1e-310,
+         "a*V0*coth"),
+    ])
+    def test_overflow_names_the_term(self, params, r, term):
+        # pytest turns warnings into errors, so no numpy warning may escape
+        with pytest.raises(EvaluationOverflowError,
+                           match=rf"term {re.escape(term)} is non-finite at r = {r}"):
+            eval_potential(params, [r, 1.0])
 
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
