@@ -16,6 +16,7 @@ or an unwritable output path), 3 internal error, 4 singular analytic case
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -96,8 +97,12 @@ def _add_common(sub, csv=False):
                          help="add a timestamp comment line to the CSV")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Each subcommand sets `document(config, args)`, the text it prints."""
+    """Each subcommand sets `document(config, args)`, the text it prints.
+
+    Built once per process: `parse_args` fills a new namespace on every
+    call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="hyperwell",
         description="Bound states of a generalized inverted hyperbolic potential: "

@@ -191,7 +191,15 @@ def scan_series(params, r_values, consts=None, l=0, approximate=False):
         if l:
             values = values + _barrier(params, consts, l, r_in, approximate)
     out[inside] = values
-    return [float(v) if math.isfinite(v) else None for v in out]
+    return with_gaps(out, ~np.isfinite(out))
+
+
+def with_gaps(values, gaps):
+    """The array `values` as a list of floats with None where `gaps` holds."""
+    series = values.tolist()
+    for i in np.flatnonzero(gaps).tolist():
+        series[i] = None
+    return series
 
 
 def rosen_morse_params(a, c, V0, V2, alpha):

@@ -6,7 +6,8 @@ output. Timestamps never appear in data; an optional stamp line goes into
 `#` comments only.
 
 CSV cells: 9 significant digits (`{:.9g}`); an empty cell where a term is
-non-finite (a `scan_series` gap); `nan` printed as is. JSON keeps full
+non-finite (a `scan_series` gap) and where |R|^2 overflows; `nan` printed
+as is. JSON keeps full
 double precision, and a complex number renders as {"re": ..., "im": ...}.
 """
 
@@ -30,7 +31,7 @@ from .analytic import (
 )
 from .errors import ConfigError, HyperwellError, SingularCoefficientError
 from .oracle import fall_to_center_unreliable, fd_spectrum, numerov_spectrum
-from .potential import KINDS, effective_potential, scan_series
+from .potential import KINDS, effective_potential, scan_series, with_gaps
 
 SCHEMA_VERSION = 1
 
@@ -51,14 +52,20 @@ def csv_document(header, columns, head_comments=(), tail_comments=()) -> str:
     """Comma-separated document with LF endings and '#' comment lines.
 
     `columns` holds one sequence of numbers per header field, with None
-    for a gap; columns of unequal length raise ValueError.
+    for a gap; columns of unequal length raise ValueError. A row is one
+    `%` format call (`"%.9g" % x` is `fmt_number(x)` for every number);
+    only a row with a gap, which `%` refuses, goes cell by cell.
     """
     if len(columns) != len(header):
         raise ValueError(f"expected {len(header)} columns, got {len(columns)}")
+    row_fmt = ",".join(["%.9g"] * len(columns))
     lines = [f"# {c}" for c in head_comments]
     lines.append(",".join(header))
-    lines.extend(",".join(row)
-                 for row in zip(*(map(fmt_number, col) for col in columns), strict=True))
+    for row in zip(*columns, strict=True):
+        try:
+            lines.append(row_fmt % row)
+        except TypeError:
+            lines.append(",".join(map(fmt_number, row)))
     lines.extend(f"# {c}" for c in tail_comments)
     return "\n".join(lines) + "\n"
 
@@ -127,7 +134,8 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
     values = wf(r)
     with np.errstate(over="ignore"):  # |R|^2 is inf where |R| passes 1e154
         abs_sq = abs(values) ** 2
-    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(), abs_sq.tolist()]
+    columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
+               with_gaps(abs_sq, np.isinf(abs_sq))]
     achieved = wf.norm_integral * abs(wf.norm_constant) ** 2
     tail = [
         f"n = {n}, l = {l}, branch = {level.branch}",

@@ -88,14 +88,6 @@ def solve_quadratic(c2, c1, c0):
     return roots, residuals
 
 
-def _binom(z, m):
-    """Generalized binomial C(z, m) for integer m >= 0 via the product form."""
-    out = 1.0 + 0.0j
-    for j in range(m):
-        out *= (z - j) / (m - j)
-    return out
-
-
 def _recurrence_guard(k, a, b):
     # leading coefficient of the three-term recurrence for degree k
     coef = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
@@ -134,17 +126,3 @@ def jacobi(n, a, b, x):
         if not cmath.isfinite(complex(val)):
             raise DomainError(f"jacobi: parameter {name} must be finite")
     return _jacobi_recurrence(n, complex(a), complex(b), np.asarray(x, dtype=complex))
-
-
-def jacobi_sum(n, a, b, x):
-    """P_n^(a,b)(x) by the explicit finite sum; the recurrence's test oracle.
-
-    P_n = sum_s C(n+a, n-s) C(n+b, s) ((x-1)/2)^s ((x+1)/2)^(n-s)
-    """
-    x = np.asarray(x, dtype=complex)
-    lo = (x - 1.0) / 2.0
-    hi = (x + 1.0) / 2.0
-    total = np.zeros_like(x)
-    for s in range(n + 1):
-        total = total + _binom(n + a, n - s) * _binom(n + b, s) * lo**s * hi ** (n - s)
-    return total

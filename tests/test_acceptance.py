@@ -32,7 +32,9 @@ from hyperwell.potential import (
     PotentialParams,
     centrifugal_approx,
 )
-from hyperwell.special import jacobi, jacobi_sum, principal_sqrt
+from hyperwell.special import jacobi, principal_sqrt
+
+from test_special import jacobi_sum
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"

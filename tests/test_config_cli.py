@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,12 @@ import pytest
 from hyperwell.cli import main
 from hyperwell.config import parse_config, parse_float_list, parse_int_list
 from hyperwell.errors import ConfigError
-from hyperwell.reporting import build_spectrum_report
+from hyperwell.reporting import (
+    build_spectrum_report,
+    effective_csv,
+    potential_csv,
+    wavefunction_csv,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -358,6 +364,22 @@ class TestCliDeterminism:
                 main([command, "--stamp"])
             assert info.value.code == 2
 
+    def test_flags_do_not_leak_between_calls(self, capsys):
+        # one parser serves every call in a process; each call's flags are its own
+        general = ["--config", str(CONFIGS / "general.cfg")]
+        config = parse_config((CONFIGS / "general.cfg").read_text())
+        one_state = replace(config, n_list=(0,), l_list=(0,))
+        for first, second, want in (
+            (["potential", "--stamp", "--kind", "scarf"], ["potential"], potential_csv(config)),
+            (["effective", "--stamp", "--approximate"], ["effective"], effective_csv(config)),
+            (["wavefunction", "--stamp", "--n", "0", "--l", "0", "--branch", "minus"],
+             ["wavefunction", "--n", "0", "--l", "0"], wavefunction_csv(one_state)),
+        ):
+            assert main([*first, *general]) == 0
+            assert "# generated" in capsys.readouterr().out
+            assert main([*second, *general]) == 0
+            assert capsys.readouterr().out.splitlines() == want.splitlines()
+
     def test_stamp_only_in_comments(self):
         proc = run_cli("potential", "--config", str(CONFIGS / "general.cfg"),
                        "--stamp", "--out", "-")
@@ -400,6 +422,14 @@ class TestCsvOutputs:
         r, dens = data[:, 0], data[:, 3]
         total = np.trapezoid(dens, r)
         assert abs(total - 1.0) < 1e-4
+
+    def test_overflowing_abs_r_sq_is_a_gap(self, tmp_path, capsys):
+        # |R| is about 1e229 at r = 1e-200, so |R|^2 overflows: an empty cell
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("grid.r_min = 1e-200\n")
+        assert main(["wavefunction", "--config", str(cfg), "--n", "1", "--l", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "1e-200,-1.06638746e+229,1.63470463e+228,"
 
     def test_wavefunction_branch_flag(self):
         plus = run_cli("wavefunction", "--config", str(CONFIGS / "general.cfg"),

@@ -25,6 +25,7 @@ from hyperwell.reporting import (
     build_validate_report,
     comparison_rows,
     csv_document,
+    fmt_number,
     json_document,
 )
 
@@ -249,6 +250,28 @@ def test_csv_cell_rules():
         csv_document(["x", "y"], [[1.0, 2.0], [1.0]])
     with pytest.raises(ValueError):
         csv_document(["x", "y"], [[1.0]])
+    with pytest.raises(ValueError):
+        csv_document(["x", "y"], [[None, 1.0], [1.0]])  # a gap row before the short end
+
+
+# nan, +-inf, -0.0, the smallest subnormal, the largest double (1.8e308) and
+# a numpy float64
+EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, sys.float_info.max,
+              np.float64(1 / 3)]
+
+
+@pytest.mark.parametrize("columns", [
+    [EDGE_CELLS, EDGE_CELLS[::-1], np.array(EDGE_CELLS)],
+    [[None, 1.0, 2.0], [math.inf, 0.5, None]],
+    [[1.0, None, -0.0], [2.0, None, 5e-324]],
+    [[], []],
+], ids=["edge-values", "gaps-first-and-last-rows", "all-gap-row", "zero-rows"])
+def test_csv_rows_match_per_cell_rendering(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*columns))
+    want = "\n".join([",".join(header), *(",".join(map(fmt_number, row)) for row in rows)])
+    assert csv_document(header, columns) == want + "\n"
+    assert csv_document(header, columns) == reference_csv(header, rows)
 
 
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])

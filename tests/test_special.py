@@ -9,10 +9,31 @@ from hyperwell.errors import DegenerateParameterError, DomainError, SingularCoef
 from hyperwell.special import (
     hyperbolic_pair,
     jacobi,
-    jacobi_sum,
     principal_sqrt,
     solve_quadratic,
 )
+
+
+def _binom(z, m):
+    """Generalized binomial C(z, m) for integer m >= 0 via the product form."""
+    out = 1.0 + 0.0j
+    for j in range(m):
+        out *= (z - j) / (m - j)
+    return out
+
+
+def jacobi_sum(n, a, b, x):
+    """P_n^(a,b)(x) by the explicit finite sum; the recurrence's test oracle.
+
+    P_n = sum_s C(n+a, n-s) C(n+b, s) ((x-1)/2)^s ((x+1)/2)^(n-s)
+    """
+    x = np.asarray(x, dtype=complex)
+    lo = (x - 1.0) / 2.0
+    hi = (x + 1.0) / 2.0
+    total = np.zeros_like(x)
+    for s in range(n + 1):
+        total = total + _binom(n + a, n - s) * _binom(n + b, s) * lo**s * hi ** (n - s)
+    return total
 
 
 class TestHyperbolicPair:
