@@ -5,7 +5,7 @@ forms: a finite-difference discretization, its levels bracketed by
 Sturm-sequence bisection and closed by a Rayleigh-Ritz step on the
 inverse-iteration vectors, and Numerov shooting in an energy window
 grown from the interior potential floor, bracketed by node counts and
-closed on the Dirichlet root, by regula falsi on the endpoint where
+closed on the Dirichlet root, by regula falsi on the end phase where
 r_max is classically allowed and by Cooley's matched-sweep correction
 where it is forbidden. Both return the lowest levels, level k as entry
 k, each state normalized and signed the same way. Both solve
@@ -217,9 +217,9 @@ def _numerov_sweep(f, h2, u0, u1):
     dtbtrs, two sub-diagonals) from two carry-in values renormalised to a
     maximum of 1. Forward substitution makes every value before the first
     one above e^600 (or non-finite) exact, so that prefix is kept and the
-    solve restarts from its last two values. The sweep is
-    u = v exp(log_scale) pointwise. A singular step, or a restart that
-    keeps no value, raises EvaluationOverflowError.
+    solve restarts from its last two values. u = v exp(log_scale), with
+    one log_scale per block (u0, u1 in the first); a singular step, or a
+    restart that keeps no value, raises EvaluationOverflowError.
     """
     n = f.shape[0]
     q = (h2 / 12.0) * f
@@ -231,9 +231,10 @@ def _numerov_sweep(f, h2, u0, u1):
     ab[1] = -d[2:]
     ab[2] = c[2:]
     v = np.empty(n)
-    v[0], v[1] = u0, u1
-    log_scale = np.zeros(n)
-    start, level = 2, 0.0
+    carry = max(abs(u0), abs(u1)) or 1.0
+    v[0], v[1] = u0 / carry, u1 / carry
+    start, level = 2, math.log(carry)
+    log_scale = np.full(n, level)
     while start < n:
         w0, w1 = v[start - 2], v[start - 1]
         carry = max(abs(w0), abs(w1))
@@ -266,48 +267,83 @@ def _unit_max(v, log_scale):
 
 
 def _numerov_probe(f, h2, u0, u1):
-    """(node count, endpoint) of one outward sweep.
+    """(node count, endpoint, end phase) of one outward sweep.
 
     The count is the number of sign changes, ignoring values below 1e-8 of
     the running maximum amplitude. The endpoint is u at the last grid
     point divided by the sweep's maximum amplitude, so it lies in [-1, 1].
+    Where the recurrence turns u by theta = arccos(d/2c) in (0, pi) per
+    step at the second-last point (r_max classically allowed, on over
+    about 2.5 points per wavelength) the end phase is Theta =
+    pi N + phi + theta, else None: N is the count up to that point and phi
+    the Pruefer angle in [0, pi] of the last pair (a, b), atan2(sin theta
+    |a|, (b - cos theta a) sign a). Both count however small, so Theta
+    rises continuously with E and passes (k + 1) pi where b = 0.
     """
     v, log_scale = _numerov_sweep(f, h2, u0, u1)
-    amp = _log_amplitude(v, log_scale)
-    # amp is never NaN, so fmax (faster here) gives maximum's running max
-    signs = np.sign(v[amp > np.fmax.accumulate(amp) + _LOG_NODE_EPS])
-    count = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    end = 0.0 if v[-1] == 0.0 else float(v[-1]) * math.exp(log_scale[-1] - np.max(amp))
-    return count, end
+    if log_scale[0] == log_scale[-1]:
+        # one block, so v is u in one scale; None: every value but a zero u0 counts
+        amp = np.abs(v)
+        top = float(np.max(amp))
+        big = None if np.min(amp[1:]) > _NODE_EPS * top else amp > _NODE_EPS * np.fmax.accumulate(amp)
+        end = float(v[-1]) / top if v[-1] else 0.0
+    else:
+        amp = _log_amplitude(v, log_scale)
+        # amp is never NaN, so fmax (faster here) gives maximum's running max
+        big = amp > np.fmax.accumulate(amp) + _LOG_NODE_EPS
+        end = float(v[-1]) * math.exp(log_scale[-1] - np.max(amp)) if v[-1] else 0.0
+    q = float(h2 * f[-2]) / 12.0
+    cos = (1.0 + 5.0 * q) / (1.0 - q)
+    turning = -1.0 < cos < 1.0
+    if big is not None and turning:
+        big[-2:] = v[-2:] != 0.0
+    negative = np.signbit(v[int(v[0] == 0.0):] if big is None else v[big])
+    flips = negative[1:] != negative[:-1]
+    count = int(np.count_nonzero(flips))
+    if not turning:
+        return count, end, None
+    a, b = float(v[-2]) * math.exp(log_scale[-2] - log_scale[-1]), float(v[-1])
+    phi = math.atan2(math.sqrt(1.0 - cos * cos) * abs(a), (b - cos * a) * math.copysign(1.0, a))
+    turns = count - int(bool(b) and flips.size and flips[-1])
+    return count, end, math.pi * turns + phi + math.acos(cos)
 
 
 def _level_tol(E, unit):
     return 1e-10 * max(unit, abs(E))
 
 
-def _illinois(endpoint, a, fa, b, fb, unit):
-    """Root of endpoint(E) in [a, b], where fa and fb have opposite signs,
-    by regula falsi with the Illinois halving of a retained end (Dowell
-    and Jarratt, BIT 11, 1971), to a bracket of width
-    1e-10 max(unit, |E|)."""
-    side = 0
+def _phase_root(probe, lo, hi, k, e_end, unit):
+    """Level k between the probe samples lo and hi, whose end phases lie on
+    either side of (k + 1) pi, to a bracket of width 1e-10 max(unit, |E|), by
+    regula falsi on Theta - (k + 1) pi in x = sqrt(E - e_end) with Anderson
+    and Bjorck's end scaling (BIT 13, 1973); e_end is the second-last sample."""
+    target = (k + 1) * math.pi
+    (xa, fa), (xb, fb) = ((math.sqrt(s[0] - e_end), s[3] - target) for s in (lo, hi))
+    side, last, move = 0, xa, math.inf
     for _ in range(_MAX_BISECT):
-        x = (a * fb - b * fa) / (fb - fa)
-        fx = endpoint(x)
+        x = (xa * fb - xb * fa) / (fb - fa)
+        tol = _level_tol(e_end + x * x, unit) / (xa + xb)
+        if side and abs(x - last) < 0.5 * tol:
+            # a quarter tolerance on, so that the next evaluation closes the bracket
+            x -= 0.25 * tol * side
+        # bisection for a step out of the bracket or longer than half the last
+        if not xa < x < xb or abs(x - last) > 0.5 * move:
+            x = 0.5 * (xa + xb)
+        move, last = abs(x - last), x
+        E = e_end + x * x
+        fx = probe(E)[3] - target
         if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
-            if side == 1:
-                fa *= 0.5
-            side = 1
+            return E
+        if fx > 0.0:
+            if side > 0:
+                fa *= 1.0 - fx / fb if fx < fb else 0.5
+            xb, fb, side = x, fx, 1
         else:
-            a, fa = x, fx
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        if b - a <= _level_tol(x, unit):
-            return 0.5 * (a + b)
+            if side < 0:
+                fb *= 1.0 - fx / fa if fx > fa else 0.5
+            xa, fa, side = x, fx, -1
+        if (xb - xa) * (xb + xa) <= _level_tol(E, unit):
+            return e_end + 0.5 * (xa * xa + xb * xb)
     raise ConvergenceError(
         f"numerov_spectrum: regula falsi not converged after {_MAX_BISECT} iterations")
 
@@ -381,28 +417,28 @@ def _cooley(match, lo, hi, unit):
         f"numerov_spectrum: matched Newton steps not converged after {_MAX_BISECT} iterations")
 
 
-def _locate_level(probe, samples, k, unit):
-    """The (E, count, endpoint) samples (lo, hi) that bracket level k,
-    from the samples swept so far. Bisection on the node count narrows
-    the bracket until it holds level k alone, with count k below, k + 1
-    above and a sign change of the endpoint across it. Without that sign
-    change the count bisection runs until the bracket is narrower than
-    1e-10 max(unit, |E|)."""
+def _locate_level(probe, samples, k, unit, v_end):
+    """The (E, count, endpoint, phase) samples (lo, hi) around level k and
+    their closer: bisection on the count narrows the bracket of samples so
+    far until "phase" applies (end phases either side of (k + 1) pi) or
+    "matched" (counts k and k + 1, an endpoint sign change and v_end, the
+    potential at r_max, above both), else to 1e-10 max(unit, |E|) (None)."""
     lo = max((s for s in samples if s[1] <= k), key=lambda s: s[0])
     hi = min((s for s in samples if s[1] > k and s[0] > lo[0]), key=lambda s: s[0])
     for _ in range(_MAX_BISECT):
-        if lo[1] == k and hi[1] == k + 1 and lo[2] * hi[2] < 0.0:
-            return lo, hi
+        if lo[3] is not None and hi[3] is not None and lo[3] < (k + 1) * math.pi < hi[3]:
+            return lo, hi, "phase"
+        if lo[1] == k and hi[1] == k + 1 and lo[2] * hi[2] < 0.0 and v_end > hi[0]:
+            return lo, hi, "matched"
+        if hi[0] - lo[0] <= _level_tol(hi[0], unit):
+            return lo, hi, None
         mid = probe(0.5 * (lo[0] + hi[0]))
         if mid[1] >= k + 1:
             hi = mid
         else:
             lo = mid
-        if hi[0] - lo[0] <= _level_tol(mid[0], unit):
-            return lo, hi
     raise ConvergenceError(
-        f"numerov_spectrum: bisection for level {k} not converged "
-        f"after {_MAX_BISECT} iterations")
+        f"numerov_spectrum: bisection for level {k} not converged after {_MAX_BISECT} iterations")
 
 
 def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
@@ -424,14 +460,16 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     level is bracketed by the count of thresholded sign changes of the
     outward sweep, reusing every probe sweep of the call, and located at
     the Dirichlet root u(r_max) = 0 to |dE| <= 1e-10 max(unit, |E|).
-    Where r_max is classically allowed at the bracket's upper energy (a
-    box level), regula falsi on the scaled endpoint closes the bracket.
-    Where r_max is forbidden, that endpoint is +-1 except exponentially
-    close to the level, so Newton steps on Cooley's energy correction
-    close it instead, each from one outward sweep matched to one inward
-    sweep from u(r_max) = 0. Wherever r_max is forbidden at the level
-    itself, the state is one such matched sweep at the level (the last
-    one of the Newton steps), so the outward sweep's exponentially growing
+    Two probes 1e-6 unit either side of the potential at r_max split the
+    bracket of a level near it. A box level, r_max classically allowed
+    across its bracket, is closed by regula falsi on the end phase
+    (_numerov_probe), which rises smoothly with E. Below r_max's
+    potential, the scaled endpoint is +-1 except exponentially close to
+    the level, so count bisection to a single-level bracket and Newton
+    steps on Cooley's energy correction close it, each from one outward
+    sweep matched to one inward sweep from u(r_max) = 0. Wherever r_max is
+    forbidden at the level itself, the state is one such matched sweep at
+    the level (the last Newton step's), so the outward sweep's growing
     tail never enters it; elsewhere the outward sweep is the state.
     """
     _check_states(n_states, grid)
@@ -444,7 +482,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     pref = 1.0 / consts.s
     unit = consts.s * (DEFAULT_REACH / grid.r_max) ** 2
     u0, u1 = 0.0, h
-    samples = []  # (E, node count, endpoint) of every sweep in this call
+    samples = []  # (E, node count, endpoint, end phase) of every probe
 
     def probe(E):
         samples.append((E, *_numerov_probe(pref * (veff - E), h2, u0, u1)))
@@ -466,6 +504,11 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         e_hi = e_lo + 2.0 * (e_hi - e_lo)
     else:
         raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
+    # each level's bracket then lies wholly above or wholly below r_max's potential
+    v_pair = veff[-2:].tolist()
+    above = max(v_pair) + 1e-6 * unit
+    if above < e_hi and probe(above)[1]:
+        probe(min(v_pair) - 1e-6 * unit)
 
     def match(E, a):
         # the last point classically allowed at a stays allowed at every E >= a
@@ -473,22 +516,19 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         u, mismatch, defect = _matched_sweep(pref * (veff - E), h2, u0, u1, m)
         return u, mismatch, -defect / pref
 
-    levels = []
-    wfs = []
+    levels, wfs = [], []
     for k in range(n_states):
-        lo, hi = _locate_level(probe, samples, k, unit)
-        if lo[2] * hi[2] < 0.0 and veff[-1] > hi[0]:
+        lo, hi, closer = _locate_level(probe, samples, k, unit, v_pair[1])
+        if closer == "matched":
             # r_max classically forbidden: the endpoint is saturated
             E, u = _cooley(match, lo, hi, unit)
         else:
-            if lo[2] * hi[2] < 0.0:
-                E = _illinois(lambda E: probe(E)[2], lo[0], lo[2], hi[0], hi[2], unit)
-            else:
-                # the count bisection closed without an endpoint sign change
-                E = 0.5 * (lo[0] + hi[0])
+            # without a closer, the count bisection closed the bracket
+            E = (_phase_root(probe, lo, hi, k, v_pair[0], unit) if closer == "phase"
+                 else 0.5 * (lo[0] + hi[0]))
             if veff[-1] > E:
-                # a level bound below the asymptote whose bracket reaches
-                # above it: the outward sweep's tail grows past the level
+                # a level bound below the potential at r_max: the outward
+                # sweep's tail grows past the level
                 u = match(E, lo[0])[0]
             else:
                 u = _unit_max(*_numerov_sweep(pref * (veff - E), h2, u0, u1))

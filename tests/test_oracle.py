@@ -246,6 +246,20 @@ class TestNumerovSweep:
         assert oracle._numerov_probe(f_hi, h2, 0.0, 1e-8)[0] \
             - oracle._numerov_probe(f_lo, h2, 0.0, 1e-8)[0] == 1
 
+    def test_end_phase_needs_a_turning_step(self):
+        # constant f: the recurrence turns u by theta = arccos(d/2c) per
+        # step, a rotation only while h^2 |f| < 6 (about 2.5 points per
+        # wavelength); the end phase then counts theta once per step
+        n = 400
+        for h2f, defined in ((-5.9, True), (-6.1, False), (0.5, False)):
+            count, _, phase = oracle._numerov_probe(np.full(n, h2f), 1.0, 0.0, 1e-3)
+            assert (phase is not None) == defined, h2f
+            if defined:
+                q = h2f / 12.0
+                theta = math.acos((1.0 + 5.0 * q) / (1.0 - q))
+                assert phase == pytest.approx((n - 1) * theta, rel=1e-10)
+                assert count == int(phase / math.pi)
+
     def test_singular_step_raises(self):
         # h^2 f_j = 12 makes the coefficient c_j of u_j vanish
         f = np.zeros(64)
@@ -346,9 +360,63 @@ class TestNumerovLevels:
             for k, E, _ in spec.levels:
                 assert E > veff[-1]  # every demo level is a box state
                 tol = 1e-10 * max(1.0, abs(E))
-                _, below = oracle._numerov_probe(veff - (E - tol), h * h, 0.0, h)
-                _, above = oracle._numerov_probe(veff - (E + tol), h * h, 0.0, h)
+                below = oracle._numerov_probe(veff - (E - tol), h * h, 0.0, h)[1]
+                above = oracle._numerov_probe(veff - (E + tol), h * h, 0.0, h)[1]
                 assert below * above < 0.0, (l, k)
+
+    def test_end_phase_rises_through_demo_levels(self):
+        # general.cfg at l = 1: hbar^2/(2m) = 1 and r_max = 40, so f = veff - E
+        # and the energy unit is 1
+        cfg = parse_config((REPO / "configs" / "general.cfg").read_text())
+        veff = effective_potential(cfg.params, cfg.consts, 1, cfg.grid.points())
+        h2 = cfg.grid.h ** 2
+
+        def phase(E):
+            return oracle._numerov_probe(veff - E, h2, 0.0, cfg.grid.h)[2]
+
+        energies = np.linspace(max(veff[-2:]), veff[-1] + 0.5, 4001)[1:]
+        phases = np.array([phase(E) for E in energies])
+        assert np.all(np.diff(phases) >= 0.0)
+        assert phases[-1] > 8.0 * math.pi  # passes (k + 1) pi for 8 levels
+        spec = numerov_spectrum(veff, cfg.consts, cfg.grid, 3)
+        for k, E, _ in spec.levels:
+            tol = 1e-10 * max(1.0, abs(E))
+            assert phase(E - tol) < (k + 1) * math.pi < phase(E + tol), k
+
+    # a spike in the box's last points, with level 0 the spike's own bound
+    # state: at the second-last point alone, h^2 |f| > 6 there above
+    # E = -6e6, so no probe of the box levels turns u by less than pi, none
+    # has an end phase and count bisection closes them; over the last three
+    # points the phase is defined but far from linear in x, and bisection
+    # steps keep regula falsi converging there
+    @pytest.mark.parametrize("spike, depth, phased", [
+        (slice(-2, -1), -3e7, False), (slice(-3, None), -1e7, True)],
+        ids=["unresolved", "distorted"])
+    def test_end_spike_box_levels_on_dirichlet_roots(self, monkeypatch, spike, depth, phased):
+        veff = box(BOX_GRID)
+        veff[spike] = depth
+        h = BOX_GRID.h
+        phases = []
+        real_probe = oracle._numerov_probe
+
+        def recording(f, *args):
+            out = real_probe(f, *args)
+            if f[0] < 0.0:  # E > 0, as f = veff - E
+                phases.append(out[2] is not None)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_numerov_probe", recording)
+            spec = numerov_spectrum(veff, CONSTS, BOX_GRID, 3)
+        assert len(phases) > 10 and set(phases) == {phased}
+        assert node_counts(spec) == [0, 1, 2]
+        assert spec.levels[0][1] < -1e6
+        for k, E, _ in spec.levels[1:]:
+            assert E == pytest.approx((k * math.pi) ** 2, rel=3e-3)
+            tol = 1e-10 * max(1600.0, abs(E))  # unit (40/r_max)^2
+            below = oracle._numerov_probe(veff - (E - tol), h * h, 0.0, h)[1]
+            above = oracle._numerov_probe(veff - (E + tol), h * h, 0.0, h)[1]
+            assert below * above < 0.0, k
 
     # FAULT's two s-wave bound levels are the exact Eckart levels -53 and
     # -30.7778; each bound is the solver's measured error plus 10%
@@ -372,13 +440,18 @@ class TestNumerovLevels:
         for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
             assert abs(spec.levels[k][1] - exact[k].energy) <= bound, k
 
-    @pytest.mark.parametrize("l, n_points, budget", [
-        (0, 2000, 40), (0, 8000, 40), (1, 2000, 50), (1, 8000, 50)])
-    def test_deep_level_sweep_budget(self, monkeypatch, l, n_points, budget):
+    # with the cosech^2 barrier, level 1 at l = 1 (-28.136) is bound just
+    # below the asymptote -28
+    @pytest.mark.parametrize("l, n_points, budget, approximate", [
+        (0, 2000, 40, False), (0, 8000, 40, False), (1, 2000, 50, False), (1, 8000, 50, False),
+        (1, 2000, 40, True), (1, 8000, 40, True)],
+        ids=["0-2000-40", "0-8000-40", "1-2000-50", "1-8000-50",
+             "csch2-1-2000-40", "csch2-1-8000-40"])
+    def test_deep_level_sweep_budget(self, monkeypatch, l, n_points, budget, approximate):
         # sweeps are counted as grid points swept over n_points
         grid = RadialGrid(1e-6, 40.0, n_points)
-        spec, swept = swept_numerov(
-            monkeypatch, effective_potential(self.FAULT, CONSTS, l, grid.points()), CONSTS, grid)
+        veff = effective_potential(self.FAULT, CONSTS, l, grid.points(), approximate=approximate)
+        spec, swept = swept_numerov(monkeypatch, veff, CONSTS, grid)
         assert node_counts(spec) == [0, 1, 2]
         assert swept / n_points <= budget
 
@@ -451,7 +524,6 @@ class TestSurrogateLevels:
         ("numerov", 1, 2000): (1.1 * 2.754e-6, 1.1 * 3.730e-7),
         ("numerov", 1, 8000): (1.1 * 1.202e-8, 1.1 * 1.620e-9),
         ("numerov", 2, 2000): (1.1 * 8.682e-9,),
-        ("numerov", 2, 8000): (1.1 * 8.831e-12,),
     }
 
     @pytest.mark.parametrize("solver, l, n_points", REL_ERROR_BOUNDS)
@@ -469,12 +541,41 @@ class TestSurrogateLevels:
         for lv, rel in zip(exact, bounds):
             assert abs(spec.levels[lv.n][1] - lv.energy) <= rel * abs(lv.energy), lv.n
 
+    def test_numerov_fine_l2_on_dirichlet_root(self):
+        # at l = 2 and 8000 points the discretisation error (3.383e-11
+        # relative) is below Numerov's 1e-10 stop, so the level alone is not
+        # pinned: the Dirichlet root is pinned to the exact level at 1.1
+        # times its measured error, and the level to the root at the stop
+        exact = surrogate_level(self.FAULT, CONSTS, 0, 2).energy
+        grid = RadialGrid(1e-6, 40.0, 8000)
+        h = grid.h
+        veff = effective_potential(self.FAULT, CONSTS, 2, grid.points(), approximate=True)
+        E = numerov_spectrum(veff, CONSTS, grid, 3).levels[0][1]
+        # hbar^2/(2m) = 1, so f = veff - E; the matched mismatch changes
+        # sign at the Dirichlet root wherever it is matched
+        m = int(np.flatnonzero(veff <= E - 1e-6)[-1])
+
+        def positive(e):
+            return oracle._matched_sweep(veff - e, h * h, 0.0, h, m)[1] > 0.0
+
+        a, b = E - 1e-6, E + 1e-6
+        at_a = positive(a)
+        assert positive(b) != at_a
+        while b - a > 1e-14 * abs(E):
+            mid = 0.5 * (a + b)
+            if positive(mid) == at_a:
+                a = mid
+            else:
+                b = mid
+        root = 0.5 * (a + b)
+        assert abs(root - exact) <= 1.1 * 3.383e-11 * abs(exact)
+        assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
+
     @pytest.mark.parametrize("n_points", [3995, 8010])
     def test_excited_bound_state_is_a_matched_sweep(self, n_points):
-        # level 1 at l = 1 (-28.136) is bound below the asymptote -28, but
-        # its count bracket reaches above it, so regula falsi closes it; the
+        # level 1 at l = 1 (-28.136) is bound below the asymptote -28; the
         # outward sweep there grows past the level and crosses zero near
-        # r_max, which read [0, 2, 2]
+        # r_max, which read [0, 2, 2] when the state was that sweep
         grid = RadialGrid(1e-6, 40.0, n_points)
         veff = effective_potential(self.FAULT, CONSTS, 1, grid.points(), approximate=True)
         spec = numerov_spectrum(veff, CONSTS, grid, 3)
