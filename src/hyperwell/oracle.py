@@ -504,7 +504,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         e_hi = e_lo + 2.0 * (e_hi - e_lo)
     else:
         raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
-    # each level's bracket then lies wholly above or wholly below r_max's potential
+    # two probes just around r_max's potential split any bracket spanning it
     v_pair = veff[-2:].tolist()
     above = max(v_pair) + 1e-6 * unit
     if above < e_hi and probe(above)[1]:
