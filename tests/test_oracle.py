@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
 
 from hyperwell import oracle
 from hyperwell.config import RadialGrid, parse_config
@@ -544,30 +544,14 @@ class TestSurrogateLevels:
     def test_numerov_fine_l2_on_dirichlet_root(self):
         # at l = 2 and 8000 points the discretisation error (3.383e-11
         # relative) is below Numerov's 1e-10 stop, so the level alone is not
-        # pinned: the Dirichlet root is pinned to the exact level at 1.1
-        # times its measured error, and the level to the root at the stop
+        # pinned: the matrix-Numerov eigenvalue E_H, the Dirichlet root, is
+        # pinned to the exact level at 1.1 times its measured error, and the
+        # level to E_H at the stop
         exact = surrogate_level(self.FAULT, CONSTS, 0, 2).energy
         grid = RadialGrid(1e-6, 40.0, 8000)
-        h = grid.h
         veff = effective_potential(self.FAULT, CONSTS, 2, grid.points(), approximate=True)
         E = numerov_spectrum(veff, CONSTS, grid, 3).levels[0][1]
-        # hbar^2/(2m) = 1, so f = veff - E; the matched mismatch changes
-        # sign at the Dirichlet root wherever it is matched
-        m = int(np.flatnonzero(veff <= E - 1e-6)[-1])
-
-        def positive(e):
-            return oracle._matched_sweep(veff - e, h * h, 0.0, h, m)[1] > 0.0
-
-        a, b = E - 1e-6, E + 1e-6
-        at_a = positive(a)
-        assert positive(b) != at_a
-        while b - a > 1e-14 * abs(E):
-            mid = 0.5 * (a + b)
-            if positive(mid) == at_a:
-                a = mid
-            else:
-                b = mid
-        root = 0.5 * (a + b)
+        root = matrix_numerov_level(veff, CONSTS.s, grid.h, exact)
         assert abs(root - exact) <= 1.1 * 3.383e-11 * abs(exact)
         assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
 
@@ -640,6 +624,110 @@ def fd_with_matrix(monkeypatch, veff, grid, n_states):
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
     return fd_spectrum(veff, CONSTS, grid, n_states), seen[0]
+
+
+def matrix_numerov_bands(veff, s, h, E):
+    """B (H - E) B in upper band storage (scipy.linalg.eig_banded), for the
+    matrix-Numerov Hamiltonian H = (s/h^2) B^-1 K + diag(veff[1:-1]) with
+    K = tridiag(-1, 2, -1) and B = tridiag(1, 10, 1)/12 = I - K/12
+    (Pillai, Goglio and Walker, Am. J. Phys. 80, 1017, 2012). With
+    Dirichlet ends the Numerov recurrence from (0, h) ends on
+    u(r_max) = 0 exactly at the eigenvalues of H, which is symmetric since
+    K and B commute. The product, (s/h^2)(K - K^2/12) + B diag(veff - E) B,
+    is pentadiagonal, and congruent to H - E."""
+    t = s / (h * h)
+    w = (np.asarray(veff[1:-1], dtype=float) - E) / 144.0
+    band = np.zeros((3, w.size))
+    band[0, 2:] = w[1:-1] - t / 12.0
+    band[1, 1:] = 10.0 * (w[:-1] + w[1:]) - t * 8.0 / 12.0
+    band[2] = 100.0 * w + t * 1.5
+    band[2, [0, -1]] += t / 12.0
+    band[2, 1:] += w[:-1]
+    band[2, :-1] += w[1:]
+    return band
+
+
+def matrix_numerov_below(veff, s, h, E):
+    """The number of matrix-Numerov eigenvalues below E: the negative
+    inertia of B (H - E) B (Sylvester), counted by LAPACK dsbevx."""
+    return eig_banded(matrix_numerov_bands(veff, s, h, E), eigvals_only=True,
+                      select="v", select_range=(-np.inf, 0.0)).size
+
+
+def matrix_numerov_level(veff, s, h, guess):
+    """The matrix-Numerov eigenvalue E_H nearest guess, by Rayleigh-quotient
+    iteration: each step solves (H - E) x = y as the tridiagonal
+    ((s/h^2) K + B diag(veff - E)) x = B y."""
+    t = s / (h * h)
+    d = np.asarray(veff[1:-1], dtype=float)
+    b_band = np.outer([1.0, 10.0, 1.0], np.ones(d.size)) / 12.0
+
+    def times_b(x):
+        y = 10.0 * x
+        y[1:] += x[:-1]
+        y[:-1] += x[1:]
+        return y / 12.0
+
+    def times_h(x):
+        kx = 2.0 * x
+        kx[1:] -= x[:-1]
+        kx[:-1] -= x[1:]
+        return t * solve_banded((1, 1), b_band, kx) + d * x
+
+    x, E = np.ones(d.size), guess
+    for _ in range(20):
+        w = (d - E) / 12.0
+        shifted = np.zeros((3, d.size))
+        shifted[0, 1:] = w[1:] - t
+        shifted[1] = 10.0 * w + 2.0 * t
+        shifted[2, :-1] = w[:-1] - t
+        x = solve_banded((1, 1), shifted, times_b(x))
+        x /= np.linalg.norm(x)
+        last, E = E, float(x @ times_h(x))
+        if abs(E - last) <= 1e-15 * abs(E):
+            return E
+    raise AssertionError(f"Rayleigh-quotient iteration from {guess} not converged")
+
+
+class TestMatrixNumerov:
+    """Numerov's levels against its own discrete eigenproblem: level k is
+    the k-th eigenvalue E_H of the matrix-Numerov Hamiltonian to
+    1e-10 max(unit, |E|), so the reference sees where the solver stops
+    (measured at most 5.1e-11) and shares no code with it."""
+
+    GENERAL = parse_config((REPO / "configs" / "general.cfg").read_text())
+    FAULT = TestNumerovLevels.FAULT
+    CASES = {f"{name} l{l}{' csch2' if approximate else ''}":
+             (functools.partial(effective_potential, params, consts, l, approximate=approximate),
+              consts, RadialGrid(1e-6, 40.0 / params.alpha, 1000))
+             for name, params, consts in (("general", GENERAL.params, GENERAL.consts),
+                                          ("fault", FAULT, CONSTS))
+             for l in range(3) for approximate in (False, True)}
+
+    def spike(where, depth):
+        def potential(r):
+            veff = np.zeros(r.size)
+            veff[where] = depth
+            return veff
+        return potential
+
+    # the two end-spike fixtures of TestNumerovLevels, on their own grid
+    CASES["end spike unresolved"] = (spike(slice(-2, -1), -3e7), CONSTS, BOX_GRID)
+    CASES["end spike distorted"] = (spike(slice(-3, None), -1e7), CONSTS, BOX_GRID)
+    del spike
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_levels_are_discrete_eigenvalues(self, name):
+        # fault l1 csch2 holds level 1 (-28.137), bound just below the
+        # asymptote -28 while its window bracket reaches above it
+        potential, consts, grid = self.CASES[name]
+        veff = potential(grid.points())
+        unit = consts.s * (40.0 / grid.r_max) ** 2
+        spec = numerov_spectrum(veff, consts, grid, 3)
+        for k, E, _ in spec.levels:
+            tol = 1e-10 * max(unit, abs(E))
+            assert matrix_numerov_below(veff, consts.s, grid.h, E - tol) == k, (name, k)
+            assert matrix_numerov_below(veff, consts.s, grid.h, E + tol) == k + 1, (name, k)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
