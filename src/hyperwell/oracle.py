@@ -3,12 +3,11 @@
 Two deliberately different methods act as ground truth for the closed
 forms: a finite-difference discretization, its levels bracketed by
 Sturm-sequence bisection and closed by a Rayleigh-Ritz step on the
-inverse-iteration vectors, and Numerov shooting in an energy window
-grown from the interior potential floor, bracketed by node counts and
-closed on the Dirichlet root, by regula falsi on the end phase where
-r_max is classically allowed and by Cooley's matched-sweep correction
-where it is forbidden. Both return the lowest levels, level k as entry
-k, each state normalized and signed the same way. Both solve
+inverse-iteration vectors, and Numerov shooting, each level bracketed
+and closed on the Dirichlet root by regula falsi on one phase: the
+Pruefer angles of an outward and an inward sweep matched at one point.
+Both return the lowest levels, level k as entry k, each state normalized
+and signed the same way. Both solve
 
     -(hbar^2/2m) u'' + V_eff(r) u = E u
 
@@ -37,7 +36,6 @@ from .exact import kappa_radicand
 from .potential import PhysicalConstants, PotentialParams, effective_potential
 
 _NODE_EPS = 1e-8
-_LOG_NODE_EPS = math.log(_NODE_EPS)
 # a Numerov block keeps values up to e^600 times its carry-ins (at most 1),
 # well inside the float64 range (e^709) whatever the input
 _MAX_VALUE = math.exp(600.0)
@@ -261,68 +259,97 @@ def _log_amplitude(v, log_scale):
         return np.log(np.abs(v)) + log_scale
 
 
-def _unit_max(v, log_scale):
-    """The sweep u = v exp(log_scale) scaled to a maximum |u| of 1."""
-    return v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
+def _match_point(f):
+    """The matching point m of a probe at f = (V - E)/s: the lowest point of
+    the last classically allowed (f < 0) run of interior points, or n - 2
+    where r_max's neighbour is allowed or no point is: a probe below the
+    whole potential must not match next to the origin, where a singular
+    barrier's sample can make 1 - h^2 f/12 negative."""
+    n = f.shape[0]
+    if f[-2] < 0.0:
+        return n - 2
+    allowed = np.flatnonzero(f[1:-2] < 0.0)
+    if not allowed.size:
+        return n - 2
+    end = int(allowed[-1]) + 2
+    barrier = np.flatnonzero(f[1:end] >= 0.0)
+    start = int(barrier[-1]) + 2 if barrier.size else 1
+    return start + int(np.argmin(f[start:end]))
 
 
-def _numerov_probe(f, h2, u0, u1):
-    """(node count, endpoint, end phase) of one outward sweep.
+def _matched_phase(f, h2, u1, m):
+    """(Theta, sweeps) of one probe matched at m: an outward sweep from
+    (0, u1) to m + 1 and an inward one from u(r_max) = 0 to m (Pryce,
+    Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).
 
-    The count is the number of sign changes, ignoring values below 1e-8 of
-    the running maximum amplitude. The endpoint is u at the last grid
-    point divided by the sweep's maximum amplitude, so it lies in [-1, 1].
-    Where the recurrence turns u by theta = arccos(d/2c) in (0, pi) per
-    step at the second-last point (r_max classically allowed, on over
-    about 2.5 points per wavelength) the end phase is Theta =
-    pi N + phi + theta, else None: N is the count up to that point and phi
-    the Pruefer angle in [0, pi] of the last pair (a, b), atan2(sin theta
-    |a|, (b - cos theta a) sign a). Both count however small, so Theta
-    rises continuously with E and passes (k + 1) pi where b = 0.
+    Theta = pi (N_out + N_in) + phi_out + phi_in + theta, with N the sign
+    changes of a sweep before its pair at (m, m + 1), phi the Pruefer angle
+    atan2(sin theta |a|, (b - cos theta a) sign a) in [0, pi] of that pair
+    (a, b) in the sweep's own direction, and theta = arccos(d/2c) the
+    recurrence's turn per step at m, or pi/2 where it does not turn there.
+    The angles of two proportional pairs sum to a multiple of pi minus
+    theta, so Theta, continuous in E at a fixed m, is (k + 1) pi exactly
+    where the sweeps join into level k, and floor(Theta/pi) counts the
+    levels below E whatever m, wherever 1 - h2 f/12 > 0. At m = n - 2 the
+    inward pair is (0, 1) and Theta is the outward sweep's end phase.
     """
-    v, log_scale = _numerov_sweep(f, h2, u0, u1)
-    if log_scale[0] == log_scale[-1]:
-        # one block, so v is u in one scale; None: every value but a zero u0 counts
-        amp = np.abs(v)
-        top = float(np.max(amp))
-        big = None if np.min(amp[1:]) > _NODE_EPS * top else amp > _NODE_EPS * np.fmax.accumulate(amp)
-        end = float(v[-1]) / top if v[-1] else 0.0
-    else:
-        amp = _log_amplitude(v, log_scale)
-        # amp is never NaN, so fmax (faster here) gives maximum's running max
-        big = amp > np.fmax.accumulate(amp) + _LOG_NODE_EPS
-        end = float(v[-1]) * math.exp(log_scale[-1] - np.max(amp)) if v[-1] else 0.0
-    q = float(h2 * f[-2]) / 12.0
+    # at m = n - 2 the inward sweep is its start pair (0, 1) alone
+    inward = (_numerov_sweep(f[m:][::-1], h2, 0.0, 1.0) if m < f.shape[0] - 2
+              else (np.array([0.0, 1.0]), np.zeros(2)))
+    sweeps = (_numerov_sweep(f[:m + 2], h2, 0.0, u1), inward)
+    q = float(h2 * f[m]) / 12.0
     cos = (1.0 + 5.0 * q) / (1.0 - q)
-    turning = -1.0 < cos < 1.0
-    if big is not None and turning:
-        big[-2:] = v[-2:] != 0.0
-    negative = np.signbit(v[int(v[0] == 0.0):] if big is None else v[big])
-    flips = negative[1:] != negative[:-1]
-    count = int(np.count_nonzero(flips))
-    if not turning:
-        return count, end, None
-    a, b = float(v[-2]) * math.exp(log_scale[-2] - log_scale[-1]), float(v[-1])
-    phi = math.atan2(math.sqrt(1.0 - cos * cos) * abs(a), (b - cos * a) * math.copysign(1.0, a))
-    turns = count - int(bool(b) and flips.size and flips[-1])
-    return count, end, math.pi * turns + phi + math.acos(cos)
+    if -1.0 < cos < 1.0:
+        theta = math.acos(cos)
+    else:
+        cos, theta = 0.0, 0.5 * math.pi
+    sin = math.sqrt(1.0 - cos * cos)
+    phase = theta
+    for v, log_scale in sweeps:
+        negative = np.signbit(v[:-1])
+        a, b = float(v[-2]) * math.exp(log_scale[-2] - log_scale[-1]), float(v[-1])
+        phase += (math.pi * int(np.count_nonzero(negative[1:] != negative[:-1]))
+                  + math.atan2(sin * abs(a), (b - cos * a) * math.copysign(1.0, a)))
+    return phase, sweeps
+
+
+def _joined_state(sweeps, m):
+    """The outward sweep up to m joined to the inward one past it, scaled so
+    that their pairs at (m, m + 1) agree in length and sign, with a maximum
+    |u| of 1."""
+    (v_out, s_out), (v_in, s_in) = sweeps
+    pair_out = v_out[m:] * np.exp(s_out[m:] - s_out[-1])
+    pair_in = v_in[:-3:-1] * np.exp(s_in[:-3:-1] - s_in[-1])
+    size_out, size_in = math.hypot(*pair_out), math.hypot(*pair_in)
+    sign = math.copysign(1.0, float((pair_out / size_out) @ pair_in))
+    v = np.concatenate((v_out[:m + 1], sign * v_in[-2::-1]))
+    shift = s_out[-1] - s_in[-1] + math.log(size_out / size_in)
+    log_scale = np.concatenate((s_out[:m + 1], s_in[-2::-1] + shift))
+    return v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
 
 
 def _level_tol(E, unit):
     return 1e-10 * max(unit, abs(E))
 
 
-def _phase_root(probe, lo, hi, k, e_end, unit):
-    """Level k between the probe samples lo and hi, whose end phases lie on
-    either side of (k + 1) pi, to a bracket of width 1e-10 max(unit, |E|), by
-    regula falsi on Theta - (k + 1) pi in x = sqrt(E - e_end) with Anderson
-    and Bjorck's end scaling (BIT 13, 1973); e_end is the second-last sample."""
+def _phase_root(phase, lo, hi, k, e_end, unit):
+    """Level k between the samples lo and hi, (E, Theta) with Theta either
+    side of (k + 1) pi, to a bracket of width 1e-10 max(unit, |E|), by
+    regula falsi on Theta - (k + 1) pi with Anderson and Bjorck's end
+    scaling (BIT 13, 1973), in x = sqrt(E - e_end) where the bracket lies
+    above e_end, the potential at the second-last point, else in x = E."""
     target = (k + 1) * math.pi
-    (xa, fa), (xb, fb) = ((math.sqrt(s[0] - e_end), s[3] - target) for s in (lo, hi))
+    root = lo[0] > e_end
+
+    def energy(x):
+        return e_end + x * x if root else x
+
+    (xa, fa), (xb, fb) = (((math.sqrt(s[0] - e_end) if root else s[0]), s[1] - target)
+                          for s in (lo, hi))
     side, last, move = 0, xa, math.inf
     for _ in range(_MAX_BISECT):
         x = (xa * fb - xb * fa) / (fb - fa)
-        tol = _level_tol(e_end + x * x, unit) / (xa + xb)
+        tol = _level_tol(energy(x), unit) / (xa + xb if root else 1.0)
         if side and abs(x - last) < 0.5 * tol:
             # a quarter tolerance on, so that the next evaluation closes the bracket
             x -= 0.25 * tol * side
@@ -330,8 +357,8 @@ def _phase_root(probe, lo, hi, k, e_end, unit):
         if not xa < x < xb or abs(x - last) > 0.5 * move:
             x = 0.5 * (xa + xb)
         move, last = abs(x - last), x
-        E = e_end + x * x
-        fx = probe(E)[3] - target
+        E = energy(x)
+        fx = phase(E) - target
         if fx == 0.0:
             return E
         if fx > 0.0:
@@ -342,135 +369,28 @@ def _phase_root(probe, lo, hi, k, e_end, unit):
             if side < 0:
                 fb *= 1.0 - fx / fa if fx > fa else 0.5
             xa, fa, side = x, fx, -1
-        if (xb - xa) * (xb + xa) <= _level_tol(E, unit):
-            return e_end + 0.5 * (xa * xa + xb * xb)
+        if energy(xb) - energy(xa) <= _level_tol(E, unit):
+            return 0.5 * (energy(xa) + energy(xb))
     raise ConvergenceError(
         f"numerov_spectrum: regula falsi not converged after {_MAX_BISECT} iterations")
 
 
-def _matched_sweep(f, h2, u0, u1, m):
-    """An outward sweep to m + 1 matched to an inward sweep from
-    u(r_max) = 0 to m (Cooley, Math. Comp. 15, 363, 1961), as
-    (u, mismatch, defect).
-
-    u is the outward sweep up to m joined to the inward one past it,
-    scaled to agree at m, with a maximum |u| of 1. The mismatch is the
-    Wronskian u_out(m) u_in(m+1) - u_out(m+1) u_in(m) with each pair
-    scaled to unit length: bounded, free of poles and zero at the
-    Dirichlet root. The recurrence conserves the Wronskian of any two
-    sweeps, so the mismatch has the sign opposite to the outward sweep's
-    endpoint u(r_max), wherever m lies, while 1 - h2 f/12 stays positive
-    at m, m + 1 and the last two points. The defect is Cooley's energy
-    correction in units of f: the Numerov residual R of u at m, weighted
-    by w(m) = (1 - h2 f(m)/12) u(m) and divided by the sum of u^2. The
-    recurrence is symmetric in w, which makes this weight the exact first
-    order, so for f = (2m/hbar^2)(V - E) the level lies at
-    E - defect / (2m/hbar^2) to second order.
-    """
-    v_out, s_out = _numerov_sweep(f[:m + 2], h2, u0, u1)
-    v_in, s_in = _numerov_sweep(f[m:][::-1], h2, 0.0, 1.0)
-    pair_out = v_out[m:] * np.exp(s_out[m:] - np.max(s_out[m:]))
-    pair_in = v_in[:-3:-1] * np.exp(s_in[:-3:-1] - np.max(s_in[-2:]))
-    mismatch = float(pair_out[0] * pair_in[1] - pair_out[1] * pair_in[0]) / (
-        math.hypot(*pair_out) * math.hypot(*pair_in))
-    shift = _log_amplitude(v_out[m], s_out[m]) - _log_amplitude(v_in[-1], s_in[-1])
-    sign = np.sign(v_out[m]) * np.sign(v_in[-1])
-    u = _unit_max(np.concatenate((v_out[:m + 1], sign * v_in[-2::-1])),
-                  np.concatenate((s_out[:m + 1], s_in[-2::-1] + shift)))
-    c = 1.0 - h2 * f[m - 1:m + 2] / 12.0
-    residual = (c[0] * u[m - 1] - 2.0 * c[1] * u[m] + c[2] * u[m + 1]) / h2 - f[m] * u[m]
-    return u, mismatch, float(residual * c[1] * u[m] / np.dot(u, u))
-
-
-def _cooley(match, lo, hi, unit):
-    """Level in the single-level bracket of probe samples (lo, hi), as
-    (E, u) of its last matched evaluation. match(E, a) gives _matched_sweep's
-    (u, mismatch) at E, matched at the last point classically allowed at
-    the bracket's lower end a <= E, and Cooley's correction in energy units.
-
-    Newton steps on the correction, kept inside the bracket by the sign of
-    the mismatch, which is opposite to the probe endpoint's at both ends:
-    a step that leaves the bracket is replaced by bisection. Stops on a
-    sign-changing bracket of width 1e-10 max(unit, |E|).
-    """
-    a, b = lo[0], hi[0]
-    E = 0.5 * (a + b)
-    for _ in range(_MAX_BISECT):
-        u, mismatch, step = match(E, a)
-        if mismatch == 0.0:
-            return E, u
-        if (mismatch < 0.0) == (lo[2] > 0.0):
-            a = E
-        else:
-            b = E
-        tol = _level_tol(E, unit)
-        if b - a <= tol:
-            return E, u
-        if abs(step) < 0.5 * tol:
-            # a quarter tolerance past the estimated root, toward the far
-            # end, so that the next evaluation closes the bracket
-            step += 0.25 * tol if E == a else -0.25 * tol
-        E += step
-        if not a < E < b:
-            E = 0.5 * (a + b)
-    raise ConvergenceError(
-        f"numerov_spectrum: matched Newton steps not converged after {_MAX_BISECT} iterations")
-
-
-def _locate_level(probe, samples, k, unit, v_end):
-    """The (E, count, endpoint, phase) samples (lo, hi) around level k and
-    their closer: bisection on the count narrows the bracket of samples so
-    far until "phase" applies (end phases either side of (k + 1) pi) or
-    "matched" (counts k and k + 1, an endpoint sign change and v_end, the
-    potential at r_max, above both), else to 1e-10 max(unit, |E|) (None)."""
-    lo = max((s for s in samples if s[1] <= k), key=lambda s: s[0])
-    hi = min((s for s in samples if s[1] > k and s[0] > lo[0]), key=lambda s: s[0])
-    for _ in range(_MAX_BISECT):
-        if lo[3] is not None and hi[3] is not None and lo[3] < (k + 1) * math.pi < hi[3]:
-            return lo, hi, "phase"
-        if lo[1] == k and hi[1] == k + 1 and lo[2] * hi[2] < 0.0 and v_end > hi[0]:
-            return lo, hi, "matched"
-        if hi[0] - lo[0] <= _level_tol(hi[0], unit):
-            return lo, hi, None
-        mid = probe(0.5 * (lo[0] + hi[0]))
-        if mid[1] >= k + 1:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError(
-        f"numerov_spectrum: bisection for level {k} not converged after {_MAX_BISECT} iterations")
-
-
 def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
-    """The lowest n_states levels by Numerov shooting on veff, the
-    effective potential at grid.points(); level k is entry k and has k
-    nodes.
+    """The lowest n_states levels by Numerov shooting on veff, the effective
+    potential at grid.points(); level k is entry k and has k nodes.
 
-    Every sweep starts from (u_0, u_1) = (0, h), so u = 0 exactly at the
-    left boundary (identical to the Dirichlet condition the
-    finite-difference oracle imposes, and immune to a singular potential
-    sample at r_min); u_1 only scales the sweep. Energies are counted in
-    the unit s (40/r_max)^2, with s = hbar^2/2m: s alpha^2 on the default
-    grid, and 1 at s = 1 and r_max = 40. Scaling the energy unit or the
-    length then scales the window and every tolerance with the levels.
-    The energy window starts 1 unit below the interior potential floor,
-    where no state has nodes; a grid so coarse that the sweep already has
-    nodes there raises ResolutionError. Its width starts at 1 unit and
-    doubles until the sweep at its upper end has n_states nodes. Each
-    level is bracketed by the count of thresholded sign changes of the
-    outward sweep, reusing every probe sweep of the call, and located at
-    the Dirichlet root u(r_max) = 0 to |dE| <= 1e-10 max(unit, |E|).
-    Two probes 1e-6 unit either side of the potential at r_max split the
-    bracket of a level near it. A box level, r_max classically allowed
-    across its bracket, is closed by regula falsi on the end phase
-    (_numerov_probe), which rises smoothly with E. Below r_max's
-    potential, the scaled endpoint is +-1 except exponentially close to
-    the level, so count bisection to a single-level bracket and Newton
-    steps on Cooley's energy correction close it, each from one outward
-    sweep matched to one inward sweep from u(r_max) = 0. Wherever r_max is
-    forbidden at the level itself, the state is one such matched sweep at
-    the level (the last Newton step's), so the outward sweep's growing
-    tail never enters it; elsewhere the outward sweep is the state.
+    Sweeps start from (u_0, u_1) = (0, h), so u = 0 exactly at r_min
+    whatever the potential's sample there. Energies count in the unit
+    s (40/r_max)^2, s = hbar^2/2m, so that the window and the tolerance
+    scale with the levels. Each probe at E is one matched phase Theta
+    (_matched_phase, _match_point). The window starts 1 unit below the
+    interior floor, where a grid with Theta >= pi is refused
+    (ResolutionError), and doubles from 1 unit wide until floor(Theta/pi)
+    reaches n_states; two probes 1e-6 unit either side of the potential at
+    r_max split any bracket there. Level k is bracketed by every sample's
+    Theta against (k + 1) pi and closed on it by regula falsi
+    (_phase_root) to 1e-10 max(unit, |E|); its state is the last probe's
+    two sweeps joined at m.
     """
     _check_states(n_states, grid)
     r = grid.points()
@@ -481,17 +401,22 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     h2 = h * h
     pref = 1.0 / consts.s
     unit = consts.s * (DEFAULT_REACH / grid.r_max) ** 2
-    u0, u1 = 0.0, h
-    samples = []  # (E, node count, endpoint, end phase) of every probe
+    samples = []  # (E, Theta) of every probe
+    latest = None  # the sweeps and match point of the last probe only
 
-    def probe(E):
-        samples.append((E, *_numerov_probe(pref * (veff - E), h2, u0, u1)))
-        return samples[-1]
+    def phase(E):
+        nonlocal latest
+        f = pref * (veff - E)
+        m = _match_point(f)
+        angle, sweeps = _matched_phase(f, h2, h, m)
+        samples.append((E, angle))
+        latest = sweeps, m
+        return angle
 
     # interior floor: boundary samples may be singular and only ever
     # multiply the u = 0 start value
     e_lo = float(np.min(veff[1:-1])) - unit
-    k_lo = probe(e_lo)[1]
+    k_lo = int(phase(e_lo) // math.pi)
     if k_lo:
         # no state has nodes below the potential minimum
         raise ResolutionError(
@@ -499,40 +424,23 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
             f"minimum; n_points = {grid.n_points} is too coarse for this potential")
     e_hi = e_lo + unit
     for _ in range(_MAX_BISECT):
-        if probe(e_hi)[1] >= n_states:
+        if phase(e_hi) >= n_states * math.pi:
             break
         e_hi = e_lo + 2.0 * (e_hi - e_lo)
     else:
         raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
-    # two probes just around r_max's potential split any bracket spanning it
     v_pair = veff[-2:].tolist()
     above = max(v_pair) + 1e-6 * unit
-    if above < e_hi and probe(above)[1]:
-        probe(min(v_pair) - 1e-6 * unit)
-
-    def match(E, a):
-        # the last point classically allowed at a stays allowed at every E >= a
-        m = int(np.max(np.flatnonzero(veff <= a), initial=1))
-        u, mismatch, defect = _matched_sweep(pref * (veff - E), h2, u0, u1, m)
-        return u, mismatch, -defect / pref
+    if above < e_hi and phase(above) >= math.pi:
+        phase(min(v_pair) - 1e-6 * unit)
 
     levels, wfs = [], []
     for k in range(n_states):
-        lo, hi, closer = _locate_level(probe, samples, k, unit, v_pair[1])
-        if closer == "matched":
-            # r_max classically forbidden: the endpoint is saturated
-            E, u = _cooley(match, lo, hi, unit)
-        else:
-            # without a closer, the count bisection closed the bracket
-            E = (_phase_root(probe, lo, hi, k, v_pair[0], unit) if closer == "phase"
-                 else 0.5 * (lo[0] + hi[0]))
-            if veff[-1] > E:
-                # a level bound below the potential at r_max: the outward
-                # sweep's tail grows past the level
-                u = match(E, lo[0])[0]
-            else:
-                u = _unit_max(*_numerov_sweep(pref * (veff - E), h2, u0, u1))
-        u, nodes = _finish_state(u, r)
+        target = (k + 1) * math.pi
+        lo = max((s for s in samples if s[1] < target), key=lambda s: s[0])
+        hi = min((s for s in samples if s[1] >= target and s[0] > lo[0]), key=lambda s: s[0])
+        E = _phase_root(phase, lo, hi, k, v_pair[0], unit)
+        u, nodes = _finish_state(_joined_state(*latest), r)
         levels.append((k, E, nodes))
         wfs.append(u)
     return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), r,

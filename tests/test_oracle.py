@@ -45,6 +45,18 @@ def node_counts(spec):
     return [c for _, _, c in spec.levels]
 
 
+def matched_phase(f, h2, u1, m=None):
+    """Theta of the Numerov probe at f = (V - E)/s from (0, u1), matched at
+    m, by default where the solver matches."""
+    m = oracle._match_point(f) if m is None else m
+    return oracle._matched_phase(f, h2, u1, m)[0]
+
+
+def matched_count(f, h2, u1, m=None):
+    """floor(Theta/pi): the number of levels below E."""
+    return int(matched_phase(f, h2, u1, m) // math.pi)
+
+
 def swept_numerov(monkeypatch, veff, consts, grid):
     """The lowest three Numerov levels and the grid points their sweeps
     covered (a matched outward/inward pair covers the grid once)."""
@@ -218,7 +230,8 @@ class TestNumerovSweep:
         return r * r - E, h * h
 
     # (f, h^2, expected nodes): steep growth the sweep must carry without
-    # overflow, and a strongly oscillating sweep
+    # overflow, and a sweep whose sign alternates at every step, where
+    # c = 1 - h^2 f/12 < 0 and sign changes count no levels
     STEEP = (
         # u'' = 400 u on [0, 50]: growth ~ e^1000
         (np.full(20001, 400.0), (50.0 / 20000) ** 2, 0),
@@ -227,45 +240,62 @@ class TestNumerovSweep:
     )
 
     def test_matches_reference_on_oscillator(self):
+        # floor(Theta/pi) counts the outward sweep's nodes at the solver's
+        # match point and at any other
         for E in np.linspace(0.0, 40.0, 400):
             f, h2 = self.harmonic_f(E)
-            assert oracle._numerov_probe(f, h2, 0.0, 1e-8)[0] == \
-                reference_scan_nodes(f, h2, 0.0, 1e-8), E
+            expected = reference_scan_nodes(f, h2, 0.0, 1e-8)
+            for m in (None, 1, 1000, f.size - 2):
+                assert matched_count(f, h2, 1e-8, m) == expected, (E, m)
 
     def test_matches_reference_on_steep_fixtures(self):
         for f, h2, expected in self.STEEP:
             assert reference_scan_nodes(f, h2, 0.0, 1e-8) == expected
-            assert oracle._numerov_probe(f, h2, 0.0, 1e-8)[0] == expected
             v, log_scale = oracle._numerov_sweep(f, h2, 0.0, 1e-8)
             assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e300)
+            if h2 * f[0] < 12.0:
+                assert matched_count(f, h2, 1e-8) == expected
 
     def test_node_count_brackets_levels(self):
-        # between oscillator levels 3 and 7 the sweep gains exactly one node
+        # between oscillator levels 3 and 7 the count rises by exactly one
         f_lo, h2 = self.harmonic_f(5.0)
         f_hi, _ = self.harmonic_f(9.0)
-        assert oracle._numerov_probe(f_hi, h2, 0.0, 1e-8)[0] \
-            - oracle._numerov_probe(f_lo, h2, 0.0, 1e-8)[0] == 1
+        assert matched_count(f_hi, h2, 1e-8) - matched_count(f_lo, h2, 1e-8) == 1
 
     def test_end_phase_needs_a_turning_step(self):
         # constant f: the recurrence turns u by theta = arccos(d/2c) per
         # step, a rotation only while h^2 |f| < 6 (about 2.5 points per
-        # wavelength); the end phase then counts theta once per step
+        # wavelength). Matched at n - 2, where r_max's neighbour or no point
+        # is allowed, the inward pair is (0, 1) and Theta is the end phase,
+        # theta counted once per step. Where the recurrence does not turn
+        # at m, theta is pi/2
         n = 400
-        for h2f, defined in ((-5.9, True), (-6.1, False), (0.5, False)):
-            count, _, phase = oracle._numerov_probe(np.full(n, h2f), 1.0, 0.0, 1e-3)
-            assert (phase is not None) == defined, h2f
-            if defined:
+        for h2f, turning in ((-5.9, True), (-6.1, False), (0.5, False)):
+            f = np.full(n, h2f)
+            m = oracle._match_point(f)
+            assert m == n - 2
+            phase, ((v, log_scale), _) = oracle._matched_phase(f, 1.0, 1e-3, m)
+            if turning:
                 q = h2f / 12.0
                 theta = math.acos((1.0 + 5.0 * q) / (1.0 - q))
                 assert phase == pytest.approx((n - 1) * theta, rel=1e-10)
-                assert count == int(phase / math.pi)
+            else:
+                # the outward sweep alone: pi N + atan2(|a|, b sign a) + pi/2
+                a = v[-2] * math.exp(log_scale[-2] - log_scale[-1])
+                flips = np.count_nonzero(np.diff(np.signbit(v[:-1])))
+                assert phase == pytest.approx(
+                    math.pi * flips + math.atan2(abs(a), v[-1] * math.copysign(1.0, a))
+                    + 0.5 * math.pi, rel=1e-12)
+            assert int(phase // math.pi) == reference_scan_nodes(f, 1.0, 0.0, 1e-3), h2f
 
     def test_singular_step_raises(self):
-        # h^2 f_j = 12 makes the coefficient c_j of u_j vanish
+        # h^2 f_j = 12 makes the coefficient c_j of u_j vanish, in the
+        # outward sweep (m past j) or the inward one
         f = np.zeros(64)
         f[40] = 12.0
-        with pytest.raises(EvaluationOverflowError):
-            oracle._numerov_probe(f, 1.0, 0.0, 1e-3)
+        for m in (1, 50):
+            with pytest.raises(EvaluationOverflowError):
+                oracle._matched_phase(f, 1.0, 1e-3, m)
 
     def test_restarts_match_exact_discrete_solution(self):
         # constant f: u_j = u_1 sinh(j theta)/sinh(theta) with
@@ -340,39 +370,30 @@ class TestNumerovLevels:
         assert node_counts(fd_spectrum(veff, CONSTS, grid, 3)) == [0, 1, 2]
 
     def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
+        # sweeps are counted as grid points swept over n_points
         cfg = parse_config((REPO / "configs" / "general.cfg").read_text())
-        sweeps = []
-        real_sweep = oracle._numerov_sweep
-
-        def counting(*args):
-            sweeps.append(1)
-            return real_sweep(*args)
-
         h = cfg.grid.h
         for l in range(3):
             veff = effective_potential(cfg.params, cfg.consts, l, cfg.grid.points())
-            sweeps.clear()
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_numerov_sweep", counting)
-                spec = numerov_spectrum(veff, cfg.consts, cfg.grid, 3)
-            assert len(sweeps) <= 60, (l, len(sweeps))
+            spec, swept = swept_numerov(monkeypatch, veff, cfg.consts, cfg.grid)
+            assert swept / cfg.grid.n_points <= 60, (l, swept)
             # hbar^2/(2m) = 1, so f = veff - E
             for k, E, _ in spec.levels:
                 assert E > veff[-1]  # every demo level is a box state
                 tol = 1e-10 * max(1.0, abs(E))
-                below = oracle._numerov_probe(veff - (E - tol), h * h, 0.0, h)[1]
-                above = oracle._numerov_probe(veff - (E + tol), h * h, 0.0, h)[1]
-                assert below * above < 0.0, (l, k)
+                assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
+                        < matched_phase(veff - (E + tol), h * h, h)), (l, k)
 
     def test_end_phase_rises_through_demo_levels(self):
         # general.cfg at l = 1: hbar^2/(2m) = 1 and r_max = 40, so f = veff - E
-        # and the energy unit is 1
+        # and the energy unit is 1; above the potential at r_max every probe
+        # matches at n - 2
         cfg = parse_config((REPO / "configs" / "general.cfg").read_text())
         veff = effective_potential(cfg.params, cfg.consts, 1, cfg.grid.points())
-        h2 = cfg.grid.h ** 2
+        h = cfg.grid.h
 
         def phase(E):
-            return oracle._numerov_probe(veff - E, h2, 0.0, cfg.grid.h)[2]
+            return matched_phase(veff - E, h * h, h)
 
         energies = np.linspace(max(veff[-2:]), veff[-1] + 0.5, 4001)[1:]
         phases = np.array([phase(E) for E in energies])
@@ -383,11 +404,32 @@ class TestNumerovLevels:
             tol = 1e-10 * max(1.0, abs(E))
             assert phase(E - tol) < (k + 1) * math.pi < phase(E + tol), k
 
+    def test_phase_rises_across_the_potential_at_r_max(self):
+        # FAULT at l = 0 from the bound level -30.78 past the box level
+        # -27.994: below the potential at r_max (-28) the probes match in
+        # the well, above it at n - 2. Theta rises wherever m stays; where m
+        # changes it may fall, by less than pi, and floor(Theta/pi) is the
+        # matrix-Numerov count of levels below E whatever m
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        veff = eval_potential(self.FAULT, grid.points())
+        h = grid.h
+        energies = np.linspace(veff[-1] - 3.0, veff[-1] + 0.5, 2001)
+        matched = np.array([oracle._match_point(veff - E) for E in energies])
+        phases = np.array([matched_phase(veff - E, h * h, h) for E in energies])
+        assert {grid.n_points - 2, 7} <= set(matched.tolist())
+        rise = np.diff(phases)
+        assert np.all(rise[matched[1:] == matched[:-1]] >= 0.0)
+        assert np.all(rise > -math.pi)
+        counts = (phases // math.pi).astype(int)
+        assert np.all(np.diff(counts) >= 0) and counts[0] == 1 and counts[-1] > 3
+        for E, count in zip(energies[::100], counts[::100]):
+            assert matrix_numerov_below(veff, CONSTS.s, h, E) == count, E
+
     # a spike in the box's last points, with level 0 the spike's own bound
-    # state: at the second-last point alone, h^2 |f| > 6 there above
-    # E = -6e6, so no probe of the box levels turns u by less than pi, none
-    # has an end phase and count bisection closes them; over the last three
-    # points the phase is defined but far from linear in x, and bisection
+    # state. The box levels' probes match at n - 2. With the spike at the
+    # second-last point alone, h^2 |f| > 6 there above E = -6e6, so the
+    # recurrence does not turn at m and theta is pi/2; over the last three
+    # points it turns, but Theta is far from linear in x, and bisection
     # steps keep regula falsi converging there
     @pytest.mark.parametrize("spike, depth, phased", [
         (slice(-2, -1), -3e7, False), (slice(-3, None), -1e7, True)],
@@ -396,27 +438,27 @@ class TestNumerovLevels:
         veff = box(BOX_GRID)
         veff[spike] = depth
         h = BOX_GRID.h
-        phases = []
-        real_probe = oracle._numerov_probe
+        turning = []
+        real_phase = oracle._matched_phase
 
-        def recording(f, *args):
-            out = real_probe(f, *args)
+        def recording(f, h2, u1, m):
             if f[0] < 0.0:  # E > 0, as f = veff - E
-                phases.append(out[2] is not None)
-            return out
+                q = h2 * f[m] / 12.0
+                turning.append(-1.0 < (1.0 + 5.0 * q) / (1.0 - q) < 1.0)
+            return real_phase(f, h2, u1, m)
 
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_numerov_probe", recording)
+            m.setattr(oracle, "_matched_phase", recording)
             spec = numerov_spectrum(veff, CONSTS, BOX_GRID, 3)
-        assert len(phases) > 10 and set(phases) == {phased}
+        assert len(turning) > 10 and set(turning) == {phased}
         assert node_counts(spec) == [0, 1, 2]
         assert spec.levels[0][1] < -1e6
-        for k, E, _ in spec.levels[1:]:
-            assert E == pytest.approx((k * math.pi) ** 2, rel=3e-3)
+        for k, E, _ in spec.levels:
+            if k:
+                assert E == pytest.approx((k * math.pi) ** 2, rel=3e-3)
             tol = 1e-10 * max(1600.0, abs(E))  # unit (40/r_max)^2
-            below = oracle._numerov_probe(veff - (E - tol), h * h, 0.0, h)[1]
-            above = oracle._numerov_probe(veff - (E + tol), h * h, 0.0, h)[1]
-            assert below * above < 0.0, k
+            assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
+                    < matched_phase(veff - (E + tol), h * h, h)), k
 
     # FAULT's two s-wave bound levels are the exact Eckart levels -53 and
     # -30.7778; each bound is the solver's measured error plus 10%
@@ -455,11 +497,9 @@ class TestNumerovLevels:
         assert node_counts(spec) == [0, 1, 2]
         assert swept / n_points <= budget
 
-    # (effective potential of r, grid, lowest match index or None);
-    # V = r^2/16 has its ground level 0.75 within 1 of the interior floor,
-    # so that level's count bracket starts at the floor, where r_1 is the
-    # only classically allowed interior point, and its matched sweeps
-    # match at m = 1
+    # (effective potential of r, grid, the ground level's match point or
+    # None); V = r^2/16 rises from the origin, so the lowest point of its
+    # allowed run, where its levels match, is r_1
     MATCHED = {
         **{name: (functools.partial(effective_potential, params, CONSTS, l),
                   RadialGrid(1e-6, 40.0 / params.alpha, n_points), None)
@@ -468,33 +508,22 @@ class TestNumerovLevels:
     }
 
     @pytest.mark.parametrize("name", MATCHED)
-    def test_matched_mismatch_root(self, monkeypatch, name):
-        # every level whose r_max is classically forbidden sits on a sign
-        # change of the matched mismatch, within the level tolerance
-        potential, grid, lowest_match = self.MATCHED[name]
+    def test_matched_mismatch_root(self, name):
+        # every level whose r_max is classically forbidden sits where the
+        # matched phase passes (k + 1) pi, within the level tolerance
+        potential, grid, ground_match = self.MATCHED[name]
         # hbar^2/(2m) = 1, so f = veff - E
         veff = potential(grid.points())
         h = grid.h
-        matched_at = []
-        real_matched = oracle._matched_sweep
-
-        def recording(f, h2, u0, u1, m):
-            matched_at.append(m)
-            return real_matched(f, h2, u0, u1, m)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "_matched_sweep", recording)
-            spec = numerov_spectrum(veff, CONSTS, grid, 3)
-        if lowest_match is not None:
-            assert min(matched_at) == lowest_match
-        deep = [E for _, E, _ in spec.levels if veff[-1] > E]
+        spec = numerov_spectrum(veff, CONSTS, grid, 3)
+        if ground_match is not None:
+            assert oracle._match_point(veff - spec.levels[0][1]) == ground_match
+        deep = [(k, E) for k, E, _ in spec.levels if veff[-1] > E]
         assert deep
-        for E in deep:
+        for k, E in deep:
             tol = 1e-10 * max(1.0, abs(E))
-            m = int(np.flatnonzero(veff <= E - tol)[-1])
-            below = oracle._matched_sweep(veff - (E - tol), h * h, 0.0, h, m)[1]
-            above = oracle._matched_sweep(veff - (E + tol), h * h, 0.0, h, m)[1]
-            assert below * above < 0.0, E
+            assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
+                    < matched_phase(veff - (E + tol), h * h, h)), E
 
     def test_floor_with_nodes_is_resolution_error(self):
         params = family_params(a=1.0, V0=1000.0)
@@ -657,7 +686,8 @@ def matrix_numerov_below(veff, s, h, E):
 def matrix_numerov_level(veff, s, h, guess):
     """The matrix-Numerov eigenvalue E_H nearest guess, by Rayleigh-quotient
     iteration: each step solves (H - E) x = y as the tridiagonal
-    ((s/h^2) K + B diag(veff - E)) x = B y."""
+    ((s/h^2) K + B diag(veff - E)) x = B y. It stops once a step moves E
+    by less than 1e-13 (|E| + s/h^2), above the quotient's roundoff."""
     t = s / (h * h)
     d = np.asarray(veff[1:-1], dtype=float)
     b_band = np.outer([1.0, 10.0, 1.0], np.ones(d.size)) / 12.0
@@ -684,7 +714,7 @@ def matrix_numerov_level(veff, s, h, guess):
         x = solve_banded((1, 1), shifted, times_b(x))
         x /= np.linalg.norm(x)
         last, E = E, float(x @ times_h(x))
-        if abs(E - last) <= 1e-15 * abs(E):
+        if abs(E - last) <= 1e-13 * (abs(E) + t):
             return E
     raise AssertionError(f"Rayleigh-quotient iteration from {guess} not converged")
 
@@ -697,12 +727,16 @@ class TestMatrixNumerov:
 
     GENERAL = parse_config((REPO / "configs" / "general.cfg").read_text())
     FAULT = TestNumerovLevels.FAULT
+    # FAULT with s = hbar^2/2m = 0.1 has h^2 f/12 > 1 at r_1, where the
+    # barrier sample is large, so no probe may match next to the origin
     CASES = {f"{name} l{l}{' csch2' if approximate else ''}":
              (functools.partial(effective_potential, params, consts, l, approximate=approximate),
               consts, RadialGrid(1e-6, 40.0 / params.alpha, 1000))
-             for name, params, consts in (("general", GENERAL.params, GENERAL.consts),
-                                          ("fault", FAULT, CONSTS))
-             for l in range(3) for approximate in (False, True)}
+             for name, params, consts, barriers in (
+                 ("general", GENERAL.params, GENERAL.consts, (False, True)),
+                 ("fault", FAULT, CONSTS, (False, True)),
+                 ("fault mass5", FAULT, PhysicalConstants(hbar=1.0, mass=5.0), (False,)))
+             for l in range(3) for approximate in barriers}
 
     def spike(where, depth):
         def potential(r):
