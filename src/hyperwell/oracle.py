@@ -260,11 +260,11 @@ def _log_amplitude(v, log_scale):
 
 
 def _match_point(f):
-    """The matching point m of a probe at f = (V - E)/s: the lowest point of
-    the last classically allowed (f < 0) run of interior points, or n - 2
-    where r_max's neighbour is allowed or no point is: a probe below the
-    whole potential must not match next to the origin, where a singular
-    barrier's sample can make 1 - h^2 f/12 negative."""
+    """The matching point m of a probe at f = (V - E)/s: the deepest point
+    (least f) of the last classically allowed (f < 0) run of interior
+    points, or n - 2 where r_max's neighbour is allowed or no point is: a
+    probe below the whole potential must not match next to the origin,
+    where a singular barrier's sample can make 1 - h^2 f/12 negative."""
     n = f.shape[0]
     if f[-2] < 0.0:
         return n - 2

@@ -498,7 +498,7 @@ class TestNumerovLevels:
         assert swept / n_points <= budget
 
     # (effective potential of r, grid, the ground level's match point or
-    # None); V = r^2/16 rises from the origin, so the lowest point of its
+    # None); V = r^2/16 rises from the origin, so the deepest point of its
     # allowed run, where its levels match, is r_1
     MATCHED = {
         **{name: (functools.partial(effective_potential, params, CONSTS, l),
