@@ -91,7 +91,11 @@ class EnergyLevel:
 
 def _prefactor(params: PotentialParams, consts: PhysicalConstants) -> float:
     # 1 / (s alpha^2), the factor that nondimensionalizes energies
-    return 1.0 / (consts.s * params.alpha**2)
+    scale = consts.s * params.alpha**2
+    if not 0.0 < scale < math.inf:
+        raise SingularCoefficientError(
+            f"s alpha^2 = {scale} makes the 1/(s alpha^2) energy scale singular")
+    return 1.0 / scale
 
 
 def _eps2_shift(params, pref, dp) -> float:
@@ -369,7 +373,8 @@ class RadialWavefunction:
 def _log_samples(f, t, lt, ht):
     """f(r) r at r = exp(t), the integrand in the dt measure; non-finite raises."""
     r = np.exp(t)
-    vals = f(r) * r
+    with np.errstate(over="ignore"):  # an overflow is named below
+        vals = f(r) * r
     if not np.all(np.isfinite(vals)):
         bad = t[~np.isfinite(vals)][0]
         end = "origin" if bad < 0.5 * (lt + ht) else "infinity"

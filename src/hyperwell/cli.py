@@ -9,8 +9,8 @@ when --stamp is given, which only the CSV commands (potential, effective,
 wavefunction) take, since JSON carries no comments.
 
 Exit codes: 0 success, 2 configuration error (also an unreadable config
-or an unwritable output path), 3 internal error, 4 singular analytic case
-(wavefunction).
+or an unwritable output path), 3 a wavefunction that cannot be normalized,
+or an internal error, 4 singular analytic case (wavefunction).
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ import os
 import sys
 
 from .config import RunConfig, parse_config, parse_float_list
-from .errors import ConfigError, DomainError, HyperwellError, SingularCoefficientError
+from .errors import (
+    ConfigError,
+    DomainError,
+    HyperwellError,
+    NonNormalizableError,
+    SingularCoefficientError,
+)
 from .potential import KINDS
 from .reporting import (
     build_nu_check_report,
@@ -191,6 +197,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BrokenPipeError:
         return EXIT_OK
+    except NonNormalizableError as exc:
+        _diag(str(exc))
+        return EXIT_INTERNAL
     except HyperwellError as exc:
         _diag(f"internal: {exc}")
         return EXIT_INTERNAL

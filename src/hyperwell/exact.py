@@ -39,9 +39,18 @@ def kappa_radicand(params: PotentialParams, consts: PhysicalConstants, l) -> flo
     """1/4 + B/(s alpha^2) + l(l+1), the radicand of kappa_l.
 
     Negative where the attractive cosech^2 term falls to the centre: kappa_l
-    is then not real, and bound states cease to exist.
+    is then not real, and bound states cease to exist. Infinite where
+    s alpha^2 underflows to 0, with the sign of B (nan where B = 0).
     """
-    return 0.25 + params.B / (consts.s * params.alpha**2) + l * (l + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(0.25 + np.float64(params.B) / (consts.s * params.alpha**2) + l * (l + 1))
+
+
+def fall_to_center_unreliable(params: PotentialParams, consts: PhysicalConstants, l) -> bool:
+    """True when the origin's inverse-square coefficient is attractive past
+    the critical -hbar^2/(8m) (kappa_radicand < 0), where ground-truth
+    bound states cease to exist and grid results depend on r_min."""
+    return kappa_radicand(params, consts, l) < 0.0
 
 
 def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) -> ExactLevel:

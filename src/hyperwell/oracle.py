@@ -32,8 +32,6 @@ from .errors import (
     SamplingError,
     StructureError,
 )
-from .exact import kappa_radicand
-from .potential import PhysicalConstants, PotentialParams, effective_potential
 
 _NODE_EPS = 1e-8
 # a Numerov block keeps values up to e^600 times its carry-ins (at most 1),
@@ -445,47 +443,3 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         wfs.append(u)
     return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), r,
                            notes=(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]",))
-
-
-@dataclass(frozen=True)
-class StudyReport:
-    alpha: float
-    l: int
-    levels: tuple  # of (k, E_exact, E_approx, shift_abs, shift_rel)
-    unreliable: bool
-    notes: tuple = ()
-
-
-def fall_to_center_unreliable(params: PotentialParams, consts: PhysicalConstants, l) -> bool:
-    """True when the origin's inverse-square coefficient is attractive past
-    the critical -hbar^2/(8m) (exact.kappa_radicand < 0), where ground-truth
-    bound states cease to exist and grid results depend on r_min."""
-    return kappa_radicand(params, consts, l) < 0.0
-
-
-def approximation_study(params: PotentialParams, consts, l, grid, n_states) -> StudyReport:
-    """Per-level shift from replacing 1/r^2 by alpha^2 cosech^2(alpha r).
-
-    Runs the finite-difference solver twice on the same grid, once with
-    the exact centrifugal term and once with the hyperbolic surrogate, and
-    reports the per-level relative energy differences. Meaningless at
-    l = 0, where both terms vanish.
-    """
-    if not isinstance(l, (int, np.integer)) or l < 1:
-        raise DomainError(f"approximation_study: requires l >= 1, got {l!r}")
-    r = grid.points()
-    exact = fd_spectrum(effective_potential(params, consts, l, r), consts, grid, n_states)
-    approx = fd_spectrum(effective_potential(params, consts, l, r, approximate=True),
-                         consts, grid, n_states)
-    notes = []
-    m = min(len(exact.levels), len(approx.levels))
-    if m < n_states:
-        notes.append(f"only {m} of {n_states} levels resolved")
-    rows = []
-    for i in range(m):
-        e_ex = exact.levels[i][1]
-        e_ap = approx.levels[i][1]
-        d = abs(e_ex - e_ap)
-        rows.append((i, e_ex, e_ap, d, d / max(1e-300, abs(e_ex))))
-    return StudyReport(params.alpha, int(l), tuple(rows),
-                       fall_to_center_unreliable(params, consts, l), tuple(notes))

@@ -73,6 +73,12 @@ class PhysicalConstants:
             val = getattr(self, f.name)
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise DomainError(f"PhysicalConstants: {f.name} must be positive and finite")
+        try:
+            s = self.s
+        except OverflowError:  # hbar**2 past the float range
+            s = math.inf
+        if not 0.0 < s < math.inf:
+            raise DomainError(f"PhysicalConstants: hbar^2/(2m) = {s} must be positive and finite")
 
     @property
     def s(self):
@@ -150,28 +156,6 @@ def effective_potential(params, consts, l, r, approximate=False):
     if l:
         v = v + _barrier(params, consts, l, np.asarray(r, dtype=float), approximate)
     return v
-
-
-def centrifugal_approx(alpha: float, r):
-    """The short-range replacement for 1/r^2 and its pointwise quality.
-
-    Returns ``(approx, exact, rel_error)``, each shaped like r, where
-    approx = alpha^2 cosech^2(alpha r), exact = 1/r^2 and rel_error =
-    |approx - exact| r^2 = 1 - (alpha r)^2 cosech^2(alpha r). A series
-    branch below alpha r = 1e-3 avoids the cancellation in the direct
-    difference; the leading behaviour is (alpha r)^2 / 3.
-    """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-        raise DomainError(f"centrifugal_approx: alpha must be positive, got {alpha!r}")
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError("centrifugal_approx: r must lie in (0, inf)")
-    x = alpha * arr
-    _, csch2 = hyperbolic_pair(x)
-    x2 = x * x
-    series = x2 / 3.0 - x2 * x2 / 15.0 + 2.0 * x2 * x2 * x2 / 189.0
-    rel = np.where(x < 1e-3, series, np.abs(1.0 - x2 * csch2))
-    return alpha**2 * csch2, 1.0 / (arr * arr), rel
 
 
 def scan_series(params, r_values, consts=None, l=0, approximate=False):

@@ -30,7 +30,8 @@ from .analytic import (
     radial_wavefunction,
 )
 from .errors import ConfigError, HyperwellError, SingularCoefficientError
-from .oracle import fall_to_center_unreliable, fd_spectrum, numerov_spectrum
+from .exact import fall_to_center_unreliable
+from .oracle import fd_spectrum, numerov_spectrum
 from .potential import KINDS, effective_potential, scan_series, with_gaps
 
 SCHEMA_VERSION = 1

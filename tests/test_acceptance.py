@@ -26,13 +26,9 @@ from hyperwell.analytic import (
 from hyperwell.config import RadialGrid
 from hyperwell.errors import DegenerateParameterError, SingularCoefficientError
 from hyperwell.nu import NUProblem, Poly, k_candidates, lambda_n_of, radicand_coeffs
-from hyperwell.oracle import approximation_study, fd_spectrum, numerov_spectrum
-from hyperwell.potential import (
-    PhysicalConstants,
-    PotentialParams,
-    centrifugal_approx,
-)
-from hyperwell.special import jacobi, principal_sqrt
+from hyperwell.oracle import fd_spectrum, numerov_spectrum
+from hyperwell.potential import PhysicalConstants, PotentialParams, effective_potential
+from hyperwell.special import hyperbolic_pair, jacobi, principal_sqrt
 
 from test_special import jacobi_sum
 
@@ -309,30 +305,36 @@ def test_criterion_07_centrifugal_approximation():
     t0 = time.perf_counter()
     failures = []
 
-    # pointwise envelope on alpha r in (0, 0.3]
+    # pointwise envelope on alpha r in (0, 0.3]: the surrogate alpha^2
+    # cosech^2(alpha r) for 1/r^2 errs by 1 - (alpha r)^2 cosech^2(alpha r)
     rng = np.random.default_rng(2)
-    worst_ratio = 0.0
-    for _ in range(500):
-        alpha = float(rng.uniform(0.2, 5.0))
-        x = float(rng.uniform(1e-6, 0.3))
-        _, _, rel = centrifugal_approx(alpha, x / alpha)
-        bound = 1.1 * x * x / 3.0
-        worst_ratio = max(worst_ratio, rel / bound)
+    alpha, x = np.array([(rng.uniform(0.2, 5.0), rng.uniform(1e-6, 0.3))
+                         for _ in range(500)]).T
+    ar = alpha * (x / alpha)
+    rel = np.abs(1.0 - ar * ar * hyperbolic_pair(ar)[1])
+    worst_ratio = float(np.max(rel / (1.1 * x * x / 3.0)))
     if worst_ratio > 1.0:
         failures.append(f"pointwise envelope exceeded: ratio {worst_ratio:.3f}")
 
-    # caption sweep: level shifts grow monotonically with alpha
+    # caption sweep: level shifts grow monotonically with alpha, and the
+    # softer surrogate barrier puts the level below the exact-barrier one
     # (fixture frozen by measurement: deep coth well so every alpha in the
     # sweep keeps a genuinely bound l = 1 ground state; see decision ledger)
     study_grid = RadialGrid(1e-6, 4.0, 4000)
+    r = study_grid.points()
     shifts = []
     for alpha in (1.0, 2.0, 3.0, 4.0):
         params = PotentialParams(a=1.0, b=0.0, c=0.0, d=0.0,
                                  V0=200.0, V1=0.0, V2=0.0, alpha=alpha)
-        rep = approximation_study(params, CONSTS, 1, study_grid, 1)
-        shifts.append(rep.levels[0][4])
-        if rep.levels[0][1] > -params.V0:
+        e_exact, e_approx = (
+            fd_spectrum(effective_potential(params, CONSTS, 1, r, approximate=approx),
+                        CONSTS, study_grid, 1).levels[0][1]
+            for approx in (False, True))
+        shifts.append(abs(e_exact - e_approx) / abs(e_exact))
+        if e_exact > -params.V0:
             failures.append(f"alpha={alpha}: level not bound below asymptote")
+        if not e_approx < e_exact:
+            failures.append(f"alpha={alpha}: surrogate level {e_approx} not below {e_exact}")
     if not all(b > a for a, b in zip(shifts, shifts[1:])):
         failures.append(f"shifts not monotone: {[f'{s:.3e}' for s in shifts]}")
 

@@ -274,6 +274,15 @@ class TestWavefunction:
         with pytest.raises(NonNormalizableError):
             radial_wavefunction(DEMO, CONSTS, lv)
 
+    def test_overflowing_square_not_normalizable(self):
+        # at n = 40 |R| passes 1.3e154 near the origin, so |R|^2 overflows;
+        # the quadrature names the end, and no numpy warning escapes first
+        # (pytest turns warnings into errors)
+        cfg = parse_config((CONFIGS / "general.cfg").read_text())
+        lv = energy_levels(cfg.params, cfg.consts, 40, 0)[0]
+        with pytest.raises(NonNormalizableError, match="origin end"):
+            radial_wavefunction(cfg.params, cfg.consts, lv)
+
 
 def reference_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
     """Normalization integral by the trapezoid in t = log r, resampled whole.

@@ -265,6 +265,49 @@ class TestCliExitCodes:
         assert proc.returncode == 4
         assert "beta = 0" in proc.stderr
 
+    @pytest.mark.parametrize("command, hbar, message", [
+        ("validate", "1e300", "hbar^2/(2m) = inf"),  # hbar**2 overflows
+        ("spectrum", "1e-300", "hbar^2/(2m) = 0.0"),  # hbar**2 underflows
+    ])
+    def test_unrepresentable_hbar_is_2(self, tmp_path, capsys, command, hbar, message):
+        cfg = tmp_path / "hbar.cfg"
+        cfg.write_text(f"constants.hbar = {hbar}\n")
+        assert main([command, "--config", str(cfg), "--n", "0", "--l", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"hyperwell: error: line 1: PhysicalConstants: {message} "
+                                "must be positive and finite\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, schema", [
+        ("spectrum", "spectrum"), ("validate", "validate"), ("nu-check", "nu_check")])
+    def test_underflowing_alpha_is_recorded_singular(self, capsys, command, schema):
+        # s alpha^2 underflows to 0, so 1/(s alpha^2) is singular, as at beta = 0
+        assert main([command, "--config", str(CONFIGS / "general.cfg"),
+                     "--alpha", "1e-300"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        validate_schema(doc, schema)
+        entries = doc["analytic"]["entries"] if command == "validate" else doc["entries"]
+        assert [e["singular"]["reason"] for e in entries] == [
+            "s alpha^2 = 0.0 makes the 1/(s alpha^2) energy scale singular"] * 3
+
+    def test_underflowing_alpha_wavefunction_is_4(self, capsys):
+        assert main(["wavefunction", "--config", str(CONFIGS / "general.cfg"),
+                     "--alpha", "1e-300", "--n", "0", "--l", "0"]) == 4
+        assert capsys.readouterr().err == (
+            "hyperwell: error: s alpha^2 = 0.0 makes the 1/(s alpha^2) energy scale singular\n")
+
+    def test_non_normalizable_wavefunction_is_3(self):
+        # |R|^2 overflows near the origin at n = 40; the one line names the
+        # end, and no numpy warning precedes it (run_cli makes warnings errors)
+        proc = run_cli("wavefunction", "--config", str(CONFIGS / "general.cfg"),
+                       "--n", "40", "--l", "0")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "hyperwell: error: normalization integrand non-finite toward the origin end\n")
+        assert proc.stdout == ""
+
     def test_validate_singular_is_0(self):
         proc = run_cli("validate", "--config", str(CONFIGS / "poschl_teller.cfg"),
                        "--out", "-")

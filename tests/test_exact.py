@@ -1,12 +1,17 @@
 """Exact levels of the surrogate (Eckart) problem and their bound-state gate."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from hyperwell.config import parse_config
 from hyperwell.errors import DomainError
 from hyperwell.exact import surrogate_level
-from hyperwell.potential import PhysicalConstants, PotentialParams
+from hyperwell.oracle import fd_spectrum, numerov_spectrum
+from hyperwell.potential import PhysicalConstants, PotentialParams, effective_potential
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # s = hbar^2/(2m) = 1
 
@@ -103,3 +108,19 @@ def test_fall_to_centre_and_bad_indices_rejected():
         surrogate_level(COTH20, CONSTS, -1, 0)
     with pytest.raises(DomainError):
         surrogate_level(COTH20, CONSTS, 0, 1.5)
+
+
+@pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
+def test_bundled_configs_have_no_bound_state(name):
+    # A = 1, -1, 0, 0: level n binds only while A > 2 s alpha^2 (n + kappa_l)^2,
+    # so no level does, and both oracles find box states only, every one
+    # above the asymptote (smallest margin measured: 5.77e-3, general at l = 0)
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    params, consts, grid = cfg.params, cfg.consts, cfg.grid
+    for l in range(3):
+        assert not any(surrogate_level(params, consts, n, l).bound for n in range(3))
+        veff = effective_potential(params, consts, l, grid.points())
+        for solver in (fd_spectrum, numerov_spectrum):
+            levels = [e for _, e, _ in solver(veff, consts, grid, 3).levels]
+            assert len(levels) == 3
+            assert min(levels) - params.asymptote >= 5.7e-3

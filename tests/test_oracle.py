@@ -1,4 +1,4 @@
-"""Numeric oracle: FD on LAPACK, Numerov shooting, study machinery."""
+"""Numeric oracle: FD on LAPACK and Numerov shooting."""
 
 import dataclasses
 import functools
@@ -19,14 +19,8 @@ from hyperwell.errors import (
     SamplingError,
     StructureError,
 )
-from hyperwell.exact import surrogate_level
-from hyperwell.oracle import (
-    NumericSpectrum,
-    approximation_study,
-    fall_to_center_unreliable,
-    fd_spectrum,
-    numerov_spectrum,
-)
+from hyperwell.exact import fall_to_center_unreliable, surrogate_level
+from hyperwell.oracle import NumericSpectrum, fd_spectrum, numerov_spectrum
 from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
@@ -941,21 +935,11 @@ class TestApproximationStudy:
                             V0=200.0, V1=0.0, V2=0.0, alpha=1.0)
     GRID = RadialGrid(1e-6, 4.0, 4000)
 
-    def test_requires_positive_l(self):
-        with pytest.raises(DomainError):
-            approximation_study(self.STUDY, CONSTS, 0, self.GRID, 1)
-
-    def test_rows_and_shift_consistency(self):
-        rep = approximation_study(self.STUDY, CONSTS, 1, self.GRID, 1)
-        assert rep.l == 1 and rep.alpha == 1.0
-        k, e_exact, e_approx, d_abs, d_rel = rep.levels[0]
-        assert k == 0
-        assert d_abs == pytest.approx(abs(e_exact - e_approx))
-        assert d_rel == pytest.approx(d_abs / abs(e_exact), rel=1e-9)
-        assert max(row[4] for row in rep.levels) == pytest.approx(d_rel)
-
     def test_surrogate_softens_barrier(self):
         # alpha^2 csch^2 < 1/r^2, so the approximate level sits lower
-        rep = approximation_study(self.STUDY, CONSTS, 1, self.GRID, 1)
-        _, e_exact, e_approx, _, _ = rep.levels[0]
+        e_exact, e_approx = (
+            fd_spectrum(effective_potential(self.STUDY, CONSTS, 1, self.GRID.points(),
+                                            approximate=approx),
+                        CONSTS, self.GRID, 1).levels[0][1]
+            for approx in (False, True))
         assert e_approx < e_exact

@@ -12,7 +12,6 @@ from hyperwell.errors import DomainError, EvaluationOverflowError
 from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
-    centrifugal_approx,
     effective_potential,
     eval_potential,
     poschl_teller_params,
@@ -20,6 +19,7 @@ from hyperwell.potential import (
     scan_series,
     scarf_params,
 )
+from hyperwell.special import hyperbolic_pair
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
@@ -77,10 +77,18 @@ class TestEvalPotential:
 
 
 class TestCentrifugalApprox:
+    """The surrogate alpha^2 cosech^2(alpha r) for 1/r^2 errs by
+    1 - (alpha r)^2 cosech^2(alpha r) relative to it."""
+
+    @staticmethod
+    def rel_error(alpha, r):
+        x = alpha * r
+        return abs(1.0 - x * x * float(hyperbolic_pair(x)[1]))
+
     def test_leading_order(self):
         # rel error -> (alpha r)^2 / 3 as r -> 0
         for alpha in (0.5, 1.0, 3.0):
-            _, _, rel = centrifugal_approx(alpha, 1e-5 / alpha)
+            rel = self.rel_error(alpha, 1e-5 / alpha)
             assert rel == pytest.approx((1e-5) ** 2 / 3.0, rel=1e-4)
 
     def test_pointwise_bound_envelope(self):
@@ -89,24 +97,7 @@ class TestCentrifugalApprox:
         for _ in range(400):
             alpha = float(rng.uniform(0.2, 5.0))
             x = float(rng.uniform(1e-6, 0.3))
-            _, _, rel = centrifugal_approx(alpha, x / alpha)
-            assert rel <= 1.1 * x * x / 3.0
-
-    def test_consistency_of_triple(self):
-        approx, exact, rel = centrifugal_approx(2.0, 0.17)
-        assert exact == pytest.approx(1.0 / 0.17**2, rel=1e-14)
-        assert rel == pytest.approx(abs(approx - exact) / exact, rel=1e-10)
-
-    def test_series_branch_continuity(self):
-        # values just below and above the series switch agree
-        alpha = 1.0
-        lo = centrifugal_approx(alpha, 0.999e-3)[2]
-        hi = centrifugal_approx(alpha, 1.001e-3)[2]
-        assert lo == pytest.approx(hi, rel=1e-2)
-
-    def test_alpha_validation(self):
-        with pytest.raises(DomainError):
-            centrifugal_approx(0.0, 0.1)
+            assert self.rel_error(alpha, x / alpha) <= 1.1 * x * x / 3.0
 
 
 class TestEffectivePotential:
