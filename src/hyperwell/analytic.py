@@ -32,6 +32,7 @@ from . import special
 from .errors import (
     ConvergenceError,
     DomainError,
+    EvaluationOverflowError,
     NonNormalizableError,
     NoPhysicalBranchError,
     SamplingError,
@@ -442,7 +443,8 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
     evaluated faithfully to the closed-form derivation (beta^2/4 is the
     dimensionless beta squared over four). Returns the max scaled residual
     max_i |F'' - beta F' + W F| / scale over the samples, by central
-    differences with step h = 1e-4.
+    differences with step h = 1e-4. Raises EvaluationOverflowError where
+    a sample of F is non-finite.
     """
     pref = 1.0 / consts.s
     dp = dimensionless_from_eps2(params, consts, 0.0, l)
@@ -454,7 +456,13 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
         raise SamplingError(f"ode_residual: r = {r_bad} too close to 0 for step h = {h}", r=r_bad)
     # rows r - h, r, r + h: every sample of F in one wavefunction call
     rs = np.stack((r - h, r, r + h))
-    fm, f0, fp = wf(rs) * np.exp(beta * rs / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = wf(rs) * np.exp(beta * rs / 2.0)
+    bad = ~np.isfinite(fs.T)
+    if np.any(bad):
+        raise EvaluationOverflowError(
+            f"ode_residual: F = R exp(beta r/2) is non-finite at r = {float(rs.T[bad][0])}")
+    fm, f0, fp = fs
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     d1 = (fp - fm) / (2.0 * h)
     coth, csch2 = hyperbolic_pair(params.alpha * r)

@@ -382,7 +382,8 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     s (40/r_max)^2, s = hbar^2/2m, so that the window and the tolerance
     scale with the levels. Each probe at E is one matched phase Theta
     (_matched_phase, _match_point). The window starts 1 unit below the
-    interior floor, where a grid with Theta >= pi is refused
+    interior floor, where a grid whose h^2 (V - E)/s overflows past r_min
+    is refused (EvaluationOverflowError), as is one with Theta >= pi
     (ResolutionError), and doubles from 1 unit wide until floor(Theta/pi)
     reaches n_states; two probes 1e-6 unit either side of the potential at
     r_max split any bracket there. Level k is bracketed by every sample's
@@ -404,7 +405,9 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
 
     def phase(E):
         nonlocal latest
-        f = pref * (veff - E)
+        with np.errstate(over="ignore"):
+            f = pref * (veff - E)
+        f[0] = 0.0  # r_min's sample only ever multiplies u_0 = 0
         m = _match_point(f)
         angle, sweeps = _matched_phase(f, h2, h, m)
         samples.append((E, angle))
@@ -414,6 +417,11 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     # interior floor: boundary samples may be singular and only ever
     # multiply the u = 0 start value
     e_lo = float(np.min(veff[1:-1])) - unit
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite(h2 * (pref * (veff[1:] - e_lo))))
+    if bad.size:
+        raise EvaluationOverflowError(
+            f"numerov_spectrum: h^2 (V - E)/s is non-finite at r = {float(r[bad[0] + 1])}")
     k_lo = int(phase(e_lo) // math.pi)
     if k_lo:
         # no state has nodes below the potential minimum

@@ -86,75 +86,59 @@ class PhysicalConstants:
         return self.hbar**2 / (2.0 * self.mass)
 
 
-def _eval_from_pair(params, coth, csch2):
-    """Assemble the four terms from precomputed coth and cosech^2 values.
+def _sample(params, consts, l, r, approximate):
+    """(V_eff, terms) on a float array r whose alpha r all lie in (0, inf).
 
-    Terms with a zero coefficient are skipped so that, say, a pure-constant
-    potential stays exact even where cosech^2 would overflow.
+    V_eff is V plus the centrifugal barrier of l, s l(l+1)/r^2, or with
+    approximate its surrogate s l(l+1) alpha^2 cosech^2(alpha r); terms
+    holds (name, values) of each active term. A term with a zero
+    coefficient is skipped, so that, say, a pure-constant potential stays
+    exact where cosech^2 overflows. Nothing is checked and no numpy
+    warning is raised: V_eff is non-finite wherever an active term is.
     """
-    out = np.zeros_like(np.asarray(coth, dtype=float)) + params.d
-    if params.a * params.V0 != 0.0:
-        out = out - params.a * params.V0 * coth
-    if params.b * params.V1 != 0.0:
-        out = out + params.b * params.V1 * coth * coth
-    if params.c * params.V2 != 0.0:
-        out = out - params.c * params.V2 * csch2
-    return out
-
-
-def _name_offender(params, coth, csch2):
-    # the first active term that went non-finite, for the error message
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, coef, values in (("a*V0*coth", params.a * params.V0, coth),
-                                   ("b*V1*coth^2", params.b * params.V1, coth * coth),
-                                   ("c*V2*cosech^2", params.c * params.V2, csch2)):
-            if coef != 0.0 and not np.all(np.isfinite(coef * values)):
-                return name
-    return "potential"
-
-
-def _potential_values(params, arr):
-    """(V, coth, cosech^2) on a float array whose alpha r all lie in (0, inf).
-
-    Does not raise on overflow: V is non-finite wherever an active term is.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        coth, csch2 = hyperbolic_pair(params.alpha * arr)
-        return _eval_from_pair(params, coth, csch2), coth, csch2
-
-
-def _barrier(params, consts, l, arr, approximate):
-    """s l(l+1)/r^2, or its surrogate with alpha^2 cosech^2(alpha r) for 1/r^2."""
-    coef = consts.s * l * (l + 1)
-    if approximate:
-        return coef * params.alpha**2 * hyperbolic_pair(params.alpha * arr)[1]
-    return coef / (arr * arr)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coth, csch2 = hyperbolic_pair(params.alpha * r)
+        terms = []
+        if params.a * params.V0 != 0.0:
+            terms.append(("a*V0*coth", -(params.a * params.V0 * coth)))
+        if params.b * params.V1 != 0.0:
+            terms.append(("b*V1*coth^2", params.b * params.V1 * coth * coth))
+        if params.c * params.V2 != 0.0:
+            terms.append(("c*V2*cosech^2", -(params.c * params.V2 * csch2)))
+        if l:
+            coef = consts.s * l * (l + 1)
+            terms.append(("centrifugal barrier",
+                          coef * params.alpha**2 * csch2 if approximate else coef / (r * r)))
+        v = np.zeros(r.shape) + params.d
+        for _, values in terms:
+            v = v + values
+    return v, terms
 
 
 def eval_potential(params: PotentialParams, r):
-    """V(r) for r > 0, shaped like r.
-
-    Raises DomainError for r outside (0, inf) and EvaluationOverflowError,
-    naming the term, if an active term evaluates non-finite.
-    """
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise DomainError("eval_potential: r must lie in (0, inf)")
-    out, coth, csch2 = _potential_values(params, arr)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        term = _name_offender(params, coth, csch2)
-        raise EvaluationOverflowError(
-            f"eval_potential: term {term} is non-finite at r = {float(arr[bad][0])}")
-    return out
+    """V(r) for r > 0, shaped like r: effective_potential at l = 0."""
+    return effective_potential(params, None, 0, r)
 
 
 def effective_potential(params, consts, l, r, approximate=False):
     """V(r) plus the centrifugal barrier of l (the cosech^2 surrogate with
-    approximate), shaped like r; raises as eval_potential does."""
-    v = eval_potential(params, r)
-    if l:
-        v = v + _barrier(params, consts, l, np.asarray(r, dtype=float), approximate)
+    approximate), shaped like r.
+
+    Raises DomainError for r outside (0, inf) and EvaluationOverflowError
+    at the first non-finite sample, naming its first non-finite term.
+    """
+    where = "effective_potential" if l else "eval_potential"
+    arr = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise DomainError(f"{where}: r must lie in (0, inf)")
+    v, terms = _sample(params, consts, l, arr, approximate)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        term = next((name for name, values in terms if not np.isfinite(np.ravel(values)[i])),
+                    "potential")
+        raise EvaluationOverflowError(
+            f"{where}: term {term} is non-finite at r = {float(np.ravel(arr)[i])}")
     return v
 
 
@@ -167,14 +151,10 @@ def scan_series(params, r_values, consts=None, l=0, approximate=False):
     """
     r = np.asarray(r_values, dtype=float)
     out = np.full(r.shape, np.nan)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         x = params.alpha * r
         inside = np.isfinite(x) & (x > 0.0)
-        r_in = r[inside]
-        values = _potential_values(params, r_in)[0]
-        if l:
-            values = values + _barrier(params, consts, l, r_in, approximate)
-    out[inside] = values
+    out[inside] = _sample(params, consts, l, r[inside], approximate)[0]
     return with_gaps(out, ~np.isfinite(out))
 
 

@@ -251,6 +251,67 @@ class TestCliExitCodes:
         assert json.loads(proc.stdout)["per_l"][0]["error"] == (
             "eval_potential: term b*V1*coth^2 is non-finite at r = 1e-200")
 
+    # extreme but valid inputs where an overflowing barrier, F = R exp(beta r/2)
+    # or Numerov probe once leaked numpy warnings and printed NaN: (config,
+    # command, the section of blocks, each block's error, FD's levels per block)
+    EXTREME = {
+        "wide-grid": (
+            "potential.a = 20\npotential.b = 1e-30\nconstants.mass = 1e-300\n"
+            "grid.r_min = 1e-12\ngrid.r_max = 1e300\ngrid.n_points = 400\n",
+            ["oracle", "--n", "5", "--l", "0..2"], "per_l",
+            ["fd_spectrum: ",
+             "effective_potential: term centrifugal barrier is non-finite at r = 1e-12",
+             "effective_potential: term centrifugal barrier is non-finite at r = 1e-12"],
+            [None, None, None]),
+        "light-barrier": (
+            "potential.c = -3\npotential.d = 1\npotential.V0 = 1e-30\npotential.V2 = 0.5\n"
+            "potential.alpha = 2\nconstants.mass = 1e-300\ngrid.r_max = 5\n"
+            "grid.n_points = 64\n",
+            ["oracle", "--n", "0..2", "--l", "7"], "per_l",
+            ["effective_potential: term centrifugal barrier is non-finite at r = 1e-06"],
+            [None]),
+        "residual": (
+            "potential.b = 0.5\npotential.c = 3\npotential.d = 1000\npotential.V1 = 1000\n"
+            "potential.V2 = 3\npotential.alpha = 1e-30\nconstants.hbar = 2\n"
+            "grid.n_points = 200\n",
+            ["validate", "--n", "0..2", "--l", "1"], "ode_residual",
+            ["ode_residual: F = R exp(beta r/2) is non-finite at r = 4.9999999999999994e+29"] * 2
+            + ["jacobi: "],
+            None),
+        "heavy-probe": (
+            "potential.b = -1\npotential.c = 1e-160\npotential.d = -3\npotential.V0 = 20\n"
+            "potential.V1 = -0.25\nconstants.mass = 1e300\ngrid.r_max = 1e-3\n"
+            "grid.n_points = 400\n",
+            ["oracle", "--n", "0", "--l", "7"], "per_l",
+            ["numerov_spectrum: h^2 (V - E)/s is non-finite at r = 3.5037593984962407e-06"],
+            [[231203.556190]]),
+    }
+
+    @pytest.mark.parametrize("case", EXTREME)
+    def test_extreme_scales_are_block_errors(self, tmp_path, capsys, case):
+        # pytest makes warnings errors, so a leaked one would exit 3; the
+        # document is strict JSON (no NaN or Infinity token)
+        text, argv, section, errors, fd_levels = self.EXTREME[case]
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(captured.out, parse_constant=refuse)
+        validate_schema(doc, argv[0])
+        blocks = doc[section]
+        assert len(blocks) == len(errors)
+        for block, error in zip(blocks, errors):
+            assert block["error"].startswith(error), block["error"]
+        if fd_levels is not None:
+            got = [block["fd"]["energies"] if "fd" in block else None for block in blocks]
+            assert got == [None if e is None else pytest.approx(e, rel=1e-9)
+                           for e in fd_levels]
+
     def test_repeated_state_entry_is_2(self):
         for flag, value in (("--n", "1,1,0"), ("--l", "0,1,0")):
             proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"),

@@ -436,7 +436,7 @@ class TestNumerovLevels:
         real_phase = oracle._matched_phase
 
         def recording(f, h2, u1, m):
-            if f[0] < 0.0:  # E > 0, as f = veff - E
+            if f[1] < 0.0:  # E > 0, as f = veff - E and r_min's neighbour is in the box
                 q = h2 * f[m] / 12.0
                 turning.append(-1.0 < (1.0 + 5.0 * q) / (1.0 - q) < 1.0)
             return real_phase(f, h2, u1, m)

@@ -61,14 +61,14 @@ def test_validate_call_budget(monkeypatch):
     counts = count_calls(monkeypatch, analytic.energy_levels, analytic.nu_problem,
                          nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select,
                          oracle.fd_spectrum, oracle.numerov_spectrum,
-                         potential.eval_potential)
+                         potential.effective_potential)
     build_validate_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
     # one quadratic and one spectrum-variant call per state, one engine pass
     # (triple, branch enumeration, selection) per state, one solver pair per
-    # l on one sampling of V
+    # l on one sampling of V_eff
     assert counts == {"energy_levels": 18, "nu_problem": 9, "enumerate_branches": 9,
                       "k_candidates": 9, "pi_tau_select": 9,
-                      "fd_spectrum": 3, "numerov_spectrum": 3, "eval_potential": 3}
+                      "fd_spectrum": 3, "numerov_spectrum": 3, "effective_potential": 3}
 
 
 def test_nu_check_call_budget(monkeypatch):

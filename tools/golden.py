@@ -22,6 +22,10 @@ and 8000 points, plus the error cases: a bad config, a bad grid, a
 repeated state entry, an unreadable config and an unwritable output.
 All of those have hbar^2/(2m) = 1, so two more inputs set it elsewhere:
 FAULT with mass 5 (s = 0.1) and the first draw with hbar 2 (s = 4).
+Four extreme but valid inputs close the list, each with one command: two
+whose centrifugal barrier overflows, one whose F = R exp(beta r/2)
+overflows in `validate`'s ODE residual, and one whose Numerov probe
+overflows.
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -48,6 +52,24 @@ STATE_LISTS = (("0..2", "0..2"), ("0..1", "0"), ("0", "1,2"))
 # name, input, and the constants line that moves s = hbar^2/(2m) off 1
 OTHER_S = (("fault_mass5", "fault", "constants.mass = 0.5", "constants.mass = 5"),
            ("draw0_hbar2", "draw0", "constants.hbar = 1", "constants.hbar = 2"))
+# name, config text and command of each extreme input
+EXTREME = (
+    ("wide_grid", "potential.a = 20\npotential.b = 1e-30\nconstants.mass = 1e-300\n"
+     "grid.r_min = 1e-12\ngrid.r_max = 1e300\ngrid.n_points = 400\n",
+     ["oracle", "--n", "5", "--l", "0..2"]),
+    ("light_barrier", "potential.c = -3\npotential.d = 1\npotential.V0 = 1e-30\n"
+     "potential.V2 = 0.5\npotential.alpha = 2\nconstants.mass = 1e-300\n"
+     "grid.r_max = 5\ngrid.n_points = 64\n",
+     ["oracle", "--n", "0..2", "--l", "7"]),
+    ("residual", "potential.b = 0.5\npotential.c = 3\npotential.d = 1000\n"
+     "potential.V1 = 1000\npotential.V2 = 3\npotential.alpha = 1e-30\n"
+     "constants.hbar = 2\ngrid.n_points = 200\n",
+     ["validate", "--n", "0..2", "--l", "1"]),
+    ("heavy_probe", "potential.b = -1\npotential.c = 1e-160\npotential.d = -3\n"
+     "potential.V0 = 20\npotential.V1 = -0.25\nconstants.mass = 1e300\n"
+     "grid.r_max = 1e-3\ngrid.n_points = 400\n",
+     ["oracle", "--n", "0", "--l", "7"]),
+)
 WAVEFUNCTIONS = [(n, l, b) for n in range(3) for l in range(2) for b in ("plus", "minus")]
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|\b(?:nan|NaN|inf|Infinity)\b)")
@@ -143,7 +165,12 @@ def command_list(workdir: Path, quick: bool):
                      for n, l, b in WAVEFUNCTIONS]
     kinds = [["potential", "--config", general, "--kind", k]
              for k in ("rosen-morse", "poschl-teller", "scarf")]
-    return commands + kinds + errors
+    extreme = []
+    for name, text, argv in EXTREME:
+        path = workdir / f"{name}.cfg"
+        path.write_text(text)
+        extreme.append([*argv, "--config", str(path)])
+    return commands + kinds + errors + extreme
 
 
 def export(rev: str, dest: Path) -> Path:
