@@ -57,23 +57,26 @@ class TestEvalPotential:
         with pytest.raises(DomainError):
             eval_potential(DEMO, float("nan"))
 
-    @pytest.mark.parametrize("params, l, approximate, r, term", [
-        (DEMO, 0, False, 1e-200, "b*V1*coth^2"),
-        (replace(DEMO, b=0.0), 0, False, 1e-200, "c*V2*cosech^2"),
-        (PotentialParams(a=1.0, b=0, c=0, d=0, V0=1.0, V1=0, V2=0, alpha=1.0), 0, False,
-         1e-310, "a*V0*coth"),
-        # r^2 is subnormal at 5e-155, so both barriers overflow there
-        (replace(DEMO, alpha=2.0), 1, False, 5e-155, "centrifugal barrier"),
-        (replace(DEMO, alpha=2.0), 1, True, 5e-155, "centrifugal barrier"),
+    @pytest.mark.parametrize("params, r, term", [
+        (DEMO, 1e-200, "b*V1*coth^2"),
+        (replace(DEMO, b=0.0), 1e-200, "c*V2*cosech^2"),
+        (PotentialParams(a=1.0, b=0, c=0, d=0, V0=1.0, V1=0, V2=0, alpha=1.0), 1e-310,
+         "a*V0*coth"),
     ])
-    def test_overflow_names_the_term(self, params, l, approximate, r, term):
+    def test_overflow_names_the_term(self, params, r, term):
         # pytest turns warnings into errors, so no numpy warning may escape
         with pytest.raises(EvaluationOverflowError,
                            match=rf"term {re.escape(term)} is non-finite at r = {r}"):
-            if l:
-                effective_potential(params, CONSTS, l, [r, 1.0], approximate=approximate)
-            else:
-                eval_potential(params, [r, 1.0])
+            eval_potential(params, [r, 1.0])
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_overflow_names_the_barrier(self, approximate):
+        # r^2 is subnormal at 5e-155, so both barriers overflow there
+        r = 5e-155
+        with pytest.raises(EvaluationOverflowError,
+                           match=rf"term centrifugal barrier is non-finite at r = {r}"):
+            effective_potential(replace(DEMO, alpha=2.0), CONSTS, 1, [r, 1.0],
+                                approximate=approximate)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
