@@ -146,6 +146,8 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     so the block grows until the next level lies further up, and the
     lowest n_states Ritz pairs are returned.
 
+    A grid whose s/h^2 is not a positive finite number is refused
+    (EvaluationOverflowError): h^2 = inf would leave T = diag(V).
     ConvergenceError is raised for a level outside its bracket,
     |E - w| > tol (a polluted vector), and where the block would have to
     grow to n_points/4 levels. Each state is L2-normalized with the
@@ -159,6 +161,9 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         return NumericSpectrum("FiniteDifference", (), (), r)
     h = grid.h
     t = consts.s / (h * h)
+    if not 0.0 < t < math.inf:
+        raise EvaluationOverflowError(
+            f"fd_spectrum: s/h^2 = {t!r} is not a positive finite number (h^2 = {h * h!r})")
     diag = 2.0 * t + veff[1:-1]
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
@@ -384,8 +389,9 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     (_matched_phase, _match_point). The window starts 1 unit below the
     interior floor, where a grid whose h^2 (V - E)/s overflows past r_min
     is refused (EvaluationOverflowError), as is one with Theta >= pi
-    (ResolutionError), and doubles from 1 unit wide until floor(Theta/pi)
-    reaches n_states; two probes 1e-6 unit either side of the potential at
+    (ResolutionError) and a unit that vanishes beside the floor
+    (EvaluationOverflowError), and doubles from 1 unit wide until
+    floor(Theta/pi) reaches n_states; two probes 1e-6 unit either side of the potential at
     r_max split any bracket there. Level k is bracketed by every sample's
     Theta against (k + 1) pi and closed on it by regula falsi
     (_phase_root) to 1e-10 max(unit, |E|); its state is the last probe's
@@ -429,6 +435,10 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
             f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
             f"minimum; n_points = {grid.n_points} is too coarse for this potential")
     e_hi = e_lo + unit
+    if e_hi == e_lo:
+        raise EvaluationOverflowError(
+            f"numerov_spectrum: the energy unit s (40/r_max)^2 = {unit!r} vanishes "
+            f"beside the window's floor {e_lo!r}")
     for _ in range(_MAX_BISECT):
         if phase(e_hi) >= n_states * math.pi:
             break

@@ -35,9 +35,8 @@ from .oracle import fd_spectrum, numerov_spectrum
 from .potential import KINDS, effective_potential, scan_series, with_gaps
 
 SCHEMA_VERSION = 1
-
-# beta -> 0+ probe: the a*V0 products walked toward the singular limit
-_SINGULAR_LIMIT_PRODUCTS = tuple(10.0 ** (-k) for k in range(1, 9))
+# validate holds one record per state under `states` from version 2 on
+VALIDATE_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -304,60 +303,57 @@ def build_nu_check_report(config, branch="plus") -> dict:
 # full validation report
 # ---------------------------------------------------------------------------
 
-def comparison_rows(analytic, numeric: oracle.NumericSpectrum) -> dict:
-    """ByIndex deltas between analytic levels and an oracle spectrum.
+def _state_record(params, consts, n, l, fd, r_samples) -> dict:
+    """One requested state: its spectrum entry and, unless singular, the
+    spectrum-variant roots, the distance of the chosen level from FD level
+    n, the engine check with the NU diagnostics and the ODE residual.
 
-    Analytic level n is paired with oracle level n, which is entry n: both
-    solvers return level k as entry k. A level n beyond the spectrum is
-    not compared. When the two lists differ in length (an analytic path
-    singular at some state, or an n list that does not start at 0), a note
-    names the levels compared. Each row is (n, Re E, Im E, E_numeric,
-    delta_abs, delta_rel): the complex-modulus distance |E - E_numeric| and
-    that distance over |E_numeric| floored at 1. This is a report; no
-    agreement is asserted anywhere.
+    The distance is |E - E_FD[n]|, a complex modulus, and that over
+    |E_FD[n]| floored at 1; it is left out where FD has no level n. A
+    quantity that fails carries its error in place of its values. This is
+    a report; no agreement is asserted anywhere.
     """
-    notes = []
-    paired = [lv for lv in analytic if lv.n < len(numeric.levels)]
-    if len(analytic) != len(numeric.levels):
-        ns = [lv.n for lv in paired]
-        which = (f"first {len(ns)}" if ns == list(range(len(ns)))
-                 else "n = " + ", ".join(map(str, ns)))
-        notes.append(
-            f"length mismatch: {len(analytic)} analytic vs "
-            f"{len(numeric.levels)} numeric levels; compared {which}")
-    rows = []
-    for lv in paired:
-        e_num = float(numeric.levels[lv.n][1])
-        d = abs(complex(lv.energy) - e_num)
-        rows.append([lv.n, float(lv.energy.real), float(lv.energy.imag),
-                     e_num, d, d / max(1.0, abs(e_num))])
-    abs_d = [row[4] for row in rows] or [0.0]
-    return {"matching": "ByIndex", "rows": rows,
-            "max_abs_delta": max(abs_d),
-            "max_rel_delta": max([row[5] for row in rows] or [0.0]),
-            "mean_abs_delta": sum(abs_d) / len(abs_d),
-            "notes": notes}
-
-
-def _singular_limit_section(params, consts, n, l):
-    """Walk a*V0 -> 0+ and record how the quantization roots behave."""
-    rows = []
-    for product in _SINGULAR_LIMIT_PRODUCTS:
-        probe = replace(params, a=1.0, V0=product)
-        try:
-            levels = energy_levels(probe, consts, n, l)
-            rows.append({"a_V0": product,
-                         "abs_eps2": [abs(lv.eps2) for lv in levels],
-                         "abs_energy": [abs(lv.energy) for lv in levels]})
-        except HyperwellError as exc:
-            rows.append({"a_V0": product, "error": str(exc)})
-    return rows
+    record, quad = _spectrum_entry(params, consts, n, l)
+    if quad is None:
+        return record
+    try:
+        spec = energy_levels(params, consts, n, l, variant="spectrum")
+        record["spectrum_variant"] = {
+            "eps2": [lv.eps2 for lv in spec],
+            "max_root_delta": max(abs(q.eps2 - s.eps2) for q, s in zip(quad, spec))}
+    except HyperwellError as exc:
+        record["spectrum_variant"] = {"error": str(exc)}
+    level = choose_level(quad)
+    if fd is not None and n < len(fd.levels):
+        e_fd = fd.levels[n][1]
+        delta = abs(complex(level.energy) - e_fd)
+        record["fd_delta_abs"] = delta
+        record["fd_delta_rel"] = delta / max(1.0, abs(e_fd))
+    dp = dimensionless_from_eps2(params, consts, level.eps2, l)
+    try:
+        diagnostics, engine = closed_form_diagnostics(dp, n)
+        record["nu_check"] = {**engine, "diagnostics": diagnostics}
+    except HyperwellError as exc:
+        record["nu_check"] = {"error": str(exc)}
+    try:
+        wf = RadialWavefunction(params, consts, n, l, dp)
+        record["ode_residual"] = {
+            "r_samples": r_samples,
+            "residual": ode_residual(wf, params, consts, level.energy, l, r_samples)}
+    except HyperwellError as exc:
+        record["ode_residual"] = {"error": str(exc)}
+    return record
 
 
 def build_validate_report(config) -> dict:
+    """One record per requested state (l outer, n inner) beside the per-l
+    oracle blocks that the oracle report renders too."""
     params, consts = config.params, config.consts
-    report = {
-        "schema_version": SCHEMA_VERSION,
+    n_states = _n_states(config)
+    solved = [_oracle_block(config, l, n_states) for l in config.l_list]
+    r_samples = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
+    return {
+        "schema_version": VALIDATE_SCHEMA_VERSION,
         "kind": "validate",
         "config": _config_echo(config),
         "potential": {
@@ -366,85 +362,7 @@ def build_validate_report(config) -> dict:
                 str(l): fall_to_center_unreliable(params, consts, l)
                 for l in config.l_list},
         },
+        "states": [_state_record(params, consts, n, l, fd, r_samples)
+                   for l, (_, fd) in zip(config.l_list, solved) for n in config.n_list],
+        "oracle": {"per_l": [block for block, _ in solved]},
     }
-
-    # one analytic record per state: its entry, its constant-term row and,
-    # unless singular, the chosen level (kept per l in ascending n)
-    entries, variants, chosen_per_l = [], [], []
-    for l in config.l_list:
-        chosen = []
-        for n in config.n_list:
-            entry, quad = _spectrum_entry(params, consts, n, l)
-            entries.append(entry)
-            row = {"n": int(n), "l": int(l)}
-            if quad is None:
-                row["error"] = entry["singular"]["reason"]
-            else:
-                chosen.append(choose_level(quad))
-                try:
-                    spec = energy_levels(params, consts, n, l, variant="spectrum")
-                    row["quadratic_eps2"] = [lv.eps2 for lv in quad]
-                    row["spectrum_eps2"] = [lv.eps2 for lv in spec]
-                    row["max_root_delta"] = max(abs(q.eps2 - s.eps2)
-                                                for q, s in zip(quad, spec))
-                except HyperwellError as exc:
-                    row["error"] = str(exc)
-            variants.append(row)
-        chosen_per_l.append(sorted(chosen, key=lambda lv: lv.n))
-    any_singular = any(e["singular"] for e in entries)
-    analytic_section = {"entries": entries, "constant_term_variants": variants}
-    if any_singular and config.n_list and config.l_list:
-        analytic_section["singular_limit"] = _singular_limit_section(
-            params, consts, config.n_list[0], config.l_list[0])
-    else:
-        analytic_section["singular_limit"] = None
-    report["analytic"] = analytic_section
-
-    n_states = _n_states(config)
-    blocks, comparison = [], []
-    for l, chosen in zip(config.l_list, chosen_per_l):
-        block, fd = _oracle_block(config, l, n_states)
-        blocks.append(block)
-        if fd is None:
-            # FD failed (its error is the block's first) or never ran
-            comparison.append({"l": int(l), "error": block["error"]})
-        else:
-            comparison.append({"l": int(l), **comparison_rows(chosen, fd)})
-    report["oracle"] = {"per_l": blocks}
-    report["comparison"] = {
-        "row_fields": ["n", "re_analytic", "im_analytic", "e_numeric",
-                       "delta_abs", "delta_rel"],
-        "per_l": comparison,
-    }
-
-    cross_checks = []
-    ode_rows = []
-    nu_rows = []
-    samples = [0.5 / params.alpha, 1.0 / params.alpha,
-               2.0 / params.alpha, 4.0 / params.alpha]
-    for level in (lv for chosen in chosen_per_l for lv in chosen):
-        tag = {"n": level.n, "l": level.l, "branch": level.branch}
-        dp = dimensionless_from_eps2(params, consts, level.eps2, level.l)
-        try:
-            diagnostics, engine = closed_form_diagnostics(dp, level.n)
-            cross_checks.append({**tag, **engine})
-            nu_rows.append({**tag, "diagnostics": diagnostics})
-        except HyperwellError as exc:
-            cross_checks.append({**tag, "error": str(exc)})
-            nu_rows.append({**tag, "error": str(exc)})
-        try:
-            wf = RadialWavefunction(params, consts, level.n, level.l, dp)
-            ode_rows.append({**tag, "r_samples": samples,
-                             "residual": ode_residual(wf, params, consts, level.energy,
-                                                      level.l, samples)})
-        except HyperwellError as exc:
-            ode_rows.append({**tag, "error": str(exc)})
-    if any_singular and not any(chosen_per_l):
-        note = "analytic path singular for every requested state"
-        cross_checks.append({"note": note})
-        ode_rows.append({"note": note})
-        nu_rows.append({"note": note})
-    report["quantization_residual_cross_check"] = cross_checks
-    report["ode_residual"] = ode_rows
-    report["nu_diagnostics"] = nu_rows
-    return report

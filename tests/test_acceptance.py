@@ -410,15 +410,14 @@ def test_criterion_09_validation_report():
         failures.append(f"exit {proc.returncode}")
     doc = json.loads(proc.stdout)
 
-    for section in ("analytic", "oracle", "comparison", "ode_residual",
-                    "nu_diagnostics", "quantization_residual_cross_check"):
+    for section in ("states", "oracle"):
         if section not in doc:
             failures.append(f"missing section {section}")
 
-    entries = doc["analytic"]["entries"]
-    if len(entries) != 9:
-        failures.append(f"{len(entries)} analytic entries, wanted 9")
-    for e in entries:
+    states = doc["states"]
+    if len(states) != 9:
+        failures.append(f"{len(states)} state records, wanted 9")
+    for e in states:
         if e["singular"] is not None:
             failures.append(f"unexpected singular entry n={e['n']} l={e['l']}")
             continue
@@ -427,22 +426,20 @@ def test_criterion_09_validation_report():
                 if not math.isfinite(br["energy"][part]):
                     failures.append("non-finite analytic energy")
 
-    if len(doc["analytic"]["constant_term_variants"]) != 9:
-        failures.append("missing constant-term variant rows")
+    if not all("max_root_delta" in e.get("spectrum_variant", {}) for e in states):
+        failures.append("missing constant-term variant roots")
     for lrec in doc["oracle"]["per_l"]:
         if not lrec["fd"]["energies"]:
             failures.append(f"no oracle energies at l={lrec['l']}")
-    for comp in doc["comparison"]["per_l"]:
-        for row in comp["rows"]:
-            if not all(math.isfinite(x) for x in row[1:]):
-                failures.append("non-finite comparison delta")
-    for row in doc["ode_residual"]:
-        if not math.isfinite(row["residual"]):
+    for e in states:
+        if not all(math.isfinite(e.get(key, math.nan))
+                   for key in ("fd_delta_abs", "fd_delta_rel")):
+            failures.append("non-finite or missing FD delta")
+        if not math.isfinite(e.get("ode_residual", {}).get("residual", math.nan)):
             failures.append("non-finite ode residual")
-    if len(doc["nu_diagnostics"]) != 9:
-        failures.append("nu diagnostics not emitted per (n, l)")
-    for rec in doc["nu_diagnostics"]:
-        if rec["diagnostics"]["k_best_pair_delta"] <= 0:
+        if "diagnostics" not in e.get("nu_check", {}):
+            failures.append("nu diagnostics not emitted per (n, l)")
+        elif e["nu_check"]["diagnostics"]["k_best_pair_delta"] <= 0:
             failures.append("printed-form diagnostics missing k deltas")
 
     # reproducible byte-for-byte
@@ -467,7 +464,7 @@ def test_criterion_10_singular_surfacing():
             failures.append(f"{name} validate exit {proc.returncode}")
             continue
         doc = json.loads(proc.stdout)
-        entries = doc["analytic"]["entries"]
+        entries = doc["states"]
         if not all(e["singular"] is not None and "beta = 0" in e["singular"]["reason"]
                    for e in entries):
             failures.append(f"{name}: singular entries not structured")

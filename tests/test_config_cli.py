@@ -253,13 +253,14 @@ class TestCliExitCodes:
 
     # extreme but valid inputs where an overflowing barrier, F = R exp(beta r/2)
     # or Numerov probe once leaked numpy warnings and printed NaN: (config,
-    # command, the section of blocks, each block's error, FD's levels per block)
+    # command, the section of blocks (a list, or a field of each list entry),
+    # each block's error, FD's levels per block)
     EXTREME = {
         "wide-grid": (
             "potential.a = 20\npotential.b = 1e-30\nconstants.mass = 1e-300\n"
             "grid.r_min = 1e-12\ngrid.r_max = 1e300\ngrid.n_points = 400\n",
             ["oracle", "--n", "5", "--l", "0..2"], "per_l",
-            ["fd_spectrum: ",
+            ["fd_spectrum: s/h^2 = 0.0 is not a positive finite number (h^2 = inf)",
              "effective_potential: term centrifugal barrier is non-finite at r = 1e-12",
              "effective_potential: term centrifugal barrier is non-finite at r = 1e-12"],
             [None, None, None]),
@@ -274,7 +275,7 @@ class TestCliExitCodes:
             "potential.b = 0.5\npotential.c = 3\npotential.d = 1000\npotential.V1 = 1000\n"
             "potential.V2 = 3\npotential.alpha = 1e-30\nconstants.hbar = 2\n"
             "grid.n_points = 200\n",
-            ["validate", "--n", "0..2", "--l", "1"], "ode_residual",
+            ["validate", "--n", "0..2", "--l", "1"], "states.ode_residual",
             ["ode_residual: F = R exp(beta r/2) is non-finite at r = 4.9999999999999994e+29"] * 2
             + ["jacobi: "],
             None),
@@ -303,7 +304,8 @@ class TestCliExitCodes:
 
         doc = json.loads(captured.out, parse_constant=refuse)
         validate_schema(doc, argv[0])
-        blocks = doc[section]
+        name, _, field = section.partition(".")
+        blocks = [entry[field] if field else entry for entry in doc[name]]
         assert len(blocks) == len(errors)
         for block, error in zip(blocks, errors):
             assert block["error"].startswith(error), block["error"]
@@ -349,7 +351,7 @@ class TestCliExitCodes:
         assert captured.err == ""
         doc = json.loads(captured.out)
         validate_schema(doc, schema)
-        entries = doc["analytic"]["entries"] if command == "validate" else doc["entries"]
+        entries = doc["states" if command == "validate" else "entries"]
         assert [e["singular"]["reason"] for e in entries] == [
             "s alpha^2 = 0.0 makes the 1/(s alpha^2) energy scale singular"] * 3
 

@@ -910,6 +910,28 @@ class TestSpectrumStructure:
         with pytest.raises(ConvergenceError, match="closer than"):
             fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
 
+    def test_vanishing_energy_unit_is_refused(self, monkeypatch):
+        # s = 5e-301 and r_max = 1e13 make the unit s (40/r_max)^2 = 1e-323,
+        # which vanishes beside the floor: the window could never widen, so
+        # Numerov refuses after its floor probe instead of 200 more probes
+        config = parse_config("constants.mass = 1e300\ngrid.r_max = 1e13\n"
+                              "grid.n_points = 400\n")
+        veff = effective_potential(config.params, config.consts, 0, config.grid.points())
+        probes = [0]
+        real_phase = oracle._matched_phase
+
+        def counting(*args):
+            probes[0] += 1
+            return real_phase(*args)
+
+        monkeypatch.setattr(oracle, "_matched_phase", counting)
+        with pytest.raises(EvaluationOverflowError) as info:
+            numerov_spectrum(veff, config.consts, config.grid, 1)
+        assert str(info.value) == (
+            "numerov_spectrum: the energy unit s (40/r_max)^2 = 1e-323 vanishes "
+            "beside the window's floor 1.005")
+        assert probes == [1]
+
 
 class TestFallToCenter:
     def test_demo_is_safe_at_l_zero(self):

@@ -1,8 +1,9 @@
 """The reports in-process: the validate and nu-check call budgets, the
-level-n pairing of comparison rows, a partly singular case and the oracle
-block validate shares with the oracle report, and the CSV and JSON
-renderers against per-row and recursive-walk references. An oracle block
-keeps each solver that solved beside the other's error."""
+level-n pairing of validate's state records, each record against direct
+calls, a partly singular case and the oracle block validate shares with
+the oracle report, and the CSV and JSON renderers against per-row and
+recursive-walk references. An oracle block keeps each solver that solved
+beside the other's error."""
 
 import json
 import math
@@ -16,14 +17,13 @@ import pytest
 from hyperwell import analytic, nu, oracle, potential
 from hyperwell.analytic import energy_levels, radial_wavefunction
 from hyperwell.config import parse_config
-from hyperwell.errors import ConvergenceError
+from hyperwell.errors import ConvergenceError, SingularCoefficientError
 from hyperwell.potential import PhysicalConstants, scan_series
 from hyperwell.reporting import (
     build_nu_check_report,
     build_oracle_report,
     build_spectrum_report,
     build_validate_report,
-    comparison_rows,
     csv_document,
     fmt_number,
     json_document,
@@ -79,45 +79,37 @@ def test_nu_check_call_budget(monkeypatch):
     assert counts == {"enumerate_branches": 9, "k_candidates": 9, "pi_tau_select": 9}
 
 
-def test_validate_pairs_level_n_with_oracle_level_n():
+def chosen_energy(state):
+    """The chosen level's E of a state record."""
+    chosen = next(b for b in state["branches"] if b["branch"] == state["chosen_branch"])
+    return complex(chosen["energy"])
+
+
+# two FD levels: |E_0| < 1, where the relative delta's floor holds, and 4 pi^2
+TWO_LEVELS = oracle.NumericSpectrum("FiniteDifference", ((0, 0.5, 0), (1, 39.478, 1)),
+                                    (), np.zeros(2))
+
+
+def test_validate_pairs_level_n_with_oracle_level_n(monkeypatch):
     # an n list that does not start at 0 still meets FD level n, entry n
     for n_list in ((1, 2), (2,)):
         doc = build_validate_report(load("general", n_list=n_list, l_list=(0,)))
         fd = doc["oracle"]["per_l"][0]["fd"]["energies"]
-        comparison = doc["comparison"]["per_l"][0]
-        assert [row[0] for row in comparison["rows"]] == list(n_list)
-        assert [row[3] for row in comparison["rows"]] == [fd[n] for n in n_list]
-        names = ", ".join(map(str, n_list))
-        assert comparison["notes"] == [
-            f"length mismatch: {len(n_list)} analytic vs 3 numeric levels; compared n = {names}"]
+        assert [state["n"] for state in doc["states"]] == list(n_list)
+        for state in doc["states"]:
+            assert state["fd_delta_abs"] == abs(chosen_energy(state) - fd[state["n"]])
 
-
-class FakeLevel:
-    def __init__(self, n, energy):
-        self.n = n
-        self.energy = energy
-
-
-# the two lowest box levels, pi^2 and 4 pi^2, as an FD spectrum
-BOX = oracle.NumericSpectrum("FiniteDifference", ((0, 9.8696, 0), (1, 39.478, 1)),
-                             (), np.zeros(2))
-
-
-def test_comparison_by_index_deltas():
-    comparison = comparison_rows([FakeLevel(0, complex(math.pi**2, 0.1)),
-                                  FakeLevel(1, complex(4 * math.pi**2, -0.2))], BOX)
-    assert comparison["matching"] == "ByIndex" and comparison["notes"] == []
-    assert len(comparison["rows"]) == 2
-    for row in comparison["rows"]:
-        assert row[4] >= abs(row[2])  # modulus delta includes the imag part
-    assert comparison["max_abs_delta"] >= comparison["mean_abs_delta"]
-
-
-def test_comparison_length_mismatch_noted():
-    comparison = comparison_rows([FakeLevel(0, complex(9.8, 0.0))], BOX)
-    assert len(comparison["rows"]) == 1
-    assert comparison["notes"] == [
-        "length mismatch: 1 analytic vs 2 numeric levels; compared first 1"]
+    # the modulus includes Im E, the relative delta is floored at 1, and a
+    # state past FD's levels has no delta
+    monkeypatch.setattr("hyperwell.reporting.fd_spectrum", lambda *args: TWO_LEVELS)
+    doc = build_validate_report(load("general", n_list=(0, 1, 2), l_list=(0,)))
+    states = doc["states"]
+    for state, e_fd in zip(states, (0.5, 39.478)):
+        energy = chosen_energy(state)
+        assert energy.imag != 0.0
+        assert state["fd_delta_abs"] == abs(energy - e_fd) > abs(energy.real - e_fd)
+        assert state["fd_delta_rel"] == state["fd_delta_abs"] / max(1.0, e_fd)
+    assert "fd_delta_abs" not in states[2] and "fd_delta_rel" not in states[2]
 
 
 def test_oracle_block_keeps_the_solver_that_solved(monkeypatch):
@@ -133,8 +125,9 @@ def test_oracle_block_keeps_the_solver_that_solved(monkeypatch):
     assert list(block) == ["l", "n_states", "fd", "error"]
     assert block["error"].startswith("numerov_spectrum: the sweep has 1998 nodes")
     assert block["fd"]["node_counts"] == [0, 1, 2]
-    rows = doc["comparison"]["per_l"][0]["rows"]
-    assert [row[3] for row in rows] == block["fd"]["energies"]
+    fd = block["fd"]["energies"]
+    assert [state["fd_delta_abs"] for state in doc["states"]] == [
+        abs(chosen_energy(state) - fd[state["n"]]) for state in doc["states"]]
 
     # a failing FD leaves Numerov's record and nothing to compare against
     def failing(*args):
@@ -145,41 +138,96 @@ def test_oracle_block_keeps_the_solver_that_solved(monkeypatch):
     block = doc["oracle"]["per_l"][0]
     assert list(block) == ["l", "n_states", "numerov", "error"]
     assert block["error"] == "fd_spectrum: no levels"
-    assert doc["comparison"]["per_l"][0] == {"l": 0, "error": "fd_spectrum: no levels"}
+    assert not any("fd_delta_abs" in state for state in doc["states"])
+
+
+# gamma^2 = (2m/hbar^2 alpha^2)(c V2 - b V1 - alpha^2 l(l+1)) = 2 - l(l+1): zero at l = 1
+PARTLY_SINGULAR = "\n".join([
+    "potential.a = 1", "potential.V0 = 1", "potential.b = 0", "potential.c = 2",
+    "potential.V2 = 1", "potential.d = 0", "potential.alpha = 1",
+    "state.n = 0..1", "state.l = 0..1"])
 
 
 def test_validate_partly_singular():
-    # gamma^2 = (2m/hbar^2 alpha^2)(c V2 - b V1 - alpha^2 l(l+1)) = 2 - l(l+1): zero at l = 1
-    config = parse_config("\n".join([
-        "potential.a = 1", "potential.V0 = 1", "potential.b = 0", "potential.c = 2",
-        "potential.V2 = 1", "potential.d = 0", "potential.alpha = 1",
-        "state.n = 0..1", "state.l = 0..1"]))
+    config = parse_config(PARTLY_SINGULAR)
     doc = build_validate_report(config)
-    analytic_section = doc["analytic"]
-    for entry, row in zip(analytic_section["entries"],
-                          analytic_section["constant_term_variants"]):
-        assert (entry["n"], entry["l"]) == (row["n"], row["l"])
-        if entry["l"] == 1:
-            assert "gamma = 0" in entry["singular"]["reason"]
-            assert row["error"] == entry["singular"]["reason"]
+    states = doc["states"]
+    for state in states:
+        if state["l"] == 1:
+            assert "gamma = 0" in state["singular"]["reason"]
+            # a singular state holds its entry alone
+            assert list(state) == ["n", "l", "singular"]
         else:
-            assert entry["singular"] is None and "error" not in row
-    assert [e["l"] for e in analytic_section["entries"]] == [0, 0, 1, 1]
-    assert isinstance(analytic_section["singular_limit"], list)
-    assert len(analytic_section["singular_limit"]) == 8
-    l1 = doc["comparison"]["per_l"][1]
-    assert l1["l"] == 1 and l1["rows"] == []
-    assert any("length mismatch: 0 analytic vs 2 numeric levels" in note
-               for note in l1["notes"])
-    for key in ("ode_residual", "nu_diagnostics", "quantization_residual_cross_check"):
-        assert len(doc[key]) == 2
-        assert all(row["l"] == 0 for row in doc[key])
+            assert state["singular"] is None and "error" not in state["spectrum_variant"]
+            for key in ("nu_check", "ode_residual"):
+                assert "error" not in state[key]
+    assert [(state["n"], state["l"]) for state in states] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    # FD solved l = 1, but no singular state is compared with it
+    assert doc["oracle"]["per_l"][1]["fd"]["indices"] == [0, 1]
+    assert [("fd_delta_abs" in state) for state in states] == [True, True, False, False]
 
     # validate renders the same oracle block as the oracle report
     for name in ("general", "rosen_morse", "poschl_teller", "scarf"):
         config = load(name)
         assert (json_document(build_validate_report(config)["oracle"]["per_l"])
                 == json_document(build_oracle_report(config)["per_l"]))
+
+
+@pytest.mark.parametrize("config", [
+    load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)),
+    parse_config(PARTLY_SINGULAR),
+    load("general", n_list=(2, 1), l_list=(1,)),
+], ids=["general", "partly-singular", "n-2,1-l-1"])
+def test_states_equal_direct_calls(config):
+    params, consts = config.params, config.consts
+    doc = json.loads(json_document(build_validate_report(config)))
+    fd = {block["l"]: block["fd"]["energies"] for block in doc["oracle"]["per_l"]}
+    assert [(state["n"], state["l"]) for state in doc["states"]] == [
+        (n, l) for l in config.l_list for n in config.n_list]
+    for state in doc["states"]:
+        n, l = state["n"], state["l"]
+        try:
+            quad = energy_levels(params, consts, n, l)
+        except SingularCoefficientError as exc:
+            assert state == {"n": n, "l": l, "singular": {"reason": str(exc)}}
+            continue
+        spec = energy_levels(params, consts, n, l, variant="spectrum")
+        level = min(quad, key=lambda lv: lv.imag_magnitude)
+        dp = analytic.dimensionless_from_eps2(params, consts, level.eps2, l)
+        diagnostics, engine = analytic.closed_form_diagnostics(dp, n)
+        r = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
+        wf = analytic.RadialWavefunction(params, consts, n, l, dp)
+        delta = abs(level.energy - fd[l][n])
+        want = {
+            "n": n, "l": l, "singular": None,
+            "branches": [{"branch": lv.branch, "eps2": lv.eps2, "energy": lv.energy,
+                          "energy_alt": lv.energy_alt,
+                          "residual_quantization": lv.residual_quantization,
+                          "imag_magnitude": lv.imag_magnitude} for lv in quad],
+            "chosen_branch": level.branch,
+            "chosen_re_energy": level.energy.real,
+            "spectrum_variant": {"eps2": [lv.eps2 for lv in spec],
+                                 "max_root_delta": max(abs(q.eps2 - s.eps2)
+                                                       for q, s in zip(quad, spec))},
+            "fd_delta_abs": delta,
+            "fd_delta_rel": delta / max(1.0, abs(fd[l][n])),
+            "nu_check": {**engine, "diagnostics": diagnostics},
+            "ode_residual": {"r_samples": r, "residual": analytic.ode_residual(
+                wf, params, consts, level.energy, l, r)},
+        }
+        assert state == reference_jsonable(want)
+
+
+@pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
+def test_validate_schema_2(name):
+    import jsonschema
+
+    schema = json.loads((Path(analytic.__file__).parent / "schemas" / "validate.json")
+                        .read_text())
+    doc = json.loads(json_document(build_validate_report(load(name))))
+    assert list(doc) == ["schema_version", "kind", "config", "potential", "states", "oracle"]
+    assert doc["schema_version"] == 2
+    jsonschema.validate(doc, schema)
 
 
 # ---------------------------------------------------------------------------
