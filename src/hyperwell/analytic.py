@@ -22,9 +22,8 @@ reference forms instead of reconciling them.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +82,7 @@ class EnergyLevel:
     n: int
     l: int
     branch: str  # 'plus' or 'minus' root of the quantization quadratic
-    eps2: complex
+    dp: DimensionlessParams  # the map at this root: dp.eps2 is the root
     energy: complex
     energy_alt: complex  # secondary grouping: trailing -d instead of +d
     residual_quantization: float
@@ -97,25 +96,6 @@ def _prefactor(params: PotentialParams, consts: PhysicalConstants) -> float:
         raise SingularCoefficientError(
             f"s alpha^2 = {scale} makes the 1/(s alpha^2) energy scale singular")
     return 1.0 / scale
-
-
-def _eps2_shift(params, pref, dp) -> float:
-    # the printed constant between E and -eps^2/pref, beta^2/4 + c V2 - alpha^2 l(l+1),
-    # with c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1
-    return dp.beta2.real / 4.0 + dp.gamma2.real / pref + params.b * params.V1
-
-
-def dimensionless_params(params, consts, energy, l) -> DimensionlessParams:
-    """Map (E, l) to the engine coefficients; E may be complex."""
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainError(f"dimensionless_params: l must be a non-negative integer, got {l!r}")
-    energy = complex(energy)
-    if not cmath.isfinite(energy):
-        raise DomainError("dimensionless_params: energy must be finite")
-    dp = dimensionless_from_eps2(params, consts, 0.0, l)
-    pref = _prefactor(params, consts)
-    eps2 = -pref * (energy + _eps2_shift(params, pref, dp) - params.d)
-    return replace(dp, eps2=complex(eps2))
 
 
 def dimensionless_from_eps2(params, consts, eps2, l) -> DimensionlessParams:
@@ -136,11 +116,6 @@ def nu_problem(dp: DimensionlessParams) -> NUProblem:
     )
 
 
-def _u_of(dp: DimensionlessParams) -> complex:
-    # sqrt(eps^4 + eps^2 beta^2 / 2) + gamma^2; regular at eps^2 = 0
-    return principal_sqrt(dp.eps2 * dp.eps2 + dp.eps2 * dp.beta2 / 2.0) + dp.gamma2
-
-
 def _v_of(dp: DimensionlessParams) -> complex:
     return 1j * dp.beta * principal_sqrt(dp.gamma2 + 2.5 * dp.beta2)
 
@@ -148,9 +123,10 @@ def _v_of(dp: DimensionlessParams) -> complex:
 def aux_quantities(dp) -> AuxQuantities:
     """u, v and the wavefunction exponents.
 
+    u = sqrt(eps^4 + eps^2 beta^2/2) + gamma^2 (regular at eps^2 = 0),
     mu = 2 - sqrt(u+v), nu = sqrt(u-v), A = mu + i nu, B = (nu + beta)/(2i).
     """
-    u = _u_of(dp)
+    u = principal_sqrt(dp.eps2 * dp.eps2 + dp.eps2 * dp.beta2 / 2.0) + dp.gamma2
     v = _v_of(dp)
     mu = 2.0 - principal_sqrt(u + v)
     nu = principal_sqrt(u - v)
@@ -198,19 +174,16 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
     return c2, c1, c0
 
 
-def _invert_eps2(params, consts, z, l):
-    """Solve the eps^2 definition for E; returns (primary, alternate grouping)."""
-    pref = _prefactor(params, consts)
-    core = -z / pref - _eps2_shift(params, pref, dimensionless_from_eps2(params, consts, z, l))
-    return core + params.d, core - params.d
-
-
 def energy_levels(params, consts, n, l, variant="quadratic"):
     """Both roots of the quantization quadratic as EnergyLevel records.
 
     Returns (plus, minus) ordered by the sign of the discriminant root.
-    The energies are complex in general; imag_magnitude records |Im E| and
-    residual_quantization the scaled back-substitution residual.
+    Each level carries its root's map dp. E solves the printed definition
+    eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d), with
+    c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1; energy_alt groups d with
+    the opposite sign. The energies are complex in general; imag_magnitude
+    records |Im E| and residual_quantization the scaled back-substitution
+    residual.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"energy_levels: n must be a non-negative integer, got {n!r}")
@@ -219,26 +192,19 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     c2, c1, c0 = quantization_coefficients(params, consts, n, l, variant=variant)
     roots, _ = solve_quadratic(c2, c1, c0)
     labels = ("plus", "minus") if len(roots) == 2 else ("linear",)
+    pref = _prefactor(params, consts)
     out = []
     for z, label in zip(roots, labels):
-        energy, energy_alt = _invert_eps2(params, consts, z, l)
+        dp = dimensionless_from_eps2(params, consts, z, l)
+        core = -z / pref - (dp.beta2.real / 4.0 + dp.gamma2.real / pref + params.b * params.V1)
+        energy = core + params.d
         scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
         out.append(EnergyLevel(
-            n=int(n), l=int(l), branch=label, eps2=z,
-            energy=energy, energy_alt=energy_alt,
+            n=int(n), l=int(l), branch=label, dp=dp,
+            energy=energy, energy_alt=core - params.d,
             residual_quantization=abs(c2 * z * z + c1 * z + c0) / scale,
             imag_magnitude=abs(energy.imag)))
     return tuple(out)
-
-
-def quantization_residual(problem: NUProblem, sol, n) -> float:
-    """|lambda - lambda_n| for the engine's own branch; a consistency gauge.
-
-    For a self-consistent problem at a quantized parameter this is ~0; for
-    the hyperbolic family at roots of the printed quadratic it measures
-    the internal inconsistency of the closed forms. Reported, not asserted.
-    """
-    return abs(complex(sol.lam) - lambda_n_of(problem, sol.tau, n))
 
 
 def closed_form_diagnostics(dp: DimensionlessParams, n):
@@ -253,14 +219,17 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
     Returns (diagnostics, engine check). The engine check holds the
     mismatch |lambda - lambda_n| on the physical branch, or, when no
     branch has Re(tau') < 0, the smallest mismatch over every branch,
-    with ``physical_branch`` saying which.
+    with ``physical_branch`` saying which. The mismatch is ~0 for a
+    self-consistent problem at a quantized parameter; at roots of the
+    printed quadratic it measures the closed forms' inconsistency.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"closed_form_diagnostics: n must be a non-negative integer")
+        raise DomainError(
+            f"closed_form_diagnostics: n must be a non-negative integer, got {n!r}")
     problem = nu_problem(dp)
     branches = enumerate_branches(problem)
-    u = _u_of(dp)
-    v = _v_of(dp)
+    aux = aux_quantities(dp)
+    u, v = aux.u, aux.v
     base = dp.gamma2 - dp.eps2 - dp.beta2 / 4.0
     rad = principal_sqrt(u * u - v * v)
     k_ref = (base + rad, base - rad)
@@ -279,8 +248,7 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
         k_delta = min(abs(ks[0] - kr) for kr in k_ref)
 
     sqrt_upv = principal_sqrt(u + v)
-    sqrt_umv = principal_sqrt(u - v)
-    tau_ref = Poly(sqrt_umv, 2.0 - sqrt_upv, 0.0)
+    tau_ref = Poly(aux.nu, aux.mu, 0.0)
     lam_ref_plus = base + rad - sqrt_upv / 2.0
     lam_ref_minus = base - rad - sqrt_upv / 2.0
     lambda_n_ref_tau = lambda_n_of(problem, tau_ref, n)
@@ -319,7 +287,7 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
         sol = pi_tau_select(branches)
     except NoPhysicalBranchError as exc:
         diag["selection_error"] = str(exc)
-        mismatch = min(quantization_residual(problem, b, n) for b in branches)
+        mismatch = min(abs(complex(b.lam) - lambda_n_of(problem, b.tau, n)) for b in branches)
         return diag, {"engine_lambda_mismatch": mismatch, "physical_branch": False}
     diag.update({
         "tau_mechanical": list(sol.tau.coeffs()),
@@ -327,7 +295,8 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
         "branch": list(sol.branch),
         "multiplicity": sol.multiplicity,
     })
-    return diag, {"engine_lambda_mismatch": quantization_residual(problem, sol, n),
+    return diag, {"engine_lambda_mismatch": abs(complex(sol.lam)
+                                                - lambda_n_of(problem, sol.tau, n)),
                   "physical_branch": True}
 
 
@@ -337,17 +306,15 @@ class RadialWavefunction:
     R(r) = N (1 + i coth)^((mu+B)/2) (1 - i coth)^((mu-B)/2)
              P_n^(2+A, 2-A)(i coth(alpha r)) exp(-beta r / 2)
 
-    dp holds the level's dimensionless coefficients, dimensionless_from_eps2
-    at its eps^2 and l. The full solution of the radial problem is
+    dp holds the level's dimensionless coefficients, the map its
+    EnergyLevel carries. The full solution of the radial problem is
     psi(r) = R(r)/r. The normalization constant N makes the integral of
     |R|^2 over the fixed window [1e-6/alpha, 40/alpha] equal to 1.
     """
 
-    def __init__(self, params, consts, n, l, dp: DimensionlessParams):
+    def __init__(self, params, n, dp: DimensionlessParams):
         self.params = params
-        self.consts = consts
         self.n = int(n)
-        self.l = int(l)
         self.dp = dp
         self.aux = aux_quantities(dp)
         self.norm_constant = 1.0 + 0.0j
@@ -411,7 +378,7 @@ def _adaptive_log_trapezoid(f, lo, hi, rtol):
         f"{_NORM_DOUBLINGS} doublings")
 
 
-def radial_wavefunction(params, consts, level: EnergyLevel) -> RadialWavefunction:
+def radial_wavefunction(params, level: EnergyLevel) -> RadialWavefunction:
     """Build R(r) for an energy level, normalized on the standard window.
 
     Normalization integrates |R|^2 by Romberg integration on nested
@@ -420,8 +387,7 @@ def radial_wavefunction(params, consts, level: EnergyLevel) -> RadialWavefunctio
     Renormalizing an already normalized wavefunction is a no-op up to
     rounding.
     """
-    wf = RadialWavefunction(params, consts, level.n, level.l,
-                            dimensionless_from_eps2(params, consts, level.eps2, level.l))
+    wf = RadialWavefunction(params, level.n, level.dp)
     integral = _adaptive_log_trapezoid(
         lambda r: np.abs(wf(r)) ** 2, wf.norm_window[0], wf.norm_window[1], _NORM_RTOL)
     if not (integral > 0.0) or not math.isfinite(integral):
@@ -441,13 +407,14 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
                          - alpha^2 l(l+1) cosech^2 - d + beta^2/4)
 
     evaluated faithfully to the closed-form derivation (beta^2/4 is the
-    dimensionless beta squared over four). Returns the max scaled residual
-    max_i |F'' - beta F' + W F| / scale over the samples, by central
-    differences with step h = 1e-4. Raises EvaluationOverflowError where
-    a sample of F is non-finite.
+    dimensionless beta squared over four); beta and beta^2 are those of
+    wf.dp, the map the wavefunction was built on. Returns the max scaled
+    residual max_i |F'' - beta F' + W F| / scale over the samples, by
+    central differences with step h = 1e-4. Raises EvaluationOverflowError
+    where a sample of F is non-finite.
     """
     pref = 1.0 / consts.s
-    dp = dimensionless_from_eps2(params, consts, 0.0, l)
+    dp = wf.dp
     beta, h = dp.beta, _ODE_H
     r = np.asarray(r_samples, dtype=float)
     close = r - h <= 0

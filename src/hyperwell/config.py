@@ -158,7 +158,7 @@ def _assignments(text, overrides):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'section.key = value'", line=lineno)
+            raise ConfigError("expected 'section.key = value'", line=lineno)
         key, _, value = line.partition("=")
         yield key.strip(), value.strip(), key.strip(), lineno
     for key, (value, flag) in overrides.items():

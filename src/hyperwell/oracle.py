@@ -150,7 +150,10 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     (EvaluationOverflowError): h^2 = inf would leave T = diag(V).
     ConvergenceError is raised for a level outside its bracket,
     |E - w| > tol (a polluted vector), and where the block would have to
-    grow to n_points/4 levels. Each state is L2-normalized with the
+    grow to n_points/4 levels; that message names s/h^2 when adding it
+    leaves every diagonal entry unchanged, so that T is diag(V) to
+    rounding. Such a T is not refused outright: a single level at V's
+    interior minimum is still its lowest eigenvalue. Each state is L2-normalized with the
     trapezoid rule and signed so that its lobe nearest the origin is
     positive.
     """
@@ -180,9 +183,13 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
             if reach <= block:
                 break
             if reach >= grid.n_points / 4:
+                cause = ""
+                if np.array_equal(diag, veff[1:-1]):
+                    cause = (f"; s/h^2 = {t:.3g} vanishes beside V (adding 2 s/h^2 "
+                             "changes no diagonal entry)")
                 raise ConvergenceError(
                     f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
-                    f"other closer than {_EIG_GAP * tol:.3g}")
+                    f"other closer than {_EIG_GAP * tol:.3g}{cause}")
             block = reach
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"fd_spectrum: LAPACK eigensolver failed: {exc}") from exc

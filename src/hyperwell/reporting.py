@@ -24,7 +24,6 @@ from .analytic import (
     EnergyLevel,
     RadialWavefunction,
     closed_form_diagnostics,
-    dimensionless_from_eps2,
     energy_levels,
     ode_residual,
     radial_wavefunction,
@@ -129,7 +128,7 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
     level = by_name.get(branch)
     if level is None:
         raise ConfigError(f"no branch {branch!r} for this state")
-    wf = radial_wavefunction(config.params, config.consts, level)
+    wf = radial_wavefunction(config.params, level)
     r = config.grid.points()
     values = wf(r)
     with np.errstate(over="ignore"):  # |R|^2 is inf where |R| passes 1e154
@@ -165,7 +164,7 @@ def _config_echo(config) -> dict:
 def _level_record(level: EnergyLevel) -> dict:
     return {
         "branch": level.branch,
-        "eps2": level.eps2,
+        "eps2": level.dp.eps2,
         "energy": level.energy,
         "energy_alt": level.energy_alt,
         "residual_quantization": level.residual_quantization,
@@ -282,10 +281,9 @@ def nu_check_entry(params, consts, n, l, branch="plus") -> dict:
         return entry
     by_name = {lv.branch: lv for lv in levels}
     level = by_name.get(branch, levels[0])
-    dp = dimensionless_from_eps2(params, consts, level.eps2, l)
-    entry["eps2"] = level.eps2
+    entry["eps2"] = level.dp.eps2
     entry["energy"] = level.energy
-    entry["diagnostics"] = closed_form_diagnostics(dp, n)[0]
+    entry["diagnostics"] = closed_form_diagnostics(level.dp, n)[0]
     return entry
 
 
@@ -319,8 +317,8 @@ def _state_record(params, consts, n, l, fd, r_samples) -> dict:
     try:
         spec = energy_levels(params, consts, n, l, variant="spectrum")
         record["spectrum_variant"] = {
-            "eps2": [lv.eps2 for lv in spec],
-            "max_root_delta": max(abs(q.eps2 - s.eps2) for q, s in zip(quad, spec))}
+            "eps2": [lv.dp.eps2 for lv in spec],
+            "max_root_delta": max(abs(q.dp.eps2 - s.dp.eps2) for q, s in zip(quad, spec))}
     except HyperwellError as exc:
         record["spectrum_variant"] = {"error": str(exc)}
     level = choose_level(quad)
@@ -329,14 +327,13 @@ def _state_record(params, consts, n, l, fd, r_samples) -> dict:
         delta = abs(complex(level.energy) - e_fd)
         record["fd_delta_abs"] = delta
         record["fd_delta_rel"] = delta / max(1.0, abs(e_fd))
-    dp = dimensionless_from_eps2(params, consts, level.eps2, l)
     try:
-        diagnostics, engine = closed_form_diagnostics(dp, n)
+        diagnostics, engine = closed_form_diagnostics(level.dp, n)
         record["nu_check"] = {**engine, "diagnostics": diagnostics}
     except HyperwellError as exc:
         record["nu_check"] = {"error": str(exc)}
     try:
-        wf = RadialWavefunction(params, consts, n, l, dp)
+        wf = RadialWavefunction(params, n, level.dp)
         record["ode_residual"] = {
             "r_samples": r_samples,
             "residual": ode_residual(wf, params, consts, level.energy, l, r_samples)}

@@ -20,7 +20,6 @@ import numpy as np
 from hyperwell.analytic import (
     DimensionlessParams,
     closed_form_diagnostics,
-    dimensionless_from_eps2,
     energy_levels,
 )
 from hyperwell.config import RadialGrid
@@ -169,7 +168,7 @@ def test_criterion_03_lambda_n_mechanical():
         assert lambda_n_of(prob, tau_ref, 0) == 0.0  # exactly
     # the printed deviation (index swapped for u) is recorded in diagnostics
     lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
-    diag = closed_form_diagnostics(dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0), 1)[0]
+    diag = closed_form_diagnostics(lv.dp, 1)[0]
     swap_present = diag["lambda_n_printed_delta"] > 1.0
     swap_identity = diag["lambda_n_index_swap_delta"] < 1e-12
     ok = worst <= 1e-12 and swap_present and swap_identity

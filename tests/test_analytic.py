@@ -15,12 +15,10 @@ from hyperwell.analytic import (
     aux_quantities,
     closed_form_diagnostics,
     dimensionless_from_eps2,
-    dimensionless_params,
     energy_levels,
     nu_problem,
     ode_residual,
     quantization_coefficients,
-    quantization_residual,
     radial_wavefunction,
 )
 from hyperwell.config import parse_config
@@ -30,7 +28,7 @@ from hyperwell.errors import (
     NonNormalizableError,
     SingularCoefficientError,
 )
-from hyperwell.nu import enumerate_branches, pi_tau_select
+from hyperwell.nu import enumerate_branches, lambda_n_of, pi_tau_select
 from hyperwell.potential import PhysicalConstants, PotentialParams
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
@@ -38,15 +36,50 @@ CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def raw_wavefunction(params, consts, level):
+def raw_wavefunction(params, level):
     """The level's unnormalized R(r): norm_constant 1."""
-    return RadialWavefunction(params, consts, level.n, level.l,
-                              dimensionless_from_eps2(params, consts, level.eps2, level.l))
+    return RadialWavefunction(params, level.n, level.dp)
+
+
+def printed_eps2(params, consts, energy, l):
+    """The printed map E -> eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d),
+    with pref = 2m/(hbar^2 alpha^2) and beta^2 = pref a V0, transcribed apart
+    from the library."""
+    pref = 2.0 * consts.mass / (consts.hbar**2 * params.alpha**2)
+    beta2 = pref * params.a * params.V0
+    return -pref * (energy + beta2 / 4.0 + params.c * params.V2
+                    - params.alpha**2 * l * (l + 1) - params.d)
+
+
+def uniform_params(rng):
+    """A draw of every potential coefficient from a fixed box."""
+    return PotentialParams(
+        a=float(rng.uniform(0.2, 2.0)), b=float(rng.uniform(0.0, 0.1)),
+        c=float(rng.uniform(0.5, 3.0)), d=float(rng.uniform(-1.0, 3.0)),
+        V0=float(rng.uniform(0.3, 2.0)), V1=float(rng.uniform(0.0, 1.0)),
+        V2=float(rng.uniform(0.01, 0.1)), alpha=float(rng.uniform(0.5, 2.0)))
+
+
+def seeded_levels(count=40):
+    """Levels of both variants at seeded parameters, s = hbar^2/2m drawn too."""
+    rng = np.random.default_rng(2511)
+    out = []
+    while len(out) < count:
+        params = uniform_params(rng)
+        consts = PhysicalConstants(hbar=float(rng.uniform(0.5, 2.0)), mass=0.5)
+        n, l = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        for variant in ("quadratic", "spectrum"):
+            try:
+                levels = energy_levels(params, consts, n, l, variant=variant)
+            except SingularCoefficientError:
+                continue
+            out.extend((params, consts, lv) for lv in levels)
+    return out
 
 
 class TestDimensionless:
     def test_demo_coefficients(self):
-        dp = dimensionless_params(DEMO, CONSTS, energy=-1.0, l=0)
+        dp = energy_levels(DEMO, CONSTS, 0, 0)[0].dp
         # prefactor 2m/(hbar^2 alpha^2) = 1 in these units
         assert dp.beta2 == pytest.approx(1.0)
         assert dp.gamma2 == pytest.approx(0.035)  # 2*0.02 - 0.01*0.5
@@ -54,31 +87,27 @@ class TestDimensionless:
 
     def test_eps2_definition(self):
         E = -0.7 + 0.2j
-        dp = dimensionless_params(DEMO, CONSTS, E, l=1)
         # eps2 = -pref (E + beta2/4 + c V2 - alpha^2 l(l+1) - d)
         want = -(E + 0.25 + 0.04 - 2.0 - 2.0)
-        assert dp.eps2 == pytest.approx(want)
+        assert printed_eps2(DEMO, CONSTS, E, 1) == pytest.approx(want)
+        # each root's map holds the eps^2 that the printed map gives at its E
+        for lv in energy_levels(DEMO, CONSTS, 1, 1):
+            assert lv.dp.eps2 == pytest.approx(printed_eps2(DEMO, CONSTS, lv.energy, 1),
+                                               rel=1e-10)
 
     def test_l_dependence_of_gamma2(self):
-        dp0 = dimensionless_params(DEMO, CONSTS, -1.0, l=0)
-        dp2 = dimensionless_params(DEMO, CONSTS, -1.0, l=2)
+        dp0 = energy_levels(DEMO, CONSTS, 0, 0)[0].dp
+        dp2 = energy_levels(DEMO, CONSTS, 0, 2)[0].dp
         assert dp2.gamma2 == pytest.approx(dp0.gamma2 - 6.0)
 
     def test_from_eps2_consistency(self):
-        dp = dimensionless_params(DEMO, CONSTS, -1.3, l=1)
-        dp2 = dimensionless_from_eps2(DEMO, CONSTS, dp.eps2, 1)
-        assert dp2.beta2 == dp.beta2
-        assert dp2.gamma2 == dp.gamma2
-        assert dp2.eps2 == dp.eps2
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            dimensionless_params(DEMO, CONSTS, float("nan"), 0)
-        with pytest.raises(DomainError):
-            dimensionless_params(DEMO, CONSTS, -1.0, -1)
+        # each root's map is the map of its eps^2, both variants, seeded draws
+        for params, consts, lv in seeded_levels():
+            dp = dimensionless_from_eps2(params, consts, lv.dp.eps2, lv.l)
+            assert lv.dp == dp
 
     def test_nu_problem_triple(self):
-        dp = dimensionless_params(DEMO, CONSTS, -1.0, 0)
+        dp = energy_levels(DEMO, CONSTS, 0, 0)[0].dp
         prob = nu_problem(dp)
         assert prob.sigma.coeffs() == (1.0 + 0j, 0j, 1.0 + 0j)
         assert prob.sigma_bar.coeffs() == (-dp.eps2, dp.beta2, dp.gamma2)
@@ -152,11 +181,7 @@ class TestEnergyLevels:
         rng = np.random.default_rng(5150)
         checked = 0
         while checked < 100:
-            params = PotentialParams(
-                a=float(rng.uniform(0.2, 2.0)), b=float(rng.uniform(0.0, 0.1)),
-                c=float(rng.uniform(0.5, 3.0)), d=float(rng.uniform(-1.0, 3.0)),
-                V0=float(rng.uniform(0.3, 2.0)), V1=float(rng.uniform(0.0, 1.0)),
-                V2=float(rng.uniform(0.01, 0.1)), alpha=float(rng.uniform(0.5, 2.0)))
+            params = uniform_params(rng)
             n = int(rng.integers(0, 3))
             l = int(rng.integers(0, 3))
             try:
@@ -171,29 +196,37 @@ class TestEnergyLevels:
             checked += 1
 
     def test_energy_inversion_round_trip(self):
-        for lv in energy_levels(DEMO, CONSTS, 1, 1):
-            dp = dimensionless_params(DEMO, CONSTS, lv.energy, lv.l)
-            assert dp.eps2 == pytest.approx(lv.eps2, rel=1e-10)
+        # the printed map takes each root's E back to its eps^2, both variants
+        # on seeded draws; the scale is that of the map's largest term
+        for params, consts, lv in seeded_levels():
+            got = printed_eps2(params, consts, lv.energy, lv.l)
+            pref = 2.0 * consts.mass / (consts.hbar**2 * params.alpha**2)
+            scale = pref * max(abs(lv.energy), abs(params.d), params.a * params.V0,
+                               params.c * params.V2, params.alpha**2 * lv.l * (lv.l + 1))
+            assert abs(got - lv.dp.eps2) <= 1e-13 * scale, (params, lv)
             # alternate grouping differs by exactly 2d
-            assert lv.energy - lv.energy_alt == pytest.approx(2.0 * DEMO.d)
+            assert lv.energy - lv.energy_alt == pytest.approx(2.0 * params.d)
 
     def test_variant_changes_roots(self):
         quad = energy_levels(DEMO, CONSTS, 0, 0, variant="quadratic")
         spec = energy_levels(DEMO, CONSTS, 0, 0, variant="spectrum")
-        assert quad[0].eps2 != spec[0].eps2
+        assert quad[0].dp.eps2 != spec[0].dp.eps2
 
     def test_validation(self):
         with pytest.raises(DomainError):
             energy_levels(DEMO, CONSTS, -1, 0)
         with pytest.raises(DomainError):
             energy_levels(DEMO, CONSTS, 0, -1)
+        dp = energy_levels(DEMO, CONSTS, 0, 0)[0].dp
+        with pytest.raises(DomainError, match=r"^closed_form_diagnostics: n must be a "
+                                              r"non-negative integer, got -1$"):
+            closed_form_diagnostics(dp, -1)
 
 
 class TestDiagnostics:
     def test_always_has_delta_keys(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 0)[0]
+        diag = closed_form_diagnostics(lv.dp, 0)[0]
         for key in ("k_mechanical", "k_reference", "k_best_pair_delta",
                     "k_reference_disc", "k_mechanical_disc", "tau_reference",
                     "lambda_n_printed_delta", "lambda_n_index_swap_delta",
@@ -203,8 +236,7 @@ class TestDiagnostics:
 
     def test_mechanical_k_has_zero_discriminant(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 0)[0]
+        diag = closed_form_diagnostics(lv.dp, 0)[0]
         assert max(diag["k_mechanical_disc"]) < 1e-10
         # the reference closed form does NOT satisfy the perfect-square
         # condition here; the deltas quantify the discrepancy
@@ -215,15 +247,13 @@ class TestDiagnostics:
         # swapping u back to n in the printed eigenvalue reproduces the
         # reference-tau value exactly
         lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
-        dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 1)[0]
+        diag = closed_form_diagnostics(lv.dp, 1)[0]
         assert diag["lambda_n_index_swap_delta"] < 1e-12
         assert diag["lambda_n_printed_delta"] > 1.0
 
     def test_lambda_zero_at_n_zero(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        dp = dimensionless_from_eps2(DEMO, CONSTS, lv.eps2, 0)
-        diag = closed_form_diagnostics(dp, 0)[0]
+        diag = closed_form_diagnostics(lv.dp, 0)[0]
         assert abs(diag["lambda_n_from_reference_tau"]) == 0.0
 
     def test_quantization_residual_gauge(self):
@@ -231,14 +261,14 @@ class TestDiagnostics:
         from hyperwell.nu import NUProblem, Poly
         prob = NUProblem(Poly(1.0), Poly(7.0, 0.0, -1.0), Poly(0.0))  # oscillator n=3
         sol = pi_tau_select(enumerate_branches(prob))
-        assert quantization_residual(prob, sol, 3) < 1e-12
-        assert quantization_residual(prob, sol, 2) == pytest.approx(2.0)
+        assert abs(complex(sol.lam) - lambda_n_of(prob, sol.tau, 3)) < 1e-12
+        assert abs(complex(sol.lam) - lambda_n_of(prob, sol.tau, 2)) == pytest.approx(2.0)
 
 
 class TestWavefunction:
     def test_normalized_on_window(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv)
+        wf = radial_wavefunction(DEMO, lv)
         assert wf.norm_integral is not None
         # re-integrate |R|^2 independently on a fine grid
         r = np.geomspace(wf.norm_window[0], wf.norm_window[1], 200001)
@@ -248,19 +278,19 @@ class TestWavefunction:
 
     def test_renormalize_noop(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = radial_wavefunction(DEMO, CONSTS, lv)
+        wf = radial_wavefunction(DEMO, lv)
         n1 = wf.norm_constant
-        wf2 = radial_wavefunction(DEMO, CONSTS, lv)
+        wf2 = radial_wavefunction(DEMO, lv)
         assert wf2.norm_constant == pytest.approx(n1, rel=1e-12)
 
     def test_degree_two_uses_polynomial(self):
         lv = energy_levels(DEMO, CONSTS, 2, 0)[0]
-        wf = raw_wavefunction(DEMO, CONSTS, lv)
+        wf = raw_wavefunction(DEMO, lv)
         assert cmath.isfinite(wf(0.8))
 
     def test_vectorized_matches_scalar(self):
         lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
-        wf = raw_wavefunction(DEMO, CONSTS, lv)
+        wf = raw_wavefunction(DEMO, lv)
         r = np.array([0.3, 1.0, 4.0])
         v = wf(r)
         for i, ri in enumerate(r):
@@ -269,10 +299,11 @@ class TestWavefunction:
     def test_overflowing_envelope_not_normalizable(self):
         # a huge |eps2| drives the envelope exponents to ~ 1e6, whose complex
         # powers overflow inside the window; the integrand turns non-finite
-        lv = EnergyLevel(n=0, l=0, branch="plus", eps2=1e12 + 0j, energy=0j,
+        lv = EnergyLevel(n=0, l=0, branch="plus",
+                         dp=dimensionless_from_eps2(DEMO, CONSTS, 1e12 + 0j, 0), energy=0j,
                          energy_alt=0j, residual_quantization=0.0, imag_magnitude=0.0)
         with pytest.raises(NonNormalizableError):
-            radial_wavefunction(DEMO, CONSTS, lv)
+            radial_wavefunction(DEMO, lv)
 
     def test_overflowing_square_not_normalizable(self):
         # at n = 40 |R| passes 1.3e154 near the origin, so |R|^2 overflows;
@@ -281,7 +312,7 @@ class TestWavefunction:
         cfg = parse_config((CONFIGS / "general.cfg").read_text())
         lv = energy_levels(cfg.params, cfg.consts, 40, 0)[0]
         with pytest.raises(NonNormalizableError, match="origin end"):
-            radial_wavefunction(cfg.params, cfg.consts, lv)
+            radial_wavefunction(cfg.params, lv)
 
 
 def reference_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
@@ -352,7 +383,7 @@ class TestNormalizationQuadrature:
         params, consts, states = bundled_states("general")
         for n, l in states:
             for lv in energy_levels(params, consts, n, l):
-                radial_wavefunction(params, consts, lv)
+                radial_wavefunction(params, lv)
         assert len(counts) == 12
         assert max(counts) <= 16385
 
@@ -369,8 +400,8 @@ class TestNormalizationQuadrature:
         for params, consts, states in cases:
             for n, l in states:
                 for lv in energy_levels(params, consts, n, l):
-                    wf = radial_wavefunction(params, consts, lv)
-                    raw = raw_wavefunction(params, consts, lv)
+                    wf = radial_wavefunction(params, lv)
+                    raw = raw_wavefunction(params, lv)
                     ref = reference_log_trapezoid(lambda r: np.abs(raw(r)) ** 2,
                                                   *raw.norm_window, 1e-8)
                     assert wf.norm_integral == pytest.approx(ref, rel=1e-8)
@@ -416,17 +447,20 @@ class TestOdeResidual:
         free = PotentialParams(a=0.0, b=0.0, c=0.0, d=0.0, V0=0.0, V1=0.0, V2=0.0, alpha=1.0)
         E = 4.0  # W = 2mE/hbar^2 = 4; F = sin(2r)
 
-        def exact(r):
-            return np.sin(2.0 * np.asarray(r, dtype=float))
+        class Exact:
+            dp = dimensionless_from_eps2(free, CONSTS, 0.0, 0)  # beta = 0, so F = R
 
-        res = ode_residual(exact, free, CONSTS, E, 0, [0.5, 1.0, 2.0])
+            def __call__(self, r):
+                return np.sin(2.0 * np.asarray(r, dtype=float))
+
+        res = ode_residual(Exact(), free, CONSTS, E, 0, [0.5, 1.0, 2.0])
         assert res < 1e-5
 
     def test_order_one_residual_at_quantization_roots(self):
         # the closed-form pair (E, R) does not satisfy the radial equation:
         # the residual is O(1), reported rather than asserted away
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = raw_wavefunction(DEMO, CONSTS, lv)
+        wf = raw_wavefunction(DEMO, lv)
         res = ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [0.5, 1.0, 2.0, 4.0])
         assert 0.1 < res < 10.0
 
@@ -459,7 +493,7 @@ class TestOdeResidual:
         for n in range(3):
             for l in range(2):
                 lv = energy_levels(DEMO, CONSTS, n, l)[0]
-                wf = raw_wavefunction(DEMO, CONSTS, lv)
+                wf = raw_wavefunction(DEMO, lv)
                 got = ode_residual(wf, DEMO, CONSTS, lv.energy, l, samples)
                 assert got == pytest.approx(reference(wf, DEMO, lv.energy, l, samples),
                                             rel=1e-8), (n, l)
@@ -467,6 +501,6 @@ class TestOdeResidual:
     def test_sample_too_close_to_origin(self):
         from hyperwell.errors import SamplingError
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        wf = raw_wavefunction(DEMO, CONSTS, lv)
+        wf = raw_wavefunction(DEMO, lv)
         with pytest.raises(SamplingError):
             ode_residual(wf, DEMO, CONSTS, lv.energy, 0, [5e-5])

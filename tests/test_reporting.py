@@ -59,24 +59,28 @@ def load(name, **states):
 
 def test_validate_call_budget(monkeypatch):
     counts = count_calls(monkeypatch, analytic.energy_levels, analytic.nu_problem,
+                         analytic.dimensionless_from_eps2,
                          nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select,
                          oracle.fd_spectrum, oracle.numerov_spectrum,
                          potential.effective_potential)
     build_validate_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
-    # one quadratic and one spectrum-variant call per state, one engine pass
+    # one quadratic and one spectrum-variant call per state, each building
+    # one map for its coefficients and one per root, one engine pass
     # (triple, branch enumeration, selection) per state, one solver pair per
     # l on one sampling of V_eff
-    assert counts == {"energy_levels": 18, "nu_problem": 9, "enumerate_branches": 9,
-                      "k_candidates": 9, "pi_tau_select": 9,
+    assert counts == {"energy_levels": 18, "nu_problem": 9, "dimensionless_from_eps2": 54,
+                      "enumerate_branches": 9, "k_candidates": 9, "pi_tau_select": 9,
                       "fd_spectrum": 3, "numerov_spectrum": 3, "effective_potential": 3}
 
 
 def test_nu_check_call_budget(monkeypatch):
-    counts = count_calls(monkeypatch, nu.enumerate_branches, nu.k_candidates,
-                         nu.pi_tau_select)
+    counts = count_calls(monkeypatch, analytic.dimensionless_from_eps2,
+                         nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select)
     build_nu_check_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
-    # one branch enumeration and one selection per state
-    assert counts == {"enumerate_branches": 9, "k_candidates": 9, "pi_tau_select": 9}
+    # three maps per state (the coefficients' and one per root), one branch
+    # enumeration and one selection
+    assert counts == {"dimensionless_from_eps2": 27, "enumerate_branches": 9,
+                      "k_candidates": 9, "pi_tau_select": 9}
 
 
 def chosen_energy(state):
@@ -193,21 +197,21 @@ def test_states_equal_direct_calls(config):
             continue
         spec = energy_levels(params, consts, n, l, variant="spectrum")
         level = min(quad, key=lambda lv: lv.imag_magnitude)
-        dp = analytic.dimensionless_from_eps2(params, consts, level.eps2, l)
+        dp = analytic.dimensionless_from_eps2(params, consts, level.dp.eps2, l)
         diagnostics, engine = analytic.closed_form_diagnostics(dp, n)
         r = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
-        wf = analytic.RadialWavefunction(params, consts, n, l, dp)
+        wf = analytic.RadialWavefunction(params, n, dp)
         delta = abs(level.energy - fd[l][n])
         want = {
             "n": n, "l": l, "singular": None,
-            "branches": [{"branch": lv.branch, "eps2": lv.eps2, "energy": lv.energy,
+            "branches": [{"branch": lv.branch, "eps2": lv.dp.eps2, "energy": lv.energy,
                           "energy_alt": lv.energy_alt,
                           "residual_quantization": lv.residual_quantization,
                           "imag_magnitude": lv.imag_magnitude} for lv in quad],
             "chosen_branch": level.branch,
             "chosen_re_energy": level.energy.real,
-            "spectrum_variant": {"eps2": [lv.eps2 for lv in spec],
-                                 "max_root_delta": max(abs(q.eps2 - s.eps2)
+            "spectrum_variant": {"eps2": [lv.dp.eps2 for lv in spec],
+                                 "max_root_delta": max(abs(q.dp.eps2 - s.dp.eps2)
                                                        for q, s in zip(quad, spec))},
             "fd_delta_abs": delta,
             "fd_delta_rel": delta / max(1.0, abs(fd[l][n])),
@@ -277,7 +281,7 @@ def test_csv_columns_match_row_rendering():
     config = load("general")
     r = config.grid.points()
     level = energy_levels(config.params, config.consts, 1, 1)[0]
-    values = radial_wavefunction(config.params, config.consts, level)(r)
+    values = radial_wavefunction(config.params, level)(r)
     # r = 0 lies outside the domain, so the first potential cell is a gap
     potential = scan_series(config.params, np.concatenate(([0.0], r[1:])))
     assert potential[0] is None
