@@ -23,7 +23,7 @@ reference forms instead of reconciling them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class EnergyLevel:
     energy: complex
     energy_alt: complex  # secondary grouping: trailing -d instead of +d
     residual_quantization: float
-    imag_magnitude: float
 
 
 def _prefactor(params: PotentialParams, consts: PhysicalConstants) -> float:
@@ -133,17 +132,18 @@ def aux_quantities(dp) -> AuxQuantities:
     return AuxQuantities(u=u, v=v, mu=mu, nu=nu, A=mu + 1j * nu, B=(nu + dp.beta) / 2j)
 
 
-def quantization_coefficients(params, consts, n, l, variant="quadratic"):
+def quantization_coefficients(dp, pref, n, variant="quadratic"):
     """The three coefficients of the quadratic in z = eps^2.
 
-    variant='quadratic' implements the constant term exactly as the
-    reference closed form prints it, with the combined sqrt(v + iv);
-    variant='spectrum' implements the alternate printing that splits the
-    term into sqrt(v)/2 and +i v_aux, so a reader can swap the two.
+    dp is the map of the level's l (its eps^2 is not read) and pref the
+    energy factor 1/(s alpha^2). variant='quadratic' implements the
+    constant term exactly as the reference closed form prints it, with
+    the combined sqrt(v + iv); variant='spectrum' implements the alternate
+    printing that splits the term into sqrt(v)/2 and +i v_aux, so a
+    reader can swap the two.
     """
     if variant not in ("quadratic", "spectrum"):
         raise DomainError(f"quantization_coefficients: unknown variant {variant!r}")
-    dp = dimensionless_from_eps2(params, consts, 0.0, l)
     beta2, gamma2, beta = dp.beta2, dp.gamma2, dp.beta
     gamma = principal_sqrt(gamma2)
     if beta == 0:
@@ -168,7 +168,6 @@ def quantization_coefficients(params, consts, n, l, variant="quadratic"):
     else:
         # the auxiliary constant v_aux keeps its printed leading i and pref;
         # a negative radicand is absorbed by the complex square root
-        pref = _prefactor(params, consts)
         v_aux = 1j * pref * principal_sqrt((beta2 + gamma2) / pref)
         c0 = -(sigma_big - ((n + 1) / 2.0) * principal_sqrt(v) + 1j * v_aux + tail)
     return c2, c1, c0
@@ -178,32 +177,32 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     """Both roots of the quantization quadratic as EnergyLevel records.
 
     Returns (plus, minus) ordered by the sign of the discriminant root.
-    Each level carries its root's map dp. E solves the printed definition
+    The map of l is built once; each level carries it with eps^2 set to
+    its root. E solves the printed definition
     eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d), with
     c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1; energy_alt groups d with
-    the opposite sign. The energies are complex in general; imag_magnitude
-    records |Im E| and residual_quantization the scaled back-substitution
-    residual.
+    the opposite sign. The energies are complex in general;
+    residual_quantization records the scaled back-substitution residual.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"energy_levels: n must be a non-negative integer, got {n!r}")
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise DomainError(f"energy_levels: l must be a non-negative integer, got {l!r}")
-    c2, c1, c0 = quantization_coefficients(params, consts, n, l, variant=variant)
-    roots, _ = solve_quadratic(c2, c1, c0)
-    labels = ("plus", "minus") if len(roots) == 2 else ("linear",)
+    l_map = dimensionless_from_eps2(params, consts, 0.0, l)
     pref = _prefactor(params, consts)
+    c2, c1, c0 = quantization_coefficients(l_map, pref, n, variant=variant)
+    roots = solve_quadratic(c2, c1, c0)
+    labels = ("plus", "minus") if len(roots) == 2 else ("linear",)
+    shift = l_map.beta2.real / 4.0 + l_map.gamma2.real / pref + params.b * params.V1
     out = []
     for z, label in zip(roots, labels):
-        dp = dimensionless_from_eps2(params, consts, z, l)
-        core = -z / pref - (dp.beta2.real / 4.0 + dp.gamma2.real / pref + params.b * params.V1)
+        core = -z / pref - shift
         energy = core + params.d
         scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
         out.append(EnergyLevel(
-            n=int(n), l=int(l), branch=label, dp=dp,
+            n=int(n), l=int(l), branch=label, dp=replace(l_map, eps2=complex(z)),
             energy=energy, energy_alt=core - params.d,
-            residual_quantization=abs(c2 * z * z + c1 * z + c0) / scale,
-            imag_magnitude=abs(energy.imag)))
+            residual_quantization=abs(c2 * z * z + c1 * z + c0) / scale))
     return tuple(out)
 
 

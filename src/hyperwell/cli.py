@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, csv=True)
     p.add_argument("--alpha", dest="alphas", help="comma list of alpha values, e.g. 1,2,3,4")
     p.add_argument("--kind", default="general", choices=list(KINDS),
-                   help="shape constructor applied to the potential block")
+                   help="special case applied to the potential block")
     p.set_defaults(document=lambda config, args: potential_csv(
         config, args.kind,
         None if args.alphas is None else parse_float_list(args.alphas, where="--alpha"),

@@ -107,11 +107,10 @@ def k_candidates(problem: NUProblem):
     quadratic in k; its roots are the candidates. A degenerate (linear)
     k-equation yields a single candidate.
     """
-    q = _half_gap(problem)
-    sb, sg = problem.sigma_bar, problem.sigma
-    a0 = q.c1 * q.c1 - sb.c2  # A(k) = a0 + k sigma.c2
-    b0 = 2.0 * q.c0 * q.c1 - sb.c1  # B(k) = b0 + k sigma.c1
-    c0 = q.c0 * q.c0 - sb.c0  # C(k) = c0 + k sigma.c0
+    sg = problem.sigma
+    # the radicand at k = 0: A(k) = a0 + k sigma.c2, B(k) = b0 + k sigma.c1
+    # and C(k) = c0 + k sigma.c0
+    c0, b0, a0 = radicand_coeffs(problem, 0.0).coeffs()
     k2 = sg.c1 * sg.c1 - 4.0 * sg.c2 * sg.c0
     k1 = 2.0 * b0 * sg.c1 - 4.0 * (a0 * sg.c0 + c0 * sg.c2)
     k0 = b0 * b0 - 4.0 * a0 * c0
@@ -121,8 +120,7 @@ def k_candidates(problem: NUProblem):
                 "k_candidates: the radicand discriminant vanishes identically; "
                 "every k produces a perfect square")
         raise StructureError("k_candidates: no k makes the radicand a perfect square")
-    roots, _ = solve_quadratic(k2, k1, k0)
-    return list(roots)
+    return list(solve_quadratic(k2, k1, k0))
 
 
 def _radicand_sqrt(rad: Poly) -> Poly:

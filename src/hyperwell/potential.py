@@ -15,7 +15,7 @@ singular at the origin whenever a, b or c is active.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -166,37 +166,15 @@ def with_gaps(values, gaps):
     return series
 
 
-def rosen_morse_params(a, c, V0, V2, alpha):
-    """Rosen-Morse shape: b = d = 0.
-
-    The coefficient a is stored exactly as given. The printed special-case
-    formula for this shape corresponds to negating it (the sweep plots use
-    a = -1 to flip the coth term's sign), so both sign conventions are
-    reachable here; none is imposed.
-    """
-    return PotentialParams(a=a, b=0.0, c=c, d=0.0, V0=V0, V1=0.0, V2=V2, alpha=alpha)
-
-
-def poschl_teller_params(c, V2, alpha):
-    """Poschl-Teller shape: a = b = d = 0 and c stored negated.
-
-    The family's cosech^2 term enters with a minus sign; this shape is
-    defined with the opposite sign, so the incoming c is negated to store
-    coefficients that reproduce +c V2 cosech^2 through the family formula.
-    """
-    return PotentialParams(a=0.0, b=0.0, c=-c, d=0.0, V0=0.0, V1=0.0, V2=V2, alpha=alpha)
-
-
-def scarf_params(b, V1, alpha):
-    """Scarf shape: a = c = d = 0. Even in coth, via the b-only term."""
-    return PotentialParams(a=0.0, b=b, c=0.0, d=0.0, V0=0.0, V1=V1, V2=0.0, alpha=alpha)
-
-
-
-# potential --kind: the shape constructor applied to a potential block
+# potential --kind: the block with the coefficients each special case fixes.
+# Rosen-Morse keeps a as given: its printed formula corresponds to negating a
+# (the sweep plots use a = -1 to flip the coth term's sign), so both sign
+# conventions are reachable and none is imposed. Poschl-Teller is defined
+# with +c V2 cosech^2 where the family has -c V2 cosech^2, so its c is stored
+# negated. Scarf is even in coth, via the b-only term.
 KINDS = {
     "general": lambda p: p,
-    "rosen-morse": lambda p: rosen_morse_params(a=p.a, c=p.c, V0=p.V0, V2=p.V2, alpha=p.alpha),
-    "poschl-teller": lambda p: poschl_teller_params(c=p.c, V2=p.V2, alpha=p.alpha),
-    "scarf": lambda p: scarf_params(b=p.b, V1=p.V1, alpha=p.alpha),
+    "rosen-morse": lambda p: replace(p, b=0.0, d=0.0, V1=0.0),
+    "poschl-teller": lambda p: replace(p, a=0.0, b=0.0, c=-p.c, d=0.0, V0=0.0, V1=0.0),
+    "scarf": lambda p: replace(p, a=0.0, c=0.0, d=0.0, V0=0.0, V2=0.0),
 }

@@ -93,7 +93,7 @@ def _comments(lines, stamp):
 # ---------------------------------------------------------------------------
 
 def potential_csv(config, kind="general", alphas=None, stamp=False) -> str:
-    """V of the potential block under the shape constructor `kind`, one
+    """V of the potential block as the special case `kind` of KINDS, one
     column per alpha (the block's own when alphas is None)."""
     base = KINDS[kind](config.params)
     alphas = alphas or (base.alpha,)
@@ -168,13 +168,13 @@ def _level_record(level: EnergyLevel) -> dict:
         "energy": level.energy,
         "energy_alt": level.energy_alt,
         "residual_quantization": level.residual_quantization,
-        "imag_magnitude": level.imag_magnitude,
+        "imag_magnitude": abs(level.energy.imag),
     }
 
 
 def choose_level(levels) -> EnergyLevel:
     """The physical pick: smallest |Im E|, ties resolved by branch order."""
-    return min(levels, key=lambda lv: lv.imag_magnitude)
+    return min(levels, key=lambda lv: abs(lv.energy.imag))
 
 
 def _spectrum_entry(params, consts, n, l, variant="quadratic"):

@@ -55,7 +55,7 @@ def principal_sqrt(z):
 def solve_quadratic(c2, c1, c0):
     """Roots of ``c2 z^2 + c1 z + c0 = 0`` with complex coefficients.
 
-    Returns ``(roots, residuals)``. For a genuine quadratic the roots are
+    Returns the roots as a tuple. For a genuine quadratic they are
     ordered (plus-root, minus-root) by the sign in front of the principal
     square root of the discriminant; ``c2 == 0`` degrades to the linear
     case with a single root. The larger-magnitude root comes from the full
@@ -70,8 +70,7 @@ def solve_quadratic(c2, c1, c0):
         if c1 == 0:
             raise SingularCoefficientError(
                 "solve_quadratic: c2 = 0 and c1 = 0 leave no equation to solve")
-        root = -c0 / c1
-        return (root,), (abs(c1 * root + c0),)
+        return (-c0 / c1,)
 
     disc = c1 * c1 - 4.0 * c2 * c0
     sd = cmath.sqrt(disc)
@@ -83,9 +82,7 @@ def solve_quadratic(c2, c1, c0):
     else:
         root_minus = num_minus / (2.0 * c2)
         root_plus = c0 / (c2 * root_minus) if root_minus != 0 else num_plus / (2.0 * c2)
-    roots = (root_plus, root_minus)
-    residuals = tuple(abs(c2 * z * z + c1 * z + c0) for z in roots)
-    return roots, residuals
+    return (root_plus, root_minus)
 
 
 def _recurrence_guard(k, a, b):

@@ -151,29 +151,36 @@ class TestAuxQuantities:
         assert dp.sigma_big(1) == pytest.approx(want, rel=1e-14)
 
 
+def coefficients(params, n, l, variant="quadratic"):
+    """quantization_coefficients on the map of l, as energy_levels calls it."""
+    l_map = dimensionless_from_eps2(params, CONSTS, 0.0, l)
+    return quantization_coefficients(l_map, 1.0 / (CONSTS.s * params.alpha**2), n,
+                                     variant=variant)
+
+
 class TestQuantizationCoefficients:
     def test_demo_frozen_c1(self):
-        _, c1, _ = quantization_coefficients(DEMO, CONSTS, 0, 0)
+        _, c1, _ = coefficients(DEMO, 0, 0)
         assert c1 == pytest.approx(-(1.157018573 + 0.25j), rel=1e-9)
 
     def test_variants_differ_only_in_constant_term(self):
-        c2q, c1q, c0q = quantization_coefficients(DEMO, CONSTS, 1, 0, variant="quadratic")
-        c2s, c1s, c0s = quantization_coefficients(DEMO, CONSTS, 1, 0, variant="spectrum")
+        c2q, c1q, c0q = coefficients(DEMO, 1, 0, variant="quadratic")
+        c2s, c1s, c0s = coefficients(DEMO, 1, 0, variant="spectrum")
         assert c2q == c2s and c1q == c1s
         assert c0q != c0s
 
     def test_singular_guards(self):
         no_a = PotentialParams(a=0.0, b=0.01, c=2.0, d=0.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
         with pytest.raises(SingularCoefficientError, match="beta = 0"):
-            quantization_coefficients(no_a, CONSTS, 0, 0)
+            coefficients(no_a, 0, 0)
         # c V2 - b V1 - alpha^2 l(l+1) = 0 at l = 0 when cV2 = bV1
         no_g = PotentialParams(a=1.0, b=1.0, c=1.0, d=0.0, V0=1.0, V1=0.04, V2=0.04, alpha=1.0)
         with pytest.raises(SingularCoefficientError, match="gamma = 0"):
-            quantization_coefficients(no_g, CONSTS, 0, 0)
+            coefficients(no_g, 0, 0)
 
     def test_unknown_variant(self):
         with pytest.raises(DomainError):
-            quantization_coefficients(DEMO, CONSTS, 0, 0, variant="other")
+            coefficients(DEMO, 0, 0, variant="other")
 
 
 class TestEnergyLevels:
@@ -192,7 +199,6 @@ class TestEnergyLevels:
             assert [lv.branch for lv in levels] == ["plus", "minus"]
             for lv in levels:
                 assert lv.residual_quantization <= 1e-10
-                assert lv.imag_magnitude == abs(lv.energy.imag)
             checked += 1
 
     def test_energy_inversion_round_trip(self):
@@ -301,7 +307,7 @@ class TestWavefunction:
         # powers overflow inside the window; the integrand turns non-finite
         lv = EnergyLevel(n=0, l=0, branch="plus",
                          dp=dimensionless_from_eps2(DEMO, CONSTS, 1e12 + 0j, 0), energy=0j,
-                         energy_alt=0j, residual_quantization=0.0, imag_magnitude=0.0)
+                         energy_alt=0j, residual_quantization=0.0)
         with pytest.raises(NonNormalizableError):
             radial_wavefunction(DEMO, lv)
 

@@ -67,8 +67,9 @@ def test_units_enter_through_s():
             2.0 * surrogate_level(COTH20, CONSTS, n, 1).energy, rel=1e-14)
 
 
-# perfbench.inputs.FAULT: an Eckart well with two deep s-wave levels
-FAULT = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
+# an Eckart well with two deep s-wave levels, as in perfbench.inputs.FAULT,
+# which keeps its own copy
+FAULT = parse_config((CONFIGS / "eckart_bound.cfg").read_text()).params
 
 
 def scaled(params, f, alpha=None):

@@ -27,6 +27,7 @@ from hyperwell.potential import (
     effective_potential,
     eval_potential,
 )
+from test_exact import FAULT, family_params
 
 REPO = Path(__file__).resolve().parents[1]
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1
@@ -333,16 +334,10 @@ class TestNumerovSweep:
                 assert np.trapezoid(vec * vec, spec.r) == pytest.approx(1.0, abs=1e-12)
 
 
-def family_params(**kw):
-    return PotentialParams(**{"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0,
-                              "V0": 0.0, "V1": 0.0, "V2": 0.0, "alpha": 1.0, **kw})
-
-
 class TestNumerovLevels:
     """Level location on wells with bound levels below the asymptote, where
     the outward sweep's tail grows past r_max, and on the demo's box states."""
 
-    FAULT = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
     C2_WELL = family_params(a=1.0, V0=30.0, c=2.0, V2=0.02)
     FALL = family_params(a=1.0, b=0.2, c=1.3, d=0.5, V0=6.0, V1=0.5, V2=1.0, alpha=2.0)
     # (params, l, n_points) on the default grid; FD reads [0, 1, 2] on each
@@ -405,7 +400,7 @@ class TestNumerovLevels:
         # changes it may fall, by less than pi, and floor(Theta/pi) is the
         # matrix-Numerov count of levels below E whatever m
         grid = RadialGrid(1e-6, 40.0, 2000)
-        veff = eval_potential(self.FAULT, grid.points())
+        veff = eval_potential(FAULT, grid.points())
         h = grid.h
         energies = np.linspace(veff[-1] - 3.0, veff[-1] + 0.5, 2001)
         matched = np.array([oracle._match_point(veff - E) for E in energies])
@@ -465,14 +460,14 @@ class TestNumerovLevels:
 
     @pytest.mark.parametrize("solver, n_points", DEEP_ERROR_BOUNDS)
     def test_deep_levels_pinned_to_exact(self, solver, n_points):
-        exact = [surrogate_level(self.FAULT, CONSTS, n, 0) for n in range(3)]
+        exact = [surrogate_level(FAULT, CONSTS, n, 0) for n in range(3)]
         assert [lv.bound for lv in exact] == [True, True, False]
         assert exact[0].energy == pytest.approx(-53.0, rel=1e-15)
         assert exact[1].energy == pytest.approx(-30.7778, abs=1e-4)
 
         grid = RadialGrid(1e-6, 40.0, n_points)
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
-        spec = solve(eval_potential(self.FAULT, grid.points()), CONSTS, grid, 2)
+        spec = solve(eval_potential(FAULT, grid.points()), CONSTS, grid, 2)
         for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
             assert abs(spec.levels[k][1] - exact[k].energy) <= bound, k
 
@@ -486,7 +481,7 @@ class TestNumerovLevels:
     def test_deep_level_sweep_budget(self, monkeypatch, l, n_points, budget, approximate):
         # sweeps are counted as grid points swept over n_points
         grid = RadialGrid(1e-6, 40.0, n_points)
-        veff = effective_potential(self.FAULT, CONSTS, l, grid.points(), approximate=approximate)
+        veff = effective_potential(FAULT, CONSTS, l, grid.points(), approximate=approximate)
         spec, swept = swept_numerov(monkeypatch, veff, CONSTS, grid)
         assert node_counts(spec) == [0, 1, 2]
         assert swept / n_points <= budget
@@ -531,12 +526,11 @@ class TestNumerovLevels:
 
 
 class TestSurrogateLevels:
-    """Both oracles on FAULT (perfbench.inputs.FAULT) with the cosech^2
+    """Both oracles on FAULT (configs/eckart_bound.cfg) with the cosech^2
     surrogate barrier, which makes the problem Eckart at every l, pinned
     to the exact levels of exact.surrogate_level where its bound flag is
     set."""
 
-    FAULT = TestNumerovLevels.FAULT
     # (solver, l, n_points) -> per bound level n, 1.1 times the measured
     # relative error
     REL_ERROR_BOUNDS = {
@@ -554,10 +548,10 @@ class TestSurrogateLevels:
         # at l = 2 the formula's n = 1 value, -29.37, lies below the
         # asymptote -28 yet is no level: only the bound flag admits one
         bounds = self.REL_ERROR_BOUNDS[solver, l, n_points]
-        exact = [surrogate_level(self.FAULT, CONSTS, n, l) for n in range(3)]
+        exact = [surrogate_level(FAULT, CONSTS, n, l) for n in range(3)]
         assert [lv.bound for lv in exact] == [n < len(bounds) for n in range(3)]
         grid = RadialGrid(1e-6, 40.0, n_points)
-        veff = effective_potential(self.FAULT, CONSTS, l, grid.points(), approximate=True)
+        veff = effective_potential(FAULT, CONSTS, l, grid.points(), approximate=True)
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
         spec = solve(veff, CONSTS, grid, 3)
         assert node_counts(spec) == [0, 1, 2]
@@ -570,9 +564,9 @@ class TestSurrogateLevels:
         # pinned: the matrix-Numerov eigenvalue E_H, the Dirichlet root, is
         # pinned to the exact level at 1.1 times its measured error, and the
         # level to E_H at the stop
-        exact = surrogate_level(self.FAULT, CONSTS, 0, 2).energy
+        exact = surrogate_level(FAULT, CONSTS, 0, 2).energy
         grid = RadialGrid(1e-6, 40.0, 8000)
-        veff = effective_potential(self.FAULT, CONSTS, 2, grid.points(), approximate=True)
+        veff = effective_potential(FAULT, CONSTS, 2, grid.points(), approximate=True)
         E = numerov_spectrum(veff, CONSTS, grid, 3).levels[0][1]
         root = matrix_numerov_level(veff, CONSTS.s, grid.h, exact)
         assert abs(root - exact) <= 1.1 * 3.383e-11 * abs(exact)
@@ -584,7 +578,7 @@ class TestSurrogateLevels:
         # outward sweep there grows past the level and crosses zero near
         # r_max, which read [0, 2, 2] when the state was that sweep
         grid = RadialGrid(1e-6, 40.0, n_points)
-        veff = effective_potential(self.FAULT, CONSTS, 1, grid.points(), approximate=True)
+        veff = effective_potential(FAULT, CONSTS, 1, grid.points(), approximate=True)
         spec = numerov_spectrum(veff, CONSTS, grid, 3)
         assert spec.levels[1][1] < veff[-1]
         assert node_counts(spec) == [0, 1, 2]
@@ -596,11 +590,11 @@ class TestSurrogateLevels:
         # FD's documented 2.0e-13 (measured 3.8e-15); Numerov counts
         # energies in s (40/r_max)^2, so its levels follow too (measured
         # 5.0e-11)
-        fault = dataclasses.replace(self.FAULT, V0=28.0 * mu * mu, V2=mu * mu, alpha=mu)
+        fault = dataclasses.replace(FAULT, V0=FAULT.V0 * mu * mu, V2=mu * mu, alpha=mu)
         grid = RadialGrid(1e-6, 40.0, 2000)
         small = RadialGrid(1e-6 / mu, 40.0 / mu, 2000)
         for l in (0, 1):
-            veff_ref = effective_potential(self.FAULT, CONSTS, l, grid.points())
+            veff_ref = effective_potential(FAULT, CONSTS, l, grid.points())
             veff = effective_potential(fault, CONSTS, l, small.points())
             ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
             spec = fd_spectrum(veff, CONSTS, small, 3)
@@ -720,7 +714,6 @@ class TestMatrixNumerov:
     (measured at most 5.1e-11) and shares no code with it."""
 
     GENERAL = parse_config((REPO / "configs" / "general.cfg").read_text())
-    FAULT = TestNumerovLevels.FAULT
     # FAULT with s = hbar^2/2m = 0.1 has h^2 f/12 > 1 at r_1, where the
     # barrier sample is large, so no probe may match next to the origin
     CASES = {f"{name} l{l}{' csch2' if approximate else ''}":
@@ -763,7 +756,6 @@ class TestMatrixNumerov:
 class TestFdAccuracy:
     """FD levels against a long-double Sturm bisection of the same matrix."""
 
-    FAULT = family_params(a=1.0, V0=28.0, c=-2.0, V2=1.0)
 
     def test_fault_levels(self, monkeypatch):
         # worst relative error measured 8.2e-16 (3.7 eps); dstebz alone,
@@ -772,7 +764,7 @@ class TestFdAccuracy:
         worst = 0.0
         for l in (0, 1):
             spec, matrix = fd_with_matrix(
-                monkeypatch, effective_potential(self.FAULT, CONSTS, l, grid.points()), grid, 3)
+                monkeypatch, effective_potential(FAULT, CONSTS, l, grid.points()), grid, 3)
             ref = sturm_levels(*matrix, 3)
             for (_, e, _), e_ref in zip(spec.levels, ref, strict=True):
                 worst = max(worst, float(abs(e - e_ref) / max(1.0, abs(e_ref))))
@@ -784,12 +776,12 @@ class TestFdAccuracy:
         # every level, by `scale`; the brackets must follow (measured
         # agreement 6.5e-15 relative). Numerov's window and tolerances
         # scale with its unit s (40/r_max)^2 (measured 5.0e-11)
-        fault = dataclasses.replace(self.FAULT, V0=28.0 * scale, V2=scale)
+        fault = dataclasses.replace(FAULT, V0=FAULT.V0 * scale, V2=scale)
         consts = PhysicalConstants(hbar=1.0, mass=0.5 / scale)
         grid = RadialGrid(1e-6, 40.0, 2000)
         r = grid.points()
         for l in (0, 1):
-            veff_ref = effective_potential(self.FAULT, CONSTS, l, r)
+            veff_ref = effective_potential(FAULT, CONSTS, l, r)
             veff = effective_potential(fault, consts, l, r)
             ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
             spec = fd_spectrum(veff, consts, grid, 3)

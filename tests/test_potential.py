@@ -10,14 +10,12 @@ import pytest
 
 from hyperwell.errors import DomainError, EvaluationOverflowError
 from hyperwell.potential import (
+    KINDS,
     PhysicalConstants,
     PotentialParams,
     effective_potential,
     eval_potential,
-    poschl_teller_params,
-    rosen_morse_params,
     scan_series,
-    scarf_params,
 )
 from hyperwell.special import hyperbolic_pair
 
@@ -172,14 +170,17 @@ class TestScanSeries:
 
 
 class TestSpecialCases:
+    """Each --kind of KINDS applied to a block with every coefficient set."""
+
     def test_rosen_morse_zeroes(self):
-        p = rosen_morse_params(a=-1.0, c=2.0, V0=1.0, V2=0.02, alpha=1.0)
-        assert p.b == 0.0 and p.d == 0.0
+        p = KINDS["rosen-morse"](replace(DEMO, a=-1.0))
+        assert p.b == 0.0 and p.d == 0.0 and p.V1 == 0.0
         assert p.a == -1.0  # stored exactly as given
+        assert (p.c, p.V0, p.V2, p.alpha) == (2.0, 1.0, 0.02, 1.0)
 
     def test_poschl_teller_negates_c(self):
-        p = poschl_teller_params(c=-2.0, V2=0.02, alpha=1.0)
-        assert p.a == 0.0 and p.b == 0.0 and p.d == 0.0
+        p = KINDS["poschl-teller"](replace(DEMO, c=-2.0))
+        assert p.a == 0.0 and p.b == 0.0 and p.d == 0.0 and p.V0 == 0.0 and p.V1 == 0.0
         assert p.c == 2.0
         # the family formula then yields +c_in V2 csch^2 = -2 V2 csch^2 < 0... sign check:
         # V = -c_stored V2 csch^2 = -2 V2 csch^2, matching +c_in V2 csch^2 with c_in = -2
@@ -188,8 +189,8 @@ class TestSpecialCases:
         assert eval_potential(p, r) == pytest.approx(-2.0 * 0.02 * csch2, rel=1e-12)
 
     def test_scarf_even_in_coth(self):
-        p = scarf_params(b=0.05, V1=0.5, alpha=1.0)
-        assert p.a == 0.0 and p.c == 0.0 and p.d == 0.0
+        p = KINDS["scarf"](replace(DEMO, b=0.05))
+        assert p.a == 0.0 and p.c == 0.0 and p.d == 0.0 and p.V0 == 0.0 and p.V2 == 0.0
         # depends on coth^2 only: even under coth -> -coth, so algebraically
         # V(r) = b V1 coth^2(alpha r)
         r = 1.3

@@ -65,10 +65,10 @@ def test_validate_call_budget(monkeypatch):
                          potential.effective_potential)
     build_validate_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
     # one quadratic and one spectrum-variant call per state, each building
-    # one map for its coefficients and one per root, one engine pass
+    # one map (its roots' maps replace eps^2 only), one engine pass
     # (triple, branch enumeration, selection) per state, one solver pair per
     # l on one sampling of V_eff
-    assert counts == {"energy_levels": 18, "nu_problem": 9, "dimensionless_from_eps2": 54,
+    assert counts == {"energy_levels": 18, "nu_problem": 9, "dimensionless_from_eps2": 18,
                       "enumerate_branches": 9, "k_candidates": 9, "pi_tau_select": 9,
                       "fd_spectrum": 3, "numerov_spectrum": 3, "effective_potential": 3}
 
@@ -77,9 +77,9 @@ def test_nu_check_call_budget(monkeypatch):
     counts = count_calls(monkeypatch, analytic.dimensionless_from_eps2,
                          nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select)
     build_nu_check_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
-    # three maps per state (the coefficients' and one per root), one branch
+    # one map per state (its roots' maps replace eps^2 only), one branch
     # enumeration and one selection
-    assert counts == {"dimensionless_from_eps2": 27, "enumerate_branches": 9,
+    assert counts == {"dimensionless_from_eps2": 9, "enumerate_branches": 9,
                       "k_candidates": 9, "pi_tau_select": 9}
 
 
@@ -196,7 +196,7 @@ def test_states_equal_direct_calls(config):
             assert state == {"n": n, "l": l, "singular": {"reason": str(exc)}}
             continue
         spec = energy_levels(params, consts, n, l, variant="spectrum")
-        level = min(quad, key=lambda lv: lv.imag_magnitude)
+        level = min(quad, key=lambda lv: abs(lv.energy.imag))
         dp = analytic.dimensionless_from_eps2(params, consts, level.dp.eps2, l)
         diagnostics, engine = analytic.closed_form_diagnostics(dp, n)
         r = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
@@ -207,7 +207,7 @@ def test_states_equal_direct_calls(config):
             "branches": [{"branch": lv.branch, "eps2": lv.dp.eps2, "energy": lv.energy,
                           "energy_alt": lv.energy_alt,
                           "residual_quantization": lv.residual_quantization,
-                          "imag_magnitude": lv.imag_magnitude} for lv in quad],
+                          "imag_magnitude": abs(lv.energy.imag)} for lv in quad],
             "chosen_branch": level.branch,
             "chosen_re_energy": level.energy.real,
             "spectrum_variant": {"eps2": [lv.dp.eps2 for lv in spec],

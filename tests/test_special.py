@@ -98,33 +98,32 @@ class TestSolveQuadratic:
             c2 = complex(rng.normal(), rng.normal())
             c1 = complex(rng.normal(), rng.normal())
             c0 = complex(rng.normal(), rng.normal())
-            roots, residuals = solve_quadratic(c2, c1, c0)
-            assert len(roots) == 2 and len(residuals) == 2
-            for z, res in zip(roots, residuals):
+            roots = solve_quadratic(c2, c1, c0)
+            assert len(roots) == 2
+            for z in roots:
                 scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
                 assert abs(c2 * z * z + c1 * z + c0) / scale < 1e-12
-                assert res == pytest.approx(abs(c2 * z * z + c1 * z + c0))
 
     def test_cancellation_stability(self):
         # x^2 - 1e8 x + 1: naive formula loses the small root to cancellation
-        roots, _ = solve_quadratic(1.0, -1e8, 1.0)
+        roots = solve_quadratic(1.0, -1e8, 1.0)
         small = min(roots, key=abs)
         assert small == pytest.approx(1e-8, rel=1e-10)
 
     def test_branch_ordering(self):
         # (plus-root, minus-root) relative to the principal sqrt of the discriminant
-        roots, _ = solve_quadratic(1.0, -3.0, 2.0)  # roots 2 and 1, disc 1, sd 1
+        roots = solve_quadratic(1.0, -3.0, 2.0)  # roots 2 and 1, disc 1, sd 1
         assert roots[0] == pytest.approx(2.0)
         assert roots[1] == pytest.approx(1.0)
 
     def test_linear_degenerate(self):
-        roots, residuals = solve_quadratic(0.0, 2.0, -3.0)
+        roots = solve_quadratic(0.0, 2.0, -3.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(1.5)
-        assert residuals[0] < 1e-14
+        assert abs(2.0 * roots[0] - 3.0) < 1e-14
 
     def test_double_root(self):
-        roots, _ = solve_quadratic(1.0, -2.0, 1.0)
+        roots = solve_quadratic(1.0, -2.0, 1.0)
         assert all(abs(z - 1.0) < 1e-7 for z in roots)
 
     def test_no_equation_rejected(self):
