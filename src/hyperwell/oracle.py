@@ -71,20 +71,34 @@ def dtbtrs(*args, **kwargs):
 @dataclass
 class NumericSpectrum:
     method: str  # 'FiniteDifference' or 'Numerov'
-    levels: tuple  # of (k, energy, node_count)
+    energies: tuple  # level k at entry k
+    node_counts: tuple  # of the state of each level
     wavefunctions: tuple  # per-level full-grid samples, L2-normalized
     r: np.ndarray
     notes: tuple = ()
 
     def __post_init__(self):
-        es = [e for _, e, _ in self.levels]
+        es = self.energies
         if any(e2 <= e1 for e1, e2 in zip(es, es[1:])):
-            raise StructureError(f"{self.method}: energies not strictly increasing: {es}")
+            raise StructureError(f"{self.method}: energies not strictly increasing: {list(es)}")
+
+    @property
+    def levels(self):
+        """(k, energy, node count) per level, the view perfbench/spans.py reads."""
+        return tuple(zip(range(len(self.energies)), self.energies, self.node_counts))
 
 
-def _check_samples(veff, r) -> np.ndarray:
-    """veff as a contiguous float array, refused unless it holds one finite
-    sample per grid point."""
+def _checked(veff, grid, n_states):
+    """(grid.points(), veff as a contiguous float array), refused unless
+    n_states is a non-negative integer below n_points/4 and veff holds one
+    finite sample per grid point."""
+    if not isinstance(n_states, (int, np.integer)) or n_states < 0:
+        raise DomainError(f"n_states must be a non-negative integer, got {n_states!r}")
+    if n_states and n_states >= grid.n_points / 4:
+        raise DomainError(
+            f"n_states = {n_states} too large for n_points = {grid.n_points} "
+            "(need n_states < n_points/4)")
+    r = grid.points()
     v = np.ascontiguousarray(veff, dtype=float)
     if v.shape != r.shape:
         raise DomainError(
@@ -93,7 +107,7 @@ def _check_samples(veff, r) -> np.ndarray:
     if np.any(bad):
         raise SamplingError(
             f"potential non-finite at r = {float(r[bad][0])}", r=float(r[bad][0]))
-    return v
+    return r, v
 
 
 def _count_sign_changes(u: np.ndarray) -> int:
@@ -118,13 +132,12 @@ def _finish_state(u, r):
     return u, _count_sign_changes(u[1:-1])
 
 
-def _check_states(n_states, grid):
-    if not isinstance(n_states, (int, np.integer)) or n_states < 0:
-        raise DomainError(f"n_states must be a non-negative integer, got {n_states!r}")
-    if n_states and n_states >= grid.n_points / 4:
-        raise DomainError(
-            f"n_states = {n_states} too large for n_points = {grid.n_points} "
-            "(need n_states < n_points/4)")
+def _finished(method, energies, states, r, notes=()) -> NumericSpectrum:
+    """The spectrum of levels `energies`, level k with the full-grid state
+    states[k], each finished by _finish_state."""
+    finished = [_finish_state(u, r) for u in states]
+    return NumericSpectrum(method, tuple(energies), tuple(c for _, c in finished),
+                           tuple(u for u, _ in finished), r, notes)
 
 
 def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
@@ -157,11 +170,9 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     trapezoid rule and signed so that its lobe nearest the origin is
     positive.
     """
-    _check_states(n_states, grid)
-    r = grid.points()
-    veff = _check_samples(veff, r)
+    r, veff = _checked(veff, grid, n_states)
     if n_states == 0:
-        return NumericSpectrum("FiniteDifference", (), (), r)
+        return _finished("FiniteDifference", (), (), r)
     h = grid.h
     t = consts.s / (h * h)
     if not 0.0 < t < math.inf:
@@ -203,17 +214,8 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         raise ConvergenceError(
             f"fd_spectrum: level {k} at {energies[k]!r} left its bracket "
             f"{coarse[k]!r} +- {tol:.3g}")
-    vecs = vecs @ rotation[:, :n_states]
-
-    levels = []
-    wfs = []
-    for k in range(n_states):
-        u = np.zeros(grid.n_points)
-        u[1:-1] = vecs[:, k]
-        u, nodes = _finish_state(u, r)
-        levels.append((k, float(energies[k]), nodes))
-        wfs.append(u)
-    return NumericSpectrum("FiniteDifference", tuple(levels), tuple(wfs), r)
+    states = np.pad(vecs @ rotation[:, :n_states], ((1, 1), (0, 0))).T
+    return _finished("FiniteDifference", energies[:n_states].tolist(), states, r)
 
 
 def _numerov_sweep(f, h2, u0, u1):
@@ -404,11 +406,9 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     (_phase_root) to 1e-10 max(unit, |E|); its state is the last probe's
     two sweeps joined at m.
     """
-    _check_states(n_states, grid)
-    r = grid.points()
-    veff = _check_samples(veff, r)
+    r, veff = _checked(veff, grid, n_states)
     if n_states == 0:
-        return NumericSpectrum("Numerov", (), (), r)
+        return _finished("Numerov", (), (), r)
     h = grid.h
     h2 = h * h
     pref = 1.0 / consts.s
@@ -457,14 +457,12 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     if above < e_hi and phase(above) >= math.pi:
         phase(min(v_pair) - 1e-6 * unit)
 
-    levels, wfs = [], []
+    energies, states = [], []
     for k in range(n_states):
         target = (k + 1) * math.pi
         lo = max((s for s in samples if s[1] < target), key=lambda s: s[0])
         hi = min((s for s in samples if s[1] >= target and s[0] > lo[0]), key=lambda s: s[0])
-        E = _phase_root(phase, lo, hi, k, v_pair[0], unit)
-        u, nodes = _finish_state(_joined_state(*latest), r)
-        levels.append((k, E, nodes))
-        wfs.append(u)
-    return NumericSpectrum("Numerov", tuple(levels), tuple(wfs), r,
-                           notes=(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]",))
+        energies.append(_phase_root(phase, lo, hi, k, v_pair[0], unit))
+        states.append(_joined_state(*latest))
+    return _finished("Numerov", energies, states, r,
+                     notes=(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]",))

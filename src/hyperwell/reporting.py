@@ -215,9 +215,9 @@ def _spectrum_record(spec: oracle.NumericSpectrum, flagged: bool) -> dict:
                      "levels depend on r_min")
     return {
         "method": spec.method,
-        "energies": [e for _, e, _ in spec.levels],
-        "indices": [k for k, _, _ in spec.levels],
-        "node_counts": [c for _, _, c in spec.levels],
+        "energies": list(spec.energies),
+        "indices": list(range(len(spec.energies))),
+        "node_counts": list(spec.node_counts),
         "unreliable": flagged,
         "notes": notes,
     }
@@ -247,9 +247,9 @@ def _oracle_block(config, l, n_states):
     if errors:
         block["error"] = errors[0]
     else:
-        fd, nm = spectra["fd"].levels, spectra["numerov"].levels
-        block["cross_delta_rel"] = [abs(fd[i][1] - nm[i][1]) / max(1.0, abs(fd[i][1]))
-                                    for i in range(min(len(fd), len(nm)))]
+        block["cross_delta_rel"] = [
+            abs(e_fd - e_nm) / max(1.0, abs(e_fd))
+            for e_fd, e_nm in zip(spectra["fd"].energies, spectra["numerov"].energies)]
     return block, spectra.get("fd")
 
 
@@ -322,8 +322,8 @@ def _state_record(params, consts, n, l, fd, r_samples) -> dict:
     except HyperwellError as exc:
         record["spectrum_variant"] = {"error": str(exc)}
     level = choose_level(quad)
-    if fd is not None and n < len(fd.levels):
-        e_fd = fd.levels[n][1]
+    if fd is not None and n < len(fd.energies):
+        e_fd = fd.energies[n]
         delta = abs(complex(level.energy) - e_fd)
         record["fd_delta_abs"] = delta
         record["fd_delta_rel"] = delta / max(1.0, abs(e_fd))

@@ -251,7 +251,7 @@ def test_criterion_06_oracle_correctness():
     # box ground state at n_points = 2000
     box_grid = RadialGrid(1e-9, 1.0, 2000)
     fd_box = fd_spectrum(box_potential(box_grid.points()), CONSTS, box_grid, 3)
-    box_err = abs(fd_box.levels[0][1] - math.pi**2) / math.pi**2
+    box_err = abs(fd_box.energies[0] - math.pi**2) / math.pi**2
     if box_err > 1e-3:
         failures.append(f"box ground err {box_err:.2e}")
 
@@ -259,7 +259,7 @@ def test_criterion_06_oracle_correctness():
     osc_grid = RadialGrid(1e-6, 10.0, 2000)
     fd_osc = fd_spectrum(oscillator_potential(osc_grid.points()), CONSTS, osc_grid, 3)
     for k, exact in enumerate((3.0, 7.0, 11.0)):
-        err = abs(fd_osc.levels[k][1] - exact) / exact
+        err = abs(fd_osc.energies[k] - exact) / exact
         if err > 1e-3:
             failures.append(f"oscillator level {exact} err {err:.2e}")
 
@@ -270,14 +270,14 @@ def test_criterion_06_oracle_correctness():
     fd = fd_spectrum(box_potential(box_fine.points()), CONSTS, box_fine, 3)
     nv = numerov_spectrum(box_potential(box_fine.points()), CONSTS, box_fine, 3)
     for k in range(3):
-        cross_worst = max(cross_worst, abs(fd.levels[k][1] - nv.levels[k][1])
-                          / max(1.0, abs(nv.levels[k][1])))
+        cross_worst = max(cross_worst, abs(fd.energies[k] - nv.energies[k])
+                          / max(1.0, abs(nv.energies[k])))
     osc_fine = RadialGrid(1e-6, 10.0, 8000)
     fd = fd_spectrum(oscillator_potential(osc_fine.points()), CONSTS, osc_fine, 3)
     nv = numerov_spectrum(oscillator_potential(osc_fine.points()), CONSTS, osc_fine, 3)
     for k in range(3):
-        cross_worst = max(cross_worst, abs(fd.levels[k][1] - nv.levels[k][1])
-                          / max(1.0, abs(nv.levels[k][1])))
+        cross_worst = max(cross_worst, abs(fd.energies[k] - nv.energies[k])
+                          / max(1.0, abs(nv.energies[k])))
     if cross_worst > 1e-6:
         failures.append(f"FD vs Numerov worst rel {cross_worst:.2e}")
 
@@ -285,8 +285,8 @@ def test_criterion_06_oracle_correctness():
     coarse_grid, fine_grid = RadialGrid(1e-9, 1.0, 1001), RadialGrid(1e-9, 1.0, 2001)
     coarse = fd_spectrum(box_potential(coarse_grid.points()), CONSTS, coarse_grid, 1)
     fine = fd_spectrum(box_potential(fine_grid.points()), CONSTS, fine_grid, 1)
-    ratio = (abs(coarse.levels[0][1] - math.pi**2)
-             / abs(fine.levels[0][1] - math.pi**2))
+    ratio = (abs(coarse.energies[0] - math.pi**2)
+             / abs(fine.energies[0] - math.pi**2))
     if not 3.5 < ratio < 4.5:
         failures.append(f"h^2 ratio {ratio:.3f}")
 
@@ -327,7 +327,7 @@ def test_criterion_07_centrifugal_approximation():
                                  V0=200.0, V1=0.0, V2=0.0, alpha=alpha)
         e_exact, e_approx = (
             fd_spectrum(effective_potential(params, CONSTS, 1, r, approximate=approx),
-                        CONSTS, study_grid, 1).levels[0][1]
+                        CONSTS, study_grid, 1).energies[0]
             for approx in (False, True))
         shifts.append(abs(e_exact - e_approx) / abs(e_exact))
         if e_exact > -params.V0:

@@ -122,6 +122,6 @@ def test_bundled_configs_have_no_bound_state(name):
         assert not any(surrogate_level(params, consts, n, l).bound for n in range(3))
         veff = effective_potential(params, consts, l, grid.points())
         for solver in (fd_spectrum, numerov_spectrum):
-            levels = [e for _, e, _ in solver(veff, consts, grid, 3).levels]
+            levels = list(solver(veff, consts, grid, 3).energies)
             assert len(levels) == 3
             assert min(levels) - params.asymptote >= 5.7e-3

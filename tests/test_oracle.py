@@ -37,7 +37,7 @@ OSC_GRID = RadialGrid(1e-6, 10.0, 2000)
 
 
 def node_counts(spec):
-    return [c for _, _, c in spec.levels]
+    return list(spec.node_counts)
 
 
 def matched_phase(f, h2, u1, m=None):
@@ -75,7 +75,7 @@ def assert_numerov_scales(monkeypatch, ref, scaled, factor):
     spec_ref, swept_ref = swept_numerov(monkeypatch, *ref)
     spec, swept = swept_numerov(monkeypatch, *scaled)
     assert node_counts(spec) == node_counts(spec_ref) == [0, 1, 2]
-    for (_, e, _), (_, e_ref, _) in zip(spec.levels, spec_ref.levels, strict=True):
+    for e, e_ref in zip(spec.energies, spec_ref.energies, strict=True):
         assert abs(e / factor - e_ref) <= 1e-10 * abs(e_ref)
     assert swept <= swept_ref + ref[2].n_points
 
@@ -114,13 +114,13 @@ class TestBoxFixture:
         spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 3)
         exact = [math.pi**2 * (k + 1) ** 2 for k in range(3)]
         for k in range(3):
-            assert spec.levels[k][1] == pytest.approx(exact[k], rel=1e-3)
+            assert spec.energies[k] == pytest.approx(exact[k], rel=1e-3)
         # ground state is much tighter than the headline 0.1%
-        assert abs(spec.levels[0][1] - exact[0]) / exact[0] < 1e-6
+        assert abs(spec.energies[0] - exact[0]) / exact[0] < 1e-6
 
     def test_node_theorem(self):
         spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 3)
-        assert [lv[2] for lv in spec.levels] == [0, 1, 2]
+        assert list(spec.node_counts) == [0, 1, 2]
 
     def test_wavefunction_normalized(self):
         spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
@@ -134,12 +134,12 @@ class TestBoxFixture:
         fd = fd_spectrum(box(grid), CONSTS, grid, 3)
         nv = numerov_spectrum(box(grid), CONSTS, grid, 3)
         for k in range(3):
-            e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
+            e_fd, e_nv = fd.energies[k], nv.energies[k]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6
 
     def test_numerov_auto_window(self):
         spec = numerov_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
-        assert spec.levels[0][1] == pytest.approx(math.pi**2, rel=1e-3)
+        assert spec.energies[0] == pytest.approx(math.pi**2, rel=1e-3)
         assert any("window auto-selected" in note for note in spec.notes)
 
     def test_order_h_squared_convergence(self):
@@ -147,8 +147,8 @@ class TestBoxFixture:
         coarse_grid, fine_grid = RadialGrid(1e-9, 1.0, 1001), RadialGrid(1e-9, 1.0, 2001)
         coarse = fd_spectrum(box(coarse_grid), CONSTS, coarse_grid, 1)
         fine = fd_spectrum(box(fine_grid), CONSTS, fine_grid, 1)
-        err_c = abs(coarse.levels[0][1] - exact)
-        err_f = abs(fine.levels[0][1] - exact)
+        err_c = abs(coarse.energies[0] - exact)
+        err_f = abs(fine.energies[0] - exact)
         assert 3.5 < err_c / err_f < 4.5
 
 
@@ -158,7 +158,7 @@ class TestOscillatorFixture:
     def test_fd_levels(self):
         spec = fd_spectrum(oscillator(OSC_GRID), CONSTS, OSC_GRID, 3)
         for k, exact in enumerate((3.0, 7.0, 11.0)):
-            assert spec.levels[k][1] == pytest.approx(exact, rel=1e-3)
+            assert spec.energies[k] == pytest.approx(exact, rel=1e-3)
 
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-6, 10.0, 8000)
@@ -166,15 +166,15 @@ class TestOscillatorFixture:
         # r_max is classically forbidden at every level
         nv = numerov_spectrum(oscillator(grid), CONSTS, grid, 3)
         for k in range(3):
-            e_fd, e_nv = fd.levels[k][1], nv.levels[k][1]
+            e_fd, e_nv = fd.energies[k], nv.energies[k]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6, k
 
     def test_centrifugal_l_one(self):
         # V = r^2 + l(l+1)/r^2 with l = 1: even oscillator levels 5, 9
         r = OSC_GRID.points()
         spec = fd_spectrum(oscillator(OSC_GRID) + 2.0 / (r * r), CONSTS, OSC_GRID, 2)
-        assert spec.levels[0][1] == pytest.approx(5.0, rel=1e-3)
-        assert spec.levels[1][1] == pytest.approx(9.0, rel=1e-3)
+        assert spec.energies[0] == pytest.approx(5.0, rel=1e-3)
+        assert spec.energies[1] == pytest.approx(9.0, rel=1e-3)
 
 
 def reference_scan_nodes(f, h2, u0, u1):
@@ -367,7 +367,7 @@ class TestNumerovLevels:
             spec, swept = swept_numerov(monkeypatch, veff, cfg.consts, cfg.grid)
             assert swept / cfg.grid.n_points <= 60, (l, swept)
             # hbar^2/(2m) = 1, so f = veff - E
-            for k, E, _ in spec.levels:
+            for k, E in enumerate(spec.energies):
                 assert E > veff[-1]  # every demo level is a box state
                 tol = 1e-10 * max(1.0, abs(E))
                 assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
@@ -389,7 +389,7 @@ class TestNumerovLevels:
         assert np.all(np.diff(phases) >= 0.0)
         assert phases[-1] > 8.0 * math.pi  # passes (k + 1) pi for 8 levels
         spec = numerov_spectrum(veff, cfg.consts, cfg.grid, 3)
-        for k, E, _ in spec.levels:
+        for k, E in enumerate(spec.energies):
             tol = 1e-10 * max(1.0, abs(E))
             assert phase(E - tol) < (k + 1) * math.pi < phase(E + tol), k
 
@@ -441,8 +441,8 @@ class TestNumerovLevels:
             spec = numerov_spectrum(veff, CONSTS, BOX_GRID, 3)
         assert len(turning) > 10 and set(turning) == {phased}
         assert node_counts(spec) == [0, 1, 2]
-        assert spec.levels[0][1] < -1e6
-        for k, E, _ in spec.levels:
+        assert spec.energies[0] < -1e6
+        for k, E in enumerate(spec.energies):
             if k:
                 assert E == pytest.approx((k * math.pi) ** 2, rel=3e-3)
             tol = 1e-10 * max(1600.0, abs(E))  # unit (40/r_max)^2
@@ -469,7 +469,7 @@ class TestNumerovLevels:
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
         spec = solve(eval_potential(FAULT, grid.points()), CONSTS, grid, 2)
         for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
-            assert abs(spec.levels[k][1] - exact[k].energy) <= bound, k
+            assert abs(spec.energies[k] - exact[k].energy) <= bound, k
 
     # with the cosech^2 barrier, level 1 at l = 1 (-28.136) is bound just
     # below the asymptote -28
@@ -506,8 +506,8 @@ class TestNumerovLevels:
         h = grid.h
         spec = numerov_spectrum(veff, CONSTS, grid, 3)
         if ground_match is not None:
-            assert oracle._match_point(veff - spec.levels[0][1]) == ground_match
-        deep = [(k, E) for k, E, _ in spec.levels if veff[-1] > E]
+            assert oracle._match_point(veff - spec.energies[0]) == ground_match
+        deep = [(k, E) for k, E in enumerate(spec.energies) if veff[-1] > E]
         assert deep
         for k, E in deep:
             tol = 1e-10 * max(1.0, abs(E))
@@ -556,7 +556,7 @@ class TestSurrogateLevels:
         spec = solve(veff, CONSTS, grid, 3)
         assert node_counts(spec) == [0, 1, 2]
         for lv, rel in zip(exact, bounds):
-            assert abs(spec.levels[lv.n][1] - lv.energy) <= rel * abs(lv.energy), lv.n
+            assert abs(spec.energies[lv.n] - lv.energy) <= rel * abs(lv.energy), lv.n
 
     def test_numerov_fine_l2_on_dirichlet_root(self):
         # at l = 2 and 8000 points the discretisation error (3.383e-11
@@ -567,7 +567,7 @@ class TestSurrogateLevels:
         exact = surrogate_level(FAULT, CONSTS, 0, 2).energy
         grid = RadialGrid(1e-6, 40.0, 8000)
         veff = effective_potential(FAULT, CONSTS, 2, grid.points(), approximate=True)
-        E = numerov_spectrum(veff, CONSTS, grid, 3).levels[0][1]
+        E = numerov_spectrum(veff, CONSTS, grid, 3).energies[0]
         root = matrix_numerov_level(veff, CONSTS.s, grid.h, exact)
         assert abs(root - exact) <= 1.1 * 3.383e-11 * abs(exact)
         assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
@@ -580,7 +580,7 @@ class TestSurrogateLevels:
         grid = RadialGrid(1e-6, 40.0, n_points)
         veff = effective_potential(FAULT, CONSTS, 1, grid.points(), approximate=True)
         spec = numerov_spectrum(veff, CONSTS, grid, 3)
-        assert spec.levels[1][1] < veff[-1]
+        assert spec.energies[1] < veff[-1]
         assert node_counts(spec) == [0, 1, 2]
 
     @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
@@ -599,7 +599,7 @@ class TestSurrogateLevels:
             ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
             spec = fd_spectrum(veff, CONSTS, small, 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
-            for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
+            for e, e_ref in zip(spec.energies, ref.energies, strict=True):
                 assert abs(e / (mu * mu) - e_ref) <= 2.0e-13 * abs(e_ref)
             assert_numerov_scales(monkeypatch, (veff_ref, CONSTS, grid),
                                   (veff, CONSTS, small), mu * mu)
@@ -745,7 +745,7 @@ class TestMatrixNumerov:
         veff = potential(grid.points())
         unit = consts.s * (40.0 / grid.r_max) ** 2
         spec = numerov_spectrum(veff, consts, grid, 3)
-        for k, E, _ in spec.levels:
+        for k, E in enumerate(spec.energies):
             tol = 1e-10 * max(unit, abs(E))
             assert matrix_numerov_below(veff, consts.s, grid.h, E - tol) == k, (name, k)
             assert matrix_numerov_below(veff, consts.s, grid.h, E + tol) == k + 1, (name, k)
@@ -766,7 +766,7 @@ class TestFdAccuracy:
             spec, matrix = fd_with_matrix(
                 monkeypatch, effective_potential(FAULT, CONSTS, l, grid.points()), grid, 3)
             ref = sturm_levels(*matrix, 3)
-            for (_, e, _), e_ref in zip(spec.levels, ref, strict=True):
+            for e, e_ref in zip(spec.energies, ref, strict=True):
                 worst = max(worst, float(abs(e - e_ref) / max(1.0, abs(e_ref))))
         assert worst <= 16 * np.finfo(float).eps
 
@@ -786,7 +786,7 @@ class TestFdAccuracy:
             ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
             spec = fd_spectrum(veff, consts, grid, 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
-            for (_, e, _), (_, e_ref, _) in zip(spec.levels, ref.levels, strict=True):
+            for e, e_ref in zip(spec.energies, ref.energies, strict=True):
                 assert e / scale == pytest.approx(e_ref, rel=1e-13)
             assert_numerov_scales(monkeypatch, (veff_ref, CONSTS, grid),
                                   (veff, consts, grid), scale)
@@ -803,7 +803,7 @@ class TestFdAccuracy:
         t = 1.0 / cfg.grid.h**2
         ref = eigh_tridiagonal(2.0 * t + eval_potential(cfg.params, r), np.full(r.size - 1, -t),
                                eigvals_only=True, select="i", select_range=(0, 3))
-        energies = [e for _, e, _ in spec.levels]
+        energies = list(spec.energies)
         assert 0.0 < ref[3] - ref[2] < 1e-5
         assert energies == pytest.approx(ref[:3], rel=1e-13)
         assert node_counts(spec) == [0, 1, 2]
@@ -821,7 +821,7 @@ class TestFdAccuracy:
         spec, matrix = fd_with_matrix(monkeypatch, self.DOUBLE_WELL, self.GRID, n_states)
         ref = sturm_levels(*matrix, n_states)
         split = float(ref[1] - ref[0]) if n_states > 1 else 8.0e-9
-        energies = [e for _, e, _ in spec.levels]
+        energies = list(spec.energies)
         assert all(e1 < e2 for e1, e2 in zip(energies, energies[1:]))
         for e, e_ref in zip(energies, ref, strict=True):
             assert abs(e - float(e_ref)) <= 1e-3 * split
@@ -833,7 +833,8 @@ class TestSpectrumStructure:
         with pytest.raises(StructureError):
             NumericSpectrum(
                 method="FiniteDifference",
-                levels=((0, 2.0, 0), (1, 1.0, 1)),
+                energies=(2.0, 1.0),
+                node_counts=(0, 1),
                 wavefunctions=(),
                 r=BOX_GRID.points(),
             )
@@ -860,7 +861,7 @@ class TestSpectrumStructure:
 
     def test_zero_states(self):
         spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 0)
-        assert spec.levels == ()
+        assert spec.energies == spec.node_counts == spec.wavefunctions == ()
 
     def test_near_origin_lobe_positive(self):
         # box level 1 has two mirror-image lobes whose extremes differ only
@@ -970,6 +971,6 @@ class TestApproximationStudy:
         e_exact, e_approx = (
             fd_spectrum(effective_potential(self.STUDY, CONSTS, 1, self.GRID.points(),
                                             approximate=approx),
-                        CONSTS, self.GRID, 1).levels[0][1]
+                        CONSTS, self.GRID, 1).energies[0]
             for approx in (False, True))
         assert e_approx < e_exact

@@ -90,8 +90,8 @@ def chosen_energy(state):
 
 
 # two FD levels: |E_0| < 1, where the relative delta's floor holds, and 4 pi^2
-TWO_LEVELS = oracle.NumericSpectrum("FiniteDifference", ((0, 0.5, 0), (1, 39.478, 1)),
-                                    (), np.zeros(2))
+TWO_LEVELS = oracle.NumericSpectrum("FiniteDifference", (0.5, 39.478), (0, 1), (),
+                                    np.zeros(2))
 
 
 def test_validate_pairs_level_n_with_oracle_level_n(monkeypatch):
