@@ -348,20 +348,19 @@ def _phase_root(phase, lo, hi, k, e_end, unit):
     """Level k between the samples lo and hi, (E, Theta) with Theta either
     side of (k + 1) pi, to a bracket of width 1e-10 max(unit, |E|), by
     regula falsi on Theta - (k + 1) pi with Anderson and Bjorck's end
-    scaling (BIT 13, 1973), in x = sqrt(E - e_end) where the bracket lies
-    above e_end, the potential at the second-last point, else in x = E."""
+    scaling (BIT 13, 1973), in x = sign(E - e_end) sqrt|E - e_end|, e_end
+    the potential at the second-last point."""
     target = (k + 1) * math.pi
-    root = lo[0] > e_end
 
     def energy(x):
-        return e_end + x * x if root else x
+        return e_end + x * abs(x)
 
-    (xa, fa), (xb, fb) = (((math.sqrt(s[0] - e_end) if root else s[0]), s[1] - target)
-                          for s in (lo, hi))
+    (xa, fa), (xb, fb) = ((math.copysign(math.sqrt(abs(E - e_end)), E - e_end), angle - target)
+                          for E, angle in (lo, hi))
     side, last, move = 0, xa, math.inf
     for _ in range(_MAX_BISECT):
         x = (xa * fb - xb * fa) / (fb - fa)
-        tol = _level_tol(energy(x), unit) / (xa + xb if root else 1.0)
+        tol = _level_tol(energy(x), unit) / (abs(xa) + abs(xb))
         if side and abs(x - last) < 0.5 * tol:
             # a quarter tolerance on, so that the next evaluation closes the bracket
             x -= 0.25 * tol * side
@@ -399,9 +398,11 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     interior floor, where a grid whose h^2 (V - E)/s overflows past r_min
     is refused (EvaluationOverflowError), as is one with Theta >= pi
     (ResolutionError) and a unit that vanishes beside the floor
-    (EvaluationOverflowError), and doubles from 1 unit wide until
-    floor(Theta/pi) reaches n_states; two probes 1e-6 unit either side of the potential at
-    r_max split any bracket there. Level k is bracketed by every sample's
+    (EvaluationOverflowError). It ends 1e-6 unit below the lower of the
+    last two samples where floor(Theta/pi) reaches n_states there, and
+    otherwise 1e-6 unit above the higher, or 1, 2, 4, ... units further
+    up, where it does; those end probes split any bracket at the potential
+    at r_max. Level k is bracketed by every sample's
     Theta against (k + 1) pi and closed on it by regula falsi
     (_phase_root) to 1e-10 max(unit, |E|); its state is the last probe's
     two sweeps joined at m.
@@ -441,21 +442,21 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         raise ResolutionError(
             f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
             f"minimum; n_points = {grid.n_points} is too coarse for this potential")
-    e_hi = e_lo + unit
-    if e_hi == e_lo:
+    if e_lo + unit == e_lo:
         raise EvaluationOverflowError(
             f"numerov_spectrum: the energy unit s (40/r_max)^2 = {unit!r} vanishes "
             f"beside the window's floor {e_lo!r}")
-    for _ in range(_MAX_BISECT):
-        if phase(e_hi) >= n_states * math.pi:
-            break
-        e_hi = e_lo + 2.0 * (e_hi - e_lo)
-    else:
-        raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
     v_pair = veff[-2:].tolist()
-    above = max(v_pair) + 1e-6 * unit
-    if above < e_hi and phase(above) >= math.pi:
-        phase(min(v_pair) - 1e-6 * unit)
+    e_hi = min(v_pair) - 1e-6 * unit
+    if not e_lo < e_hi or phase(e_hi) < n_states * math.pi:
+        above = e_hi = max(v_pair) + 1e-6 * unit
+        width = unit
+        for _ in range(_MAX_BISECT):
+            if phase(e_hi) >= n_states * math.pi:
+                break
+            e_hi, width = above + width, 2.0 * width
+        else:
+            raise ConvergenceError("numerov_spectrum: automatic window failed to grow")
 
     energies, states = [], []
     for k in range(n_states):

@@ -135,12 +135,11 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
         abs_sq = abs(values) ** 2
     columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
                with_gaps(abs_sq, np.isinf(abs_sq))]
-    achieved = wf.norm_integral * abs(wf.norm_constant) ** 2
     tail = [
         f"n = {n}, l = {l}, branch = {level.branch}",
         f"energy = {fmt_number(level.energy.real)} + {fmt_number(level.energy.imag)}i",
         f"N = {fmt_number(wf.norm_constant.real)} + {fmt_number(wf.norm_constant.imag)}i",
-        f"norm_integral = {fmt_number(achieved)} over "
+        f"norm_integral = {fmt_number(wf.norm_integral)} over "
         f"[{fmt_number(wf.norm_window[0])}, {fmt_number(wf.norm_window[1])}]",
     ]
     return csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], columns,

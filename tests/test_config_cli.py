@@ -529,6 +529,18 @@ class TestCsvOutputs:
         total = np.trapezoid(dens, r)
         assert abs(total - 1.0) < 1e-4
 
+    def test_norm_line_prints_the_integral_behind_n(self):
+        # N = 1/sqrt(I), so the printed N and I give I |N|^2 = 1 to the 9
+        # significant digits each is printed with (at most 1.5e-8 apart)
+        config = parse_config((CONFIGS / "general.cfg").read_text())
+        for n, l, branch in ((0, 0, "plus"), (1, 1, "plus"), (2, 0, "minus")):
+            text = wavefunction_csv(replace(config, n_list=(n,), l_list=(l,)), branch)
+            n_line, norm_line = text.splitlines()[-2:]
+            _, name, _, re, _, im = n_line.split()
+            assert name == "N" and im.endswith("i")
+            integral = float(norm_line.split()[3])
+            assert abs(integral * abs(complex(float(re), float(im[:-1]))) ** 2 - 1.0) <= 2e-8
+
     def test_overflowing_abs_r_sq_is_a_gap(self, tmp_path, capsys):
         # |R| is about 1e229 at r = 1e-200, so |R|^2 overflows: an empty cell
         cfg = tmp_path / "tiny.cfg"

@@ -111,6 +111,29 @@ def test_fall_to_centre_and_bad_indices_rejected():
         surrogate_level(COTH20, CONSTS, 0, 1.5)
 
 
+# README's Bundled configs table for the barrier wells: the surrogate-bound
+# (n, l) at l 0..2 with E to two decimals, and the FD levels below the
+# asymptote -12 with the exact 1/r^2 barrier at 8000 points, per l
+@pytest.mark.parametrize("name, surrogate_bound, bound_with_exact_barrier", [
+    ("barrier_well", {(0, 0): -20.11, (1, 0): -12.54, (0, 1): -14.35, (0, 2): -12.03},
+     ([-20.11, -12.54], [-14.06], [])),
+    ("barrier_well_alpha1", {(0, 0): -16.37, (0, 1): -12.09}, ([-16.37], [], [])),
+])
+def test_barrier_well_bound_states(name, surrogate_bound, bound_with_exact_barrier):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    params, consts = cfg.params, cfg.consts
+    assert params.asymptote == -12.0
+    # level n binds only while A > 2 s alpha^2 (n + kappa_l)^2, so no n past
+    # the first unbound one binds
+    levels = [surrogate_level(params, consts, n, l) for l in range(3) for n in range(3)]
+    assert {(lv.n, lv.l): round(lv.energy, 2) for lv in levels if lv.bound} == surrogate_bound
+    grid = dataclasses.replace(cfg.grid, n_points=8000)
+    for l, want in enumerate(bound_with_exact_barrier):
+        veff = effective_potential(params, consts, l, grid.points())
+        energies = fd_spectrum(veff, consts, grid, 3).energies
+        assert [round(e, 2) for e in energies if e < params.asymptote] == want, l
+
+
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
 def test_bundled_configs_have_no_bound_state(name):
     # A = 1, -1, 0, 0: level n binds only while A > 2 s alpha^2 (n + kappa_l)^2,
