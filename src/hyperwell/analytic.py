@@ -36,6 +36,7 @@ from .errors import (
     NoPhysicalBranchError,
     SamplingError,
     SingularCoefficientError,
+    require_index,
 )
 from .nu import NUProblem, Poly, enumerate_branches, lambda_n_of, pi_tau_select, radicand_coeffs
 from .potential import PhysicalConstants, PotentialParams
@@ -184,10 +185,8 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     the opposite sign. The energies are complex in general;
     residual_quantization records the scaled back-substitution residual.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"energy_levels: n must be a non-negative integer, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainError(f"energy_levels: l must be a non-negative integer, got {l!r}")
+    require_index(n, "energy_levels: n")
+    require_index(l, "energy_levels: l")
     l_map = dimensionless_from_eps2(params, consts, 0.0, l)
     pref = _prefactor(params, consts)
     c2, c1, c0 = quantization_coefficients(l_map, pref, n, variant=variant)
@@ -222,9 +221,7 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
     self-consistent problem at a quantized parameter; at roots of the
     printed quadratic it measures the closed forms' inconsistency.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(
-            f"closed_form_diagnostics: n must be a non-negative integer, got {n!r}")
+    require_index(n, "closed_form_diagnostics: n")
     problem = nu_problem(dp)
     branches = enumerate_branches(problem)
     aux = aux_quantities(dp)

@@ -95,12 +95,22 @@ def _load_config(args) -> RunConfig:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, csv=False):
+def _subparser(subs, name, help, csv=False, n_help=None, l_help=None):
+    """A subcommand with --config and --out, --stamp for a CSV, then the
+    flags that override the config's state: --alpha and --l where l_help
+    is given, --n between them where n_help is."""
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--config", help="path to a key-value config document")
     sub.add_argument("--out", help="output path, or - for stdout (default)")
     if csv:
         sub.add_argument("--stamp", action="store_true",
                          help="add a timestamp comment line to the CSV")
+    if l_help:
+        sub.add_argument("--alpha", help="single alpha override")
+        if n_help:
+            sub.add_argument("--n", help=n_help)
+        sub.add_argument("--l", help=l_help)
+    return sub
 
 
 @functools.cache
@@ -115,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "closed-form spectrum, wavefunctions and numerical oracles.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("potential", help="potential curve CSV, one column per alpha")
-    _add_common(p, csv=True)
+    p = _subparser(subs, "potential", "potential curve CSV, one column per alpha", csv=True)
     p.add_argument("--alpha", dest="alphas", help="comma list of alpha values, e.g. 1,2,3,4")
     p.add_argument("--kind", default="general", choices=list(KINDS),
                    help="special case applied to the potential block")
@@ -125,54 +134,38 @@ def _build_parser() -> argparse.ArgumentParser:
         None if args.alphas is None else parse_float_list(args.alphas, where="--alpha"),
         args.stamp))
 
-    p = subs.add_parser("effective", help="effective potential CSV, one column per l")
-    _add_common(p, csv=True)
-    p.add_argument("--alpha", help="single alpha override")
-    p.add_argument("--l", help="comma list or range of l values, e.g. 1,2,3")
+    p = _subparser(subs, "effective", "effective potential CSV, one column per l", csv=True,
+                   l_help="comma list or range of l values, e.g. 1,2,3")
     p.add_argument("--approximate", action="store_true",
                    help="use the cosech^2 surrogate barrier instead of 1/r^2")
     p.set_defaults(document=lambda config, args: effective_csv(
         config, args.approximate, args.stamp))
 
-    p = subs.add_parser("spectrum", help="closed-form energy levels as JSON")
-    _add_common(p)
-    p.add_argument("--alpha", help="single alpha override")
-    p.add_argument("--n", help="level list or range, e.g. 0..2")
-    p.add_argument("--l", help="l list or range")
+    p = _subparser(subs, "spectrum", "closed-form energy levels as JSON",
+                   n_help="level list or range, e.g. 0..2", l_help="l list or range")
     p.add_argument("--variant", default="quadratic", choices=["quadratic", "spectrum"],
                    help="printed grouping of the quantization constant term")
     p.set_defaults(document=lambda config, args: json_document(build_spectrum_report(
         config, variant=args.variant)))
 
-    p = subs.add_parser("wavefunction", help="radial wavefunction samples as CSV")
-    _add_common(p, csv=True)
-    p.add_argument("--alpha", help="single alpha override")
-    p.add_argument("--n", help="single level index")
-    p.add_argument("--l", help="single angular momentum")
+    p = _subparser(subs, "wavefunction", "radial wavefunction samples as CSV", csv=True,
+                   n_help="single level index", l_help="single angular momentum")
     p.add_argument("--branch", default="plus", choices=["plus", "minus"],
                    help="which quantization root feeds the envelope")
     p.set_defaults(document=lambda config, args: wavefunction_csv(
         config, args.branch, args.stamp))
 
-    p = subs.add_parser("oracle", help="numerical spectra (FD and Numerov) as JSON")
-    _add_common(p)
-    p.add_argument("--alpha", help="single alpha override")
-    p.add_argument("--n", help="level list or range (max sets how many states)")
-    p.add_argument("--l", help="l list or range")
+    p = _subparser(subs, "oracle", "numerical spectra (FD and Numerov) as JSON",
+                   n_help="level list or range (max sets how many states)",
+                   l_help="l list or range")
     p.set_defaults(document=lambda config, args: json_document(build_oracle_report(config)))
 
-    p = subs.add_parser("validate", help="full analytic-vs-oracle validation JSON")
-    _add_common(p)
-    p.add_argument("--alpha", help="single alpha override")
-    p.add_argument("--n", help="level list or range")
-    p.add_argument("--l", help="l list or range")
+    p = _subparser(subs, "validate", "full analytic-vs-oracle validation JSON",
+                   n_help="level list or range", l_help="l list or range")
     p.set_defaults(document=lambda config, args: json_document(build_validate_report(config)))
 
-    p = subs.add_parser("nu-check", help="engine vs printed closed forms as JSON")
-    _add_common(p)
-    p.add_argument("--alpha", help="single alpha override")
-    p.add_argument("--n", help="level list or range")
-    p.add_argument("--l", help="l list or range")
+    p = _subparser(subs, "nu-check", "engine vs printed closed forms as JSON",
+                   n_help="level list or range", l_help="l list or range")
     p.add_argument("--branch", default="plus", choices=["plus", "minus"],
                    help="quantization root used for the diagnostics")
     p.set_defaults(document=lambda config, args: json_document(build_nu_check_report(

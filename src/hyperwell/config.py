@@ -64,6 +64,16 @@ class RunConfig:
     out_path: object = None
 
 
+def _entries(text, where):
+    """The stripped entries of a comma-separated list, in order; an empty
+    one is refused when reached."""
+    for tok in str(text).split(","):
+        tok = tok.strip()
+        if not tok:
+            raise ConfigError(f"{where}: empty entry in list {text!r}")
+        yield tok
+
+
 def parse_int_list(text, where="value"):
     """Integer list syntax: comma-separated entries, each `k` or `k..m`.
 
@@ -71,10 +81,7 @@ def parse_int_list(text, where="value"):
     is rejected, so no state is solved twice.
     """
     out = []
-    for tok in str(text).split(","):
-        tok = tok.strip()
-        if not tok:
-            raise ConfigError(f"{where}: empty entry in list {text!r}")
+    for tok in _entries(text, where):
         if ".." in tok:
             lo_s, _, hi_s = tok.partition("..")
             try:
@@ -101,10 +108,7 @@ def parse_int_list(text, where="value"):
 
 def parse_float_list(text, where="value"):
     out = []
-    for tok in str(text).split(","):
-        tok = tok.strip()
-        if not tok:
-            raise ConfigError(f"{where}: empty entry in list {text!r}")
+    for tok in _entries(text, where):
         try:
             out.append(float(tok))
         except ValueError:

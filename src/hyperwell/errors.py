@@ -5,6 +5,8 @@ Every error carries enough context to identify the offending quantity
 re-run the computation.
 """
 
+import numbers
+
 
 class HyperwellError(Exception):
     """Base class for all package-specific errors."""
@@ -12,6 +14,13 @@ class HyperwellError(Exception):
 
 class DomainError(HyperwellError, ValueError):
     """Input outside the documented domain (non-finite, wrong sign, ...)."""
+
+
+def require_index(value, name):
+    """Refuse (DomainError) a value that is not a non-negative integer;
+    `name` opens the message, e.g. "energy_levels: n"."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class EvaluationOverflowError(HyperwellError, ArithmeticError):

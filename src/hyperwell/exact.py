@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_index
 from .potential import PhysicalConstants, PotentialParams
 
 
@@ -58,10 +58,8 @@ def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) ->
 
     Raises DomainError where kappa_radicand is negative (fall to centre).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"surrogate_level: n must be a non-negative integer, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainError(f"surrogate_level: l must be a non-negative integer, got {l!r}")
+    require_index(n, "surrogate_level: n")
+    require_index(l, "surrogate_level: l")
     radicand = kappa_radicand(params, consts, l)
     if radicand < 0.0:
         raise DomainError(

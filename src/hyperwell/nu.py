@@ -21,9 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .errors import DomainError, NoPhysicalBranchError, StructureError
+from .errors import DomainError, NoPhysicalBranchError, StructureError, require_index
 from .special import principal_sqrt, solve_quadratic
 
 
@@ -185,7 +183,6 @@ def pi_tau_select(branches) -> NUSolution:
 
 def lambda_n_of(problem: NUProblem, tau: Poly, n) -> complex:
     """The discrete eigenvalue -n tau' - n(n-1) sigma''/2 for integer n >= 0."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"lambda_n_of: n must be a non-negative integer, got {n!r}")
+    require_index(n, "lambda_n_of: n")
     sigma_pp = 2.0 * problem.sigma.c2
     return -float(n) * complex(tau.c1) - 0.5 * float(n) * float(n - 1) * complex(sigma_pp)

@@ -31,6 +31,7 @@ from .errors import (
     ResolutionError,
     SamplingError,
     StructureError,
+    require_index,
 )
 
 _NODE_EPS = 1e-8
@@ -92,8 +93,7 @@ def _checked(veff, grid, n_states):
     """(grid.points(), veff as a contiguous float array), refused unless
     n_states is a non-negative integer below n_points/4 and veff holds one
     finite sample per grid point."""
-    if not isinstance(n_states, (int, np.integer)) or n_states < 0:
-        raise DomainError(f"n_states must be a non-negative integer, got {n_states!r}")
+    require_index(n_states, "n_states")
     if n_states and n_states >= grid.n_points / 4:
         raise DomainError(
             f"n_states = {n_states} too large for n_points = {grid.n_points} "
@@ -218,8 +218,8 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     return _finished("FiniteDifference", energies[:n_states].tolist(), states, r)
 
 
-def _numerov_sweep(f, h2, u0, u1):
-    """Integrate u'' = f u outward from (u0, u1); return (v, log_scale).
+def _numerov_sweep(f, h2, u1):
+    """Integrate u'' = f u outward from (0, u1); return (v, log_scale).
 
     The three-term recurrence c_(j+1) u_(j+1) = d_j u_j - c_(j-1) u_(j-1),
     with c = 1 - h2 f/12 and d = 2 (1 + 5 h2 f/12), is solved as one
@@ -228,7 +228,7 @@ def _numerov_sweep(f, h2, u0, u1):
     maximum of 1. Forward substitution makes every value before the first
     one above e^600 (or non-finite) exact, so that prefix is kept and the
     solve restarts from its last two values. u = v exp(log_scale), with
-    one log_scale per block (u0, u1 in the first); a singular step, or a
+    one log_scale per block (0, u1 in the first); a singular step, or a
     restart that keeps no value, raises EvaluationOverflowError.
     """
     n = f.shape[0]
@@ -241,8 +241,8 @@ def _numerov_sweep(f, h2, u0, u1):
     ab[1] = -d[2:]
     ab[2] = c[2:]
     v = np.empty(n)
-    carry = max(abs(u0), abs(u1)) or 1.0
-    v[0], v[1] = u0 / carry, u1 / carry
+    carry = abs(u1) or 1.0
+    v[0], v[1] = 0.0, u1 / carry
     start, level = 2, math.log(carry)
     log_scale = np.full(n, level)
     while start < n:
@@ -306,9 +306,9 @@ def _matched_phase(f, h2, u1, m):
     inward pair is (0, 1) and Theta is the outward sweep's end phase.
     """
     # at m = n - 2 the inward sweep is its start pair (0, 1) alone
-    inward = (_numerov_sweep(f[m:][::-1], h2, 0.0, 1.0) if m < f.shape[0] - 2
+    inward = (_numerov_sweep(f[m:][::-1], h2, 1.0) if m < f.shape[0] - 2
               else (np.array([0.0, 1.0]), np.zeros(2)))
-    sweeps = (_numerov_sweep(f[:m + 2], h2, 0.0, u1), inward)
+    sweeps = (_numerov_sweep(f[:m + 2], h2, u1), inward)
     q = float(h2 * f[m]) / 12.0
     cos = (1.0 + 5.0 * q) / (1.0 - q)
     if -1.0 < cos < 1.0:

@@ -150,10 +150,13 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
 # JSON reports
 # ---------------------------------------------------------------------------
 
-def _config_echo(config) -> dict:
-    return {"potential": asdict(config.params), "constants": asdict(config.consts),
-            "state": {"n": list(config.n_list), "l": list(config.l_list)},
-            "grid": asdict(config.grid)}
+def _header(kind, config, version=SCHEMA_VERSION) -> dict:
+    """The fields every JSON report opens with: its schema version, its
+    kind and the config it ran on."""
+    return {"schema_version": version, "kind": kind, "config": {
+        "potential": asdict(config.params), "constants": asdict(config.consts),
+        "state": {"n": list(config.n_list), "l": list(config.l_list)},
+        "grid": asdict(config.grid)}}
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +196,7 @@ def _spectrum_entry(params, consts, n, l, variant="quadratic"):
 
 def build_spectrum_report(config, variant="quadratic") -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spectrum",
-        "config": _config_echo(config),
+        **_header("spectrum", config),
         "variant": variant,
         "entries": [_spectrum_entry(config.params, config.consts, n, l, variant=variant)[0]
                     for l in config.l_list for n in config.n_list],
@@ -259,9 +260,7 @@ def _n_states(config) -> int:
 def build_oracle_report(config) -> dict:
     n_states = _n_states(config)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "oracle",
-        "config": _config_echo(config),
+        **_header("oracle", config),
         "per_l": [_oracle_block(config, l, n_states)[0] for l in config.l_list],
     }
 
@@ -288,9 +287,7 @@ def nu_check_entry(params, consts, n, l, branch="plus") -> dict:
 
 def build_nu_check_report(config, branch="plus") -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "nu-check",
-        "config": _config_echo(config),
+        **_header("nu-check", config),
         "entries": [nu_check_entry(config.params, config.consts, n, l, branch=branch)
                     for l in config.l_list for n in config.n_list],
     }
@@ -349,9 +346,7 @@ def build_validate_report(config) -> dict:
     solved = [_oracle_block(config, l, n_states) for l in config.l_list]
     r_samples = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
     return {
-        "schema_version": VALIDATE_SCHEMA_VERSION,
-        "kind": "validate",
-        "config": _config_echo(config),
+        **_header("validate", config, VALIDATE_SCHEMA_VERSION),
         "potential": {
             "asymptote": params.asymptote,
             "origin_unreliable_per_l": {

@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from .errors import DegenerateParameterError, DomainError, SingularCoefficientError
+from .errors import DegenerateParameterError, DomainError, SingularCoefficientError, require_index
 
 # Above this argument coth is 1.0 to machine precision and 1/sinh^2 is
 # replaced by its leading exponential to avoid overflow of sinh^2.
@@ -117,8 +117,7 @@ def jacobi(n, a, b, x):
     standard three-term recurrence, which raises DegenerateParameterError
     if a leading coefficient vanishes for some intermediate degree.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"jacobi: degree must be a non-negative integer, got {n!r}")
+    require_index(n, "jacobi: degree")
     for name, val in (("a", a), ("b", b)):
         if not cmath.isfinite(complex(val)):
             raise DomainError(f"jacobi: parameter {name} must be finite")

@@ -246,7 +246,7 @@ class TestNumerovSweep:
     def test_matches_reference_on_steep_fixtures(self):
         for f, h2, expected in self.STEEP:
             assert reference_scan_nodes(f, h2, 0.0, 1e-8) == expected
-            v, log_scale = oracle._numerov_sweep(f, h2, 0.0, 1e-8)
+            v, log_scale = oracle._numerov_sweep(f, h2, 1e-8)
             assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e300)
             if h2 * f[0] < 12.0:
                 assert matched_count(f, h2, 1e-8) == expected
@@ -300,7 +300,7 @@ class TestNumerovSweep:
         f = np.ones(n)
         c, d = 1.0 - h2 / 12.0, 2.0 * (1.0 + 5.0 * h2 / 12.0)
         theta = math.acosh(d / (2.0 * c))
-        v, log_scale = oracle._numerov_sweep(f, h2, 0.0, u1)
+        v, log_scale = oracle._numerov_sweep(f, h2, u1)
         assert np.all(np.abs(v) <= math.exp(600.0))
         assert len(np.unique(log_scale)) > 5
         j = np.arange(1, n)
@@ -317,7 +317,7 @@ class TestNumerovSweep:
         f = np.zeros(64)
         f[30] = np.nan
         with pytest.raises(EvaluationOverflowError):
-            oracle._numerov_sweep(f, 1.0, 0.0, 1e-3)
+            oracle._numerov_sweep(f, 1.0, 1e-3)
 
     def test_wavefunctions_normalized(self):
         # past r = 1 the wall has h^2 f = 1, so the sweep grows by ~e^875
