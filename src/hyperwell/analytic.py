@@ -90,9 +90,11 @@ class EnergyLevel:
 
 
 def _prefactor(params: PotentialParams, consts: PhysicalConstants) -> float:
-    # 1 / (s alpha^2), the factor that nondimensionalizes energies
-    scale = consts.s * params.alpha**2
-    if not 0.0 < scale < math.inf:
+    # 1 / (s alpha^2), the factor that nondimensionalizes energies, refused
+    # where s alpha^2 or its inverse is 0 or inf; alpha is squared by a
+    # product, which overflows to inf where ** raises OverflowError
+    scale = consts.s * (params.alpha * params.alpha)
+    if not 0.0 < scale < math.inf or 1.0 / scale == math.inf:
         raise SingularCoefficientError(
             f"s alpha^2 = {scale} makes the 1/(s alpha^2) energy scale singular")
     return 1.0 / scale
@@ -102,7 +104,7 @@ def dimensionless_from_eps2(params, consts, eps2, l) -> DimensionlessParams:
     """Coefficients for a known eps^2 (e.g. a quantization root), no E needed."""
     pref = _prefactor(params, consts)
     beta2 = complex(pref * params.A)
-    gamma2 = complex(pref * (-params.B - params.alpha**2 * l * (l + 1)))
+    gamma2 = complex(pref * (-params.B - params.alpha * params.alpha * l * (l + 1)))
     return DimensionlessParams(eps2=complex(eps2), beta2=beta2, gamma2=gamma2,
                                beta=principal_sqrt(beta2))
 
@@ -432,7 +434,7 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
     w = pref * (complex(energy) + params.a * params.V0 * coth
                 - params.b * params.V1 * coth * coth
                 + params.c * params.V2 * csch2
-                - params.alpha**2 * l * (l + 1) * csch2
+                - params.alpha * params.alpha * l * (l + 1) * csch2
                 - params.d + dp.beta2 / 4.0)
     resid = np.abs(d2 - beta * d1 + w * f0)
     terms = np.abs(np.stack((d2, beta * d1, w * f0)))

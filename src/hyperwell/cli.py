@@ -8,9 +8,13 @@ Outputs are deterministic; a timestamp appears only as a '#' comment
 when --stamp is given, which only the CSV commands (potential, effective,
 wavefunction) take, since JSON carries no comments.
 
-Exit codes: 0 success, 2 configuration error (also an unreadable config
-or an unwritable output path), 3 a wavefunction that cannot be normalized,
-or an internal error, 4 singular analytic case (wavefunction).
+Exit codes:
+  0  success; a JSON report records a singular state or a failed solve
+     (an overflow included) in the document
+  2  configuration error, also an unreadable config or an unwritable output
+  3  a wavefunction that cannot be normalized, or an internal error
+  4  singular analytic case of `wavefunction`, also an energy scale
+     1/(s alpha^2) that vanishes or overflows
 """
 
 from __future__ import annotations

@@ -46,7 +46,10 @@ class RadialGrid:
         return (self.r_max - self.r_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_points)
+        # near the float range the last product k h can overflow; linspace
+        # then sets that point to r_max itself
+        with np.errstate(over="ignore"):
+            return np.linspace(self.r_min, self.r_max, self.n_points)
 
 
 # alpha r_max of the default grid: e^(-2 alpha r) is below 1e-34 there, so

@@ -40,10 +40,12 @@ def kappa_radicand(params: PotentialParams, consts: PhysicalConstants, l) -> flo
 
     Negative where the attractive cosech^2 term falls to the centre: kappa_l
     is then not real, and bound states cease to exist. Infinite where
-    s alpha^2 underflows to 0, with the sign of B (nan where B = 0).
+    B/(s alpha^2) overflows, with the sign of B (nan where B = 0 and s alpha^2
+    underflows to 0).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(0.25 + np.float64(params.B) / (consts.s * params.alpha**2) + l * (l + 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(0.25 + np.float64(params.B) / (consts.s * (params.alpha * params.alpha))
+                     + l * (l + 1))
 
 
 def fall_to_center_unreliable(params: PotentialParams, consts: PhysicalConstants, l) -> bool:
@@ -65,5 +67,6 @@ def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) ->
         raise DomainError(
             f"surrogate_level: 1/4 + B/(s alpha^2) + l(l+1) = {radicand} < 0 (fall to centre)")
     A = params.A
-    q = consts.s * params.alpha**2 * (n + 0.5 + math.sqrt(radicand)) ** 2
+    root = n + 0.5 + math.sqrt(radicand)
+    q = consts.s * (params.alpha * params.alpha) * (root * root)
     return ExactLevel(int(n), int(l), params.C - q - A * A / (4.0 * q), A > 2.0 * q)

@@ -160,7 +160,8 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     lowest n_states Ritz pairs are returned.
 
     A grid whose s/h^2 is not a positive finite number is refused
-    (EvaluationOverflowError): h^2 = inf would leave T = diag(V).
+    (EvaluationOverflowError): h^2 = inf would leave T = diag(V), and
+    h^2 = 0 a T of infinite entries.
     ConvergenceError is raised for a level outside its bracket,
     |E - w| > tol (a polluted vector), and where the block would have to
     grow to n_points/4 levels; that message names s/h^2 when adding it
@@ -174,7 +175,7 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     if n_states == 0:
         return _finished("FiniteDifference", (), (), r)
     h = grid.h
-    t = consts.s / (h * h)
+    t = consts.s / (h * h) if h * h else math.inf
     if not 0.0 < t < math.inf:
         raise EvaluationOverflowError(
             f"fd_spectrum: s/h^2 = {t!r} is not a positive finite number (h^2 = {h * h!r})")
@@ -188,9 +189,12 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
                 diag, off, select="i", select_range=(0, block - 1), tol=tol)
             # two Sturm counts: a tol wider than the range ends dstebz's
             # bisection at once, leaving one entry per level up to the bound
+            # (inf, so every level, where it passes the float range)
+            with np.errstate(over="ignore"):
+                bound = coarse[-1] + _EIG_GAP * tol
             reach = eigh_tridiagonal(
                 diag, off, eigvals_only=True, select="v",
-                select_range=(-np.inf, coarse[-1] + _EIG_GAP * tol), tol=np.inf).size
+                select_range=(-np.inf, bound), tol=np.inf).size
             if reach <= block:
                 break
             if reach >= grid.n_points / 4:
@@ -413,7 +417,8 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     h = grid.h
     h2 = h * h
     pref = 1.0 / consts.s
-    unit = consts.s * (DEFAULT_REACH / grid.r_max) ** 2
+    reach = DEFAULT_REACH / grid.r_max
+    unit = consts.s * (reach * reach)
     samples = []  # (E, Theta) of every probe
     latest = None  # the sweeps and match point of the last probe only
 

@@ -73,17 +73,14 @@ class PhysicalConstants:
             val = getattr(self, f.name)
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise DomainError(f"PhysicalConstants: {f.name} must be positive and finite")
-        try:
-            s = self.s
-        except OverflowError:  # hbar**2 past the float range
-            s = math.inf
-        if not 0.0 < s < math.inf:
-            raise DomainError(f"PhysicalConstants: hbar^2/(2m) = {s} must be positive and finite")
+        if not 0.0 < self.s < math.inf:
+            raise DomainError(
+                f"PhysicalConstants: hbar^2/(2m) = {self.s} must be positive and finite")
 
     @property
     def s(self):
         """hbar^2/(2m), the only place hbar and m are combined."""
-        return self.hbar**2 / (2.0 * self.mass)
+        return self.hbar * self.hbar / (2.0 * self.mass)
 
 
 def _sample(params, consts, l, r, approximate):
@@ -108,7 +105,8 @@ def _sample(params, consts, l, r, approximate):
         if l:
             coef = consts.s * l * (l + 1)
             terms.append(("centrifugal barrier",
-                          coef * params.alpha**2 * csch2 if approximate else coef / (r * r)))
+                          coef * (params.alpha * params.alpha) * csch2 if approximate
+                          else coef / (r * r)))
         v = np.zeros(r.shape) + params.d
         for _, values in terms:
             v = v + values

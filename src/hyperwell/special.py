@@ -32,15 +32,16 @@ def hyperbolic_pair(z):
         raise DomainError(f"hyperbolic_pair: argument must be positive, got {float(np.min(arr))}")
     safe = np.minimum(arr, ASYMPTOTIC_SWITCH)
     sh = np.sinh(safe)
-    # near 0 both overflow to inf, which callers name as a non-finite term
+    # near 0 both overflow to inf, which callers name as a non-finite term;
+    # -2 z overflows to -inf past 9e307, where exp gives the correct 0
     with np.errstate(over="ignore", divide="ignore"):
         coth = np.cosh(safe) / sh
         csch2 = 1.0 / (sh * sh)
-    big = arr > ASYMPTOTIC_SWITCH
-    if np.any(big):
-        coth = np.where(big, 1.0, coth)
-        # exp underflows to 0 beyond z ~ 368, which is the correct limit
-        csch2 = np.where(big, 4.0 * np.exp(-2.0 * arr), csch2)
+        big = arr > ASYMPTOTIC_SWITCH
+        if np.any(big):
+            coth = np.where(big, 1.0, coth)
+            # exp underflows to 0 beyond z ~ 368, which is the correct limit
+            csch2 = np.where(big, 4.0 * np.exp(-2.0 * arr), csch2)
     return (coth, csch2)
 
 

@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +29,10 @@ from hyperwell.errors import (
 )
 from hyperwell.nu import enumerate_branches, lambda_n_of, pi_tau_select
 from hyperwell.potential import PhysicalConstants, PotentialParams
+from params import CONFIGS, seeded_params, uniform_params
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def raw_wavefunction(params, level):
@@ -49,15 +48,6 @@ def printed_eps2(params, consts, energy, l):
     beta2 = pref * params.a * params.V0
     return -pref * (energy + beta2 / 4.0 + params.c * params.V2
                     - params.alpha**2 * l * (l + 1) - params.d)
-
-
-def uniform_params(rng):
-    """A draw of every potential coefficient from a fixed box."""
-    return PotentialParams(
-        a=float(rng.uniform(0.2, 2.0)), b=float(rng.uniform(0.0, 0.1)),
-        c=float(rng.uniform(0.5, 3.0)), d=float(rng.uniform(-1.0, 3.0)),
-        V0=float(rng.uniform(0.3, 2.0)), V1=float(rng.uniform(0.0, 1.0)),
-        V2=float(rng.uniform(0.01, 0.1)), alpha=float(rng.uniform(0.5, 2.0)))
 
 
 def seeded_levels(count=40):
@@ -344,19 +334,6 @@ def reference_log_trapezoid(f, lo, hi, rtol, max_doublings=14):
             return cur
         last = cur
     raise ConvergenceError("reference quadrature did not converge")
-
-
-def seeded_params(rng):
-    """An Eckart-type draw (s = hbar^2/2m = 1) with one deep s-wave level."""
-    alpha = rng.uniform(1.0, 4.0)
-    s2 = alpha * alpha
-    B = rng.uniform(-0.2, 3.0) * s2
-    k = 0.5 + math.sqrt(0.25 + B / s2)
-    A = rng.uniform(2 * k * k + 3 * k, 1.7 * (1 + k) ** 2) * s2
-    a = rng.choice((1.0, -1.0)) * rng.uniform(0.5, 2.0)
-    b, bV1, V2 = rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.5) * s2, rng.uniform(0.5, 2.0)
-    return PotentialParams(a=a, b=b, c=(bV1 - B) / V2, d=rng.uniform(-2.0, 2.0),
-                           V0=A / a, V1=bV1 / b, V2=V2, alpha=alpha)
 
 
 def count_samples(monkeypatch):

@@ -12,7 +12,9 @@ import pytest
 
 from hyperwell.cli import main
 from hyperwell.config import parse_config, parse_float_list, parse_int_list
-from hyperwell.errors import ConfigError
+from hyperwell.errors import ConfigError, EvaluationOverflowError
+from hyperwell.oracle import numerov_spectrum
+from hyperwell.potential import effective_potential
 from hyperwell.reporting import (
     build_spectrum_report,
     effective_csv,
@@ -251,6 +253,8 @@ class TestCliExitCodes:
         assert json.loads(proc.stdout)["per_l"][0]["error"] == (
             "eval_potential: term b*V1*coth^2 is non-finite at r = 1e-200")
 
+    HUGE_ALPHA = "potential.alpha = 1e160\ngrid.r_min = 3\ngrid.r_max = 1e30\n"
+
     # extreme but valid inputs where an overflowing barrier, F = R exp(beta r/2)
     # or Numerov probe once leaked numpy warnings and printed NaN: (config,
     # command, the section of blocks (a list, or a field of each list entry),
@@ -286,6 +290,32 @@ class TestCliExitCodes:
             ["oracle", "--n", "0", "--l", "7"], "per_l",
             ["numerov_spectrum: h^2 (V - E)/s is non-finite at r = 3.5037593984962407e-06"],
             [[231203.556190]]),
+        # alpha^2 and s alpha^2 by Python's ** raised OverflowError (exit 3)
+        "huge-alpha": (
+            HUGE_ALPHA, ["oracle", "--n", "0", "--l", "0"], "per_l",
+            ["fd_spectrum: levels 0 to 1997 follow each other closer than 1e-10; "
+             "s/h^2 = 4e-54 vanishes beside V"],
+            None),
+        # B/(s alpha^2) overflowed in kappa_radicand with a numpy warning
+        "tiny-hbar": (
+            "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
+            ["oracle", "--n", "0", "--l", "0"], "per_l",
+            ["numerov_spectrum: h^2 (V - E)/s is non-finite at r = 0.02001100450225113"],
+            None),
+        # FD's upper count bound overflowed with a numpy warning
+        "top-depth": (
+            "potential.d = 1.7976931348623157e308\n",
+            ["oracle", "--n", "0", "--l", "0"], "per_l",
+            ["fd_spectrum: levels 0 to 1997 follow each other closer than 1.8e+298"],
+            None),
+        # h^2 underflows to 0: s/h^2 raised ZeroDivisionError and the Numerov
+        # unit's ** OverflowError (exit 3)
+        "tiny-grid": (
+            "potential.a = 0\npotential.b = 0\npotential.c = 0\n"
+            "grid.r_min = 1e-300\ngrid.r_max = 1e-160\n",
+            ["oracle", "--n", "0", "--l", "0"], "per_l",
+            ["fd_spectrum: s/h^2 = inf is not a positive finite number (h^2 = 0.0)"],
+            None),
     }
 
     @pytest.mark.parametrize("case", EXTREME)
@@ -313,6 +343,64 @@ class TestCliExitCodes:
             got = [block["fd"]["energies"] if "fd" in block else None for block in blocks]
             assert got == [None if e is None else pytest.approx(e, rel=1e-9)
                            for e in fd_levels]
+
+    def test_tiny_grid_numerov_is_refused(self):
+        # the block shows FD's error; Numerov's own: its energy unit overflows
+        config = parse_config(self.EXTREME["tiny-grid"][0])
+        veff = effective_potential(config.params, config.consts, 0, config.grid.points())
+        with pytest.raises(EvaluationOverflowError, match=r"h\^2 \(V - E\)/s is non-finite"):
+            numerov_spectrum(veff, config.consts, config.grid, 1)
+
+    def test_huge_alpha_spectrum_is_singular(self, tmp_path, capsys):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(self.HUGE_ALPHA)
+        assert main(["spectrum", "--config", str(cfg), "--n", "0", "--l", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        validate_schema(doc, "spectrum")
+        assert [e["singular"]["reason"] for e in doc["entries"]] == [
+            "s alpha^2 = inf makes the 1/(s alpha^2) energy scale singular"]
+
+    def test_overflowing_energy_scale_is_singular(self, tmp_path, capsys):
+        # s alpha^2 = 1e-320 is positive, but 1/(s alpha^2) overflows: the
+        # state is singular (it was a configuration error, exit 2) and the
+        # oracle block still renders
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("potential.V2 = -1\npotential.alpha = 1e-160\ngrid.r_min = 20\n")
+        assert main(["validate", "--config", str(cfg), "--n", "0", "--l", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        validate_schema(doc, "validate")
+        assert [s["singular"]["reason"] for s in doc["states"]] == [
+            "s alpha^2 = 1e-320 makes the 1/(s alpha^2) energy scale singular"]
+        assert doc["potential"]["origin_unreliable_per_l"] == {"0": False}
+        assert doc["oracle"]["per_l"][0]["error"] == (
+            "eval_potential: term b*V1*coth^2 is non-finite at r = 20.0")
+
+    # extreme CSV inputs: (config, command, a row of the document)
+    EXTREME_CSV = {
+        # the surrogate barrier's alpha^2 raised OverflowError (exit 3); it is
+        # inf times cosech^2 = 0 now, a gap
+        "huge-alpha": (HUGE_ALPHA, ["effective", "--l", "1", "--approximate"], "1e+30,"),
+        # -2 alpha r overflowed in hyperbolic_pair with a numpy warning
+        "top-grid": ("grid.r_max = 1.7976931348623157e308\n",
+                     ["wavefunction", "--n", "0", "--l", "0"], "1.79769313e+308,0,0,0"),
+        # the last point of linspace overflowed with a numpy warning
+        "top-grid-64": ("grid.r_max = 1.7976931348623157e308\ngrid.n_points = 64\n",
+                        ["potential"], "1.79769313e+308,1.005"),
+    }
+
+    @pytest.mark.parametrize("case", EXTREME_CSV)
+    def test_extreme_scales_in_csv(self, tmp_path, capsys, case):
+        text, argv, row = self.EXTREME_CSV[case]
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text)
+        assert main([*argv, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert row in captured.out.splitlines()
 
     def test_repeated_state_entry_is_2(self):
         for flag, value in (("--n", "1,1,0"), ("--l", "0,1,0")):

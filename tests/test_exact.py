@@ -1,7 +1,6 @@
 """Exact levels of the surrogate (Eckart) problem and their bound-state gate."""
 
 import dataclasses
-from pathlib import Path
 
 import pytest
 
@@ -9,17 +8,10 @@ from hyperwell.config import parse_config
 from hyperwell.errors import DomainError
 from hyperwell.exact import surrogate_level
 from hyperwell.oracle import fd_spectrum, numerov_spectrum
-from hyperwell.potential import PhysicalConstants, PotentialParams, effective_potential
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from hyperwell.potential import PhysicalConstants, effective_potential
+from params import CONFIGS, FAULT, family_params
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # s = hbar^2/(2m) = 1
-
-
-def family_params(**kw):
-    return PotentialParams(**{"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0,
-                              "V0": 0.0, "V1": 0.0, "V2": 0.0, "alpha": 1.0, **kw})
-
 
 COTH20 = family_params(a=1.0, V0=20.0)  # A = 20, B = C = 0, asymptote -20
 
@@ -65,11 +57,6 @@ def test_units_enter_through_s():
     for n in range(3):
         assert surrogate_level(scaled, consts, n, 1).energy == pytest.approx(
             2.0 * surrogate_level(COTH20, CONSTS, n, 1).energy, rel=1e-14)
-
-
-# an Eckart well with two deep s-wave levels, as in perfbench.inputs.FAULT,
-# which keeps its own copy
-FAULT = parse_config((CONFIGS / "eckart_bound.cfg").read_text()).params
 
 
 def scaled(params, f, alpha=None):

@@ -27,7 +27,7 @@ from hyperwell.potential import (
     effective_potential,
     eval_potential,
 )
-from test_exact import FAULT, family_params
+from params import FAULT, family_params
 
 REPO = Path(__file__).resolve().parents[1]
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1

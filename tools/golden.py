@@ -7,9 +7,11 @@ The base revision is exported with `git archive` into a temporary
 directory (nothing is registered in the repository, so an interrupted run
 leaves nothing behind); the new tree is this checkout's working tree, or
 `--new <rev>` exported the same way. Each tree runs the whole list through
-`hyperwell.cli.main` in one subprocess. Per command the tool prints
-"identical", or else the exit codes, the first differing line of stdout or
-stderr and the largest delta between corresponding numbers of the two
+`hyperwell.cli.main` in one subprocess, which shows every warning each
+time it is raised, so that no command's warning hides a later one's. Per
+command the tool prints "identical", or else the exit codes, the first
+differing line of stdout or stderr and the largest delta between
+corresponding numbers of the two
 outputs, relative to their magnitude floored at 1 (as the reports' own
 relative deltas are). A run with differences ends with the largest of
 those deltas over all differing commands and the command that holds it.
@@ -22,10 +24,13 @@ and 8000 points, plus the error cases: a bad config, a bad grid, a
 repeated state entry, an unreadable config and an unwritable output.
 All of those have hbar^2/(2m) = 1, so two more inputs set it elsewhere:
 FAULT with mass 5 (s = 0.1) and the first draw with hbar 2 (s = 4).
-Four extreme but valid inputs close the list, each with one command: two
-whose centrifugal barrier overflows, one whose F = R exp(beta r/2)
-overflows in `validate`'s ODE residual, and one whose Numerov probe
-overflows.
+Extreme but valid inputs close the list: two whose centrifugal barrier
+overflows, one whose F = R exp(beta r/2) overflows in `validate`'s ODE
+residual, one whose Numerov probe overflows, an alpha whose square
+overflows (spectrum, effective and oracle), one whose 1/(s alpha^2)
+overflows, an hbar whose B/(s alpha^2) overflows, a d at the top of the
+float range, a grid whose h^2 underflows, and an r_max at the top of the
+float range (wavefunction, and potential on 64 points).
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -52,6 +57,8 @@ STATE_LISTS = (("0..2", "0..2"), ("0..1", "0"), ("0", "1,2"))
 # name, input, and the constants line that moves s = hbar^2/(2m) off 1
 OTHER_S = (("fault_mass5", "fault", "constants.mass = 0.5", "constants.mass = 5"),
            ("draw0_hbar2", "draw0", "constants.hbar = 1", "constants.hbar = 2"))
+HUGE_ALPHA = "potential.alpha = 1e160\ngrid.r_min = 3\ngrid.r_max = 1e30\n"
+TOP = "grid.r_max = 1.7976931348623157e308\n"
 # name, config text and command of each extreme input
 EXTREME = (
     ("wide_grid", "potential.a = 20\npotential.b = 1e-30\nconstants.mass = 1e-300\n"
@@ -69,6 +76,18 @@ EXTREME = (
      "potential.V0 = 20\npotential.V1 = -0.25\nconstants.mass = 1e300\n"
      "grid.r_max = 1e-3\ngrid.n_points = 400\n",
      ["oracle", "--n", "0", "--l", "7"]),
+    ("huge_alpha_spectrum", HUGE_ALPHA, ["spectrum", "--n", "0", "--l", "0"]),
+    ("huge_alpha_effective", HUGE_ALPHA, ["effective", "--l", "1", "--approximate"]),
+    ("huge_alpha_oracle", HUGE_ALPHA, ["oracle", "--n", "0", "--l", "0"]),
+    ("huge_scale", "potential.V2 = -1\npotential.alpha = 1e-160\ngrid.r_min = 20\n",
+     ["validate", "--n", "0", "--l", "0"]),
+    ("tiny_hbar", "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
+     ["oracle", "--n", "0", "--l", "0"]),
+    ("top_depth", "potential.d = 1.7976931348623157e308\n", ["oracle", "--n", "0", "--l", "0"]),
+    ("tiny_grid", "potential.a = 0\npotential.b = 0\npotential.c = 0\n"
+     "grid.r_min = 1e-300\ngrid.r_max = 1e-160\n", ["oracle", "--n", "0", "--l", "0"]),
+    ("top_grid", TOP, ["wavefunction", "--n", "0", "--l", "0"]),
+    ("top_grid_64", TOP + "grid.n_points = 64\n", ["potential"]),
 )
 WAVEFUNCTIONS = [(n, l, b) for n in range(3) for l in range(2) for b in ("plus", "minus")]
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -76,9 +95,10 @@ _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
 # Runs inside each tree's subprocess: argv lists in, one record per command out.
 RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, warnings
 from pathlib import Path
 from hyperwell.cli import main
+warnings.simplefilter("always")
 results = []
 for argv in json.loads(Path(sys.argv[1]).read_text()):
     out, err = io.StringIO(), io.StringIO()
