@@ -110,26 +110,18 @@ def _checked(veff, grid, n_states):
     return r, v
 
 
-def _count_sign_changes(u: np.ndarray) -> int:
-    """Interior sign changes, ignoring values below 1e-8 of the max amplitude."""
-    umax = float(np.max(np.abs(u)))
-    if umax == 0.0:
-        return 0
-    sig = u[np.abs(u) > _NODE_EPS * umax]
-    if sig.size < 2:
-        return 0
-    return int(np.count_nonzero(np.diff(np.sign(sig)) != 0))
-
-
 def _finish_state(u, r):
-    """(u, node count) of a full-grid state: u L2-normalized by the
-    trapezoid rule and signed so that its first component above 1e-8 of
-    the maximum amplitude, in the lobe nearest the origin, is positive."""
+    """(u, node count) of a full-grid state with u = 0 at both ends: u
+    L2-normalized by the trapezoid rule and signed so that its first
+    component above 1e-8 of the maximum amplitude, in the lobe nearest the
+    origin, is positive; the nodes are the sign changes between those
+    components."""
     u = u / math.sqrt(float(np.trapezoid(u * u, r)))
     mag = np.abs(u)
-    if u[int(np.argmax(mag > _NODE_EPS * np.max(mag)))] < 0.0:
+    sig = u[mag > _NODE_EPS * np.max(mag)]
+    if sig.size and sig[0] < 0.0:
         u = -u
-    return u, _count_sign_changes(u[1:-1])
+    return u, int(np.count_nonzero(np.diff(np.sign(sig))))
 
 
 def _finished(method, energies, states, r, notes=()) -> NumericSpectrum:
@@ -222,8 +214,8 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     return _finished("FiniteDifference", energies[:n_states].tolist(), states, r)
 
 
-def _numerov_sweep(f, h2, u1):
-    """Integrate u'' = f u outward from (0, u1); return (v, log_scale).
+def _numerov_sweep(f, h2):
+    """Integrate u'' = f u outward from (0, 1); return (v, log_scale).
 
     The three-term recurrence c_(j+1) u_(j+1) = d_j u_j - c_(j-1) u_(j-1),
     with c = 1 - h2 f/12 and d = 2 (1 + 5 h2 f/12), is solved as one
@@ -232,8 +224,9 @@ def _numerov_sweep(f, h2, u1):
     maximum of 1. Forward substitution makes every value before the first
     one above e^600 (or non-finite) exact, so that prefix is kept and the
     solve restarts from its last two values. u = v exp(log_scale), with
-    one log_scale per block (0, u1 in the first); a singular step, or a
-    restart that keeps no value, raises EvaluationOverflowError.
+    one log_scale per block (0 in the first); a singular step, or a
+    restart that keeps no value, raises EvaluationOverflowError. The
+    recurrence is linear, so a start (0, u_1) only scales the sweep.
     """
     n = f.shape[0]
     q = (h2 / 12.0) * f
@@ -245,10 +238,9 @@ def _numerov_sweep(f, h2, u1):
     ab[1] = -d[2:]
     ab[2] = c[2:]
     v = np.empty(n)
-    carry = abs(u1) or 1.0
-    v[0], v[1] = 0.0, u1 / carry
-    start, level = 2, math.log(carry)
-    log_scale = np.full(n, level)
+    v[0], v[1] = 0.0, 1.0
+    start, level = 2, 0.0
+    log_scale = np.zeros(n)
     while start < n:
         w0, w1 = v[start - 2], v[start - 1]
         carry = max(abs(w0), abs(w1))
@@ -293,9 +285,9 @@ def _match_point(f):
     return start + int(np.argmin(f[start:end]))
 
 
-def _matched_phase(f, h2, u1, m):
+def _matched_phase(f, h2, m):
     """(Theta, sweeps) of one probe matched at m: an outward sweep from
-    (0, u1) to m + 1 and an inward one from u(r_max) = 0 to m (Pryce,
+    (0, 1) to m + 1 and an inward one from u(r_max) = 0 to m (Pryce,
     Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).
 
     Theta = pi (N_out + N_in) + phi_out + phi_in + theta, with N the sign
@@ -309,10 +301,7 @@ def _matched_phase(f, h2, u1, m):
     levels below E whatever m, wherever 1 - h2 f/12 > 0. At m = n - 2 the
     inward pair is (0, 1) and Theta is the outward sweep's end phase.
     """
-    # at m = n - 2 the inward sweep is its start pair (0, 1) alone
-    inward = (_numerov_sweep(f[m:][::-1], h2, 1.0) if m < f.shape[0] - 2
-              else (np.array([0.0, 1.0]), np.zeros(2)))
-    sweeps = (_numerov_sweep(f[:m + 2], h2, u1), inward)
+    sweeps = (_numerov_sweep(f[:m + 2], h2), _numerov_sweep(f[m:][::-1], h2))
     q = float(h2 * f[m]) / 12.0
     cos = (1.0 + 5.0 * q) / (1.0 - q)
     if -1.0 < cos < 1.0:
@@ -394,7 +383,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     """The lowest n_states levels by Numerov shooting on veff, the effective
     potential at grid.points(); level k is entry k and has k nodes.
 
-    Sweeps start from (u_0, u_1) = (0, h), so u = 0 exactly at r_min
+    Sweeps start from (u_0, u_1) = (0, 1), so u = 0 exactly at r_min
     whatever the potential's sample there. Energies count in the unit
     s (40/r_max)^2, s = hbar^2/2m, so that the window and the tolerance
     scale with the levels. Each probe at E is one matched phase Theta
@@ -414,8 +403,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     r, veff = _checked(veff, grid, n_states)
     if n_states == 0:
         return _finished("Numerov", (), (), r)
-    h = grid.h
-    h2 = h * h
+    h2 = grid.h * grid.h
     pref = 1.0 / consts.s
     reach = DEFAULT_REACH / grid.r_max
     unit = consts.s * (reach * reach)
@@ -428,7 +416,7 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
             f = pref * (veff - E)
         f[0] = 0.0  # r_min's sample only ever multiplies u_0 = 0
         m = _match_point(f)
-        angle, sweeps = _matched_phase(f, h2, h, m)
+        angle, sweeps = _matched_phase(f, h2, m)
         samples.append((E, angle))
         latest = sweeps, m
         return angle

@@ -40,16 +40,16 @@ def node_counts(spec):
     return list(spec.node_counts)
 
 
-def matched_phase(f, h2, u1, m=None):
-    """Theta of the Numerov probe at f = (V - E)/s from (0, u1), matched at
-    m, by default where the solver matches."""
+def matched_phase(f, h2, m=None):
+    """Theta of the Numerov probe at f = (V - E)/s, matched at m, by
+    default where the solver matches."""
     m = oracle._match_point(f) if m is None else m
-    return oracle._matched_phase(f, h2, u1, m)[0]
+    return oracle._matched_phase(f, h2, m)[0]
 
 
-def matched_count(f, h2, u1, m=None):
+def matched_count(f, h2, m=None):
     """floor(Theta/pi): the number of levels below E."""
-    return int(matched_phase(f, h2, u1, m) // math.pi)
+    return int(matched_phase(f, h2, m) // math.pi)
 
 
 def swept_numerov(monkeypatch, veff, consts, grid):
@@ -241,21 +241,21 @@ class TestNumerovSweep:
             f, h2 = self.harmonic_f(E)
             expected = reference_scan_nodes(f, h2, 0.0, 1e-8)
             for m in (None, 1, 1000, f.size - 2):
-                assert matched_count(f, h2, 1e-8, m) == expected, (E, m)
+                assert matched_count(f, h2, m) == expected, (E, m)
 
     def test_matches_reference_on_steep_fixtures(self):
         for f, h2, expected in self.STEEP:
             assert reference_scan_nodes(f, h2, 0.0, 1e-8) == expected
-            v, log_scale = oracle._numerov_sweep(f, h2, 1e-8)
+            v, log_scale = oracle._numerov_sweep(f, h2)
             assert np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e300)
             if h2 * f[0] < 12.0:
-                assert matched_count(f, h2, 1e-8) == expected
+                assert matched_count(f, h2) == expected
 
     def test_node_count_brackets_levels(self):
         # between oscillator levels 3 and 7 the count rises by exactly one
         f_lo, h2 = self.harmonic_f(5.0)
         f_hi, _ = self.harmonic_f(9.0)
-        assert matched_count(f_hi, h2, 1e-8) - matched_count(f_lo, h2, 1e-8) == 1
+        assert matched_count(f_hi, h2) - matched_count(f_lo, h2) == 1
 
     def test_end_phase_needs_a_turning_step(self):
         # constant f: the recurrence turns u by theta = arccos(d/2c) per
@@ -269,7 +269,7 @@ class TestNumerovSweep:
             f = np.full(n, h2f)
             m = oracle._match_point(f)
             assert m == n - 2
-            phase, ((v, log_scale), _) = oracle._matched_phase(f, 1.0, 1e-3, m)
+            phase, ((v, log_scale), _) = oracle._matched_phase(f, 1.0, m)
             if turning:
                 q = h2f / 12.0
                 theta = math.acos((1.0 + 5.0 * q) / (1.0 - q))
@@ -290,21 +290,21 @@ class TestNumerovSweep:
         f[40] = 12.0
         for m in (1, 50):
             with pytest.raises(EvaluationOverflowError):
-                oracle._matched_phase(f, 1.0, 1e-3, m)
+                oracle._matched_phase(f, 1.0, m)
 
     def test_restarts_match_exact_discrete_solution(self):
-        # constant f: u_j = u_1 sinh(j theta)/sinh(theta) with
-        # cosh(theta) = d/(2c) solves the recurrence exactly; it grows by
-        # ~e^2986, so the sweep restarts from renormalised carry-ins
-        n, h2, u1 = 3000, 1.0, 1e-8
+        # constant f: u_j = sinh(j theta)/sinh(theta) with
+        # cosh(theta) = d/(2c) solves the recurrence from (0, 1) exactly; it
+        # grows by ~e^2986, so the sweep restarts from renormalised carry-ins
+        n, h2 = 3000, 1.0
         f = np.ones(n)
         c, d = 1.0 - h2 / 12.0, 2.0 * (1.0 + 5.0 * h2 / 12.0)
         theta = math.acosh(d / (2.0 * c))
-        v, log_scale = oracle._numerov_sweep(f, h2, u1)
+        v, log_scale = oracle._numerov_sweep(f, h2)
         assert np.all(np.abs(v) <= math.exp(600.0))
         assert len(np.unique(log_scale)) > 5
         j = np.arange(1, n)
-        exact = (math.log(u1) + j * theta + np.log1p(-np.exp(-2.0 * j * theta))
+        exact = (j * theta + np.log1p(-np.exp(-2.0 * j * theta))
                  - math.log(2.0 * math.sinh(theta)))
         assert exact[-1] > 2980.0
         got = oracle._log_amplitude(v[1:], log_scale[1:])
@@ -317,7 +317,7 @@ class TestNumerovSweep:
         f = np.zeros(64)
         f[30] = np.nan
         with pytest.raises(EvaluationOverflowError):
-            oracle._numerov_sweep(f, 1.0, 1e-3)
+            oracle._numerov_sweep(f, 1.0)
 
     def test_wavefunctions_normalized(self):
         # past r = 1 the wall has h^2 f = 1, so the sweep grows by ~e^875
@@ -371,8 +371,8 @@ class TestNumerovLevels:
             for k, E in enumerate(spec.energies):
                 assert E > veff[-1]  # every demo level is a box state
                 tol = 1e-10 * max(1.0, abs(E))
-                assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
-                        < matched_phase(veff - (E + tol), h * h, h)), (l, k)
+                assert (matched_phase(veff - (E - tol), h * h) < (k + 1) * math.pi
+                        < matched_phase(veff - (E + tol), h * h)), (l, k)
 
     def test_end_phase_rises_through_demo_levels(self):
         # general.cfg at l = 1: hbar^2/(2m) = 1 and r_max = 40, so f = veff - E
@@ -383,7 +383,7 @@ class TestNumerovLevels:
         h = cfg.grid.h
 
         def phase(E):
-            return matched_phase(veff - E, h * h, h)
+            return matched_phase(veff - E, h * h)
 
         energies = np.linspace(max(veff[-2:]), veff[-1] + 0.5, 4001)[1:]
         phases = np.array([phase(E) for E in energies])
@@ -405,7 +405,7 @@ class TestNumerovLevels:
         h = grid.h
         energies = np.linspace(veff[-1] - 3.0, veff[-1] + 0.5, 2001)
         matched = np.array([oracle._match_point(veff - E) for E in energies])
-        phases = np.array([matched_phase(veff - E, h * h, h) for E in energies])
+        phases = np.array([matched_phase(veff - E, h * h) for E in energies])
         assert {grid.n_points - 2, 7} <= set(matched.tolist())
         rise = np.diff(phases)
         assert np.all(rise[matched[1:] == matched[:-1]] >= 0.0)
@@ -431,11 +431,11 @@ class TestNumerovLevels:
         turning = []
         real_phase = oracle._matched_phase
 
-        def recording(f, h2, u1, m):
+        def recording(f, h2, m):
             if f[1] < 0.0:  # E > 0, as f = veff - E and r_min's neighbour is in the box
                 q = h2 * f[m] / 12.0
                 turning.append(-1.0 < (1.0 + 5.0 * q) / (1.0 - q) < 1.0)
-            return real_phase(f, h2, u1, m)
+            return real_phase(f, h2, m)
 
         with monkeypatch.context() as m:
             m.setattr(oracle, "_matched_phase", recording)
@@ -447,8 +447,8 @@ class TestNumerovLevels:
             if k:
                 assert E == pytest.approx((k * math.pi) ** 2, rel=3e-3)
             tol = 1e-10 * max(1600.0, abs(E))  # unit (40/r_max)^2
-            assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
-                    < matched_phase(veff - (E + tol), h * h, h)), k
+            assert (matched_phase(veff - (E - tol), h * h) < (k + 1) * math.pi
+                    < matched_phase(veff - (E + tol), h * h)), k
 
     # FAULT's two s-wave bound levels are the exact Eckart levels -53 and
     # -30.7778; each bound is the solver's measured error plus 10%
@@ -575,8 +575,8 @@ class TestNumerovLevels:
         assert deep
         for k, E in deep:
             tol = 1e-10 * max(1.0, abs(E))
-            assert (matched_phase(veff - (E - tol), h * h, h) < (k + 1) * math.pi
-                    < matched_phase(veff - (E + tol), h * h, h)), E
+            assert (matched_phase(veff - (E - tol), h * h) < (k + 1) * math.pi
+                    < matched_phase(veff - (E + tol), h * h)), E
 
     def test_floor_with_nodes_is_resolution_error(self):
         params = family_params(a=1.0, V0=1000.0)
