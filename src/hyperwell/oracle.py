@@ -153,14 +153,13 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
 
     A grid whose s/h^2 is not a positive finite number is refused
     (EvaluationOverflowError): h^2 = inf would leave T = diag(V), and
-    h^2 = 0 a T of infinite entries.
-    ConvergenceError is raised for a level outside its bracket,
-    |E - w| > tol (a polluted vector), and where the block would have to
-    grow to n_points/4 levels; that message names s/h^2 when adding it
-    leaves every diagonal entry unchanged, so that T is diag(V) to
-    rounding. Such a T is not refused outright: a single level at V's
-    interior minimum is still its lowest eigenvalue. Each state is L2-normalized with the
-    trapezoid rule and signed so that its lobe nearest the origin is
+    h^2 = 0 a T of infinite entries. So is an s/h^2 that vanishes beside
+    V, where adding 2 s/h^2 changes no interior diagonal entry: T is then
+    diag(V) to rounding, and its eigenvalues are samples of V with
+    nodeless vectors. ConvergenceError is raised for a level outside its
+    bracket, |E - w| > tol (a polluted vector), and where the block would
+    have to grow to n_points/4 levels. Each state is L2-normalized with
+    the trapezoid rule and signed so that its lobe nearest the origin is
     positive.
     """
     r, veff = _checked(veff, grid, n_states)
@@ -172,6 +171,10 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         raise EvaluationOverflowError(
             f"fd_spectrum: s/h^2 = {t!r} is not a positive finite number (h^2 = {h * h!r})")
     diag = 2.0 * t + veff[1:-1]
+    if np.array_equal(diag, veff[1:-1]):
+        raise EvaluationOverflowError(
+            f"fd_spectrum: s/h^2 = {t:.3g} vanishes beside V "
+            "(adding 2 s/h^2 changes no interior diagonal entry)")
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
     block = n_states
@@ -190,13 +193,9 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
             if reach <= block:
                 break
             if reach >= grid.n_points / 4:
-                cause = ""
-                if np.array_equal(diag, veff[1:-1]):
-                    cause = (f"; s/h^2 = {t:.3g} vanishes beside V (adding 2 s/h^2 "
-                             "changes no diagonal entry)")
                 raise ConvergenceError(
                     f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
-                    f"other closer than {_EIG_GAP * tol:.3g}{cause}")
+                    f"other closer than {_EIG_GAP * tol:.3g}")
             block = reach
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"fd_spectrum: LAPACK eigensolver failed: {exc}") from exc

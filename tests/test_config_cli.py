@@ -288,25 +288,31 @@ class TestCliExitCodes:
             "potential.V1 = -0.25\nconstants.mass = 1e300\ngrid.r_max = 1e-3\n"
             "grid.n_points = 400\n",
             ["oracle", "--n", "0", "--l", "7"], "per_l",
-            ["numerov_spectrum: h^2 (V - E)/s is non-finite at r = 3.5037593984962407e-06"],
-            [[231203.556190]]),
+            ["fd_spectrum: s/h^2 = 7.98e-290 vanishes beside V"],
+            [None]),
         # alpha^2 and s alpha^2 by Python's ** raised OverflowError (exit 3)
         "huge-alpha": (
             HUGE_ALPHA, ["oracle", "--n", "0", "--l", "0"], "per_l",
-            ["fd_spectrum: levels 0 to 1997 follow each other closer than 1e-10; "
-             "s/h^2 = 4e-54 vanishes beside V"],
+            ["fd_spectrum: s/h^2 = 4e-54 vanishes beside V"],
             None),
         # B/(s alpha^2) overflowed in kappa_radicand with a numpy warning
         "tiny-hbar": (
             "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
             ["oracle", "--n", "0", "--l", "0"], "per_l",
-            ["numerov_spectrum: h^2 (V - E)/s is non-finite at r = 0.02001100450225113"],
+            ["fd_spectrum: s/h^2 = 2.5e-317 vanishes beside V"],
             None),
+        # FD returned V's three lowest samples as levels, each with no node
+        "vanishing-kinetic": (
+            "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
+            ["oracle", "--n", "0..2", "--l", "0"], "per_l",
+            ["fd_spectrum: s/h^2 = 2.5e-317 vanishes beside V (adding 2 s/h^2 changes "
+             "no interior diagonal entry)"],
+            [None]),
         # FD's upper count bound overflowed with a numpy warning
         "top-depth": (
             "potential.d = 1.7976931348623157e308\n",
             ["oracle", "--n", "0", "--l", "0"], "per_l",
-            ["fd_spectrum: levels 0 to 1997 follow each other closer than 1.8e+298"],
+            ["fd_spectrum: s/h^2 = 2.5e+03 vanishes beside V"],
             None),
         # h^2 underflows to 0: s/h^2 raised ZeroDivisionError and the Numerov
         # unit's ** OverflowError (exit 3)

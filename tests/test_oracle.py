@@ -962,26 +962,27 @@ class TestSpectrumStructure:
 
     def test_block_growth_is_bounded(self, monkeypatch):
         # with every level closer than the gap the block would hold the
-        # whole spectrum; it stops at n_points/4. s/h^2 moves the diagonal
-        # here, so the message does not name it
+        # whole spectrum; it stops at n_points/4
         monkeypatch.setattr(oracle, "_EIG_GAP", 1e15)
         with pytest.raises(ConvergenceError, match="closer than") as info:
             fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
         assert "s/h^2" not in str(info.value)
 
-    def test_vanishing_kinetic_coupling_is_named(self):
+    def test_vanishing_kinetic_coupling_is_named(self, monkeypatch):
         # alpha = 1e-30 puts h near 2e29, so s/h^2 = 9.9e-59 beside V near
-        # 1499 and T is diag(V) to rounding: the gap refusal names the cause
+        # 1499 and T is diag(V) to rounding: refused before any LAPACK call
         config = parse_config(
             "potential.b = 0.5\npotential.c = 3\npotential.d = 1000\npotential.V1 = 1000\n"
             "potential.V2 = 3\npotential.alpha = 1e-30\nconstants.hbar = 2\n"
             "grid.n_points = 200\n")
         veff = effective_potential(config.params, config.consts, 1, config.grid.points())
-        with pytest.raises(ConvergenceError) as info:
-            fd_spectrum(veff, config.consts, config.grid, 3)
-        assert str(info.value) == (
-            "fd_spectrum: levels 2 to 145 follow each other closer than 1.35e-06; "
-            "s/h^2 = 9.9e-59 vanishes beside V (adding 2 s/h^2 changes no diagonal entry)")
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", None)
+        for n_states in (1, 3):
+            with pytest.raises(EvaluationOverflowError) as info:
+                fd_spectrum(veff, config.consts, config.grid, n_states)
+            assert str(info.value) == (
+                "fd_spectrum: s/h^2 = 9.9e-59 vanishes beside V "
+                "(adding 2 s/h^2 changes no interior diagonal entry)")
 
     def test_vanishing_energy_unit_is_refused(self, monkeypatch):
         # s = 5e-301 and r_max = 1e13 make the unit s (40/r_max)^2 = 1e-323,

@@ -28,9 +28,10 @@ Extreme but valid inputs close the list: two whose centrifugal barrier
 overflows, one whose F = R exp(beta r/2) overflows in `validate`'s ODE
 residual, one whose Numerov probe overflows, an alpha whose square
 overflows (spectrum, effective and oracle), one whose 1/(s alpha^2)
-overflows, an hbar whose B/(s alpha^2) overflows, a d at the top of the
-float range, a grid whose h^2 underflows, and an r_max at the top of the
-float range (wavefunction, and potential on 64 points).
+overflows, an hbar whose B/(s alpha^2) overflows (oracle at n 0 and at
+n 0..2), a d at the top of the float range, a grid whose h^2
+underflows, and an r_max at the top of the float range (wavefunction,
+and potential on 64 points).
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -59,6 +60,7 @@ OTHER_S = (("fault_mass5", "fault", "constants.mass = 0.5", "constants.mass = 5"
            ("draw0_hbar2", "draw0", "constants.hbar = 1", "constants.hbar = 2"))
 HUGE_ALPHA = "potential.alpha = 1e160\ngrid.r_min = 3\ngrid.r_max = 1e30\n"
 TOP = "grid.r_max = 1.7976931348623157e308\n"
+TINY_HBAR = "potential.V0 = 1e30\nconstants.hbar = 1e-160\n"
 # name, config text and command of each extreme input
 EXTREME = (
     ("wide_grid", "potential.a = 20\npotential.b = 1e-30\nconstants.mass = 1e-300\n"
@@ -81,8 +83,8 @@ EXTREME = (
     ("huge_alpha_oracle", HUGE_ALPHA, ["oracle", "--n", "0", "--l", "0"]),
     ("huge_scale", "potential.V2 = -1\npotential.alpha = 1e-160\ngrid.r_min = 20\n",
      ["validate", "--n", "0", "--l", "0"]),
-    ("tiny_hbar", "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
-     ["oracle", "--n", "0", "--l", "0"]),
+    ("tiny_hbar", TINY_HBAR, ["oracle", "--n", "0", "--l", "0"]),
+    ("vanishing_kinetic", TINY_HBAR, ["oracle", "--n", "0..2", "--l", "0"]),
     ("top_depth", "potential.d = 1.7976931348623157e308\n", ["oracle", "--n", "0", "--l", "0"]),
     ("tiny_grid", "potential.a = 0\npotential.b = 0\npotential.c = 0\n"
      "grid.r_min = 1e-300\ngrid.r_max = 1e-160\n", ["oracle", "--n", "0", "--l", "0"]),
