@@ -254,6 +254,7 @@ class TestCliExitCodes:
             "eval_potential: term b*V1*coth^2 is non-finite at r = 1e-200")
 
     HUGE_ALPHA = "potential.alpha = 1e160\ngrid.r_min = 3\ngrid.r_max = 1e30\n"
+    TINY_HBAR = "potential.V0 = 1e30\nconstants.hbar = 1e-160\n"
 
     # extreme but valid inputs where an overflowing barrier, F = R exp(beta r/2)
     # or Numerov probe once leaked numpy warnings and printed NaN: (config,
@@ -297,14 +298,12 @@ class TestCliExitCodes:
             None),
         # B/(s alpha^2) overflowed in kappa_radicand with a numpy warning
         "tiny-hbar": (
-            "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
-            ["oracle", "--n", "0", "--l", "0"], "per_l",
+            TINY_HBAR, ["oracle", "--n", "0", "--l", "0"], "per_l",
             ["fd_spectrum: s/h^2 = 2.5e-317 vanishes beside V"],
             None),
         # FD returned V's three lowest samples as levels, each with no node
         "vanishing-kinetic": (
-            "potential.V0 = 1e30\nconstants.hbar = 1e-160\n",
-            ["oracle", "--n", "0..2", "--l", "0"], "per_l",
+            TINY_HBAR, ["oracle", "--n", "0..2", "--l", "0"], "per_l",
             ["fd_spectrum: s/h^2 = 2.5e-317 vanishes beside V (adding 2 s/h^2 changes "
              "no interior diagonal entry)"],
             [None]),
