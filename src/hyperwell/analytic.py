@@ -214,7 +214,8 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
     variants, and the printed discrete eigenvalue whose index is swapped
     for the auxiliary u in the reference text. One enumerate_branches pass
     feeds everything: the k candidates are ``branches[::2]`` and
-    pi_tau_select picks from the same list.
+    pi_tau_select picks from the same list. A tau is given as [c0, c1]:
+    tau_bar has degree <= 1 and pi is linear, so its c2 is 0.
 
     Returns (diagnostics, engine check). The engine check holds the
     mismatch |lambda - lambda_n| on the physical branch, or, when no
@@ -253,12 +254,11 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
     lambda_n_printed = u * sqrt_upv - u * (u + 1.0)
 
     diag = {
-        "k_mechanical": [complex(k) for k in ks],
         "k_reference": [complex(k) for k in k_ref],
         "k_best_pair_delta": float(k_delta),
         "k_reference_disc": [float(disc_at(k)) for k in k_ref],
         "k_mechanical_disc": [float(disc_at(k)) for k in ks],
-        "tau_reference": list(tau_ref.coeffs()),
+        "tau_reference": [complex(tau_ref.c0), complex(tau_ref.c1)],
         "lambda_n_from_reference_tau": complex(lambda_n_ref_tau),
         "lambda_n_printed": complex(lambda_n_printed),
         "lambda_n_printed_delta": float(abs(lambda_n_printed - lambda_n_ref_tau)),
@@ -268,11 +268,8 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
     }
 
     # deltas hold for every enumerated branch, whether or not one qualifies
-    diag["branch_tau_primes"] = [complex(c.tau.c1) for c in branches]
     nearest = min(branches, key=lambda c: abs(c.tau.c0 - tau_ref.c0)
                   + abs(c.tau.c1 - tau_ref.c1))
-    diag["nearest_branch"] = list(nearest.branch)
-    diag["tau_nearest"] = list(nearest.tau.coeffs())
     diag["tau_delta"] = [float(abs(nearest.tau.c0 - tau_ref.c0)),
                          float(abs(nearest.tau.c1 - tau_ref.c1))]
     diag["lambda_reference_plus_variant"] = complex(lam_ref_plus)
@@ -288,7 +285,7 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
         mismatch = min(abs(complex(b.lam) - lambda_n_of(problem, b.tau, n)) for b in branches)
         return diag, {"engine_lambda_mismatch": mismatch, "physical_branch": False}
     diag.update({
-        "tau_mechanical": list(sol.tau.coeffs()),
+        "tau_mechanical": [complex(sol.tau.c0), complex(sol.tau.c1)],
         "lambda_mechanical": complex(sol.lam),
         "branch": list(sol.branch),
         "multiplicity": sol.multiplicity,
@@ -315,7 +312,7 @@ class RadialWavefunction:
         self.n = int(n)
         self.dp = dp
         self.aux = aux_quantities(dp)
-        self.norm_constant = 1.0 + 0.0j
+        self.norm_constant = 1.0
         self.norm_window = (_NORM_WINDOW[0] / params.alpha, _NORM_WINDOW[1] / params.alpha)
         self.norm_integral = None
 
@@ -391,7 +388,7 @@ def radial_wavefunction(params, level: EnergyLevel) -> RadialWavefunction:
     if not (integral > 0.0) or not math.isfinite(integral):
         raise NonNormalizableError(
             f"normalization integral is {integral}; cannot scale", end="origin")
-    wf.norm_constant = complex(1.0 / math.sqrt(integral))
+    wf.norm_constant = 1.0 / math.sqrt(integral)
     wf.norm_integral = float(integral)
     return wf
 

@@ -47,9 +47,6 @@ class Poly:
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
 
-    def coeffs(self):
-        return (complex(self.c0), complex(self.c1), complex(self.c2))
-
 
 @dataclass(frozen=True)
 class NUProblem:
@@ -108,7 +105,8 @@ def k_candidates(problem: NUProblem):
     sg = problem.sigma
     # the radicand at k = 0: A(k) = a0 + k sigma.c2, B(k) = b0 + k sigma.c1
     # and C(k) = c0 + k sigma.c0
-    c0, b0, a0 = radicand_coeffs(problem, 0.0).coeffs()
+    rad = radicand_coeffs(problem, 0.0)
+    c0, b0, a0 = rad.c0, rad.c1, rad.c2
     k2 = sg.c1 * sg.c1 - 4.0 * sg.c2 * sg.c0
     k1 = 2.0 * b0 * sg.c1 - 4.0 * (a0 * sg.c0 + c0 * sg.c2)
     k0 = b0 * b0 - 4.0 * a0 * c0

@@ -33,9 +33,7 @@ from .exact import fall_to_center_unreliable
 from .oracle import fd_spectrum, numerov_spectrum
 from .potential import KINDS, effective_potential, scan_series, with_gaps
 
-SCHEMA_VERSION = 1
-# validate holds one record per state under `states` from version 2 on
-VALIDATE_SCHEMA_VERSION = 2
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +133,12 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
         abs_sq = abs(values) ** 2
     columns = [r.tolist(), values.real.tolist(), values.imag.tolist(),
                with_gaps(abs_sq, np.isinf(abs_sq))]
+    energy = level.energy
     tail = [
         f"n = {n}, l = {l}, branch = {level.branch}",
-        f"energy = {fmt_number(level.energy.real)} + {fmt_number(level.energy.imag)}i",
-        f"N = {fmt_number(wf.norm_constant.real)} + {fmt_number(wf.norm_constant.imag)}i",
+        f"energy = {fmt_number(energy.real)} {'-' if energy.imag < 0 else '+'} "
+        f"{fmt_number(abs(energy.imag))}i",
+        f"N = {fmt_number(wf.norm_constant)}",
         f"norm_integral = {fmt_number(wf.norm_integral)} over "
         f"[{fmt_number(wf.norm_window[0])}, {fmt_number(wf.norm_window[1])}]",
     ]
@@ -150,10 +150,10 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
 # JSON reports
 # ---------------------------------------------------------------------------
 
-def _header(kind, config, version=SCHEMA_VERSION) -> dict:
+def _header(kind, config) -> dict:
     """The fields every JSON report opens with: its schema version, its
     kind and the config it ran on."""
-    return {"schema_version": version, "kind": kind, "config": {
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "config": {
         "potential": asdict(config.params), "constants": asdict(config.consts),
         "state": {"n": list(config.n_list), "l": list(config.l_list)},
         "grid": asdict(config.grid)}}
@@ -170,7 +170,6 @@ def _level_record(level: EnergyLevel) -> dict:
         "energy": level.energy,
         "energy_alt": level.energy_alt,
         "residual_quantization": level.residual_quantization,
-        "imag_magnitude": abs(level.energy.imag),
     }
 
 
@@ -187,10 +186,8 @@ def _spectrum_entry(params, consts, n, l, variant="quadratic"):
     except SingularCoefficientError as exc:
         entry["singular"] = {"reason": str(exc)}
         return entry, None
-    chosen = choose_level(levels)
     entry["branches"] = [_level_record(lv) for lv in levels]
-    entry["chosen_branch"] = chosen.branch
-    entry["chosen_re_energy"] = chosen.energy.real
+    entry["chosen_branch"] = choose_level(levels).branch
     return entry, levels
 
 
@@ -346,7 +343,7 @@ def build_validate_report(config) -> dict:
     solved = [_oracle_block(config, l, n_states) for l in config.l_list]
     r_samples = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
     return {
-        **_header("validate", config, VALIDATE_SCHEMA_VERSION),
+        **_header("validate", config),
         "potential": {
             "asymptote": params.asymptote,
             "origin_unreliable_per_l": {

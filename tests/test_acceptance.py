@@ -76,7 +76,7 @@ def test_criterion_01_radicand_transcription():
         k = complex(rng.normal(), rng.normal())
         rad = radicand_coeffs(triple_problem(eps2, beta2, gamma2), k)
         want = (beta2 + 4.0 * eps2 + 4.0 * k, -4.0 * beta2, 4.0 * k - 4.0 * gamma2)
-        got = tuple(4.0 * c for c in rad.coeffs())
+        got = (4.0 * rad.c0, 4.0 * rad.c1, 4.0 * rad.c2)
         for g, w in zip(got, want):
             worst = max(worst, abs(g - w) / max(abs(w), 1.0))
     ok = worst <= 1e-14

@@ -27,7 +27,7 @@ from hyperwell.errors import (
     NonNormalizableError,
     SingularCoefficientError,
 )
-from hyperwell.nu import enumerate_branches, lambda_n_of, pi_tau_select
+from hyperwell.nu import Poly, enumerate_branches, lambda_n_of, pi_tau_select
 from hyperwell.potential import PhysicalConstants, PotentialParams
 from params import CONFIGS, seeded_params, uniform_params
 
@@ -99,9 +99,9 @@ class TestDimensionless:
     def test_nu_problem_triple(self):
         dp = energy_levels(DEMO, CONSTS, 0, 0)[0].dp
         prob = nu_problem(dp)
-        assert prob.sigma.coeffs() == (1.0 + 0j, 0j, 1.0 + 0j)
-        assert prob.sigma_bar.coeffs() == (-dp.eps2, dp.beta2, dp.gamma2)
-        assert prob.tau_bar.coeffs() == (dp.beta, 2.0 + 0j, 0j)
+        assert prob.sigma == Poly(1.0, 0.0, 1.0)
+        assert prob.sigma_bar == Poly(-dp.eps2, dp.beta2, dp.gamma2)
+        assert prob.tau_bar == Poly(dp.beta, 2.0, 0.0)
 
 
 class TestAuxQuantities:
@@ -220,15 +220,27 @@ class TestEnergyLevels:
 
 
 class TestDiagnostics:
+    DELTA_KEYS = {
+        "k_reference", "k_best_pair_delta", "k_reference_disc", "k_mechanical_disc",
+        "tau_reference", "lambda_n_from_reference_tau", "lambda_n_printed",
+        "lambda_n_printed_delta", "lambda_n_index_swap_delta", "tau_delta",
+        "lambda_reference_plus_variant", "lambda_reference_minus_variant",
+        "lambda_reference_plus_residual", "lambda_reference_minus_residual"}
+
     def test_always_has_delta_keys(self):
+        # n 0, l 0 has no branch with Re(tau') < 0 and n 0, l 1 has one; each
+        # form holds exactly these keys, and a tau holds its c0 and c1
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        diag = closed_form_diagnostics(lv.dp, 0)[0]
-        for key in ("k_mechanical", "k_reference", "k_best_pair_delta",
-                    "k_reference_disc", "k_mechanical_disc", "tau_reference",
-                    "lambda_n_printed_delta", "lambda_n_index_swap_delta",
-                    "branch_tau_primes", "nearest_branch", "tau_delta",
-                    "lambda_reference_plus_residual", "lambda_reference_minus_residual"):
-            assert key in diag, key
+        diag, engine = closed_form_diagnostics(lv.dp, 0)
+        assert not engine["physical_branch"]
+        assert set(diag) == self.DELTA_KEYS | {"selection_error"}
+        assert len(diag["tau_reference"]) == 2
+        lv = energy_levels(DEMO, CONSTS, 0, 1)[0]
+        diag, engine = closed_form_diagnostics(lv.dp, 0)
+        assert engine["physical_branch"]
+        assert set(diag) == self.DELTA_KEYS | {
+            "tau_mechanical", "lambda_mechanical", "branch", "multiplicity"}
+        assert len(diag["tau_reference"]) == len(diag["tau_mechanical"]) == 2
 
     def test_mechanical_k_has_zero_discriminant(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
@@ -254,7 +266,7 @@ class TestDiagnostics:
 
     def test_quantization_residual_gauge(self):
         # a self-consistent textbook problem has residual ~0 at quantized eps
-        from hyperwell.nu import NUProblem, Poly
+        from hyperwell.nu import NUProblem
         prob = NUProblem(Poly(1.0), Poly(7.0, 0.0, -1.0), Poly(0.0))  # oscillator n=3
         sol = pi_tau_select(enumerate_branches(prob))
         assert abs(complex(sol.lam) - lambda_n_of(prob, sol.tau, 3)) < 1e-12

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperwell.analytic import energy_levels
 from hyperwell.cli import main
 from hyperwell.config import parse_config, parse_float_list, parse_int_list
 from hyperwell.errors import ConfigError, EvaluationOverflowError
@@ -623,16 +624,22 @@ class TestCsvOutputs:
         assert abs(total - 1.0) < 1e-4
 
     def test_norm_line_prints_the_integral_behind_n(self):
-        # N = 1/sqrt(I), so the printed N and I give I |N|^2 = 1 to the 9
-        # significant digits each is printed with (at most 1.5e-8 apart)
+        # N = 1/sqrt(I), so the printed N and I give I N^2 = 1 to the 9
+        # significant digits each is printed with (at most 1.5e-8 apart); the
+        # energy line above them reads a + bi or a - bi, never a + -bi
         config = parse_config((CONFIGS / "general.cfg").read_text())
         for n, l, branch in ((0, 0, "plus"), (1, 1, "plus"), (2, 0, "minus")):
             text = wavefunction_csv(replace(config, n_list=(n,), l_list=(l,)), branch)
-            n_line, norm_line = text.splitlines()[-2:]
-            _, name, _, re, _, im = n_line.split()
-            assert name == "N" and im.endswith("i")
+            energy_line, n_line, norm_line = text.splitlines()[-3:]
+            _, name, _, value = n_line.split()
+            assert name == "N"
             integral = float(norm_line.split()[3])
-            assert abs(integral * abs(complex(float(re), float(im[:-1]))) ** 2 - 1.0) <= 2e-8
+            assert abs(integral * float(value) ** 2 - 1.0) <= 2e-8
+            _, name, _, re, sign, im = energy_line.split()
+            assert name == "energy" and sign in "+-" and im[0] != "-" and im.endswith("i")
+            level = {lv.branch: lv for lv in energy_levels(config.params, config.consts, n, l)}
+            assert complex(float(re), float(sign + im[:-1])) == pytest.approx(
+                level[branch].energy, rel=1e-8)
 
     def test_overflowing_abs_r_sq_is_a_gap(self, tmp_path, capsys):
         # |R| is about 1e229 at r = 1e-200, so |R|^2 overflows: an empty cell
@@ -661,6 +668,11 @@ class TestJsonOutputs:
         assert len(entries) == 9
         assert all(e["singular"] is None for e in entries)
         assert all(len(e["branches"]) == 2 for e in entries)
+        # exact key sets: a value that only repeats another stays out
+        assert all(set(e) == {"n", "l", "singular", "branches", "chosen_branch"}
+                   for e in entries)
+        assert all(set(b) == {"branch", "eps2", "energy", "energy_alt", "residual_quantization"}
+                   for e in entries for b in e["branches"])
 
     def test_spectrum_scarf_all_singular(self):
         proc = run_cli("spectrum", "--config", str(CONFIGS / "scarf.cfg"), "--out", "-")

@@ -32,7 +32,7 @@ class TestPoly:
     def test_call_and_derivative(self):
         p = Poly(1.0, -2.0, 3.0)
         assert p(2.0) == pytest.approx(1.0 - 4.0 + 12.0)
-        assert p.derivative().coeffs() == (-2.0 + 0j, 6.0 + 0j, 0j)
+        assert p.derivative() == Poly(-2.0, 6.0, 0.0)
         assert Poly().is_zero()
 
     def test_nonfinite_rejected(self):

@@ -206,10 +206,9 @@ def test_states_equal_direct_calls(config):
             "n": n, "l": l, "singular": None,
             "branches": [{"branch": lv.branch, "eps2": lv.dp.eps2, "energy": lv.energy,
                           "energy_alt": lv.energy_alt,
-                          "residual_quantization": lv.residual_quantization,
-                          "imag_magnitude": abs(lv.energy.imag)} for lv in quad],
+                          "residual_quantization": lv.residual_quantization}
+                         for lv in quad],
             "chosen_branch": level.branch,
-            "chosen_re_energy": level.energy.real,
             "spectrum_variant": {"eps2": [lv.dp.eps2 for lv in spec],
                                  "max_root_delta": max(abs(q.dp.eps2 - s.dp.eps2)
                                                        for q, s in zip(quad, spec))},
@@ -224,14 +223,19 @@ def test_states_equal_direct_calls(config):
 
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
 def test_validate_schema_2(name):
+    # all four reports carry schema version 2 and meet their own schemas
     import jsonschema
 
-    schema = json.loads((Path(analytic.__file__).parent / "schemas" / "validate.json")
-                        .read_text())
-    doc = json.loads(json_document(build_validate_report(load(name))))
+    config = load(name)
+    builders = {"spectrum": build_spectrum_report, "oracle": build_oracle_report,
+                "nu_check": build_nu_check_report, "validate": build_validate_report}
+    for kind, build in builders.items():
+        schema = json.loads((Path(analytic.__file__).parent / "schemas" / f"{kind}.json")
+                            .read_text())
+        doc = json.loads(json_document(build(config)))
+        assert doc["schema_version"] == 2
+        jsonschema.validate(doc, schema)
     assert list(doc) == ["schema_version", "kind", "config", "potential", "states", "oracle"]
-    assert doc["schema_version"] == 2
-    jsonschema.validate(doc, schema)
 
 
 # ---------------------------------------------------------------------------
