@@ -85,7 +85,6 @@ class EnergyLevel:
     branch: str  # 'plus' or 'minus' root of the quantization quadratic
     dp: DimensionlessParams  # the map at this root: dp.eps2 is the root
     energy: complex
-    energy_alt: complex  # secondary grouping: trailing -d instead of +d
     residual_quantization: float
 
 
@@ -183,9 +182,9 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     The map of l is built once; each level carries it with eps^2 set to
     its root. E solves the printed definition
     eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d), with
-    c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1; energy_alt groups d with
-    the opposite sign. The energies are complex in general;
-    residual_quantization records the scaled back-substitution residual.
+    c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1. The energies are complex
+    in general; residual_quantization records the scaled back-substitution
+    residual.
     """
     require_index(n, "energy_levels: n")
     require_index(l, "energy_levels: l")
@@ -197,12 +196,10 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     shift = l_map.beta2.real / 4.0 + l_map.gamma2.real / pref + params.b * params.V1
     out = []
     for z, label in zip(roots, labels):
-        core = -z / pref - shift
-        energy = core + params.d
         scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
         out.append(EnergyLevel(
             n=int(n), l=int(l), branch=label, dp=replace(l_map, eps2=complex(z)),
-            energy=energy, energy_alt=core - params.d,
+            energy=-z / pref - shift + params.d,
             residual_quantization=abs(c2 * z * z + c1 * z + c0) / scale))
     return tuple(out)
 
@@ -259,12 +256,8 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
         "k_reference_disc": [float(disc_at(k)) for k in k_ref],
         "k_mechanical_disc": [float(disc_at(k)) for k in ks],
         "tau_reference": [complex(tau_ref.c0), complex(tau_ref.c1)],
-        "lambda_n_from_reference_tau": complex(lambda_n_ref_tau),
         "lambda_n_printed": complex(lambda_n_printed),
         "lambda_n_printed_delta": float(abs(lambda_n_printed - lambda_n_ref_tau)),
-        # swapping the index back for u reproduces the mechanical value exactly
-        "lambda_n_index_swap_delta": float(abs(
-            (float(n) * sqrt_upv - float(n) * (float(n) + 1.0)) - lambda_n_ref_tau)),
     }
 
     # deltas hold for every enumerated branch, whether or not one qualifies

@@ -33,7 +33,7 @@ from .exact import fall_to_center_unreliable
 from .oracle import fd_spectrum, numerov_spectrum
 from .potential import KINDS, effective_potential, scan_series, with_gaps
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,6 @@ def _level_record(level: EnergyLevel) -> dict:
         "branch": level.branch,
         "eps2": level.dp.eps2,
         "energy": level.energy,
-        "energy_alt": level.energy_alt,
         "residual_quantization": level.residual_quantization,
     }
 
@@ -205,18 +204,14 @@ def build_spectrum_report(config, variant="quadratic") -> dict:
 # ---------------------------------------------------------------------------
 
 def _spectrum_record(spec: oracle.NumericSpectrum, flagged: bool) -> dict:
-    """One solver's levels; `flagged` marks a fall-to-center case."""
-    notes = list(spec.notes)
-    if flagged:
-        notes.append("origin attraction exceeds the fall-to-center threshold; "
-                     "levels depend on r_min")
+    """One solver's levels; `flagged` marks a fall-to-center case, whose
+    levels depend on r_min."""
     return {
-        "method": spec.method,
         "energies": list(spec.energies),
         "indices": list(range(len(spec.energies))),
         "node_counts": list(spec.node_counts),
         "unreliable": flagged,
-        "notes": notes,
+        "notes": list(spec.notes),
     }
 
 
@@ -297,7 +292,8 @@ def build_nu_check_report(config, branch="plus") -> dict:
 def _state_record(params, consts, n, l, fd, r_samples) -> dict:
     """One requested state: its spectrum entry and, unless singular, the
     spectrum-variant roots, the distance of the chosen level from FD level
-    n, the engine check with the NU diagnostics and the ODE residual.
+    n, the engine check with the NU diagnostics and the ODE residual at
+    r_samples, which the document renders once.
 
     The distance is |E - E_FD[n]|, a complex modulus, and that over
     |E_FD[n]| floored at 1; it is left out where FD has no level n. A
@@ -328,7 +324,6 @@ def _state_record(params, consts, n, l, fd, r_samples) -> dict:
     try:
         wf = RadialWavefunction(params, n, level.dp)
         record["ode_residual"] = {
-            "r_samples": r_samples,
             "residual": ode_residual(wf, params, consts, level.energy, l, r_samples)}
     except HyperwellError as exc:
         record["ode_residual"] = {"error": str(exc)}
@@ -337,7 +332,8 @@ def _state_record(params, consts, n, l, fd, r_samples) -> dict:
 
 def build_validate_report(config) -> dict:
     """One record per requested state (l outer, n inner) beside the per-l
-    oracle blocks that the oracle report renders too."""
+    oracle blocks that the oracle report renders too; r_samples holds the
+    radii of every state's ODE residual."""
     params, consts = config.params, config.consts
     n_states = _n_states(config)
     solved = [_oracle_block(config, l, n_states) for l in config.l_list]
@@ -350,6 +346,7 @@ def build_validate_report(config) -> dict:
                 str(l): fall_to_center_unreliable(params, consts, l)
                 for l in config.l_list},
         },
+        "r_samples": r_samples,
         "states": [_state_record(params, consts, n, l, fd, r_samples)
                    for l, (_, fd) in zip(config.l_list, solved) for n in config.n_list],
         "oracle": {"per_l": [block for block, _ in solved]},

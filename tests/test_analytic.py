@@ -200,8 +200,6 @@ class TestEnergyLevels:
             scale = pref * max(abs(lv.energy), abs(params.d), params.a * params.V0,
                                params.c * params.V2, params.alpha**2 * lv.l * (lv.l + 1))
             assert abs(got - lv.dp.eps2) <= 1e-13 * scale, (params, lv)
-            # alternate grouping differs by exactly 2d
-            assert lv.energy - lv.energy_alt == pytest.approx(2.0 * params.d)
 
     def test_variant_changes_roots(self):
         quad = energy_levels(DEMO, CONSTS, 0, 0, variant="quadratic")
@@ -222,8 +220,7 @@ class TestEnergyLevels:
 class TestDiagnostics:
     DELTA_KEYS = {
         "k_reference", "k_best_pair_delta", "k_reference_disc", "k_mechanical_disc",
-        "tau_reference", "lambda_n_from_reference_tau", "lambda_n_printed",
-        "lambda_n_printed_delta", "lambda_n_index_swap_delta", "tau_delta",
+        "tau_reference", "lambda_n_printed", "lambda_n_printed_delta", "tau_delta",
         "lambda_reference_plus_variant", "lambda_reference_minus_variant",
         "lambda_reference_plus_residual", "lambda_reference_minus_residual"}
 
@@ -251,18 +248,24 @@ class TestDiagnostics:
         assert min(diag["k_reference_disc"]) > 1e-3
         assert diag["k_best_pair_delta"] > 0.1
 
+    @staticmethod
+    def reference_lambda_n(dp, n):
+        """lambda_n of the reference tau = nu + mu s, and sqrt(u + v)."""
+        aux = aux_quantities(dp)
+        tau_ref = Poly(aux.nu, aux.mu, 0.0)
+        return lambda_n_of(nu_problem(dp), tau_ref, n), cmath.sqrt(aux.u + aux.v)
+
     def test_index_swap_identity(self):
-        # swapping u back to n in the printed eigenvalue reproduces the
-        # reference-tau value exactly
+        # swapping u back to n in the printed eigenvalue u sqrt(u+v) - u(u+1)
+        # reproduces the reference-tau value; the printed value is far off
         lv = energy_levels(DEMO, CONSTS, 1, 0)[0]
-        diag = closed_form_diagnostics(lv.dp, 1)[0]
-        assert diag["lambda_n_index_swap_delta"] < 1e-12
-        assert diag["lambda_n_printed_delta"] > 1.0
+        got, sqrt_upv = self.reference_lambda_n(lv.dp, 1)
+        assert abs(got - (sqrt_upv - 2.0)) < 1e-12
+        assert closed_form_diagnostics(lv.dp, 1)[0]["lambda_n_printed_delta"] > 1.0
 
     def test_lambda_zero_at_n_zero(self):
         lv = energy_levels(DEMO, CONSTS, 0, 0)[0]
-        diag = closed_form_diagnostics(lv.dp, 0)[0]
-        assert abs(diag["lambda_n_from_reference_tau"]) == 0.0
+        assert self.reference_lambda_n(lv.dp, 0)[0] == 0.0
 
     def test_quantization_residual_gauge(self):
         # a self-consistent textbook problem has residual ~0 at quantized eps
@@ -309,7 +312,7 @@ class TestWavefunction:
         # powers overflow inside the window; the integrand turns non-finite
         lv = EnergyLevel(n=0, l=0, branch="plus",
                          dp=dimensionless_from_eps2(DEMO, CONSTS, 1e12 + 0j, 0), energy=0j,
-                         energy_alt=0j, residual_quantization=0.0)
+                         residual_quantization=0.0)
         with pytest.raises(NonNormalizableError):
             radial_wavefunction(DEMO, lv)
 

@@ -671,7 +671,7 @@ class TestJsonOutputs:
         # exact key sets: a value that only repeats another stays out
         assert all(set(e) == {"n", "l", "singular", "branches", "chosen_branch"}
                    for e in entries)
-        assert all(set(b) == {"branch", "eps2", "energy", "energy_alt", "residual_quantization"}
+        assert all(set(b) == {"branch", "eps2", "energy", "residual_quantization"}
                    for e in entries for b in e["branches"])
 
     def test_spectrum_scarf_all_singular(self):

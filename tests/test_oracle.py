@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
+from scipy.special import eval_jacobi
 
 from hyperwell import oracle
 from hyperwell.config import RadialGrid, parse_config
@@ -19,7 +20,7 @@ from hyperwell.errors import (
     SamplingError,
     StructureError,
 )
-from hyperwell.exact import fall_to_center_unreliable, surrogate_level
+from hyperwell.exact import fall_to_center_unreliable, kappa_radicand, surrogate_level
 from hyperwell.oracle import NumericSpectrum, fd_spectrum, numerov_spectrum
 from hyperwell.potential import (
     PhysicalConstants,
@@ -647,6 +648,49 @@ class TestSurrogateLevels:
         assert spec.energies[1] < veff[-1]
         assert node_counts(spec) == [0, 1, 2]
 
+    # (solver, n_points) -> 1.1 times the largest measured fidelity loss
+    # 1 - |<u|w>| and pointwise error max |u - w| over the five bound states
+    STATE_ERROR_BOUNDS = {
+        ("fd", 2000): (1.1 * 1.036e-5, 1.1 * 5.938e-3),
+        ("fd", 8000): (1.1 * 3.966e-8, 1.1 * 3.680e-4),
+        ("numerov", 2000): (1.1 * 6.477e-7, 1.1 * 3.691e-3),
+        ("numerov", 8000): (1.1 * 2.773e-10, 1.1 * 1.936e-4),
+    }
+
+    @staticmethod
+    def exact_state(n, l, r):
+        """The surrogate's Eckart state y^mu (1 - y)^kappa_l
+        P_n^(2 mu, 2 kappa_l - 1)(1 - 2y), y = exp(-2 alpha r), with
+        mu = sqrt((C - A - E)/(4 s alpha^2)), trapezoid-normalized on r and
+        signed by (-1)^n so that its lobe nearest the origin is positive."""
+        energy = surrogate_level(FAULT, CONSTS, n, l).energy
+        mu = math.sqrt((FAULT.C - FAULT.A - energy) / (4.0 * CONSTS.s * FAULT.alpha**2))
+        kappa = 0.5 + math.sqrt(kappa_radicand(FAULT, CONSTS, l))
+        y = np.exp(-2.0 * FAULT.alpha * r)
+        u = y**mu * (1.0 - y) ** kappa * eval_jacobi(n, 2.0 * mu, 2.0 * kappa - 1.0, 1.0 - 2.0 * y)
+        return (-1) ** n * u / math.sqrt(float(np.trapezoid(u * u, r)))
+
+    @pytest.mark.parametrize("solver, n_points", STATE_ERROR_BOUNDS)
+    def test_bound_states_match_exact(self, solver, n_points):
+        loss_bound, point_bound = self.STATE_ERROR_BOUNDS[solver, n_points]
+        grid = RadialGrid(1e-6, 40.0, n_points)
+        r = grid.points()
+        solve = numerov_spectrum if solver == "numerov" else fd_spectrum
+        checked = 0
+        for l in range(3):
+            veff = effective_potential(FAULT, CONSTS, l, r, approximate=True)
+            spec = solve(veff, CONSTS, grid, 2)
+            for n in range(2):
+                if not surrogate_level(FAULT, CONSTS, n, l).bound:
+                    continue
+                u, w = self.exact_state(n, l, r), spec.wavefunctions[n]
+                assert 1.0 - abs(float(np.trapezoid(u * w, r))) <= loss_bound, (n, l)
+                assert np.max(np.abs(u - w)) <= point_bound, (n, l)
+                assert spec.node_counts[n] == n
+                assert w[np.abs(w) > 1e-8 * np.max(np.abs(w))][0] > 0.0
+                checked += 1
+        assert checked == 5
+
     @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
     def test_fd_length_scaling(self, monkeypatch, mu):
         # r -> r / mu: alpha -> mu alpha, grid -> grid / mu and V -> mu^2 V
@@ -890,6 +934,19 @@ class TestFdAccuracy:
         for e, e_ref in zip(energies, ref, strict=True):
             assert abs(e - float(e_ref)) <= 1e-3 * split
         assert node_counts(spec) == list(range(n_states))
+
+    @pytest.mark.parametrize("height", [1.24, 1.27, 1.28])
+    def test_block_grows_past_a_close_level(self, monkeypatch, height):
+        # a double well whose level 3 lies 1.62, 1.26 and 1.16 brackets above
+        # level 2: the block must grow to hold it, or it stays mixed into the
+        # top vector (measured 8.7e-15, 9.0e-15 and 8.9e-15 relative; with a
+        # gap of 1 bracket, 2.5e-9, 1.6e-10 and 1.3e-10)
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        veff = 4.0 * height * (((grid.points() - 20.0) / 8.0) ** 2 - 1.0) ** 2
+        spec, matrix = fd_with_matrix(monkeypatch, veff, grid, 3)
+        ref = float(sturm_levels(*matrix, 3)[2])
+        assert abs(spec.energies[2] - ref) <= 1e-13 * abs(ref)
+        assert node_counts(spec) == [0, 1, 2]
 
 
 class TestSpectrumStructure:

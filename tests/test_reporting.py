@@ -186,6 +186,9 @@ def test_states_equal_direct_calls(config):
     params, consts = config.params, config.consts
     doc = json.loads(json_document(build_validate_report(config)))
     fd = {block["l"]: block["fd"]["energies"] for block in doc["oracle"]["per_l"]}
+    # every state's ODE residual is taken at the document's one r_samples list
+    r = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
+    assert doc["r_samples"] == r
     assert [(state["n"], state["l"]) for state in doc["states"]] == [
         (n, l) for l in config.l_list for n in config.n_list]
     for state in doc["states"]:
@@ -199,13 +202,11 @@ def test_states_equal_direct_calls(config):
         level = min(quad, key=lambda lv: abs(lv.energy.imag))
         dp = analytic.dimensionless_from_eps2(params, consts, level.dp.eps2, l)
         diagnostics, engine = analytic.closed_form_diagnostics(dp, n)
-        r = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
         wf = analytic.RadialWavefunction(params, n, dp)
         delta = abs(level.energy - fd[l][n])
         want = {
             "n": n, "l": l, "singular": None,
             "branches": [{"branch": lv.branch, "eps2": lv.dp.eps2, "energy": lv.energy,
-                          "energy_alt": lv.energy_alt,
                           "residual_quantization": lv.residual_quantization}
                          for lv in quad],
             "chosen_branch": level.branch,
@@ -215,15 +216,15 @@ def test_states_equal_direct_calls(config):
             "fd_delta_abs": delta,
             "fd_delta_rel": delta / max(1.0, abs(fd[l][n])),
             "nu_check": {**engine, "diagnostics": diagnostics},
-            "ode_residual": {"r_samples": r, "residual": analytic.ode_residual(
+            "ode_residual": {"residual": analytic.ode_residual(
                 wf, params, consts, level.energy, l, r)},
         }
         assert state == reference_jsonable(want)
 
 
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
-def test_validate_schema_2(name):
-    # all four reports carry schema version 2 and meet their own schemas
+def test_validate_schema_version(name):
+    # all four reports carry schema version 3 and meet their own schemas
     import jsonschema
 
     config = load(name)
@@ -233,9 +234,10 @@ def test_validate_schema_2(name):
         schema = json.loads((Path(analytic.__file__).parent / "schemas" / f"{kind}.json")
                             .read_text())
         doc = json.loads(json_document(build(config)))
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         jsonschema.validate(doc, schema)
-    assert list(doc) == ["schema_version", "kind", "config", "potential", "states", "oracle"]
+    assert list(doc) == ["schema_version", "kind", "config", "potential", "r_samples", "states",
+                         "oracle"]
 
 
 # ---------------------------------------------------------------------------
