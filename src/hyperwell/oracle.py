@@ -55,18 +55,19 @@ _EIG_RTOL = 1e-11
 _EIG_GAP = 10.0
 
 
-# scipy.linalg loads on the first solve, so that the commands that never
-# solve (all but oracle and validate) start without it, about 0.3 s sooner
-def eigh_tridiagonal(*args, **kwargs):
-    from scipy.linalg import eigh_tridiagonal
+# the one place that names scipy; LAPACK loads on the first solve, so the
+# commands that never solve (all but oracle and validate) start 0.3 s sooner
+def _lapack():
+    from scipy.linalg import lapack
 
-    return eigh_tridiagonal(*args, **kwargs)
+    return lapack
 
 
-def dtbtrs(*args, **kwargs):
-    from scipy.linalg.lapack import dtbtrs
-
-    return dtbtrs(*args, **kwargs)
+def _fd_lapack(routine, *args):
+    *out, info = getattr(_lapack(), routine)(*args)
+    if info:
+        raise ConvergenceError(f"fd_spectrum: LAPACK {routine} failed with info = {info}")
+    return out
 
 
 @dataclass
@@ -156,11 +157,11 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     h^2 = 0 a T of infinite entries. So is an s/h^2 that vanishes beside
     V, where adding 2 s/h^2 changes no interior diagonal entry: T is then
     diag(V) to rounding, and its eigenvalues are samples of V with
-    nodeless vectors. ConvergenceError is raised for a level outside its
-    bracket, |E - w| > tol (a polluted vector), and where the block would
-    have to grow to n_points/4 levels. Each state is L2-normalized with
-    the trapezoid rule and signed so that its lobe nearest the origin is
-    positive.
+    nodeless vectors. ConvergenceError is raised for a nonzero LAPACK
+    info, a level outside its bracket, |E - w| > tol (a polluted vector),
+    and where the block would have to grow to n_points/4 levels. Each
+    state is L2-normalized with the trapezoid rule and signed so that its
+    lobe nearest the origin is positive.
     """
     r, veff = _checked(veff, grid, n_states)
     if n_states == 0:
@@ -178,27 +179,25 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
     block = n_states
-    try:
-        while True:
-            coarse, vecs = eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, block - 1), tol=tol)
-            # two Sturm counts: a tol wider than the range ends dstebz's
-            # bisection at once, leaving one entry per level up to the bound
-            # (inf, so every level, where it passes the float range)
-            with np.errstate(over="ignore"):
-                bound = coarse[-1] + _EIG_GAP * tol
-            reach = eigh_tridiagonal(
-                diag, off, eigvals_only=True, select="v",
-                select_range=(-np.inf, bound), tol=np.inf).size
-            if reach <= block:
-                break
-            if reach >= grid.n_points / 4:
-                raise ConvergenceError(
-                    f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
-                    f"other closer than {_EIG_GAP * tol:.3g}")
-            block = reach
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"fd_spectrum: LAPACK eigensolver failed: {exc}") from exc
+    while True:
+        # range 2 brackets by index; range 1 with an infinite tol is two Sturm
+        # counts: m levels up to the bound (inf, so all, past the float range)
+        m, coarse, iblock, isplit = _fd_lapack("dstebz", diag, off, 2, 0, 1, 1, block, tol, "B")
+        coarse = coarse[:m]
+        with np.errstate(over="ignore"):
+            bound = np.max(coarse) + _EIG_GAP * tol
+        reach = _fd_lapack("dstebz", diag, off, 1, -np.inf, bound, 1, 1, np.inf, "E")[0]
+        if reach <= block:
+            break
+        if reach >= grid.n_points / 4:
+            raise ConvergenceError(
+                f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
+                f"other closer than {_EIG_GAP * tol:.3g}")
+        block = reach
+    vecs = _fd_lapack("dstein", diag, off, coarse, iblock, isplit)[0]
+    # a spike in V can split T into blocks, each bracketed in turn
+    order = np.argsort(coarse)
+    coarse, vecs = coarse[order], vecs[:, order]
     tv = diag[:, None] * vecs
     tv[1:] += off[:, None] * vecs[:-1]
     tv[:-1] += off[:, None] * vecs[1:]
@@ -250,7 +249,7 @@ def _numerov_sweep(f, h2):
         # the carry-ins enter the first two equations only
         rhs[0] = d[start - 1] * w1 - c[start - 2] * w0
         rhs[1:2] = -c[start - 1] * w1
-        x, info = dtbtrs(ab[:, start - 2:], rhs, uplo="L", overwrite_b=True)
+        x, info = _lapack().dtbtrs(ab[:, start - 2:], rhs, uplo="L", overwrite_b=True)
         bad = np.flatnonzero(~(np.abs(x) <= _MAX_VALUE))
         kept = int(bad[0]) if bad.size else x.size
         if info != 0 or kept == 0:

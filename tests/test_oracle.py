@@ -3,11 +3,13 @@
 import dataclasses
 import functools
 import math
+import random
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
+from scipy.linalg import eig_banded, eigh_tridiagonal, lapack, solve_banded
 from scipy.special import eval_jacobi
 
 from hyperwell import oracle
@@ -28,7 +30,7 @@ from hyperwell.potential import (
     effective_potential,
     eval_potential,
 )
-from params import FAULT, family_params
+from params import FAULT, family_params, seeded_params
 
 REPO = Path(__file__).resolve().parents[1]
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1
@@ -551,6 +553,16 @@ class TestNumerovLevels:
         assert node_counts(spec) == [0, 1, 2]
         assert swept / n_points <= budget
 
+    def test_window_note_on_fault(self):
+        # the window ends 1e-6 unit (the unit is 1 here) below the lower of
+        # the last two samples, -28 at l = 0 and -28 + 2/40^2 at l = 1; at
+        # 1e-2 units below them the notes would read -28.01 and -28.0088
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        for l, n_states, window in ((0, 2, "[-100.931, -28]"), (1, 1, "[-53.3262, -27.9988]")):
+            veff = effective_potential(FAULT, CONSTS, l, grid.points())
+            spec = numerov_spectrum(veff, CONSTS, grid, n_states)
+            assert spec.notes == (f"window auto-selected: {window}",), l
+
     # (effective potential of r, grid, the ground level's match point or
     # None); V = r^2/16 rises from the origin, so the deepest point of its
     # allowed run, where its levels match, is r_1
@@ -648,6 +660,46 @@ class TestSurrogateLevels:
         assert spec.energies[1] < veff[-1]
         assert node_counts(spec) == [0, 1, 2]
 
+    # two seeded_params draws, each with one surrogate-bound level at l = 0
+    # and at l = 1 and none at l = 2, on the default grid [1e-6, 40/alpha]
+    SEEDED = (lambda rng: (seeded_params(rng), seeded_params(rng)))(random.Random(33))
+    # (draw, l, n_points) -> 1.1 times the measured relative error of FD
+    # and Numerov at level 0; where Numerov's nears its 1e-10 stop (None),
+    # the measured error of its Dirichlet root E_H instead
+    SEEDED_BOUNDS = {
+        (0, 0, 2000): (1.1 * 2.969e-4, 1.1 * 6.662e-5),
+        (0, 0, 8000): (1.1 * 1.849e-5, 1.1 * 1.273e-6),
+        (0, 1, 2000): (1.1 * 8.569e-6, 1.1 * 4.800e-8),
+        (0, 1, 8000): (1.1 * 5.356e-7, None),
+        (1, 0, 2000): (1.1 * 1.177e-4, 1.1 * 5.306e-6),
+        (1, 0, 8000): (1.1 * 7.355e-6, 1.1 * 4.328e-8),
+        (1, 1, 2000): (1.1 * 6.899e-6, 1.1 * 1.380e-8),
+        (1, 1, 8000): (1.1 * 4.310e-7, None),
+    }
+    SEEDED_ROOT_ERRORS = {(0, 1, 8000): 1.1 * 2.189e-10, (1, 1, 8000): 1.1 * 5.372e-11}
+
+    @pytest.mark.parametrize("draw, l, n_points", SEEDED_BOUNDS)
+    def test_seeded_levels_pinned_to_exact(self, draw, l, n_points):
+        params = self.SEEDED[draw]
+        exact = [surrogate_level(params, CONSTS, n, l) for n in range(3)]
+        assert [lv.bound for lv in exact] == [True, False, False]
+        E0 = exact[0].energy
+        grid = RadialGrid(1e-6, 40.0 / params.alpha, n_points)
+        veff = effective_potential(params, CONSTS, l, grid.points(), approximate=True)
+        fd_rel, numerov_rel = self.SEEDED_BOUNDS[draw, l, n_points]
+        assert abs(fd_spectrum(veff, CONSTS, grid, 3).energies[0] - E0) <= fd_rel * abs(E0)
+        E = numerov_spectrum(veff, CONSTS, grid, 3).energies[0]
+        if numerov_rel is None:
+            root = matrix_numerov_level(veff, CONSTS.s, grid.h, E0)
+            assert abs(root - E0) <= self.SEEDED_ROOT_ERRORS[draw, l, n_points] * abs(E0)
+            assert abs(E - root) <= 1e-10 * abs(E)
+        else:
+            assert abs(E - E0) <= numerov_rel * abs(E0)
+
+    def test_seeded_draws_bind_nothing_at_l2(self):
+        for params in self.SEEDED:
+            assert not any(surrogate_level(params, CONSTS, n, 2).bound for n in range(3))
+
     # (solver, n_points) -> 1.1 times the largest measured fidelity loss
     # 1 - |<u|w>| and pointwise error max |u - w| over the five bound states
     STATE_ERROR_BOUNDS = {
@@ -739,15 +791,23 @@ def sturm_levels(diag, off, n_levels, points=255):
     return (lo + hi) / 2
 
 
+def patch_lapack(monkeypatch, **fakes):
+    """Make oracle._lapack() hand out `fakes` in place of the FD routines
+    they name, and scipy's own dstebz and dstein otherwise."""
+    routines = {name: getattr(lapack, name) for name in ("dstebz", "dstein")}
+    module = types.SimpleNamespace(**(routines | fakes))
+    monkeypatch.setattr(oracle, "_lapack", lambda: module)
+
+
 def fd_with_matrix(monkeypatch, veff, grid, n_states):
     """fd_spectrum's result and the (diag, off) it handed to LAPACK."""
     seen = []
 
-    def recording(diag, off, **kwargs):
+    def recording(diag, off, *args):
         seen.append((diag.copy(), off.copy()))
-        return eigh_tridiagonal(diag, off, **kwargs)
+        return lapack.dstebz(diag, off, *args)
 
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    patch_lapack(monkeypatch, dstebz=recording)
     return fd_spectrum(veff, CONSTS, grid, n_states), seen[0]
 
 
@@ -948,6 +1008,17 @@ class TestFdAccuracy:
         assert abs(spec.energies[2] - ref) <= 1e-13 * abs(ref)
         assert node_counts(spec) == [0, 1, 2]
 
+    def test_nodes_in_the_other_well_count(self):
+        # square wells of -6 on |r - 8| < 3 and -10 on |r - 20| < 3: levels 4
+        # and 5 lie in the shallow well, and their lobes in the deep one, at
+        # 1.7e-7 and 7.9e-7 of the maximum, hold 4 sign changes each; a node
+        # threshold of 1e-5 reads (0, 1, 2, 3, 0, 1). The k-th vector of a
+        # tridiagonal T with negative off-diagonal has k sign changes
+        grid = RadialGrid(1e-6, 40.0, 2000)
+        r = grid.points()
+        veff = np.where(np.abs(r - 8.0) < 3.0, -6.0, np.where(np.abs(r - 20.0) < 3.0, -10.0, 0.0))
+        assert node_counts(fd_spectrum(veff, PhysicalConstants(), grid, 6)) == list(range(6))
+
 
 class TestSpectrumStructure:
     def test_strictly_increasing_enforced(self):
@@ -996,24 +1067,25 @@ class TestSpectrumStructure:
                 assert lobe[0] > 0.0, (spec.method, k)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("stein (eigh_tridiagonal) failed")
+        # a nonzero info, as from dstein where a vector fails to converge
+        for routine in ("dstebz", "dstein"):
+            def failing(*args, routine=routine):
+                return (*getattr(lapack, routine)(*args)[:-1], 1)
 
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", failing)
-        with pytest.raises(ConvergenceError):
-            fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
+            patch_lapack(monkeypatch, **{routine: failing})
+            with pytest.raises(ConvergenceError) as info:
+                fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
+            assert str(info.value) == f"fd_spectrum: LAPACK {routine} failed with info = 1"
 
     def test_polluted_vector_is_convergence_error(self, monkeypatch):
         # a vector that is no eigenvector moves its level out of the bracket
-        def polluted(*args, **kwargs):
-            if kwargs.get("eigvals_only"):
-                return eigh_tridiagonal(*args, **kwargs)
-            coarse, vecs = eigh_tridiagonal(*args, **kwargs)
+        def polluted(*args):
+            vecs, info = lapack.dstein(*args)
             vecs[:, 0] = np.random.default_rng(7).standard_normal(vecs.shape[0])
             vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
-            return coarse, vecs
+            return vecs, info
 
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", polluted)
+        patch_lapack(monkeypatch, dstein=polluted)
         with pytest.raises(ConvergenceError, match="left its bracket"):
             fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
 
@@ -1033,7 +1105,7 @@ class TestSpectrumStructure:
             "potential.V2 = 3\npotential.alpha = 1e-30\nconstants.hbar = 2\n"
             "grid.n_points = 200\n")
         veff = effective_potential(config.params, config.consts, 1, config.grid.points())
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", None)
+        monkeypatch.setattr(oracle, "_lapack", None)
         for n_states in (1, 3):
             with pytest.raises(EvaluationOverflowError) as info:
                 fd_spectrum(veff, config.consts, config.grid, n_states)
