@@ -126,11 +126,15 @@ def aux_quantities(dp) -> AuxQuantities:
 
     u = sqrt(eps^4 + eps^2 beta^2/2) + gamma^2 (regular at eps^2 = 0),
     mu = 2 - sqrt(u+v), nu = sqrt(u-v), A = mu + i nu, B = (nu + beta)/(2i).
+    One that is not finite raises SingularCoefficientError.
     """
-    u = principal_sqrt(dp.eps2 * dp.eps2 + dp.eps2 * dp.beta2 / 2.0) + dp.gamma2
-    v = _v_of(dp)
-    mu = 2.0 - principal_sqrt(u + v)
-    nu = principal_sqrt(u - v)
+    try:
+        u = principal_sqrt(dp.eps2 * dp.eps2 + dp.eps2 * dp.beta2 / 2.0) + dp.gamma2
+        v = _v_of(dp)
+        mu = 2.0 - principal_sqrt(u + v)
+        nu = principal_sqrt(u - v)
+    except DomainError as exc:  # an exponent that is not finite
+        raise SingularCoefficientError(str(exc)) from None
     return AuxQuantities(u=u, v=v, mu=mu, nu=nu, A=mu + 1j * nu, B=(nu + dp.beta) / 2j)
 
 
@@ -178,7 +182,8 @@ def quantization_coefficients(dp, pref, n, variant="quadratic"):
 def energy_levels(params, consts, n, l, variant="quadratic"):
     """Both roots of the quantization quadratic as EnergyLevel records.
 
-    Returns (plus, minus) ordered by the sign of the discriminant root.
+    Returns (plus, minus) ordered by the sign of the discriminant root, or
+    raises SingularCoefficientError saying why the closed forms do not evaluate.
     The map of l is built once; each level carries it with eps^2 set to
     its root. E solves the printed definition
     eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d), with
@@ -188,14 +193,18 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     """
     require_index(n, "energy_levels: n")
     require_index(l, "energy_levels: l")
-    l_map = dimensionless_from_eps2(params, consts, 0.0, l)
     pref = _prefactor(params, consts)
-    c2, c1, c0 = quantization_coefficients(l_map, pref, n, variant=variant)
-    roots = solve_quadratic(c2, c1, c0)
-    labels = ("plus", "minus") if len(roots) == 2 else ("linear",)
+    try:
+        l_map = dimensionless_from_eps2(params, consts, 0.0, l)
+        c2, c1, c0 = quantization_coefficients(l_map, pref, n, variant=variant)
+        roots = solve_quadratic(c2, c1, c0)
+    except DomainError as exc:  # a closed-form quantity that is not finite
+        raise SingularCoefficientError(str(exc)) from None
+    if len(roots) != 2:
+        raise SingularCoefficientError("energy_levels: c2 = 0 leaves no quadratic in eps^2")
     shift = l_map.beta2.real / 4.0 + l_map.gamma2.real / pref + params.b * params.V1
     out = []
-    for z, label in zip(roots, labels):
+    for z, label in zip(roots, ("plus", "minus")):
         scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
         out.append(EnergyLevel(
             n=int(n), l=int(l), branch=label, dp=replace(l_map, eps2=complex(z)),
@@ -235,13 +244,9 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
         p = radicand_coeffs(problem, k)
         return abs(p.c1 * p.c1 - 4.0 * p.c2 * p.c0)
 
-    # best pairing of mechanical vs reference candidates
-    if len(ks) == 2:
-        d_direct = max(abs(ks[0] - k_ref[0]), abs(ks[1] - k_ref[1]))
-        d_swapped = max(abs(ks[0] - k_ref[1]), abs(ks[1] - k_ref[0]))
-        k_delta = min(d_direct, d_swapped)
-    else:
-        k_delta = min(abs(ks[0] - kr) for kr in k_ref)
+    # best pairing of the two mechanical and reference k (sigma = 1 + s^2)
+    k_delta = min(max(abs(ks[0] - k_ref[0]), abs(ks[1] - k_ref[1])),
+                  max(abs(ks[0] - k_ref[1]), abs(ks[1] - k_ref[0])))
 
     sqrt_upv = principal_sqrt(u + v)
     tau_ref = Poly(aux.nu, aux.mu, 0.0)

@@ -13,8 +13,8 @@ Exit codes:
      (an overflow included) in the document
   2  configuration error, also an unreadable config or an unwritable output
   3  a wavefunction that cannot be normalized, or an internal error
-  4  singular analytic case of `wavefunction`, also an energy scale
-     1/(s alpha^2) that vanishes or overflows
+  4  a `wavefunction` state whose closed forms do not evaluate (singular),
+     such as an energy scale 1/(s alpha^2) that vanishes or overflows
 """
 
 from __future__ import annotations

@@ -120,16 +120,10 @@ def k_candidates(problem: NUProblem):
 
 
 def _radicand_sqrt(rad: Poly) -> Poly:
-    """Linear square root of a (numerically) zero-discriminant quadratic."""
-    scale = max(abs(rad.c2), abs(rad.c1), abs(rad.c0), 1.0)
-    if abs(rad.c2) > 1e-13 * scale:
-        lead = principal_sqrt(rad.c2)
-        return Poly(rad.c1 / (2.0 * lead), lead, 0.0)
-    if abs(rad.c1) > 1e-10 * scale:
-        raise StructureError(
-            "radicand is linear in s and cannot be a perfect square; "
-            "was k taken from k_candidates?")
-    return Poly(principal_sqrt(rad.c0), 0.0, 0.0)
+    """Linear square root a + b s of a zero-discriminant quadratic: b is the
+    principal sqrt(c2) and a = +-sqrt(c0), signed so that 2ab is nearer c1."""
+    b, a = principal_sqrt(rad.c2), principal_sqrt(rad.c0)
+    return Poly(a if abs(2.0 * a * b - rad.c1) <= abs(2.0 * a * b + rad.c1) else -a, b, 0.0)
 
 
 _K_LABELS = ("PlusSqrtK", "MinusSqrtK")

@@ -157,7 +157,8 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     h^2 = 0 a T of infinite entries. So is an s/h^2 that vanishes beside
     V, where adding 2 s/h^2 changes no interior diagonal entry: T is then
     diag(V) to rounding, and its eigenvalues are samples of V with
-    nodeless vectors. ConvergenceError is raised for a nonzero LAPACK
+    nodeless vectors. So is a grid where the bound max|2 s/h^2 + V| + 2 s/h^2
+    behind tol is not finite. ConvergenceError is raised for a nonzero LAPACK
     info, a level outside its bracket, |E - w| > tol (a polluted vector),
     and where the block would have to grow to n_points/4 levels. Each
     state is L2-normalized with the trapezoid rule and signed so that its
@@ -178,6 +179,9 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
             "(adding 2 s/h^2 changes no interior diagonal entry)")
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
+    if not math.isfinite(tol):
+        raise EvaluationOverflowError(
+            f"fd_spectrum: 2 s/h^2 + V overflows its Gershgorin bound (s/h^2 = {t:.3g})")
     block = n_states
     while True:
         # range 2 brackets by index; range 1 with an infinite tol is two Sturm

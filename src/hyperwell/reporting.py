@@ -115,17 +115,14 @@ def effective_csv(config, approximate=False, stamp=False) -> str:
 
 def wavefunction_csv(config, branch="plus", stamp=False) -> str:
     """R of the single state in config on its grid, from the quantization
-    root `branch`; raises SingularCoefficientError where the closed form
-    divides by zero."""
+    root `branch`; raises SingularCoefficientError where the closed forms
+    or the envelope exponents do not evaluate."""
     if len(config.n_list) != 1:
         raise ConfigError(f"wavefunction needs a single n, got {list(config.n_list)}")
     if len(config.l_list) != 1:
         raise ConfigError(f"wavefunction needs a single l, got {list(config.l_list)}")
     n, l = config.n_list[0], config.l_list[0]
-    by_name = {lv.branch: lv for lv in energy_levels(config.params, config.consts, n, l)}
-    level = by_name.get(branch)
-    if level is None:
-        raise ConfigError(f"no branch {branch!r} for this state")
+    level = {lv.branch: lv for lv in energy_levels(config.params, config.consts, n, l)}[branch]
     wf = radial_wavefunction(config.params, level)
     r = config.grid.points()
     values = wf(r)
@@ -183,8 +180,7 @@ def _spectrum_entry(params, consts, n, l, variant="quadratic"):
     try:
         levels = energy_levels(params, consts, n, l, variant=variant)
     except SingularCoefficientError as exc:
-        entry["singular"] = {"reason": str(exc)}
-        return entry, None
+        return {**entry, "singular": {"reason": str(exc)}}, None
     entry["branches"] = [_level_record(lv) for lv in levels]
     entry["chosen_branch"] = choose_level(levels).branch
     return entry, levels
@@ -262,18 +258,18 @@ def build_oracle_report(config) -> dict:
 # ---------------------------------------------------------------------------
 
 def nu_check_entry(params, consts, n, l, branch="plus") -> dict:
-    """Printed-form deltas for the engine run at one quantization root."""
+    """Printed-form deltas for the engine run at one quantization root; a
+    failure carries its error in place of the deltas."""
     entry = {"n": int(n), "l": int(l), "branch": branch, "singular": None}
     try:
-        levels = energy_levels(params, consts, n, l)
+        level = {lv.branch: lv for lv in energy_levels(params, consts, n, l)}[branch]
     except SingularCoefficientError as exc:
-        entry["singular"] = {"reason": str(exc)}
-        return entry
-    by_name = {lv.branch: lv for lv in levels}
-    level = by_name.get(branch, levels[0])
-    entry["eps2"] = level.dp.eps2
-    entry["energy"] = level.energy
-    entry["diagnostics"] = closed_form_diagnostics(level.dp, n)[0]
+        return {**entry, "singular": {"reason": str(exc)}}
+    entry.update(eps2=level.dp.eps2, energy=level.energy)
+    try:
+        entry["diagnostics"] = closed_form_diagnostics(level.dp, n)[0]
+    except HyperwellError as exc:
+        entry["diagnostics"] = {"error": str(exc)}
     return entry
 
 

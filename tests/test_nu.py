@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hyperwell.errors import DomainError, NoPhysicalBranchError, StructureError
+from hyperwell.special import principal_sqrt
 from hyperwell.nu import (
     NUProblem,
     Poly,
+    _radicand_sqrt,
     enumerate_branches,
     k_candidates,
     lambda_n_of,
@@ -76,6 +78,23 @@ class TestRadicandAndK:
         prob = NUProblem(Poly(1.0, 0.0, 1.0), Poly(1.0), Poly(1.0))
         with pytest.raises(DomainError):
             radicand_coeffs(prob, float("inf"))
+
+
+class TestRadicandSqrt:
+    @pytest.mark.parametrize("a, b", [
+        (1.0, 1e-7),  # c2 = 1e-14 beside c0 = 1
+        (1e-7, 1.0),  # c0 = 1e-14 beside c2 = 1
+        (1.0, -1.0),  # c1 < 0: a = -sqrt(c0)
+        (0.3 - 2j, -1.5 + 0.5j),  # Re b < 0: the root is -(a + b s)
+    ])
+    def test_square_gives_back_the_radicand(self, a, b):
+        rad = Poly(a * a, 2.0 * a * b, b * b)
+        root = _radicand_sqrt(rad)
+        # b stays on the principal branch, which fixes the PlusPi/MinusPi labels
+        assert root.c1 == principal_sqrt(rad.c2)
+        assert root.c0 * root.c0 == pytest.approx(rad.c0, rel=1e-15, abs=0)
+        assert 2.0 * root.c0 * root.c1 == pytest.approx(rad.c1, rel=1e-15, abs=0)
+        assert root.c1 * root.c1 == pytest.approx(rad.c2, rel=1e-15, abs=0)
 
 
 class TestBranches:

@@ -1113,6 +1113,25 @@ class TestSpectrumStructure:
                 "fd_spectrum: s/h^2 = 9.9e-59 vanishes beside V "
                 "(adding 2 s/h^2 changes no interior diagonal entry)")
 
+    def test_overflowing_diagonal_is_named(self, monkeypatch):
+        # s = 756.25 on [1e-160, 1e-150] at 400 points makes s/h^2 = 1.2e308,
+        # so 2 s/h^2 + V overflows: refused before any LAPACK call (dstebz
+        # failed with info = 4 on the infinite diagonal)
+        config = parse_config(
+            "potential.a = 0\npotential.b = 0\npotential.c = 0\npotential.d = 0\n"
+            "constants.hbar = 27.5\nconstants.mass = 0.5\n"
+            "grid.r_min = 1e-160\ngrid.r_max = 1e-150\ngrid.n_points = 400\n")
+        veff = effective_potential(config.params, config.consts, 0, config.grid.points())
+
+        def failing(*args):
+            raise AssertionError("fd_spectrum called LAPACK")
+
+        patch_lapack(monkeypatch, dstebz=failing, dstein=failing)
+        with pytest.raises(EvaluationOverflowError) as info:
+            fd_spectrum(veff, config.consts, config.grid, 1)
+        assert str(info.value) == (
+            "fd_spectrum: 2 s/h^2 + V overflows its Gershgorin bound (s/h^2 = 1.2e+308)")
+
     def test_vanishing_energy_unit_is_refused(self, monkeypatch):
         # s = 5e-301 and r_max = 1e13 make the unit s (40/r_max)^2 = 1e-323,
         # which vanishes beside the floor: the window could never widen, so

@@ -31,7 +31,12 @@ overflows (spectrum, effective and oracle), one whose 1/(s alpha^2)
 overflows, an hbar whose B/(s alpha^2) overflows (oracle at n 0 and at
 n 0..2), a d at the top of the float range, a grid whose h^2
 underflows, and an r_max at the top of the float range (wavefunction,
-and potential on 64 points).
+and potential on 64 points). Five more pin the closed-form failure rule
+and FD's overflowing diagonal: an a V0 of 1e-6, whose radicand the NU
+engine must still take the root of (nu-check); a beta^2 that overflows
+(spectrum and wavefunction); a quantization c0 that overflows
+(validate); an envelope exponent that overflows (nu-check and
+wavefunction); and a grid whose 2 s/h^2 + V overflows (oracle).
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -61,6 +66,8 @@ OTHER_S = (("fault_mass5", "fault", "constants.mass = 0.5", "constants.mass = 5"
 HUGE_ALPHA = "potential.alpha = 1e160\ngrid.r_min = 3\ngrid.r_max = 1e30\n"
 TOP = "grid.r_max = 1.7976931348623157e308\n"
 TINY_HBAR = "potential.V0 = 1e30\nconstants.hbar = 1e-160\n"
+OVF = "potential.alpha = 1e-150\npotential.V0 = 1e10\ngrid.r_min = 1\n"
+EXPO = "potential.alpha = 0.7\npotential.a = 700\npotential.V0 = 1e274\n"
 # name, config text and command of each extreme input
 EXTREME = (
     ("wide_grid", "potential.a = 20\npotential.b = 1e-30\nconstants.mass = 1e-300\n"
@@ -90,6 +97,17 @@ EXTREME = (
      "grid.r_min = 1e-300\ngrid.r_max = 1e-160\n", ["oracle", "--n", "0", "--l", "0"]),
     ("top_grid", TOP, ["wavefunction", "--n", "0", "--l", "0"]),
     ("top_grid_64", TOP + "grid.n_points = 64\n", ["potential"]),
+    ("small_beta", "potential.V0 = 1e-6\n", ["nu-check", "--n", "0..2", "--l", "0..2"]),
+    ("overflowing_beta_spectrum", OVF, ["spectrum", "--n", "0..1", "--l", "0..1"]),
+    ("overflowing_beta_wavefunction", OVF, ["wavefunction", "--n", "0", "--l", "1"]),
+    ("overflowing_c0", "potential.b = 2.5\npotential.V1 = 7e210\npotential.V2 = -0.3\n",
+     ["validate", "--n", "0..1", "--l", "0..1"]),
+    ("overflowing_exponent_nu_check", EXPO, ["nu-check", "--n", "0..2", "--l", "0..2"]),
+    ("overflowing_exponent_wavefunction", EXPO, ["wavefunction", "--n", "0", "--l", "1"]),
+    ("overflowing_diagonal", "potential.a = 0\npotential.b = 0\npotential.c = 0\n"
+     "potential.d = 0\nconstants.hbar = 27.5\nconstants.mass = 0.5\n"
+     "grid.r_min = 1e-160\ngrid.r_max = 1e-150\ngrid.n_points = 400\n",
+     ["oracle", "--n", "0", "--l", "0"]),
 )
 WAVEFUNCTIONS = [(n, l, b) for n in range(3) for l in range(2) for b in ("plus", "minus")]
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
