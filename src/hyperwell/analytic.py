@@ -22,6 +22,7 @@ reference forms instead of reconciling them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -183,7 +184,8 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     """Both roots of the quantization quadratic as EnergyLevel records.
 
     Returns (plus, minus) ordered by the sign of the discriminant root, or
-    raises SingularCoefficientError saying why the closed forms do not evaluate.
+    raises SingularCoefficientError saying why the closed forms do not evaluate,
+    also where a root, its energy or its residual is not finite.
     The map of l is built once; each level carries it with eps^2 set to
     its root. E solves the printed definition
     eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d), with
@@ -206,10 +208,15 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     out = []
     for z, label in zip(roots, ("plus", "minus")):
         scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
+        energy = -z / pref - shift + params.d
+        residual = abs(c2 * z * z + c1 * z + c0) / scale
+        if not all(map(cmath.isfinite, (z, energy, residual))):
+            raise SingularCoefficientError(
+                f"energy_levels: the {label} root does not evaluate: eps^2 = {z}, "
+                f"E = {energy}, residual_quantization = {residual}")
         out.append(EnergyLevel(
             n=int(n), l=int(l), branch=label, dp=replace(l_map, eps2=complex(z)),
-            energy=-z / pref - shift + params.d,
-            residual_quantization=abs(c2 * z * z + c1 * z + c0) / scale))
+            energy=energy, residual_quantization=residual))
     return tuple(out)
 
 

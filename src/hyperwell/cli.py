@@ -2,11 +2,10 @@
 
 Subcommands: potential, effective, spectrum, wavefunction, oracle,
 validate, nu-check. Each takes one path: the --config document is parsed
-with the --n, --l, --alpha and --out flags as assignments that override
-its own, `reporting` builds the command's document, and it is emitted.
-Outputs are deterministic; a timestamp appears only as a '#' comment
-when --stamp is given, which only the CSV commands (potential, effective,
-wavefunction) take, since JSON carries no comments.
+with the --n, --l and --out flags as assignments that override its own,
+`reporting` builds the command's document, and it is emitted. Every
+output depends only on the config and the flags. `potential --alpha`
+lists the alpha of each column; it is not an override.
 
 Exit codes:
   0  success; a JSON report records a singular state or a failed solve
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .config import RunConfig, parse_config, parse_float_list
@@ -50,16 +48,8 @@ EXIT_INTERNAL = 3
 EXIT_SINGULAR = 4
 
 
-def _color_ok(stream) -> bool:
-    return hasattr(stream, "isatty") and stream.isatty() \
-        and not os.environ.get("NO_COLOR")
-
-
 def _diag(message: str):
-    prefix = "hyperwell: error: "
-    if _color_ok(sys.stderr):
-        prefix = f"\x1b[31m{prefix}\x1b[0m"
-    print(prefix + message, file=sys.stderr)
+    print("hyperwell: error: " + message, file=sys.stderr)
 
 
 def _emit(text: str, out_path):
@@ -74,8 +64,7 @@ def _emit(text: str, out_path):
 
 
 # the flags that assign a config key: (args attribute, key)
-_OVERRIDES = (("n", "state.n"), ("l", "state.l"), ("alpha", "potential.alpha"),
-              ("out", "output.path"))
+_OVERRIDES = (("n", "state.n"), ("l", "state.l"), ("out", "output.path"))
 
 
 def _load_config(args) -> RunConfig:
@@ -87,9 +76,6 @@ def _load_config(args) -> RunConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    alpha = getattr(args, "alpha", None)
-    if alpha and len(parse_float_list(alpha, where="--alpha")) != 1:
-        raise ConfigError(f"this command takes a single --alpha, got {alpha!r}")
     return parse_config(text, {key: (getattr(args, dest), f"--{dest}")
                                for dest, key in _OVERRIDES
                                if getattr(args, dest, None) is not None})
@@ -99,20 +85,15 @@ def _load_config(args) -> RunConfig:
 # parser
 # ---------------------------------------------------------------------------
 
-def _subparser(subs, name, help, csv=False, n_help=None, l_help=None):
-    """A subcommand with --config and --out, --stamp for a CSV, then the
-    flags that override the config's state: --alpha and --l where l_help
-    is given, --n between them where n_help is."""
+def _subparser(subs, name, help, n_help=None, l_help=None):
+    """A subcommand with --config and --out, then the flags that override
+    the config's state: --n where n_help is given, --l where l_help is."""
     sub = subs.add_parser(name, help=help)
     sub.add_argument("--config", help="path to a key-value config document")
     sub.add_argument("--out", help="output path, or - for stdout (default)")
-    if csv:
-        sub.add_argument("--stamp", action="store_true",
-                         help="add a timestamp comment line to the CSV")
+    if n_help:
+        sub.add_argument("--n", help=n_help)
     if l_help:
-        sub.add_argument("--alpha", help="single alpha override")
-        if n_help:
-            sub.add_argument("--n", help=n_help)
         sub.add_argument("--l", help=l_help)
     return sub
 
@@ -129,21 +110,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "closed-form spectrum, wavefunctions and numerical oracles.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _subparser(subs, "potential", "potential curve CSV, one column per alpha", csv=True)
+    p = _subparser(subs, "potential", "potential curve CSV, one column per alpha")
     p.add_argument("--alpha", dest="alphas", help="comma list of alpha values, e.g. 1,2,3,4")
     p.add_argument("--kind", default="general", choices=list(KINDS),
                    help="special case applied to the potential block")
     p.set_defaults(document=lambda config, args: potential_csv(
         config, args.kind,
-        None if args.alphas is None else parse_float_list(args.alphas, where="--alpha"),
-        args.stamp))
+        None if args.alphas is None else parse_float_list(args.alphas, where="--alpha")))
 
-    p = _subparser(subs, "effective", "effective potential CSV, one column per l", csv=True,
+    p = _subparser(subs, "effective", "effective potential CSV, one column per l",
                    l_help="comma list or range of l values, e.g. 1,2,3")
     p.add_argument("--approximate", action="store_true",
                    help="use the cosech^2 surrogate barrier instead of 1/r^2")
-    p.set_defaults(document=lambda config, args: effective_csv(
-        config, args.approximate, args.stamp))
+    p.set_defaults(document=lambda config, args: effective_csv(config, args.approximate))
 
     p = _subparser(subs, "spectrum", "closed-form energy levels as JSON",
                    n_help="level list or range, e.g. 0..2", l_help="l list or range")
@@ -152,12 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(document=lambda config, args: json_document(build_spectrum_report(
         config, variant=args.variant)))
 
-    p = _subparser(subs, "wavefunction", "radial wavefunction samples as CSV", csv=True,
+    p = _subparser(subs, "wavefunction", "radial wavefunction samples as CSV",
                    n_help="single level index", l_help="single angular momentum")
     p.add_argument("--branch", default="plus", choices=["plus", "minus"],
                    help="which quantization root feeds the envelope")
-    p.set_defaults(document=lambda config, args: wavefunction_csv(
-        config, args.branch, args.stamp))
+    p.set_defaults(document=lambda config, args: wavefunction_csv(config, args.branch))
 
     p = _subparser(subs, "oracle", "numerical spectra (FD and Numerov) as JSON",
                    n_help="level list or range (max sets how many states)",

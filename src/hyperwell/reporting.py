@@ -2,8 +2,7 @@
 wavefunction CSVs and the JSON reports.
 
 All emitters are deterministic: identical inputs produce byte-identical
-output. Timestamps never appear in data; an optional stamp line goes into
-`#` comments only.
+output, and nothing else, such as a time, enters a document.
 
 CSV cells: 9 significant digits (`{:.9g}`); an empty cell where a term is
 non-finite (a `scan_series` gap) and where |R|^2 overflows; `nan` printed
@@ -13,7 +12,6 @@ double precision, and a complex number renders as {"re": ..., "im": ...}.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 from dataclasses import asdict, replace
 
@@ -78,19 +76,11 @@ def json_document(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False, default=_json_default) + "\n"
 
 
-def stamp_comment() -> str:
-    return "generated " + _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-
-
-def _comments(lines, stamp):
-    return [*lines, stamp_comment()] if stamp else lines
-
-
 # ---------------------------------------------------------------------------
 # CSV documents
 # ---------------------------------------------------------------------------
 
-def potential_csv(config, kind="general", alphas=None, stamp=False) -> str:
+def potential_csv(config, kind="general", alphas=None) -> str:
     """V of the potential block as the special case `kind` of KINDS, one
     column per alpha (the block's own when alphas is None)."""
     base = KINDS[kind](config.params)
@@ -98,10 +88,10 @@ def potential_csv(config, kind="general", alphas=None, stamp=False) -> str:
     r = config.grid.points()
     header = ["r"] + [f"V_alpha={a:.9g}" for a in alphas]
     columns = [r.tolist()] + [scan_series(replace(base, alpha=a), r) for a in alphas]
-    return csv_document(header, columns, head_comments=_comments([f"kind = {kind}"], stamp))
+    return csv_document(header, columns, head_comments=[f"kind = {kind}"])
 
 
-def effective_csv(config, approximate=False, stamp=False) -> str:
+def effective_csv(config, approximate=False) -> str:
     """The effective potential, one column per l; `approximate` puts the
     cosech^2 surrogate in place of the 1/r^2 barrier."""
     r = config.grid.points()
@@ -109,11 +99,10 @@ def effective_csv(config, approximate=False, stamp=False) -> str:
     columns = [r.tolist()] + [scan_series(config.params, r, consts=config.consts, l=int(l),
                                           approximate=approximate) for l in config.l_list]
     barrier = "cosech2 surrogate" if approximate else "exact 1/r^2"
-    return csv_document(header, columns,
-                        head_comments=_comments([f"centrifugal barrier: {barrier}"], stamp))
+    return csv_document(header, columns, head_comments=[f"centrifugal barrier: {barrier}"])
 
 
-def wavefunction_csv(config, branch="plus", stamp=False) -> str:
+def wavefunction_csv(config, branch="plus") -> str:
     """R of the single state in config on its grid, from the quantization
     root `branch`; raises SingularCoefficientError where the closed forms
     or the envelope exponents do not evaluate."""
@@ -139,8 +128,7 @@ def wavefunction_csv(config, branch="plus", stamp=False) -> str:
         f"norm_integral = {fmt_number(wf.norm_integral)} over "
         f"[{fmt_number(wf.norm_window[0])}, {fmt_number(wf.norm_window[1])}]",
     ]
-    return csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], columns,
-                        tail_comments=_comments(tail, stamp))
+    return csv_document(["r", "Re_R", "Im_R", "abs_R_sq"], columns, tail_comments=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,6 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--n", ""], "empty value for --n"),
         (["spectrum", "--l", ""], "empty value for --l"),
-        (["spectrum", "--alpha", ""], "empty value for --alpha"),
         (["spectrum", "--out", ""], "empty value for --out"),
         (["potential", "--alpha", ""], "--alpha: empty entry in list ''"),
         (["spectrum", "--config", ""], "cannot read config ''"),
@@ -435,12 +434,18 @@ class TestCliExitCodes:
                                 "must be positive and finite\n")
         assert captured.out == ""
 
+    @pytest.fixture
+    def tiny_alpha(self, tmp_path):
+        """general.cfg with alpha = 1e-300."""
+        cfg = tmp_path / "tiny_alpha.cfg"
+        cfg.write_text((CONFIGS / "general.cfg").read_text() + "potential.alpha = 1e-300\n")
+        return str(cfg)
+
     @pytest.mark.parametrize("command, schema", [
         ("spectrum", "spectrum"), ("validate", "validate"), ("nu-check", "nu_check")])
-    def test_underflowing_alpha_is_recorded_singular(self, capsys, command, schema):
+    def test_underflowing_alpha_is_recorded_singular(self, capsys, tiny_alpha, command, schema):
         # s alpha^2 underflows to 0, so 1/(s alpha^2) is singular, as at beta = 0
-        assert main([command, "--config", str(CONFIGS / "general.cfg"),
-                     "--alpha", "1e-300"]) == 0
+        assert main([command, "--config", tiny_alpha]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         doc = json.loads(captured.out)
@@ -449,9 +454,8 @@ class TestCliExitCodes:
         assert [e["singular"]["reason"] for e in entries] == [
             "s alpha^2 = 0.0 makes the 1/(s alpha^2) energy scale singular"] * 3
 
-    def test_underflowing_alpha_wavefunction_is_4(self, capsys):
-        assert main(["wavefunction", "--config", str(CONFIGS / "general.cfg"),
-                     "--alpha", "1e-300", "--n", "0", "--l", "0"]) == 4
+    def test_underflowing_alpha_wavefunction_is_4(self, capsys, tiny_alpha):
+        assert main(["wavefunction", "--config", tiny_alpha, "--n", "0", "--l", "0"]) == 4
         assert capsys.readouterr().err == (
             "hyperwell: error: s alpha^2 = 0.0 makes the 1/(s alpha^2) energy scale singular\n")
 
@@ -549,20 +553,17 @@ class TestCliDeterminism:
                     "--alpha", "1,2", "--out", "-")
         assert a.stdout == b.stdout
 
-    def test_no_stamp_by_default(self):
-        proc = run_cli("potential", "--config", str(CONFIGS / "general.cfg"), "--out", "-")
-        assert "generated" not in proc.stdout
-
-    def test_stamp_only_on_csv_commands(self):
-        # the JSON commands carry no comments, so they refuse the flag
-        proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"), "--stamp")
-        assert proc.returncode == 2
-        assert "unrecognized arguments: --stamp" in proc.stderr
-        assert proc.stdout == ""
-        for command in ("spectrum", "oracle", "nu-check"):
+    @pytest.mark.parametrize("command", [
+        "potential", "effective", "spectrum", "wavefunction", "oracle", "validate", "nu-check"])
+    def test_no_stamp_or_single_alpha_flag(self, capsys, command):
+        # outputs depend on the config alone; only potential takes --alpha,
+        # its list of columns
+        for flag in ["--stamp"] if command == "potential" else ["--stamp", "--alpha"]:
             with pytest.raises(SystemExit) as info:
-                main([command, "--stamp"])
+                main([command, flag, "1"])
             assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert "unrecognized arguments" in captured.err and captured.out == ""
 
     def test_flags_do_not_leak_between_calls(self, capsys):
         # one parser serves every call in a process; each call's flags are its own
@@ -570,21 +571,15 @@ class TestCliDeterminism:
         config = parse_config((CONFIGS / "general.cfg").read_text())
         one_state = replace(config, n_list=(0,), l_list=(0,))
         for first, second, want in (
-            (["potential", "--stamp", "--kind", "scarf"], ["potential"], potential_csv(config)),
-            (["effective", "--stamp", "--approximate"], ["effective"], effective_csv(config)),
-            (["wavefunction", "--stamp", "--n", "0", "--l", "0", "--branch", "minus"],
+            (["potential", "--kind", "scarf"], ["potential"], potential_csv(config)),
+            (["effective", "--approximate"], ["effective"], effective_csv(config)),
+            (["wavefunction", "--n", "0", "--l", "0", "--branch", "minus"],
              ["wavefunction", "--n", "0", "--l", "0"], wavefunction_csv(one_state)),
         ):
             assert main([*first, *general]) == 0
-            assert "# generated" in capsys.readouterr().out
+            assert capsys.readouterr().out.splitlines() != want.splitlines()
             assert main([*second, *general]) == 0
             assert capsys.readouterr().out.splitlines() == want.splitlines()
-
-    def test_stamp_only_in_comments(self):
-        proc = run_cli("potential", "--config", str(CONFIGS / "general.cfg"),
-                       "--stamp", "--out", "-")
-        stamped = [line for line in proc.stdout.splitlines() if "generated" in line]
-        assert stamped and all(line.startswith("#") for line in stamped)
 
 
 class TestCsvOutputs:

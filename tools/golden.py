@@ -31,12 +31,13 @@ overflows (spectrum, effective and oracle), one whose 1/(s alpha^2)
 overflows, an hbar whose B/(s alpha^2) overflows (oracle at n 0 and at
 n 0..2), a d at the top of the float range, a grid whose h^2
 underflows, and an r_max at the top of the float range (wavefunction,
-and potential on 64 points). Five more pin the closed-form failure rule
+and potential on 64 points). Seven more pin the closed-form failure rule
 and FD's overflowing diagonal: an a V0 of 1e-6, whose radicand the NU
 engine must still take the root of (nu-check); a beta^2 that overflows
 (spectrum and wavefunction); a quantization c0 that overflows
-(validate); an envelope exponent that overflows (nu-check and
-wavefunction); and a grid whose 2 s/h^2 + V overflows (oracle).
+(validate); quantization roots that overflow (nu-check and wavefunction
+on one input, spectrum on another); a k of the NU problem that
+overflows (nu-check); and a grid whose 2 s/h^2 + V overflows (oracle).
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -104,6 +105,9 @@ EXTREME = (
      ["validate", "--n", "0..1", "--l", "0..1"]),
     ("overflowing_exponent_nu_check", EXPO, ["nu-check", "--n", "0..2", "--l", "0..2"]),
     ("overflowing_exponent_wavefunction", EXPO, ["wavefunction", "--n", "0", "--l", "1"]),
+    ("overflowing_root", "potential.b = -0.3e139\n", ["spectrum", "--n", "0..2", "--l", "0..2"]),
+    ("overflowing_k", "potential.V1 = 0.7\npotential.a = -0.7\npotential.V0 = -2.5e102\n",
+     ["nu-check", "--n", "0", "--l", "1"]),
     ("overflowing_diagonal", "potential.a = 0\npotential.b = 0\npotential.c = 0\n"
      "potential.d = 0\nconstants.hbar = 27.5\nconstants.mass = 0.5\n"
      "grid.r_min = 1e-160\ngrid.r_max = 1e-150\ngrid.n_points = 400\n",
