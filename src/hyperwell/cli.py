@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: potential, effective, spectrum, wavefunction, oracle,
-validate, nu-check. Each takes one path: the --config document is parsed
-with the --n, --l and --out flags as assignments that override its own,
-`reporting` builds the command's document, and it is emitted. Every
-output depends only on the config and the flags. `potential --alpha`
-lists the alpha of each column; it is not an override.
+validate. `validate` is the one closed-form audit: beside the oracles,
+each state record holds its spectrum entry, the spectrum-variant roots
+and the NU diagnostics at the chosen root. Each command takes one path:
+the --config document is parsed with the --n, --l and --out flags as
+assignments that override its own, `reporting` builds the command's
+document, and it is emitted. Every output depends only on the config and
+the flags. `potential --alpha` lists the alpha of each column; it is not
+an override.
 
 Exit codes:
   0  success; a JSON report records a singular state or a failed solve
@@ -32,7 +35,6 @@ from .errors import (
 )
 from .potential import KINDS
 from .reporting import (
-    build_nu_check_report,
     build_oracle_report,
     build_spectrum_report,
     build_validate_report,
@@ -126,10 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _subparser(subs, "spectrum", "closed-form energy levels as JSON",
                    n_help="level list or range, e.g. 0..2", l_help="l list or range")
-    p.add_argument("--variant", default="quadratic", choices=["quadratic", "spectrum"],
-                   help="printed grouping of the quantization constant term")
-    p.set_defaults(document=lambda config, args: json_document(build_spectrum_report(
-        config, variant=args.variant)))
+    p.set_defaults(document=lambda config, args: json_document(build_spectrum_report(config)))
 
     p = _subparser(subs, "wavefunction", "radial wavefunction samples as CSV",
                    n_help="single level index", l_help="single angular momentum")
@@ -145,13 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _subparser(subs, "validate", "full analytic-vs-oracle validation JSON",
                    n_help="level list or range", l_help="l list or range")
     p.set_defaults(document=lambda config, args: json_document(build_validate_report(config)))
-
-    p = _subparser(subs, "nu-check", "engine vs printed closed forms as JSON",
-                   n_help="level list or range", l_help="l list or range")
-    p.add_argument("--branch", default="plus", choices=["plus", "minus"],
-                   help="quantization root used for the diagnostics")
-    p.set_defaults(document=lambda config, args: json_document(build_nu_check_report(
-        config, branch=args.branch)))
 
     return parser
 

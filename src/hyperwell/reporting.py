@@ -13,6 +13,7 @@ double precision, and a complex number renders as {"re": ..., "im": ...}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -162,11 +163,11 @@ def choose_level(levels) -> EnergyLevel:
     return min(levels, key=lambda lv: abs(lv.energy.imag))
 
 
-def _spectrum_entry(params, consts, n, l, variant="quadratic"):
+def _spectrum_entry(params, consts, n, l):
     """The rendered entry of one state and its levels (None when singular)."""
     entry = {"n": int(n), "l": int(l), "singular": None}
     try:
-        levels = energy_levels(params, consts, n, l, variant=variant)
+        levels = energy_levels(params, consts, n, l)
     except SingularCoefficientError as exc:
         return {**entry, "singular": {"reason": str(exc)}}, None
     entry["branches"] = [_level_record(lv) for lv in levels]
@@ -174,11 +175,13 @@ def _spectrum_entry(params, consts, n, l, variant="quadratic"):
     return entry, levels
 
 
-def build_spectrum_report(config, variant="quadratic") -> dict:
+def build_spectrum_report(config) -> dict:
+    """The printed levels of each state; `variant` names the printed
+    grouping of the quantization constant term that they use."""
     return {
         **_header("spectrum", config),
-        "variant": variant,
-        "entries": [_spectrum_entry(config.params, config.consts, n, l, variant=variant)[0]
+        "variant": "quadratic",
+        "entries": [_spectrum_entry(config.params, config.consts, n, l)[0]
                     for l in config.l_list for n in config.n_list],
     }
 
@@ -242,34 +245,6 @@ def build_oracle_report(config) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# engine diagnostics report
-# ---------------------------------------------------------------------------
-
-def nu_check_entry(params, consts, n, l, branch="plus") -> dict:
-    """Printed-form deltas for the engine run at one quantization root; a
-    failure carries its error in place of the deltas."""
-    entry = {"n": int(n), "l": int(l), "branch": branch, "singular": None}
-    try:
-        level = {lv.branch: lv for lv in energy_levels(params, consts, n, l)}[branch]
-    except SingularCoefficientError as exc:
-        return {**entry, "singular": {"reason": str(exc)}}
-    entry.update(eps2=level.dp.eps2, energy=level.energy)
-    try:
-        entry["diagnostics"] = closed_form_diagnostics(level.dp, n)[0]
-    except HyperwellError as exc:
-        entry["diagnostics"] = {"error": str(exc)}
-    return entry
-
-
-def build_nu_check_report(config, branch="plus") -> dict:
-    return {
-        **_header("nu-check", config),
-        "entries": [nu_check_entry(config.params, config.consts, n, l, branch=branch)
-                    for l in config.l_list for n in config.n_list],
-    }
-
-
-# ---------------------------------------------------------------------------
 # full validation report
 # ---------------------------------------------------------------------------
 
@@ -325,7 +300,7 @@ def build_validate_report(config) -> dict:
     return {
         **_header("validate", config),
         "potential": {
-            "asymptote": params.asymptote,
+            "asymptote": params.asymptote if math.isfinite(params.asymptote) else None,
             "origin_unreliable_per_l": {
                 str(l): fall_to_center_unreliable(params, consts, l)
                 for l in config.l_list},

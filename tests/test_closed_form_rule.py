@@ -1,9 +1,9 @@
 """One rule for every closed-form failure, from the NU root to the reports.
 
 A state's closed forms either evaluate, or the state is singular and the
-failure's message is its reason. `spectrum`, `validate` and `nu-check`
-record such a state as `singular` and exit 0, and `nu-check` records a
-failing `closed_form_diagnostics` as `diagnostics: {"error": ...}`.
+failure's message is its reason. `spectrum` and `validate` record such
+a state as `singular` and exit 0, and `validate` records a failing
+`closed_form_diagnostics` as `nu_check: {"error": ...}`.
 `wavefunction` exits 4 for every closed-form failure, its envelope
 exponents included, and 3 only where R cannot be normalized.
 """
@@ -12,7 +12,6 @@ import contextlib
 import functools
 import io
 import json
-import math
 import random
 import re
 from pathlib import Path
@@ -20,11 +19,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hyperwell import analytic, reporting
+from hyperwell import analytic
+from hyperwell.analytic import closed_form_diagnostics, energy_levels
 from hyperwell.cli import main
 from hyperwell.config import KEYS, parse_config
-from hyperwell.errors import ConfigError, DomainError
-from hyperwell.reporting import build_nu_check_report, build_spectrum_report, build_validate_report
+from hyperwell.errors import ConfigError, DomainError, SingularCoefficientError
+from hyperwell.reporting import build_spectrum_report, build_validate_report, json_document
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "hyperwell" / "schemas"
 
@@ -41,10 +41,9 @@ INPUTS = {
     "smallA": "potential.V0 = 1e-6\n",
 }
 STATES = ["--n", "0..2", "--l", "0..2"]
-JSON_COMMANDS = ("spectrum", "validate", "nu-check")
-# exit codes of spectrum, validate, nu-check and wavefunction (n 0, l 1)
-EXIT_CODES = {"ovf": (0, 0, 0, 4), "c0": (0, 0, 0, 4), "expo": (0, 0, 0, 4),
-              "smallA": (0, 0, 0, 0)}
+JSON_COMMANDS = ("spectrum", "validate")
+# exit codes of spectrum, validate and wavefunction (n 0, l 1)
+EXIT_CODES = {"ovf": (0, 0, 4), "c0": (0, 0, 4), "expo": (0, 0, 4), "smallA": (0, 0, 0)}
 
 
 def run(argv):
@@ -61,7 +60,7 @@ def refuse(token):
 
 @functools.cache
 def validator(command):
-    schema = json.loads((SCHEMAS / f"{command.replace('-', '_')}.json").read_text())
+    schema = json.loads((SCHEMAS / f"{command}.json").read_text())
     return jsonschema.validators.validator_for(schema)(schema)
 
 
@@ -132,36 +131,45 @@ def test_root_that_does_not_evaluate_is_singular(tmp_path, text):
     assert (code, out) == (4, "") and reason.match(err.removeprefix("hyperwell: error: "))
 
 
-def test_failing_diagnostics_are_recorded(monkeypatch, tmp_path):
-    # nu-check records a failing closed_form_diagnostics in place of the
-    # deltas, as validate does under nu_check; here k of the NU problem
-    # overflows at the plus root of n 0, l 1
+def test_failing_diagnostics_are_recorded(tmp_path):
+    # validate records a failing closed_form_diagnostics in place of the
+    # deltas; here k of the NU problem overflows at the minus root, which
+    # every state chooses
     path = tmp_path / "k_overflow.cfg"
-    path.write_text("potential.V1 = 0.7\npotential.a = -0.7\npotential.V0 = -2.5e102\n")
-    argv = ["--config", str(path), "--n", "0", "--l", "1"]
-    entry, = entries(checked(run(["nu-check", *argv])[1], "nu-check"))
-    assert entry["singular"] is None
-    assert entry["diagnostics"] == {"error": "radicand_coeffs: k must be finite"}
+    path.write_text("potential.V0 = 0.25\npotential.V1 = -0.7\nconstants.mass = 1e154\n")
+    code, out, err = run(["validate", "--config", str(path), "--n", "0..2", "--l", "0"])
+    assert (code, err) == (0, "")
+    assert [(state["singular"], state["chosen_branch"], state["nu_check"])
+            for state in entries(checked(out, "validate"))] == [
+        (None, "minus", {"error": "radicand_coeffs: k must be finite"})] * 3
 
-    # validate takes the minus root there, whose diagnostics evaluate
-    def fail(dp, n):
-        raise DomainError("closed_form_diagnostics: failed")
-
-    monkeypatch.setattr(reporting, "closed_form_diagnostics", fail)
-    state, = entries(checked(run(["validate", *argv])[1], "validate"))
-    assert state["singular"] is None and state["chosen_branch"] == "minus"
-    assert state["nu_check"] == {"error": "closed_form_diagnostics: failed"}
+    # k overflows at the plus root of n 0, l 1 here; validate takes the
+    # minus root, so only the engine itself reaches the failure
+    config = parse_config("potential.V1 = 0.7\npotential.a = -0.7\npotential.V0 = -2.5e102\n")
+    plus, minus = energy_levels(config.params, config.consts, 0, 1)
+    with pytest.raises(DomainError, match="radicand_coeffs: k must be finite"):
+        closed_form_diagnostics(plus.dp, 0)
+    closed_form_diagnostics(minus.dp, 0)
 
 
 def test_small_beta_takes_the_engine_root():
     # the radicand's square root needs no threshold: no state of smallA at
-    # n, l 0..2 fails in the NU engine
+    # n, l 0..2 fails in the NU engine, at either root
     config = parse_config(INPUTS["smallA"] + "state.n = 0..2\nstate.l = 0..2\n")
     assert all("error" not in state["nu_check"]
                for state in build_validate_report(config)["states"])
-    for branch in ("plus", "minus"):
-        assert all("error" not in entry["diagnostics"]
-                   for entry in build_nu_check_report(config, branch=branch)["entries"])
+    for l in config.l_list:
+        for n in config.n_list:
+            for level in energy_levels(config.params, config.consts, n, l):
+                closed_form_diagnostics(level.dp, n)
+
+
+def test_overflowing_asymptote_is_null():
+    # C - A = -inf at this a V0; validate renders it as null, strict JSON
+    config = parse_config("potential.a = -2.5e223\npotential.V0 = -2.5e257\n"
+                          "grid.n_points = 200\nstate.n = 0\nstate.l = 0\n")
+    doc = checked(json_document(build_validate_report(config)), "validate")
+    assert doc["potential"]["asymptote"] is None
 
 
 def test_linear_quantization_equation_is_singular(monkeypatch, config_path):
@@ -174,9 +182,10 @@ def test_linear_quantization_equation_is_singular(monkeypatch, config_path):
     monkeypatch.setattr(analytic, "quantization_coefficients", linear)
     reason = {"reason": "energy_levels: c2 = 0 leaves no quadratic in eps^2"}
     config = parse_config(INPUTS["smallA"] + "state.n = 0..1\nstate.l = 0\n")
-    for doc in (build_spectrum_report(config), build_spectrum_report(config, "spectrum"),
-                build_nu_check_report(config, branch="minus"), build_validate_report(config)):
+    for doc in (build_spectrum_report(config), build_validate_report(config)):
         assert [e["singular"] for e in entries(doc)] == [reason] * 2
+    with pytest.raises(SingularCoefficientError, match=re.escape(reason["reason"])):
+        energy_levels(config.params, config.consts, 0, 0, variant="spectrum")
     assert run(["wavefunction", "--config", config_path("smallA"), "--n", "0", "--l", "0"]) == (
         4, "", f"hyperwell: error: {reason['reason']}\n")
 
@@ -200,23 +209,18 @@ def test_closed_form_fuzz(tmp_path):
     # 0 with a strict-JSON document that meets its schema, and wavefunction
     # exits 0, 4, or 3 naming the normalization
     path = tmp_path / "fuzz.cfg"
-    parsed = infinite_asymptotes = 0
+    parsed = 0
     for text in fuzz_configs():
         try:
-            config = parse_config(text)
+            parse_config(text)
         except ConfigError:
             continue
         parsed += 1
         path.write_text(text)
-        for command, states in (("spectrum", "0..1"), ("validate", "0..1"), ("nu-check", "0")):
-            code, out, err = run([command, "--config", str(path), "--n", states, "--l", "0..1"])
+        for command in JSON_COMMANDS:
+            code, out, err = run([command, "--config", str(path), "--n", "0..1", "--l", "0..1"])
             assert (code, err) == (0, ""), text
-            if command == "validate" and math.isinf(config.params.asymptote):
-                # an overflowing C - A still renders as Infinity, an open
-                # fault; every other token of the document stays checked
-                infinite_asymptotes += 1
-                out = out.replace('"asymptote": Infinity,', '"asymptote": 0,', 1)
             checked(out, command)
         code, _, err = run(["wavefunction", "--config", str(path), "--n", "0", "--l", "1"])
         assert code in (0, 4) or (code == 3 and "normalization" in err), (text, code, err)
-    assert (parsed, infinite_asymptotes) == (92, 1)
+    assert parsed == 92

@@ -442,7 +442,7 @@ class TestCliExitCodes:
         return str(cfg)
 
     @pytest.mark.parametrize("command, schema", [
-        ("spectrum", "spectrum"), ("validate", "validate"), ("nu-check", "nu_check")])
+        ("spectrum", "spectrum"), ("validate", "validate")])
     def test_underflowing_alpha_is_recorded_singular(self, capsys, tiny_alpha, command, schema):
         # s alpha^2 underflows to 0, so 1/(s alpha^2) is singular, as at beta = 0
         assert main([command, "--config", tiny_alpha]) == 0
@@ -522,12 +522,12 @@ class TestCliExitCodes:
             "    print(command.split()[0], code, 'scipy.linalg' in sys.modules)"])
         proc = subprocess.run(
             [sys.executable, "-c", script, str(CONFIGS / "general.cfg"), "potential",
-             "effective", "spectrum", "wavefunction --n 0 --l 0", "nu-check", "oracle"],
+             "effective", "spectrum", "wavefunction --n 0 --l 0", "oracle"],
             capture_output=True, text=True, timeout=120, cwd=str(REPO))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "potential 0 False", "effective 0 False", "spectrum 0 False",
-            "wavefunction 0 False", "nu-check 0 False", "oracle 0 True"]
+            "wavefunction 0 False", "oracle 0 True"]
 
     def test_config_loads_no_eigensolver(self):
         # the grid is part of the config, so parsing one never loads LAPACK
@@ -554,7 +554,7 @@ class TestCliDeterminism:
         assert a.stdout == b.stdout
 
     @pytest.mark.parametrize("command", [
-        "potential", "effective", "spectrum", "wavefunction", "oracle", "validate", "nu-check"])
+        "potential", "effective", "spectrum", "wavefunction", "oracle", "validate"])
     def test_no_stamp_or_single_alpha_flag(self, capsys, command):
         # outputs depend on the config alone; only potential takes --alpha,
         # its list of columns
@@ -564,6 +564,20 @@ class TestCliDeterminism:
             assert info.value.code == 2
             captured = capsys.readouterr()
             assert "unrecognized arguments" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nu-check"], "invalid choice: 'nu-check'"),
+        (["spectrum", "--variant", "spectrum"], "unrecognized arguments: --variant spectrum")],
+        ids=["nu-check", "spectrum-variant"])
+    def test_closed_form_audit_is_validate_alone(self, capsys, argv, message):
+        # validate's state records hold the NU diagnostics and the
+        # spectrum-variant roots; no other command or flag prints them
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", str(CONFIGS / "general.cfg")])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: hyperwell") and message in captured.err
+        assert captured.out == ""
 
     def test_flags_do_not_leak_between_calls(self, capsys):
         # one parser serves every call in a process; each call's flags are its own
@@ -677,15 +691,6 @@ class TestJsonOutputs:
         assert entries and all(e["singular"] is not None for e in entries)
         assert all("beta = 0" in e["singular"]["reason"] for e in entries)
 
-    def test_spectrum_variant_flag(self):
-        q = run_cli("spectrum", "--config", str(CONFIGS / "general.cfg"),
-                    "--variant", "quadratic", "--out", "-")
-        s = run_cli("spectrum", "--config", str(CONFIGS / "general.cfg"),
-                    "--variant", "spectrum", "--out", "-")
-        dq = json.loads(q.stdout)["entries"][0]["branches"][0]["eps2"]
-        ds = json.loads(s.stdout)["entries"][0]["branches"][0]["eps2"]
-        assert dq != ds
-
     def test_oracle_report(self):
         proc = run_cli("oracle", "--config", str(CONFIGS / "general.cfg"),
                        "--l", "0,1", "--out", "-")
@@ -696,12 +701,6 @@ class TestJsonOutputs:
             assert rec["fd"]["energies"]
             assert rec["numerov"]["energies"]
             assert len(rec["cross_delta_rel"]) > 0
-
-    def test_nu_check_report(self):
-        proc = run_cli("nu-check", "--config", str(CONFIGS / "general.cfg"),
-                       "--n", "0", "--l", "0", "--out", "-")
-        doc = json.loads(proc.stdout)
-        validate_schema(doc, "nu_check")
 
     def test_validate_report_schema(self):
         proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"), "--out", "-")

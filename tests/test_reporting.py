@@ -1,4 +1,4 @@
-"""The reports in-process: the validate and nu-check call budgets, the
+"""The reports in-process: the validate call budget, the
 level-n pairing of validate's state records, each record against direct
 calls, a partly singular case and the oracle block validate shares with
 the oracle report, and the CSV and JSON renderers against per-row and
@@ -20,7 +20,6 @@ from hyperwell.config import parse_config
 from hyperwell.errors import ConvergenceError, SingularCoefficientError
 from hyperwell.potential import PhysicalConstants, scan_series
 from hyperwell.reporting import (
-    build_nu_check_report,
     build_oracle_report,
     build_spectrum_report,
     build_validate_report,
@@ -71,16 +70,6 @@ def test_validate_call_budget(monkeypatch):
     assert counts == {"energy_levels": 18, "nu_problem": 9, "dimensionless_from_eps2": 18,
                       "enumerate_branches": 9, "k_candidates": 9, "pi_tau_select": 9,
                       "fd_spectrum": 3, "numerov_spectrum": 3, "effective_potential": 3}
-
-
-def test_nu_check_call_budget(monkeypatch):
-    counts = count_calls(monkeypatch, analytic.dimensionless_from_eps2,
-                         nu.enumerate_branches, nu.k_candidates, nu.pi_tau_select)
-    build_nu_check_report(load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)))
-    # one map per state (its roots' maps replace eps^2 only), one branch
-    # enumeration and one selection
-    assert counts == {"dimensionless_from_eps2": 9, "enumerate_branches": 9,
-                      "k_candidates": 9, "pi_tau_select": 9}
 
 
 def chosen_energy(state):
@@ -224,12 +213,12 @@ def test_states_equal_direct_calls(config):
 
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
 def test_validate_schema_version(name):
-    # all four reports carry schema version 3 and meet their own schemas
+    # all three reports carry schema version 3 and meet their own schemas
     import jsonschema
 
     config = load(name)
     builders = {"spectrum": build_spectrum_report, "oracle": build_oracle_report,
-                "nu_check": build_nu_check_report, "validate": build_validate_report}
+                "validate": build_validate_report}
     for kind, build in builders.items():
         schema = json.loads((Path(analytic.__file__).parent / "schemas" / f"{kind}.json")
                             .read_text())
@@ -340,7 +329,7 @@ def test_csv_rows_match_per_cell_rendering(columns):
 def test_json_matches_recursive_walk(name):
     config = load(name)
     for doc in (build_validate_report(config), build_oracle_report(config),
-                build_spectrum_report(config), build_nu_check_report(config)):
+                build_spectrum_report(config)):
         expected = json.dumps(reference_jsonable(doc), indent=2, ensure_ascii=False) + "\n"
         assert json_document(doc) == expected
 

@@ -31,13 +31,15 @@ overflows (spectrum, effective and oracle), one whose 1/(s alpha^2)
 overflows, an hbar whose B/(s alpha^2) overflows (oracle at n 0 and at
 n 0..2), a d at the top of the float range, a grid whose h^2
 underflows, and an r_max at the top of the float range (wavefunction,
-and potential on 64 points). Seven more pin the closed-form failure rule
-and FD's overflowing diagonal: an a V0 of 1e-6, whose radicand the NU
-engine must still take the root of (nu-check); a beta^2 that overflows
-(spectrum and wavefunction); a quantization c0 that overflows
-(validate); quantization roots that overflow (nu-check and wavefunction
-on one input, spectrum on another); a k of the NU problem that
-overflows (nu-check); and a grid whose 2 s/h^2 + V overflows (oracle).
+and potential on 64 points). Eight more pin the closed-form failure rule,
+FD's overflowing diagonal and the rendering of an infinite asymptote: an
+a V0 of 1e-6, whose radicand the NU engine must still take the root of
+(validate); a beta^2 that overflows (spectrum and wavefunction); a
+quantization c0 that overflows (validate); quantization roots that
+overflow (validate and wavefunction on one input, spectrum on another);
+a k of the NU problem that overflows at the root validate chooses
+(validate); a grid whose 2 s/h^2 + V overflows (oracle); and an
+asymptote C - A that overflows (validate).
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
 exported or a tree's runner fails.
@@ -60,7 +62,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIZES = (2000, 8000)
 DRAWS = 4
 SEED = 2011
-STATE_LISTS = (("0..2", "0..2"), ("0..1", "0"), ("0", "1,2"))
+# the (n, l) state lists that validate runs on each config
+STATE_LISTS = (("0..2", "0..2"), ("0..1", "0"), ("0", "1,2"), ("1..2", "0..1"))
 # name, input, and the constants line that moves s = hbar^2/(2m) off 1
 OTHER_S = (("fault_mass5", "fault", "constants.mass = 0.5", "constants.mass = 5"),
            ("draw0_hbar2", "draw0", "constants.hbar = 1", "constants.hbar = 2"))
@@ -98,20 +101,22 @@ EXTREME = (
      "grid.r_min = 1e-300\ngrid.r_max = 1e-160\n", ["oracle", "--n", "0", "--l", "0"]),
     ("top_grid", TOP, ["wavefunction", "--n", "0", "--l", "0"]),
     ("top_grid_64", TOP + "grid.n_points = 64\n", ["potential"]),
-    ("small_beta", "potential.V0 = 1e-6\n", ["nu-check", "--n", "0..2", "--l", "0..2"]),
+    ("small_beta", "potential.V0 = 1e-6\n", ["validate", "--n", "0..2", "--l", "0..2"]),
     ("overflowing_beta_spectrum", OVF, ["spectrum", "--n", "0..1", "--l", "0..1"]),
     ("overflowing_beta_wavefunction", OVF, ["wavefunction", "--n", "0", "--l", "1"]),
     ("overflowing_c0", "potential.b = 2.5\npotential.V1 = 7e210\npotential.V2 = -0.3\n",
      ["validate", "--n", "0..1", "--l", "0..1"]),
-    ("overflowing_exponent_nu_check", EXPO, ["nu-check", "--n", "0..2", "--l", "0..2"]),
+    ("overflowing_exponent_validate", EXPO, ["validate", "--n", "0..2", "--l", "0..2"]),
     ("overflowing_exponent_wavefunction", EXPO, ["wavefunction", "--n", "0", "--l", "1"]),
     ("overflowing_root", "potential.b = -0.3e139\n", ["spectrum", "--n", "0..2", "--l", "0..2"]),
-    ("overflowing_k", "potential.V1 = 0.7\npotential.a = -0.7\npotential.V0 = -2.5e102\n",
-     ["nu-check", "--n", "0", "--l", "1"]),
+    ("overflowing_k", "potential.V0 = 0.25\npotential.V1 = -0.7\nconstants.mass = 1e154\n",
+     ["validate", "--n", "0..2", "--l", "0"]),
     ("overflowing_diagonal", "potential.a = 0\npotential.b = 0\npotential.c = 0\n"
      "potential.d = 0\nconstants.hbar = 27.5\nconstants.mass = 0.5\n"
      "grid.r_min = 1e-160\ngrid.r_max = 1e-150\ngrid.n_points = 400\n",
      ["oracle", "--n", "0", "--l", "0"]),
+    ("overflowing_asymptote", "potential.a = -2.5e223\npotential.V0 = -2.5e257\n"
+     "grid.n_points = 200\n", ["validate", "--n", "0..1", "--l", "0..1"]),
 )
 WAVEFUNCTIONS = [(n, l, b) for n in range(3) for l in range(2) for b in ("plus", "minus")]
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -188,7 +193,7 @@ def command_list(workdir: Path, quick: bool):
     ]
     if quick:
         return [["spectrum", "--config", general, "--n", "0..1", "--l", "0..1"],
-                ["nu-check", "--config", general, "--n", "0", "--l", "0"],
+                ["effective", "--config", general, "--l", "0..1"],
                 ["wavefunction", "--config", general, "--n", "1", "--l", "0"],
                 ["validate", "--config", general, "--n", "0", "--l", "0"],
                 ["oracle", "--config", general, "--n", "0..1", "--l", "1"]] + errors[:2]
@@ -198,13 +203,8 @@ def command_list(workdir: Path, quick: bool):
         commands += [["potential", *cfg, "--alpha", "1,2"], ["effective", *cfg, "--l", "0..2"],
                      ["effective", *cfg, "--l", "1", "--approximate"],
                      ["spectrum", *cfg, "--n", "0..2", "--l", "0..2"],
-                     ["spectrum", *cfg, "--n", "0..2", "--l", "0..2", "--variant", "spectrum"],
                      ["oracle", *cfg, "--n", "0..2", "--l", "0..2"]]
-        for n, l in STATE_LISTS:
-            commands += [["validate", *cfg, "--n", n, "--l", l],
-                         ["nu-check", *cfg, "--n", n, "--l", l]]
-        commands += [["nu-check", *cfg, "--n", "0..2", "--l", "0", "--branch", "minus"],
-                     ["validate", *cfg, "--n", "1..2", "--l", "0..1"]]
+        commands += [["validate", *cfg, "--n", n, "--l", l] for n, l in STATE_LISTS]
         commands += [["wavefunction", *cfg, "--n", str(n), "--l", str(l), "--branch", b]
                      for n, l, b in WAVEFUNCTIONS]
     kinds = [["potential", "--config", general, "--kind", k]
