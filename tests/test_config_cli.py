@@ -691,6 +691,45 @@ class TestJsonOutputs:
         assert entries and all(e["singular"] is not None for e in entries)
         assert all("beta = 0" in e["singular"]["reason"] for e in entries)
 
+    def test_validate_spectrum_variant_roots(self):
+        # validate prints the spectrum variant's roots beside the quadratic
+        # ones; on general.cfg they differ, and max_root_delta is the
+        # largest distance of a pair
+        proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"),
+                       "--n", "0", "--l", "0", "--out", "-")
+        (state,) = json.loads(proc.stdout)["states"]
+        quad = [complex(b["eps2"]["re"], b["eps2"]["im"]) for b in state["branches"]]
+        spec = [complex(z["re"], z["im"]) for z in state["spectrum_variant"]["eps2"]]
+        assert len(quad) == len(spec) == 2
+        assert all(q != s for q, s in zip(quad, spec))
+        assert state["spectrum_variant"]["max_root_delta"] == max(
+            abs(q - s) for q, s in zip(quad, spec))
+
+    def test_validate_states_repeat_spectrum_entries(self):
+        # each validate state opens with the spectrum command's entry for it,
+        # and the spectrum document names the quadratic grouping it prints
+        states = ["--config", str(CONFIGS / "general.cfg"), "--n", "0..1", "--l", "0..1",
+                  "--out", "-"]
+        spectrum = json.loads(run_cli("spectrum", *states).stdout)
+        validate = json.loads(run_cli("validate", *states).stdout)
+        assert spectrum["variant"] == "quadratic"
+        keys = ("n", "l", "singular", "branches", "chosen_branch")
+        assert [{k: s[k] for k in keys} for s in validate["states"]] == spectrum["entries"]
+
+    def test_validate_nu_check_record(self):
+        # the NU engine check at the chosen root: the engine's verdict and
+        # the diagnostics, with no error on general.cfg
+        proc = run_cli("validate", "--config", str(CONFIGS / "general.cfg"),
+                       "--n", "0..2", "--l", "0..2", "--out", "-")
+        doc = json.loads(proc.stdout)
+        validate_schema(doc, "validate")
+        assert len(doc["states"]) == 9
+        for state in doc["states"]:
+            record = state["nu_check"]
+            assert set(record) == {"engine_lambda_mismatch", "physical_branch", "diagnostics"}
+            assert len(record["diagnostics"]["k_reference"]) == 2
+            assert len(record["diagnostics"]["k_mechanical_disc"]) == 2
+
     def test_oracle_report(self):
         proc = run_cli("oracle", "--config", str(CONFIGS / "general.cfg"),
                        "--l", "0,1", "--out", "-")
