@@ -40,7 +40,7 @@ from .errors import (
     require_index,
 )
 from .nu import NUProblem, Poly, enumerate_branches, lambda_n_of, pi_tau_select, radicand_coeffs
-from .potential import PhysicalConstants, PotentialParams
+from .potential import dimensionless
 from .special import hyperbolic_pair, principal_sqrt, solve_quadratic
 
 _SQRT2 = math.sqrt(2.0)
@@ -89,22 +89,14 @@ class EnergyLevel:
     residual_quantization: float
 
 
-def _prefactor(params: PotentialParams, consts: PhysicalConstants) -> float:
-    # 1 / (s alpha^2), the factor that nondimensionalizes energies, refused
-    # where s alpha^2 or its inverse is 0 or inf; alpha is squared by a
-    # product, which overflows to inf where ** raises OverflowError
-    scale = consts.s * (params.alpha * params.alpha)
-    if not 0.0 < scale < math.inf or 1.0 / scale == math.inf:
-        raise SingularCoefficientError(
-            f"s alpha^2 = {scale} makes the 1/(s alpha^2) energy scale singular")
-    return 1.0 / scale
-
-
-def dimensionless_from_eps2(params, consts, eps2, l) -> DimensionlessParams:
-    """Coefficients for a known eps^2 (e.g. a quantization root), no E needed."""
-    pref = _prefactor(params, consts)
-    beta2 = complex(pref * params.A)
-    gamma2 = complex(pref * (-params.B - params.alpha * params.alpha * l * (l + 1)))
+def dimensionless_from_eps2(m, s, eps2, l) -> DimensionlessParams:
+    """Coefficients for a known eps^2 (e.g. a quantization root), no E needed,
+    from beta^2 and B of the map m; gamma^2's printed barrier term
+    alpha^2 l(l+1)/(s alpha^2) takes s = hbar^2/(2m), where the surrogate
+    problem has l(l+1)."""
+    A, B = m.coefficients()
+    beta2 = complex(A)
+    gamma2 = complex(-B - l * (l + 1) / s)
     return DimensionlessParams(eps2=complex(eps2), beta2=beta2, gamma2=gamma2,
                                beta=principal_sqrt(beta2))
 
@@ -184,31 +176,38 @@ def energy_levels(params, consts, n, l, variant="quadratic"):
     """Both roots of the quantization quadratic as EnergyLevel records.
 
     Returns (plus, minus) ordered by the sign of the discriminant root, or
-    raises SingularCoefficientError saying why the closed forms do not evaluate,
-    also where a root, its energy or its residual is not finite.
-    The map of l is built once; each level carries it with eps^2 set to
-    its root. E solves the printed definition
-    eps^2 = -pref (E + beta^2/4 + c V2 - alpha^2 l(l+1) - d), with
-    c V2 - alpha^2 l(l+1) = gamma^2/pref + b V1. The energies are complex
-    in general; residual_quantization records the scaled back-substitution
-    residual.
+    raises SingularCoefficientError saying why the closed forms do not
+    evaluate, naming the coefficient of the map or of the quadratic that is
+    not finite, also where a root, its energy or its residual is not
+    finite. The map of l is built once; each level carries it with eps^2
+    set to its root. E solves the printed definition
+    eps^2 = -(E + beta^2/4 + c V2 - alpha^2 l(l+1) - d)/(s alpha^2), with
+    c V2 - alpha^2 l(l+1) = s alpha^2 gamma^2 + b V1: s alpha^2 maps eps^2
+    and gamma^2 back to the config's unit, while beta^2/4 enters E as a
+    pure number. The energies are complex in general;
+    residual_quantization records the scaled back-substitution residual.
     """
     require_index(n, "energy_levels: n")
     require_index(l, "energy_levels: l")
-    pref = _prefactor(params, consts)
+    m = dimensionless(params, consts)
     try:
-        l_map = dimensionless_from_eps2(params, consts, 0.0, l)
-        c2, c1, c0 = quantization_coefficients(l_map, pref, n, variant=variant)
-        roots = solve_quadratic(c2, c1, c0)
+        l_map = dimensionless_from_eps2(m, consts.s, 0.0, l)
+        coefficients = quantization_coefficients(l_map, 1.0 / m.scale, n, variant=variant)
     except DomainError as exc:  # a closed-form quantity that is not finite
         raise SingularCoefficientError(str(exc)) from None
+    for name, c in zip(("c2", "c1", "c0"), coefficients):
+        if not cmath.isfinite(c):
+            raise SingularCoefficientError(
+                f"energy_levels: the quantization coefficient {name} = {c} is not finite")
+    c2, c1, c0 = coefficients
+    roots = solve_quadratic(c2, c1, c0)
     if len(roots) != 2:
         raise SingularCoefficientError("energy_levels: c2 = 0 leaves no quadratic in eps^2")
-    shift = l_map.beta2.real / 4.0 + l_map.gamma2.real / pref + params.b * params.V1
+    shift = l_map.beta2.real / 4.0 + l_map.gamma2.real * m.scale + params.b * params.V1
     out = []
     for z, label in zip(roots, ("plus", "minus")):
         scale = max(abs(c2 * z * z), abs(c1 * z), abs(c0), 1.0)
-        energy = -z / pref - shift + params.d
+        energy = -z * m.scale - shift + params.d
         residual = abs(c2 * z * z + c1 * z + c0) / scale
         if not all(map(cmath.isfinite, (z, energy, residual))):
             raise SingularCoefficientError(

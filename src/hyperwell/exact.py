@@ -1,19 +1,19 @@
 """Exact levels of the surrogate radial problem.
 
 The family potential is the Eckart form V = -A coth(alpha r) +
-B cosech^2(alpha r) + C, read from PotentialParams.A/B/C, and s = hbar^2/(2m)
-from PhysicalConstants.s. Replacing the centrifugal term s l(l+1)/r^2 by
+B cosech^2(alpha r) + C. Replacing the centrifugal term s l(l+1)/r^2 by
 its surrogate s l(l+1) alpha^2 cosech^2(alpha r), the approximation the
 closed forms rest on, only shifts B to B + s l(l+1) alpha^2, so the
 surrogate problem is Eckart at every l (C. Eckart, Phys. Rev. 35, 1303
-(1930)). Its levels are
+(1930)). In the map `potential.dimensionless`, with A, B and C over
+s alpha^2, its levels are
 
-    E_(n,l) = C - s alpha^2 (n + kappa_l)^2 - A^2 / (4 s alpha^2 (n + kappa_l)^2),
-    kappa_l = 1/2 + sqrt(1/4 + B/(s alpha^2) + l(l+1)),
+    eps_(n,l) = C - (n + kappa_l)^2 - A^2 / (4 (n + kappa_l)^2),
+    kappa_l = 1/2 + sqrt(1/4 + B + l(l+1)),
 
-and level n is bound only while A > 2 s alpha^2 (n + kappa_l)^2. The
-formula returns a value for every n, also below the asymptote C - A
-for some unbound n, so the bound flag must gate every use of it.
+and level n is bound only while A > 2 (n + kappa_l)^2. The formula
+returns a value for every n, also below the asymptote C - A for some
+unbound n, so the bound flag must gate every use of it.
 """
 
 from __future__ import annotations
@@ -21,21 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, require_index
-from .potential import PhysicalConstants, PotentialParams
+from .potential import Dimensionless
 
 
 @dataclass(frozen=True)
 class ExactLevel:
     n: int
     l: int
-    energy: float  # the Eckart formula's value; a level only when bound
+    energy: float  # the Eckart formula's value, in the config's unit; a level only when bound
     bound: bool
 
 
-def kappa_radicand(params: PotentialParams, consts: PhysicalConstants, l) -> float:
+def kappa_radicand(m: Dimensionless, l) -> float:
     """1/4 + B/(s alpha^2) + l(l+1), the radicand of kappa_l.
 
     Negative where the attractive cosech^2 term falls to the centre: kappa_l
@@ -43,30 +41,27 @@ def kappa_radicand(params: PotentialParams, consts: PhysicalConstants, l) -> flo
     B/(s alpha^2) overflows, with the sign of B (nan where B = 0 and s alpha^2
     underflows to 0).
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(0.25 + np.float64(params.B) / (consts.s * (params.alpha * params.alpha))
-                     + l * (l + 1))
+    return 0.25 + m.B + l * (l + 1)
 
 
-def fall_to_center_unreliable(params: PotentialParams, consts: PhysicalConstants, l) -> bool:
+def fall_to_center_unreliable(m: Dimensionless, l) -> bool:
     """True when the origin's inverse-square coefficient is attractive past
     the critical -hbar^2/(8m) (kappa_radicand < 0), where ground-truth
     bound states cease to exist and grid results depend on r_min."""
-    return kappa_radicand(params, consts, l) < 0.0
+    return kappa_radicand(m, l) < 0.0
 
 
-def surrogate_level(params: PotentialParams, consts: PhysicalConstants, n, l) -> ExactLevel:
+def surrogate_level(m: Dimensionless, n, l) -> ExactLevel:
     """Level n of the surrogate problem at angular momentum l.
 
     Raises DomainError where kappa_radicand is negative (fall to centre).
     """
     require_index(n, "surrogate_level: n")
     require_index(l, "surrogate_level: l")
-    radicand = kappa_radicand(params, consts, l)
+    radicand = kappa_radicand(m, l)
     if radicand < 0.0:
         raise DomainError(
             f"surrogate_level: 1/4 + B/(s alpha^2) + l(l+1) = {radicand} < 0 (fall to centre)")
-    A = params.A
     root = n + 0.5 + math.sqrt(radicand)
-    q = consts.s * (params.alpha * params.alpha) * (root * root)
-    return ExactLevel(int(n), int(l), params.C - q - A * A / (4.0 * q), A > 2.0 * q)
+    q = root * root
+    return ExactLevel(int(n), int(l), m.scale * (m.C - q - m.A * m.A / (4.0 * q)), m.A > 2.0 * q)

@@ -7,12 +7,11 @@ inverse-iteration vectors, and Numerov shooting, each level bracketed
 and closed on the Dirichlet root by regula falsi on one phase: the
 Pruefer angles of an outward and an inward sweep matched at one point.
 Both return the lowest levels, level k as entry k, each state normalized
-and signed the same way. Both solve
-
-    -(hbar^2/2m) u'' + V_eff(r) u = E u
-
-with Dirichlet ends on a uniform grid, entirely in real arithmetic, from
-one sample of V_eff per grid point (potential.effective_potential).
+and signed the same way. Both solve -(hbar^2/2m) u'' + V_eff(r) u = E u
+as -u'' + v u = eps u in rho = alpha r, v = V_eff/(s alpha^2) and eps =
+E/(s alpha^2) (potential.dimensionless), with Dirichlet ends on a uniform
+grid, entirely in real arithmetic, from one sample of V_eff per grid point
+(potential.effective_potential); levels and refusals name E and V.
 Comparison against analytic levels is reported, never asserted.
 """
 
@@ -33,6 +32,7 @@ from .errors import (
     StructureError,
     require_index,
 )
+from .potential import Dimensionless
 
 _NODE_EPS = 1e-8
 # a Numerov block keeps values up to e^600 times its carry-ins (at most 1),
@@ -90,11 +90,13 @@ class NumericSpectrum:
         return tuple(zip(range(len(self.energies)), self.energies, self.node_counts))
 
 
-def _checked(veff, grid, n_states):
-    """(grid.points(), veff as a contiguous float array), refused unless
-    n_states is a non-negative integer below n_points/4 and veff holds one
-    finite sample per grid point."""
+def _checked(veff, m, n_states):
+    """(r, v, s alpha^2): m.grid.points() and veff over s alpha^2 as a
+    contiguous float array (inf where it overflows), refused unless n_states
+    is a non-negative integer below n_points/4, veff holds one finite
+    sample per grid point and s alpha^2 is a positive finite number."""
     require_index(n_states, "n_states")
+    grid = m.grid
     if n_states and n_states >= grid.n_points / 4:
         raise DomainError(
             f"n_states = {n_states} too large for n_points = {grid.n_points} "
@@ -108,7 +110,9 @@ def _checked(veff, grid, n_states):
     if np.any(bad):
         raise SamplingError(
             f"potential non-finite at r = {float(r[bad][0])}", r=float(r[bad][0]))
-    return r, v
+    scale = m.unit()
+    with np.errstate(over="ignore"):
+        return r, v / scale, scale
 
 
 def _finish_state(u, r):
@@ -125,17 +129,18 @@ def _finish_state(u, r):
     return u, int(np.count_nonzero(np.diff(np.sign(sig))))
 
 
-def _finished(method, energies, states, r, notes=()) -> NumericSpectrum:
-    """The spectrum of levels `energies`, level k with the full-grid state
-    states[k], each finished by _finish_state."""
+def _finished(method, energies, scale, states, r, notes=()) -> NumericSpectrum:
+    """The spectrum of levels `energies` in eps, times scale = s alpha^2,
+    level k with the full-grid state states[k], each by _finish_state."""
     finished = [_finish_state(u, r) for u in states]
-    return NumericSpectrum(method, tuple(energies), tuple(c for _, c in finished),
-                           tuple(u for u, _ in finished), r, notes)
+    return NumericSpectrum(method, tuple(e * scale for e in energies),
+                           tuple(c for _, c in finished), tuple(u for u, _ in finished), r, notes)
 
 
-def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
+def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     """Lowest n_states levels by 3-point finite differences on veff, the
-    effective potential at grid.points().
+    effective potential at m.grid.points(), in rho and eps: the operator T
+    has t = 1/h^2 off the diagonal and 2 t + v on it, h the step in rho.
 
     LAPACK dstebz brackets each level of the symmetric tridiagonal
     operator T by Sturm-sequence bisection to a width tol of 1e-11 times
@@ -150,53 +155,60 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     bracket the step also separates their mixed vectors. A level above the
     block within 10 tol of its top would stay mixed into the top vector,
     so the block grows until the next level lies further up, and the
-    lowest n_states Ritz pairs are returned.
+    lowest n_states Ritz pairs are returned. A change of energy unit by a
+    power of two leaves T as it is, any other moves a level by about
+    eps ||T|| absolute at most.
 
-    A grid whose s/h^2 is not a positive finite number is refused
-    (EvaluationOverflowError): h^2 = inf would leave T = diag(V), and
-    h^2 = 0 a T of infinite entries. So is an s/h^2 that vanishes beside
-    V, where adding 2 s/h^2 changes no interior diagonal entry: T is then
-    diag(V) to rounding, and its eigenvalues are samples of V with
-    nodeless vectors. So is a grid where the bound max|2 s/h^2 + V| + 2 s/h^2
-    behind tol is not finite. ConvergenceError is raised for a nonzero LAPACK
-    info, a level outside its bracket, |E - w| > tol (a polluted vector),
-    and where the block would have to grow to n_points/4 levels. Each
-    state is L2-normalized with the trapezoid rule and signed so that its
-    lobe nearest the origin is positive.
+    A grid whose t is not a positive finite number is refused
+    (EvaluationOverflowError, naming s/h^2 = s alpha^2 t): h^2 = inf would
+    leave T = diag(v), and h^2 = 0 a T of infinite entries. So is a t that
+    vanishes beside v, where adding 2 t changes no interior diagonal entry:
+    T is then diag(v) to rounding, and its eigenvalues are samples of v
+    with nodeless vectors. So is a grid where the bound max|2 t + v| + 2 t
+    behind tol, or (2 t)^2, is not finite (dstebz squares t and fails
+    there). ConvergenceError is raised for a nonzero LAPACK info, a level
+    outside its bracket, |eps - w| > tol (a polluted vector), and where
+    the block would have to grow to n_points/4 levels. Each state is
+    L2-normalized with the trapezoid rule and signed so that its lobe
+    nearest the origin is positive.
     """
-    r, veff = _checked(veff, grid, n_states)
+    r, v, scale = _checked(veff, m, n_states)
     if n_states == 0:
-        return _finished("FiniteDifference", (), (), r)
-    h = grid.h
-    t = consts.s / (h * h) if h * h else math.inf
+        return _finished("FiniteDifference", (), scale, (), r)
+    h = m.h
+    t = 1.0 / (h * h) if h * h else math.inf
     if not 0.0 < t < math.inf:
         raise EvaluationOverflowError(
-            f"fd_spectrum: s/h^2 = {t!r} is not a positive finite number (h^2 = {h * h!r})")
-    diag = 2.0 * t + veff[1:-1]
-    if np.array_equal(diag, veff[1:-1]):
+            f"fd_spectrum: s/h^2 = {t * scale!r} is not a positive finite number "
+            f"(h^2 = {m.grid.h * m.grid.h!r})")
+    diag = 2.0 * t + v[1:-1]
+    if np.array_equal(diag, v[1:-1]):
         raise EvaluationOverflowError(
-            f"fd_spectrum: s/h^2 = {t:.3g} vanishes beside V "
+            f"fd_spectrum: s/h^2 = {t * scale:.3g} vanishes beside V "
             "(adding 2 s/h^2 changes no interior diagonal entry)")
     off = np.full(diag.shape[0] - 1, -t)
     tol = _EIG_RTOL * (float(np.max(np.abs(diag))) + 2.0 * t)
-    if not math.isfinite(tol):
+    if not math.isfinite(tol) or 4.0 * t * t == math.inf:
         raise EvaluationOverflowError(
-            f"fd_spectrum: 2 s/h^2 + V overflows its Gershgorin bound (s/h^2 = {t:.3g})")
+            "fd_spectrum: 2 s/h^2 + V overflows its Gershgorin bound, or 2 s/h^2 the "
+            f"square that LAPACK's Sturm counts take, in units of s alpha^2 "
+            f"(s/h^2 = {t * scale:.3g})")
     block = n_states
     while True:
         # range 2 brackets by index; range 1 with an infinite tol is two Sturm
-        # counts: m levels up to the bound (inf, so all, past the float range)
-        m, coarse, iblock, isplit = _fd_lapack("dstebz", diag, off, 2, 0, 1, 1, block, tol, "B")
-        coarse = coarse[:m]
+        # counts: the levels up to the bound (inf, so all, past the float range)
+        found, coarse, iblock, isplit = _fd_lapack(
+            "dstebz", diag, off, 2, 0, 1, 1, block, tol, "B")
+        coarse = coarse[:found]
         with np.errstate(over="ignore"):
             bound = np.max(coarse) + _EIG_GAP * tol
         reach = _fd_lapack("dstebz", diag, off, 1, -np.inf, bound, 1, 1, np.inf, "E")[0]
         if reach <= block:
             break
-        if reach >= grid.n_points / 4:
+        if reach >= m.grid.n_points / 4:
             raise ConvergenceError(
                 f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
-                f"other closer than {_EIG_GAP * tol:.3g}")
+                f"other closer than {_EIG_GAP * tol * scale:.3g}")
         block = reach
     vecs = _fd_lapack("dstein", diag, off, coarse, iblock, isplit)[0]
     # a spike in V can split T into blocks, each bracketed in turn
@@ -210,10 +222,10 @@ def fd_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     if far.size:
         k = int(far[0])
         raise ConvergenceError(
-            f"fd_spectrum: level {k} at {energies[k]!r} left its bracket "
-            f"{coarse[k]!r} +- {tol:.3g}")
+            f"fd_spectrum: level {k} at {energies[k] * scale!r} left its bracket "
+            f"{coarse[k] * scale!r} +- {tol * scale:.3g}")
     states = np.pad(vecs @ rotation[:, :n_states], ((1, 1), (0, 0))).T
-    return _finished("FiniteDifference", energies[:n_states].tolist(), states, r)
+    return _finished("FiniteDifference", energies[:n_states].tolist(), scale, states, r)
 
 
 def _numerov_sweep(f, h2):
@@ -270,7 +282,7 @@ def _log_amplitude(v, log_scale):
 
 
 def _match_point(f):
-    """The matching point m of a probe at f = (V - E)/s: the deepest point
+    """The matching point m of a probe at f = v - eps: the deepest point
     (least f) of the last classically allowed (f < 0) run of interior
     points, or n - 2 where r_max's neighbour is allowed or no point is: a
     probe below the whole potential must not match next to the origin,
@@ -381,19 +393,20 @@ def _phase_root(phase, lo, hi, k, e_end, unit):
         f"numerov_spectrum: regula falsi not converged after {_MAX_BISECT} iterations")
 
 
-def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
+def numerov_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     """The lowest n_states levels by Numerov shooting on veff, the effective
-    potential at grid.points(); level k is entry k and has k nodes.
+    potential at m.grid.points(), as u'' = f u, f = v - eps; level k is
+    entry k and has k nodes.
 
     Sweeps start from (u_0, u_1) = (0, 1), so u = 0 exactly at r_min
     whatever the potential's sample there. Energies count in the unit
-    s (40/r_max)^2, s = hbar^2/2m, so that the window and the tolerance
-    scale with the levels. Each probe at E is one matched phase Theta
-    (_matched_phase, _match_point). The window starts 1 unit below the
-    interior floor, where a grid whose h^2 (V - E)/s overflows past r_min
-    is refused (EvaluationOverflowError), as is one with Theta >= pi
-    (ResolutionError) and a unit that vanishes beside the floor
-    (EvaluationOverflowError). It ends 1e-6 unit below the lower of the
+    (40/rho_max)^2, s (40/r_max)^2 in E, so that the window and the
+    tolerance scale with the levels. Each probe at eps is one matched phase
+    Theta (_matched_phase, _match_point). The window starts 1 unit below
+    the interior floor, where a grid whose h^2 (V - E)/s overflows past
+    r_min is refused (EvaluationOverflowError), as is one with
+    Theta >= pi (ResolutionError) and a unit that vanishes beside the
+    floor (EvaluationOverflowError). It ends 1e-6 unit below the lower of the
     last two samples where floor(Theta/pi) reaches n_states there, and
     otherwise 1e-6 unit above the higher, or 1, 2, 4, ... units further
     up, where it does; those end probes split any bracket at the potential
@@ -402,32 +415,31 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
     (_phase_root) to 1e-10 max(unit, |E|); its state is the last probe's
     two sweeps joined at m.
     """
-    r, veff = _checked(veff, grid, n_states)
+    r, v, scale = _checked(veff, m, n_states)
     if n_states == 0:
-        return _finished("Numerov", (), (), r)
-    h2 = grid.h * grid.h
-    pref = 1.0 / consts.s
-    reach = DEFAULT_REACH / grid.r_max
-    unit = consts.s * (reach * reach)
+        return _finished("Numerov", (), scale, (), r)
+    h2 = m.h * m.h
+    reach = DEFAULT_REACH / (m.alpha * m.grid.r_max)
+    unit = reach * reach
     samples = []  # (E, Theta) of every probe
     latest = None  # the sweeps and match point of the last probe only
 
     def phase(E):
         nonlocal latest
         with np.errstate(over="ignore"):
-            f = pref * (veff - E)
+            f = v - E
         f[0] = 0.0  # r_min's sample only ever multiplies u_0 = 0
-        m = _match_point(f)
-        angle, sweeps = _matched_phase(f, h2, m)
+        at = _match_point(f)
+        angle, sweeps = _matched_phase(f, h2, at)
         samples.append((E, angle))
-        latest = sweeps, m
+        latest = sweeps, at
         return angle
 
     # interior floor: boundary samples may be singular and only ever
     # multiply the u = 0 start value
-    e_lo = float(np.min(veff[1:-1])) - unit
+    e_lo = float(np.min(v[1:-1])) - unit
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.flatnonzero(~np.isfinite(h2 * (pref * (veff[1:] - e_lo))))
+        bad = np.flatnonzero(~np.isfinite(h2 * (v[1:] - e_lo)))
     if bad.size:
         raise EvaluationOverflowError(
             f"numerov_spectrum: h^2 (V - E)/s is non-finite at r = {float(r[bad[0] + 1])}")
@@ -436,12 +448,12 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         # no state has nodes below the potential minimum
         raise ResolutionError(
             f"numerov_spectrum: the sweep has {k_lo} nodes below the potential "
-            f"minimum; n_points = {grid.n_points} is too coarse for this potential")
+            f"minimum; n_points = {m.grid.n_points} is too coarse for this potential")
     if e_lo + unit == e_lo:
         raise EvaluationOverflowError(
-            f"numerov_spectrum: the energy unit s (40/r_max)^2 = {unit!r} vanishes "
-            f"beside the window's floor {e_lo!r}")
-    v_pair = veff[-2:].tolist()
+            f"numerov_spectrum: the energy unit s (40/r_max)^2 = {unit * scale!r} vanishes "
+            f"beside the window's floor {e_lo * scale!r}")
+    v_pair = v[-2:].tolist()
     e_hi = min(v_pair) - 1e-6 * unit
     if not e_lo < e_hi or phase(e_hi) < n_states * math.pi:
         above = e_hi = max(v_pair) + 1e-6 * unit
@@ -460,5 +472,5 @@ def numerov_spectrum(veff, consts, grid, n_states) -> NumericSpectrum:
         hi = min((s for s in samples if s[1] >= target and s[0] > lo[0]), key=lambda s: s[0])
         energies.append(_phase_root(phase, lo, hi, k, v_pair[0], unit))
         states.append(_joined_state(*latest))
-    return _finished("Numerov", energies, states, r,
-                     notes=(f"window auto-selected: [{e_lo:.6g}, {e_hi:.6g}]",))
+    return _finished("Numerov", energies, scale, states, r,
+                     notes=(f"window auto-selected: [{e_lo * scale:.6g}, {e_hi * scale:.6g}]",))

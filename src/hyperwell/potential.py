@@ -10,6 +10,10 @@ with depths V0, V1, V2 and screening rate alpha > 0. As coth^2 =
 coefficients PotentialParams.A, .B and .C hold; named special cases zero
 out (or flip) coefficients. V tends to C - A as r -> infinity and is
 singular at the origin whenever a, b or c is active.
+
+The radial problem depends only on A, B and C over s alpha^2, s =
+hbar^2/(2m), on l and on the grid in rho = alpha r; `dimensionless` maps a
+config there, where the solvers and the exact levels work.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, EvaluationOverflowError
+from .errors import DomainError, EvaluationOverflowError, SingularCoefficientError
 from .special import hyperbolic_pair
 
 
@@ -81,6 +85,51 @@ class PhysicalConstants:
     def s(self):
         """hbar^2/(2m), the only place hbar and m are combined."""
         return self.hbar * self.hbar / (2.0 * self.mass)
+
+
+@dataclass(frozen=True)
+class Dimensionless:
+    """A config in rho = alpha r and eps = E/(s alpha^2): the energy unit
+    scale = s alpha^2, A, B and C over it (beta^2 is A), alpha and the grid
+    in r. Nothing is checked on construction."""
+
+    scale: float
+    A: float
+    B: float
+    C: float
+    alpha: float
+    grid: object = None
+
+    @property
+    def h(self):
+        """The grid step in rho."""
+        return self.alpha * self.grid.h
+
+    def unit(self, inverse=False):
+        """s alpha^2, refused (SingularCoefficientError) where it is 0 or inf
+        or, with `inverse`, where 1/(s alpha^2) is."""
+        if not 0.0 < self.scale < math.inf or inverse and 1.0 / self.scale == math.inf:
+            raise SingularCoefficientError(
+                f"s alpha^2 = {self.scale} makes the 1/(s alpha^2) energy scale singular")
+        return self.scale
+
+    def coefficients(self):
+        """(A, B), refused where unit(inverse=True) is or where one of them is
+        not finite, naming it: the closed forms read both."""
+        self.unit(inverse=True)
+        for name, value in (("beta^2 = a V0/(s alpha^2)", self.A),
+                            ("(b V1 - c V2)/(s alpha^2)", self.B)):
+            if not math.isfinite(value):
+                raise SingularCoefficientError(f"{name} = {value} is not finite")
+        return self.A, self.B
+
+
+def dimensionless(params, consts, grid=None) -> Dimensionless:
+    """The map of (params, consts, grid); a quotient that overflows is inf."""
+    scale = consts.s * (params.alpha * params.alpha)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A, B, C = (float(np.float64(x) / scale) for x in (params.A, params.B, params.C))
+    return Dimensionless(scale, A, B, C, params.alpha, grid)
 
 
 def _sample(params, consts, l, r, approximate):

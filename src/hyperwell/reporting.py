@@ -30,7 +30,7 @@ from .analytic import (
 from .errors import ConfigError, HyperwellError, SingularCoefficientError
 from .exact import fall_to_center_unreliable
 from .oracle import fd_spectrum, numerov_spectrum
-from .potential import KINDS, effective_potential, scan_series, with_gaps
+from .potential import KINDS, dimensionless, effective_potential, scan_series, with_gaps
 
 SCHEMA_VERSION = 3
 
@@ -202,24 +202,24 @@ def _spectrum_record(spec: oracle.NumericSpectrum, flagged: bool) -> dict:
     }
 
 
-def _oracle_block(config, l, n_states):
+def _oracle_block(config, m, l, n_states):
     """The rendered FD and Numerov block of one l and its FD spectrum.
 
-    Both solvers take the same samples of the effective potential. The
-    block keeps the record of each solver that solved; where one fails,
-    or the sampling does, it carries the first error instead of the cross
-    deltas, and the FD spectrum returned is None unless FD solved."""
-    params, consts, grid = config.params, config.consts, config.grid
+    Both solvers take the same samples of the effective potential, in the
+    config's unit, and the map m of the config to rho and eps. The block
+    keeps the record of each solver that solved; where one fails, or the
+    sampling does, it carries the first error instead of the cross deltas,
+    and the FD spectrum returned is None unless FD solved."""
     block = {"l": int(l), "n_states": n_states}
     try:
-        veff = effective_potential(params, consts, l, grid.points())
+        veff = effective_potential(config.params, config.consts, l, m.grid.points())
     except HyperwellError as exc:
         return {**block, "error": str(exc)}, None
-    flagged = fall_to_center_unreliable(params, consts, l)
+    flagged = fall_to_center_unreliable(m, l)
     spectra, errors = {}, []
     for key, solver in (("fd", fd_spectrum), ("numerov", numerov_spectrum)):
         try:
-            spectra[key] = solver(veff, consts, grid, n_states)
+            spectra[key] = solver(veff, m, n_states)
             block[key] = _spectrum_record(spectra[key], flagged)
         except HyperwellError as exc:
             errors.append(str(exc))
@@ -237,10 +237,11 @@ def _n_states(config) -> int:
 
 
 def build_oracle_report(config) -> dict:
+    m = dimensionless(config.params, config.consts, config.grid)
     n_states = _n_states(config)
     return {
         **_header("oracle", config),
-        "per_l": [_oracle_block(config, l, n_states)[0] for l in config.l_list],
+        "per_l": [_oracle_block(config, m, l, n_states)[0] for l in config.l_list],
     }
 
 
@@ -294,15 +295,16 @@ def build_validate_report(config) -> dict:
     oracle blocks that the oracle report renders too; r_samples holds the
     radii of every state's ODE residual."""
     params, consts = config.params, config.consts
+    m = dimensionless(params, consts, config.grid)
     n_states = _n_states(config)
-    solved = [_oracle_block(config, l, n_states) for l in config.l_list]
+    solved = [_oracle_block(config, m, l, n_states) for l in config.l_list]
     r_samples = [k / params.alpha for k in (0.5, 1.0, 2.0, 4.0)]
     return {
         **_header("validate", config),
         "potential": {
             "asymptote": params.asymptote if math.isfinite(params.asymptote) else None,
             "origin_unreliable_per_l": {
-                str(l): fall_to_center_unreliable(params, consts, l)
+                str(l): fall_to_center_unreliable(m, l)
                 for l in config.l_list},
         },
         "r_samples": r_samples,

@@ -9,7 +9,7 @@ import math
 from pathlib import Path
 
 from hyperwell.config import parse_config
-from hyperwell.potential import PotentialParams
+from hyperwell.potential import PotentialParams, dimensionless
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -21,6 +21,12 @@ FAULT = parse_config((CONFIGS / "eckart_bound.cfg").read_text()).params
 def family_params(**kw):
     return PotentialParams(**{"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0,
                               "V0": 0.0, "V1": 0.0, "V2": 0.0, "alpha": 1.0, **kw})
+
+
+def mapped(consts, grid, params=None):
+    """The map of params (alpha = 1 when None) and consts on grid to rho
+    and eps, as the solvers take it."""
+    return dimensionless(params or family_params(), consts, grid)
 
 
 def uniform_params(rng):

@@ -28,6 +28,7 @@ from hyperwell.nu import NUProblem, Poly, k_candidates, lambda_n_of, radicand_co
 from hyperwell.oracle import fd_spectrum, numerov_spectrum
 from hyperwell.potential import PhysicalConstants, PotentialParams, effective_potential
 from hyperwell.special import hyperbolic_pair, jacobi, principal_sqrt
+from params import mapped
 
 from test_special import jacobi_sum
 
@@ -249,14 +250,14 @@ def test_criterion_06_oracle_correctness():
 
     # box ground state at n_points = 2000
     box_grid = RadialGrid(1e-9, 1.0, 2000)
-    fd_box = fd_spectrum(box_potential(box_grid.points()), CONSTS, box_grid, 3)
+    fd_box = fd_spectrum(box_potential(box_grid.points()), mapped(CONSTS, box_grid), 3)
     box_err = abs(fd_box.energies[0] - math.pi**2) / math.pi**2
     if box_err > 1e-3:
         failures.append(f"box ground err {box_err:.2e}")
 
     # oscillator odd levels
     osc_grid = RadialGrid(1e-6, 10.0, 2000)
-    fd_osc = fd_spectrum(oscillator_potential(osc_grid.points()), CONSTS, osc_grid, 3)
+    fd_osc = fd_spectrum(oscillator_potential(osc_grid.points()), mapped(CONSTS, osc_grid), 3)
     for k, exact in enumerate((3.0, 7.0, 11.0)):
         err = abs(fd_osc.energies[k] - exact) / exact
         if err > 1e-3:
@@ -266,14 +267,14 @@ def test_criterion_06_oracle_correctness():
     # measurement: the box needs 4000 points for level 2, the oscillator 8000)
     cross_worst = 0.0
     box_fine = RadialGrid(1e-9, 1.0, 4000)
-    fd = fd_spectrum(box_potential(box_fine.points()), CONSTS, box_fine, 3)
-    nv = numerov_spectrum(box_potential(box_fine.points()), CONSTS, box_fine, 3)
+    fd = fd_spectrum(box_potential(box_fine.points()), mapped(CONSTS, box_fine), 3)
+    nv = numerov_spectrum(box_potential(box_fine.points()), mapped(CONSTS, box_fine), 3)
     for k in range(3):
         cross_worst = max(cross_worst, abs(fd.energies[k] - nv.energies[k])
                           / max(1.0, abs(nv.energies[k])))
     osc_fine = RadialGrid(1e-6, 10.0, 8000)
-    fd = fd_spectrum(oscillator_potential(osc_fine.points()), CONSTS, osc_fine, 3)
-    nv = numerov_spectrum(oscillator_potential(osc_fine.points()), CONSTS, osc_fine, 3)
+    fd = fd_spectrum(oscillator_potential(osc_fine.points()), mapped(CONSTS, osc_fine), 3)
+    nv = numerov_spectrum(oscillator_potential(osc_fine.points()), mapped(CONSTS, osc_fine), 3)
     for k in range(3):
         cross_worst = max(cross_worst, abs(fd.energies[k] - nv.energies[k])
                           / max(1.0, abs(nv.energies[k])))
@@ -282,8 +283,8 @@ def test_criterion_06_oracle_correctness():
 
     # O(h^2) convergence
     coarse_grid, fine_grid = RadialGrid(1e-9, 1.0, 1001), RadialGrid(1e-9, 1.0, 2001)
-    coarse = fd_spectrum(box_potential(coarse_grid.points()), CONSTS, coarse_grid, 1)
-    fine = fd_spectrum(box_potential(fine_grid.points()), CONSTS, fine_grid, 1)
+    coarse = fd_spectrum(box_potential(coarse_grid.points()), mapped(CONSTS, coarse_grid), 1)
+    fine = fd_spectrum(box_potential(fine_grid.points()), mapped(CONSTS, fine_grid), 1)
     ratio = (abs(coarse.energies[0] - math.pi**2)
              / abs(fine.energies[0] - math.pi**2))
     if not 3.5 < ratio < 4.5:
@@ -326,7 +327,7 @@ def test_criterion_07_centrifugal_approximation():
                                  V0=200.0, V1=0.0, V2=0.0, alpha=alpha)
         e_exact, e_approx = (
             fd_spectrum(effective_potential(params, CONSTS, 1, r, approximate=approx),
-                        CONSTS, study_grid, 1).energies[0]
+                        mapped(CONSTS, study_grid, params), 1).energies[0]
             for approx in (False, True))
         shifts.append(abs(e_exact - e_approx) / abs(e_exact))
         if e_exact > -params.V0:

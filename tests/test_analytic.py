@@ -28,7 +28,7 @@ from hyperwell.errors import (
     SingularCoefficientError,
 )
 from hyperwell.nu import Poly, enumerate_branches, lambda_n_of, pi_tau_select
-from hyperwell.potential import PhysicalConstants, PotentialParams
+from hyperwell.potential import PhysicalConstants, PotentialParams, dimensionless
 from params import CONFIGS, seeded_params, uniform_params
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
@@ -93,7 +93,7 @@ class TestDimensionless:
     def test_from_eps2_consistency(self):
         # each root's map is the map of its eps^2, both variants, seeded draws
         for params, consts, lv in seeded_levels():
-            dp = dimensionless_from_eps2(params, consts, lv.dp.eps2, lv.l)
+            dp = dimensionless_from_eps2(dimensionless(params, consts), consts.s, lv.dp.eps2, lv.l)
             assert lv.dp == dp
 
     def test_nu_problem_triple(self):
@@ -106,7 +106,7 @@ class TestDimensionless:
 
 class TestAuxQuantities:
     def test_demo_frozen_values(self):
-        dp = dimensionless_from_eps2(DEMO, CONSTS, 1.0 + 0.0j, 0)
+        dp = dimensionless_from_eps2(dimensionless(DEMO, CONSTS), CONSTS.s, 1.0 + 0.0j, 0)
         aux = aux_quantities(dp)
         # v = i beta sqrt(gamma2 + 2.5 beta2) = i sqrt(2.535)
         assert aux.v == pytest.approx(1j * math.sqrt(2.535), rel=1e-9)
@@ -115,7 +115,7 @@ class TestAuxQuantities:
         assert aux.u == pytest.approx(cmath.sqrt(1.5) + 0.035, rel=1e-12)
 
     def test_exponent_relations(self):
-        dp = dimensionless_from_eps2(DEMO, CONSTS, 0.3 - 0.1j, 1)
+        dp = dimensionless_from_eps2(dimensionless(DEMO, CONSTS), CONSTS.s, 0.3 - 0.1j, 1)
         aux = aux_quantities(dp)
         assert aux.mu == pytest.approx(2.0 - cmath.sqrt(aux.u + aux.v), rel=1e-12)
         assert aux.nu == pytest.approx(cmath.sqrt(aux.u - aux.v), rel=1e-12)
@@ -123,12 +123,12 @@ class TestAuxQuantities:
         assert aux.B == pytest.approx((aux.nu + dp.beta) / 2j, rel=1e-12)
 
     def test_u_regular_at_zero_eps2(self):
-        dp = dimensionless_from_eps2(DEMO, CONSTS, 0.0, 0)
+        dp = dimensionless_from_eps2(dimensionless(DEMO, CONSTS), CONSTS.s, 0.0, 0)
         aux = aux_quantities(dp)
         assert aux.u == pytest.approx(dp.gamma2)
 
     def test_n_enters_sigma_big_only(self):
-        dp = dimensionless_from_eps2(DEMO, CONSTS, 1.0, 0)
+        dp = dimensionless_from_eps2(dimensionless(DEMO, CONSTS), CONSTS.s, 1.0, 0)
         assert dp.sigma_big(2) - dp.sigma_big(0) == pytest.approx(6.0)
 
     def test_sigma_big_is_the_printed_constant(self):
@@ -136,14 +136,15 @@ class TestAuxQuantities:
         # here with s = 2 and alpha = 2, so pref = 1/(s alpha^2) = 1/8
         params = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02,
                                  alpha=2.0)
-        dp = dimensionless_from_eps2(params, PhysicalConstants(hbar=2.0, mass=1.0), 0.0, 1)
+        consts = PhysicalConstants(hbar=2.0, mass=1.0)
+        dp = dimensionless_from_eps2(dimensionless(params, consts), consts.s, 0.0, 1)
         want = (0.5 - 0.04 + 0.005 + 4.0 * 2) / 8.0 + 2
         assert dp.sigma_big(1) == pytest.approx(want, rel=1e-14)
 
 
 def coefficients(params, n, l, variant="quadratic"):
     """quantization_coefficients on the map of l, as energy_levels calls it."""
-    l_map = dimensionless_from_eps2(params, CONSTS, 0.0, l)
+    l_map = dimensionless_from_eps2(dimensionless(params, CONSTS), CONSTS.s, 0.0, l)
     return quantization_coefficients(l_map, 1.0 / (CONSTS.s * params.alpha**2), n,
                                      variant=variant)
 
@@ -310,9 +311,8 @@ class TestWavefunction:
     def test_overflowing_envelope_not_normalizable(self):
         # a huge |eps2| drives the envelope exponents to ~ 1e6, whose complex
         # powers overflow inside the window; the integrand turns non-finite
-        lv = EnergyLevel(n=0, l=0, branch="plus",
-                         dp=dimensionless_from_eps2(DEMO, CONSTS, 1e12 + 0j, 0), energy=0j,
-                         residual_quantization=0.0)
+        dp = dimensionless_from_eps2(dimensionless(DEMO, CONSTS), CONSTS.s, 1e12 + 0j, 0)
+        lv = EnergyLevel(n=0, l=0, branch="plus", dp=dp, energy=0j, residual_quantization=0.0)
         with pytest.raises(NonNormalizableError):
             radial_wavefunction(DEMO, lv)
 
@@ -446,7 +446,8 @@ class TestOdeResidual:
         E = 4.0  # W = 2mE/hbar^2 = 4; F = sin(2r)
 
         class Exact:
-            dp = dimensionless_from_eps2(free, CONSTS, 0.0, 0)  # beta = 0, so F = R
+            # beta = 0, so F = R
+            dp = dimensionless_from_eps2(dimensionless(free, CONSTS), CONSTS.s, 0.0, 0)
 
             def __call__(self, r):
                 return np.sin(2.0 * np.asarray(r, dtype=float))
@@ -468,7 +469,7 @@ class TestOdeResidual:
         # difference scales by 1/h^2
         def reference(wf, params, energy, l, r_samples):
             pref = 2.0 * CONSTS.mass / CONSTS.hbar**2
-            dp = dimensionless_from_eps2(params, CONSTS, 0.0, l)
+            dp = dimensionless_from_eps2(dimensionless(params, CONSTS), CONSTS.s, 0.0, l)
             h = 1e-4
             worst, scale = 0.0, 1.0
             for r in r_samples:

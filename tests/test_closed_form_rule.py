@@ -101,13 +101,17 @@ def test_exit_codes(config_path, name):
         assert out == "" and err.startswith("hyperwell: error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ["ovf", "c0"])
-def test_singular_reason_is_the_failure_message(config_path, name):
-    # every state is singular with one reason, the wavefunction's stderr
-    # line, and validate still renders one oracle block per l
+@pytest.mark.parametrize("name, reason", [
+    ("ovf", "beta^2 = a V0/(s alpha^2) = inf is not finite"),
+    ("c0", "energy_levels: the quantization coefficient c0 = (nan+infj) is not finite"),
+], ids=["ovf", "c0"])
+def test_singular_reason_is_the_failure_message(config_path, name, reason):
+    # every state is singular with one reason, which names the closed-form
+    # quantity that is not finite and is the wavefunction's stderr line, and
+    # validate still renders one oracle block per l
     path = config_path(name)
     _, _, err = run(["wavefunction", "--config", path, "--n", "0", "--l", "1"])
-    reason = err.removeprefix("hyperwell: error: ").rstrip("\n")
+    assert err == f"hyperwell: error: {reason}\n"
     for command in JSON_COMMANDS:
         doc = checked(run([command, "--config", path, *STATES])[1], command)
         assert [e["singular"] for e in entries(doc)] == [{"reason": reason}] * 9

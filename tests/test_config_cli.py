@@ -22,6 +22,7 @@ from hyperwell.reporting import (
     potential_csv,
     wavefunction_csv,
 )
+from params import mapped
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -291,10 +292,11 @@ class TestCliExitCodes:
             ["oracle", "--n", "0", "--l", "7"], "per_l",
             ["fd_spectrum: s/h^2 = 7.98e-290 vanishes beside V"],
             [None]),
-        # alpha^2 and s alpha^2 by Python's ** raised OverflowError (exit 3)
+        # alpha^2 and s alpha^2 by Python's ** raised OverflowError (exit 3);
+        # the energy unit s alpha^2 is inf, which both solvers refuse
         "huge-alpha": (
             HUGE_ALPHA, ["oracle", "--n", "0", "--l", "0"], "per_l",
-            ["fd_spectrum: s/h^2 = 4e-54 vanishes beside V"],
+            ["s alpha^2 = inf makes the 1/(s alpha^2) energy scale singular"],
             None),
         # B/(s alpha^2) overflowed in kappa_radicand with a numpy warning
         "tiny-hbar": (
@@ -354,7 +356,7 @@ class TestCliExitCodes:
         config = parse_config(self.EXTREME["tiny-grid"][0])
         veff = effective_potential(config.params, config.consts, 0, config.grid.points())
         with pytest.raises(EvaluationOverflowError, match=r"h\^2 \(V - E\)/s is non-finite"):
-            numerov_spectrum(veff, config.consts, config.grid, 1)
+            numerov_spectrum(veff, mapped(config.consts, config.grid, config.params), 1)
 
     def test_huge_alpha_spectrum_is_singular(self, tmp_path, capsys):
         cfg = tmp_path / "extreme.cfg"

@@ -27,10 +27,11 @@ from hyperwell.oracle import NumericSpectrum, fd_spectrum, numerov_spectrum
 from hyperwell.potential import (
     PhysicalConstants,
     PotentialParams,
+    dimensionless,
     effective_potential,
     eval_potential,
 )
-from params import FAULT, family_params, seeded_params
+from params import FAULT, family_params, mapped, seeded_params
 
 REPO = Path(__file__).resolve().parents[1]
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # hbar^2/(2m) = 1
@@ -67,7 +68,7 @@ def swept_numerov(monkeypatch, veff, consts, grid):
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_numerov_sweep", counting)
-        spec = numerov_spectrum(veff, consts, grid, 3)
+        spec = numerov_spectrum(veff, mapped(consts, grid), 3)
     return spec, swept[0]
 
 
@@ -114,7 +115,7 @@ class TestBoxFixture:
     """Infinite square well on (0, 1): E_k = ((k+1) pi)^2 in these units."""
 
     def test_fd_ground_state(self):
-        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 3)
+        spec = fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 3)
         exact = [math.pi**2 * (k + 1) ** 2 for k in range(3)]
         for k in range(3):
             assert spec.energies[k] == pytest.approx(exact[k], rel=1e-3)
@@ -122,11 +123,11 @@ class TestBoxFixture:
         assert abs(spec.energies[0] - exact[0]) / exact[0] < 1e-6
 
     def test_node_theorem(self):
-        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 3)
+        spec = fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 3)
         assert list(spec.node_counts) == [0, 1, 2]
 
     def test_wavefunction_normalized(self):
-        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
+        spec = fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 2)
         r = BOX_GRID.points()
         for vec in spec.wavefunctions:
             assert np.trapezoid(vec * vec, r) == pytest.approx(1.0, abs=1e-8)
@@ -134,22 +135,22 @@ class TestBoxFixture:
 
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-9, 1.0, 4000)
-        fd = fd_spectrum(box(grid), CONSTS, grid, 3)
-        nv = numerov_spectrum(box(grid), CONSTS, grid, 3)
+        fd = fd_spectrum(box(grid), mapped(CONSTS, grid), 3)
+        nv = numerov_spectrum(box(grid), mapped(CONSTS, grid), 3)
         for k in range(3):
             e_fd, e_nv = fd.energies[k], nv.energies[k]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6
 
     def test_numerov_auto_window(self):
-        spec = numerov_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
+        spec = numerov_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 2)
         assert spec.energies[0] == pytest.approx(math.pi**2, rel=1e-3)
         assert any("window auto-selected" in note for note in spec.notes)
 
     def test_order_h_squared_convergence(self):
         exact = math.pi**2
         coarse_grid, fine_grid = RadialGrid(1e-9, 1.0, 1001), RadialGrid(1e-9, 1.0, 2001)
-        coarse = fd_spectrum(box(coarse_grid), CONSTS, coarse_grid, 1)
-        fine = fd_spectrum(box(fine_grid), CONSTS, fine_grid, 1)
+        coarse = fd_spectrum(box(coarse_grid), mapped(CONSTS, coarse_grid), 1)
+        fine = fd_spectrum(box(fine_grid), mapped(CONSTS, fine_grid), 1)
         err_c = abs(coarse.energies[0] - exact)
         err_f = abs(fine.energies[0] - exact)
         assert 3.5 < err_c / err_f < 4.5
@@ -159,15 +160,15 @@ class TestOscillatorFixture:
     """V = r^2 with u(0) = 0: the odd oscillator levels 3, 7, 11."""
 
     def test_fd_levels(self):
-        spec = fd_spectrum(oscillator(OSC_GRID), CONSTS, OSC_GRID, 3)
+        spec = fd_spectrum(oscillator(OSC_GRID), mapped(CONSTS, OSC_GRID), 3)
         for k, exact in enumerate((3.0, 7.0, 11.0)):
             assert spec.energies[k] == pytest.approx(exact, rel=1e-3)
 
     def test_numerov_matches_fd(self):
         grid = RadialGrid(1e-6, 10.0, 8000)
-        fd = fd_spectrum(oscillator(grid), CONSTS, grid, 3)
+        fd = fd_spectrum(oscillator(grid), mapped(CONSTS, grid), 3)
         # r_max is classically forbidden at every level
-        nv = numerov_spectrum(oscillator(grid), CONSTS, grid, 3)
+        nv = numerov_spectrum(oscillator(grid), mapped(CONSTS, grid), 3)
         for k in range(3):
             e_fd, e_nv = fd.energies[k], nv.energies[k]
             assert abs(e_fd - e_nv) / max(1.0, abs(e_nv)) < 1e-6, k
@@ -175,7 +176,7 @@ class TestOscillatorFixture:
     def test_centrifugal_l_one(self):
         # V = r^2 + l(l+1)/r^2 with l = 1: even oscillator levels 5, 9
         r = OSC_GRID.points()
-        spec = fd_spectrum(oscillator(OSC_GRID) + 2.0 / (r * r), CONSTS, OSC_GRID, 2)
+        spec = fd_spectrum(oscillator(OSC_GRID) + 2.0 / (r * r), mapped(CONSTS, OSC_GRID), 2)
         assert spec.energies[0] == pytest.approx(5.0, rel=1e-3)
         assert spec.energies[1] == pytest.approx(9.0, rel=1e-3)
 
@@ -330,7 +331,7 @@ class TestNumerovSweep:
         wall = np.where(wall_grid.points() > 1.0, 1e6, 0.0)
         cases = ((oscillator(osc_grid), osc_grid, 3), (wall, wall_grid, 1))
         for veff, grid, n_states in cases:
-            spec = numerov_spectrum(veff, CONSTS, grid, n_states)
+            spec = numerov_spectrum(veff, mapped(CONSTS, grid), n_states)
             assert len(spec.wavefunctions) == n_states
             for vec in spec.wavefunctions:
                 assert np.all(np.isfinite(vec))
@@ -358,8 +359,8 @@ class TestNumerovLevels:
         params, l, n_points = self.WELLS[name]
         grid = RadialGrid(1e-6, 40.0 / params.alpha, n_points)
         veff = effective_potential(params, CONSTS, l, grid.points())
-        assert node_counts(numerov_spectrum(veff, CONSTS, grid, 3)) == [0, 1, 2]
-        assert node_counts(fd_spectrum(veff, CONSTS, grid, 3)) == [0, 1, 2]
+        assert node_counts(numerov_spectrum(veff, mapped(CONSTS, grid, params), 3)) == [0, 1, 2]
+        assert node_counts(fd_spectrum(veff, mapped(CONSTS, grid, params), 3)) == [0, 1, 2]
 
     def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
         # sweeps are counted as grid points swept over n_points
@@ -392,7 +393,7 @@ class TestNumerovLevels:
         phases = np.array([phase(E) for E in energies])
         assert np.all(np.diff(phases) >= 0.0)
         assert phases[-1] > 8.0 * math.pi  # passes (k + 1) pi for 8 levels
-        spec = numerov_spectrum(veff, cfg.consts, cfg.grid, 3)
+        spec = numerov_spectrum(veff, mapped(cfg.consts, cfg.grid, cfg.params), 3)
         for k, E in enumerate(spec.energies):
             tol = 1e-10 * max(1.0, abs(E))
             assert phase(E - tol) < (k + 1) * math.pi < phase(E + tol), k
@@ -442,7 +443,7 @@ class TestNumerovLevels:
 
         with monkeypatch.context() as m:
             m.setattr(oracle, "_matched_phase", recording)
-            spec = numerov_spectrum(veff, CONSTS, BOX_GRID, 3)
+            spec = numerov_spectrum(veff, mapped(CONSTS, BOX_GRID), 3)
         assert len(turning) > 10 and set(turning) == {phased}
         assert node_counts(spec) == [0, 1, 2]
         assert spec.energies[0] < -1e6
@@ -464,14 +465,14 @@ class TestNumerovLevels:
 
     @pytest.mark.parametrize("solver, n_points", DEEP_ERROR_BOUNDS)
     def test_deep_levels_pinned_to_exact(self, solver, n_points):
-        exact = [surrogate_level(FAULT, CONSTS, n, 0) for n in range(3)]
+        exact = [surrogate_level(dimensionless(FAULT, CONSTS), n, 0) for n in range(3)]
         assert [lv.bound for lv in exact] == [True, True, False]
         assert exact[0].energy == pytest.approx(-53.0, rel=1e-15)
         assert exact[1].energy == pytest.approx(-30.7778, abs=1e-4)
 
         grid = RadialGrid(1e-6, 40.0, n_points)
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
-        spec = solve(eval_potential(FAULT, grid.points()), CONSTS, grid, 2)
+        spec = solve(eval_potential(FAULT, grid.points()), mapped(CONSTS, grid), 2)
         for k, bound in enumerate(self.DEEP_ERROR_BOUNDS[solver, n_points]):
             assert abs(spec.energies[k] - exact[k].energy) <= bound, k
 
@@ -515,10 +516,10 @@ class TestNumerovLevels:
         # every surrogate-bound (n, l) of the config, and no other, is pinned
         bounds = self.BARRIER_WELL_BOUNDS[name, solver, l, n_points]
         params, consts, grid, veff = self.barrier_well(name, l, n_points)
-        exact = [surrogate_level(params, consts, n, l) for n in range(3)]
+        exact = [surrogate_level(dimensionless(params, consts), n, l) for n in range(3)]
         assert [lv.bound for lv in exact] == [n < len(bounds) for n in range(3)]
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
-        spec = solve(veff, consts, grid, 3)
+        spec = solve(veff, mapped(consts, grid, params), 3)
         assert node_counts(spec) == [0, 1, 2]
         for lv, rel in zip(exact, bounds):
             assert abs(spec.energies[lv.n] - lv.energy) <= rel * abs(lv.energy), lv.n
@@ -529,9 +530,9 @@ class TestNumerovLevels:
         # at l = 2, the matrix-Numerov eigenvalue E_H is pinned to the exact
         # level at 1.1 times its measured error, and the level to E_H at the stop
         params, consts, grid, veff = self.barrier_well("barrier_well", 2, 8000)
-        exact = surrogate_level(params, consts, 0, 2)
-        assert exact.bound and not surrogate_level(params, consts, 1, 2).bound
-        E = numerov_spectrum(veff, consts, grid, 3).energies[0]
+        exact = surrogate_level(dimensionless(params, consts), 0, 2)
+        assert exact.bound and not surrogate_level(dimensionless(params, consts), 1, 2).bound
+        E = numerov_spectrum(veff, mapped(consts, grid, params), 3).energies[0]
         root = matrix_numerov_level(veff, consts.s, grid.h, exact.energy)
         assert abs(root - exact.energy) <= 1.1 * 5.274e-11 * abs(exact.energy)
         assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
@@ -560,7 +561,7 @@ class TestNumerovLevels:
         grid = RadialGrid(1e-6, 40.0, 2000)
         for l, n_states, window in ((0, 2, "[-100.931, -28]"), (1, 1, "[-53.3262, -27.9988]")):
             veff = effective_potential(FAULT, CONSTS, l, grid.points())
-            spec = numerov_spectrum(veff, CONSTS, grid, n_states)
+            spec = numerov_spectrum(veff, mapped(CONSTS, grid, FAULT), n_states)
             assert spec.notes == (f"window auto-selected: {window}",), l
 
     # (effective potential of r, grid, the ground level's match point or
@@ -581,7 +582,7 @@ class TestNumerovLevels:
         # hbar^2/(2m) = 1, so f = veff - E
         veff = potential(grid.points())
         h = grid.h
-        spec = numerov_spectrum(veff, CONSTS, grid, 3)
+        spec = numerov_spectrum(veff, mapped(CONSTS, grid), 3)
         if ground_match is not None:
             assert oracle._match_point(veff - spec.energies[0]) == ground_match
         deep = [(k, E) for k, E in enumerate(spec.energies) if veff[-1] > E]
@@ -597,8 +598,9 @@ class TestNumerovLevels:
         for l in range(3):
             with pytest.raises(ResolutionError, match="n_points = 2000"):
                 numerov_spectrum(effective_potential(params, CONSTS, l, coarse.points()),
-                                 CONSTS, coarse, 3)
-        spec = numerov_spectrum(eval_potential(params, fine.points()), CONSTS, fine, 3)
+                                 mapped(CONSTS, coarse, params), 3)
+        spec = numerov_spectrum(eval_potential(params, fine.points()),
+                                mapped(CONSTS, fine, params), 3)
         assert node_counts(spec) == [0, 1, 2]
 
 
@@ -625,12 +627,12 @@ class TestSurrogateLevels:
         # at l = 2 the formula's n = 1 value, -29.37, lies below the
         # asymptote -28 yet is no level: only the bound flag admits one
         bounds = self.REL_ERROR_BOUNDS[solver, l, n_points]
-        exact = [surrogate_level(FAULT, CONSTS, n, l) for n in range(3)]
+        exact = [surrogate_level(dimensionless(FAULT, CONSTS), n, l) for n in range(3)]
         assert [lv.bound for lv in exact] == [n < len(bounds) for n in range(3)]
         grid = RadialGrid(1e-6, 40.0, n_points)
         veff = effective_potential(FAULT, CONSTS, l, grid.points(), approximate=True)
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
-        spec = solve(veff, CONSTS, grid, 3)
+        spec = solve(veff, mapped(CONSTS, grid, FAULT), 3)
         assert node_counts(spec) == [0, 1, 2]
         for lv, rel in zip(exact, bounds):
             assert abs(spec.energies[lv.n] - lv.energy) <= rel * abs(lv.energy), lv.n
@@ -641,10 +643,10 @@ class TestSurrogateLevels:
         # pinned: the matrix-Numerov eigenvalue E_H, the Dirichlet root, is
         # pinned to the exact level at 1.1 times its measured error, and the
         # level to E_H at the stop
-        exact = surrogate_level(FAULT, CONSTS, 0, 2).energy
+        exact = surrogate_level(dimensionless(FAULT, CONSTS), 0, 2).energy
         grid = RadialGrid(1e-6, 40.0, 8000)
         veff = effective_potential(FAULT, CONSTS, 2, grid.points(), approximate=True)
-        E = numerov_spectrum(veff, CONSTS, grid, 3).energies[0]
+        E = numerov_spectrum(veff, mapped(CONSTS, grid, FAULT), 3).energies[0]
         root = matrix_numerov_level(veff, CONSTS.s, grid.h, exact)
         assert abs(root - exact) <= 1.1 * 3.383e-11 * abs(exact)
         assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
@@ -656,7 +658,7 @@ class TestSurrogateLevels:
         # r_max, which read [0, 2, 2] when the state was that sweep
         grid = RadialGrid(1e-6, 40.0, n_points)
         veff = effective_potential(FAULT, CONSTS, 1, grid.points(), approximate=True)
-        spec = numerov_spectrum(veff, CONSTS, grid, 3)
+        spec = numerov_spectrum(veff, mapped(CONSTS, grid, FAULT), 3)
         assert spec.energies[1] < veff[-1]
         assert node_counts(spec) == [0, 1, 2]
 
@@ -681,14 +683,15 @@ class TestSurrogateLevels:
     @pytest.mark.parametrize("draw, l, n_points", SEEDED_BOUNDS)
     def test_seeded_levels_pinned_to_exact(self, draw, l, n_points):
         params = self.SEEDED[draw]
-        exact = [surrogate_level(params, CONSTS, n, l) for n in range(3)]
+        exact = [surrogate_level(dimensionless(params, CONSTS), n, l) for n in range(3)]
         assert [lv.bound for lv in exact] == [True, False, False]
         E0 = exact[0].energy
         grid = RadialGrid(1e-6, 40.0 / params.alpha, n_points)
         veff = effective_potential(params, CONSTS, l, grid.points(), approximate=True)
         fd_rel, numerov_rel = self.SEEDED_BOUNDS[draw, l, n_points]
-        assert abs(fd_spectrum(veff, CONSTS, grid, 3).energies[0] - E0) <= fd_rel * abs(E0)
-        E = numerov_spectrum(veff, CONSTS, grid, 3).energies[0]
+        E_fd = fd_spectrum(veff, mapped(CONSTS, grid, params), 3).energies[0]
+        assert abs(E_fd - E0) <= fd_rel * abs(E0)
+        E = numerov_spectrum(veff, mapped(CONSTS, grid, params), 3).energies[0]
         if numerov_rel is None:
             root = matrix_numerov_level(veff, CONSTS.s, grid.h, E0)
             assert abs(root - E0) <= self.SEEDED_ROOT_ERRORS[draw, l, n_points] * abs(E0)
@@ -698,7 +701,8 @@ class TestSurrogateLevels:
 
     def test_seeded_draws_bind_nothing_at_l2(self):
         for params in self.SEEDED:
-            assert not any(surrogate_level(params, CONSTS, n, 2).bound for n in range(3))
+            m = dimensionless(params, CONSTS)
+            assert not any(surrogate_level(m, n, 2).bound for n in range(3))
 
     # (solver, n_points) -> 1.1 times the largest measured fidelity loss
     # 1 - |<u|w>| and pointwise error max |u - w| over the five bound states
@@ -715,9 +719,9 @@ class TestSurrogateLevels:
         P_n^(2 mu, 2 kappa_l - 1)(1 - 2y), y = exp(-2 alpha r), with
         mu = sqrt((C - A - E)/(4 s alpha^2)), trapezoid-normalized on r and
         signed by (-1)^n so that its lobe nearest the origin is positive."""
-        energy = surrogate_level(FAULT, CONSTS, n, l).energy
+        energy = surrogate_level(dimensionless(FAULT, CONSTS), n, l).energy
         mu = math.sqrt((FAULT.C - FAULT.A - energy) / (4.0 * CONSTS.s * FAULT.alpha**2))
-        kappa = 0.5 + math.sqrt(kappa_radicand(FAULT, CONSTS, l))
+        kappa = 0.5 + math.sqrt(kappa_radicand(dimensionless(FAULT, CONSTS), l))
         y = np.exp(-2.0 * FAULT.alpha * r)
         u = y**mu * (1.0 - y) ** kappa * eval_jacobi(n, 2.0 * mu, 2.0 * kappa - 1.0, 1.0 - 2.0 * y)
         return (-1) ** n * u / math.sqrt(float(np.trapezoid(u * u, r)))
@@ -731,9 +735,9 @@ class TestSurrogateLevels:
         checked = 0
         for l in range(3):
             veff = effective_potential(FAULT, CONSTS, l, r, approximate=True)
-            spec = solve(veff, CONSTS, grid, 2)
+            spec = solve(veff, mapped(CONSTS, grid, FAULT), 2)
             for n in range(2):
-                if not surrogate_level(FAULT, CONSTS, n, l).bound:
+                if not surrogate_level(dimensionless(FAULT, CONSTS), n, l).bound:
                     continue
                 u, w = self.exact_state(n, l, r), spec.wavefunctions[n]
                 assert 1.0 - abs(float(np.trapezoid(u * w, r))) <= loss_bound, (n, l)
@@ -756,8 +760,8 @@ class TestSurrogateLevels:
         for l in (0, 1):
             veff_ref = effective_potential(FAULT, CONSTS, l, grid.points())
             veff = effective_potential(fault, CONSTS, l, small.points())
-            ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
-            spec = fd_spectrum(veff, CONSTS, small, 3)
+            ref = fd_spectrum(veff_ref, mapped(CONSTS, grid), 3)
+            spec = fd_spectrum(veff, mapped(CONSTS, small), 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
             for e, e_ref in zip(spec.energies, ref.energies, strict=True):
                 assert abs(e / (mu * mu) - e_ref) <= 2.0e-13 * abs(e_ref)
@@ -808,7 +812,7 @@ def fd_with_matrix(monkeypatch, veff, grid, n_states):
         return lapack.dstebz(diag, off, *args)
 
     patch_lapack(monkeypatch, dstebz=recording)
-    return fd_spectrum(veff, CONSTS, grid, n_states), seen[0]
+    return fd_spectrum(veff, mapped(CONSTS, grid), n_states), seen[0]
 
 
 def matrix_numerov_bands(veff, s, h, E):
@@ -912,7 +916,7 @@ class TestMatrixNumerov:
         potential, consts, grid = self.CASES[name]
         veff = potential(grid.points())
         unit = consts.s * (40.0 / grid.r_max) ** 2
-        spec = numerov_spectrum(veff, consts, grid, 3)
+        spec = numerov_spectrum(veff, mapped(consts, grid), 3)
         for k, E in enumerate(spec.energies):
             tol = 1e-10 * max(unit, abs(E))
             assert matrix_numerov_below(veff, consts.s, grid.h, E - tol) == k, (name, k)
@@ -951,8 +955,8 @@ class TestFdAccuracy:
         for l in (0, 1):
             veff_ref = effective_potential(FAULT, CONSTS, l, r)
             veff = effective_potential(fault, consts, l, r)
-            ref = fd_spectrum(veff_ref, CONSTS, grid, 3)
-            spec = fd_spectrum(veff, consts, grid, 3)
+            ref = fd_spectrum(veff_ref, mapped(CONSTS, grid), 3)
+            spec = fd_spectrum(veff, mapped(consts, grid), 3)
             assert node_counts(spec) == node_counts(ref) == [0, 1, 2]
             for e, e_ref in zip(spec.energies, ref.energies, strict=True):
                 assert e / scale == pytest.approx(e_ref, rel=1e-13)
@@ -966,7 +970,8 @@ class TestFdAccuracy:
         # small ||T||)
         cfg = parse_config((REPO / "configs" / "general.cfg").read_text()
                            + "grid.r_max = 3000\ngrid.n_points = 8000\n")
-        spec = fd_spectrum(eval_potential(cfg.params, cfg.grid.points()), cfg.consts, cfg.grid, 3)
+        spec = fd_spectrum(eval_potential(cfg.params, cfg.grid.points()),
+                           mapped(cfg.consts, cfg.grid, cfg.params), 3)
         r = cfg.grid.points()[1:-1]
         t = 1.0 / cfg.grid.h**2
         ref = eigh_tridiagonal(2.0 * t + eval_potential(cfg.params, r), np.full(r.size - 1, -t),
@@ -1017,7 +1022,8 @@ class TestFdAccuracy:
         grid = RadialGrid(1e-6, 40.0, 2000)
         r = grid.points()
         veff = np.where(np.abs(r - 8.0) < 3.0, -6.0, np.where(np.abs(r - 20.0) < 3.0, -10.0, 0.0))
-        assert node_counts(fd_spectrum(veff, PhysicalConstants(), grid, 6)) == list(range(6))
+        spec = fd_spectrum(veff, mapped(PhysicalConstants(), grid), 6)
+        assert node_counts(spec) == list(range(6))
 
 
 class TestSpectrumStructure:
@@ -1036,31 +1042,31 @@ class TestSpectrumStructure:
         short = np.zeros(OSC_GRID.n_points - 1)
         for solver in (fd_spectrum, numerov_spectrum):
             with pytest.raises(DomainError, match="shape"):
-                solver(short, CONSTS, OSC_GRID, 1)
+                solver(short, mapped(CONSTS, OSC_GRID), 1)
 
     def test_nonfinite_sample_named(self):
         r = BOX_GRID.points()
         bad = np.where(np.abs(r - 0.5) < 0.01, np.nan, 0.0)
         for solver in (fd_spectrum, numerov_spectrum):
             with pytest.raises(SamplingError, match="non-finite") as info:
-                solver(bad, CONSTS, BOX_GRID, 1)
+                solver(bad, mapped(CONSTS, BOX_GRID), 1)
             assert info.value.r == r[np.isnan(bad)][0]
 
     def test_too_many_states_rejected(self):
         with pytest.raises(DomainError):
             grid = RadialGrid(1e-9, 1.0, 100)
-            fd_spectrum(box(grid), CONSTS, grid, 30)
+            fd_spectrum(box(grid), mapped(CONSTS, grid), 30)
 
     def test_zero_states(self):
-        spec = fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 0)
+        spec = fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 0)
         assert spec.energies == spec.node_counts == spec.wavefunctions == ()
 
     def test_near_origin_lobe_positive(self):
         # box level 1 has two mirror-image lobes whose extremes differ only
         # by roundoff, so a largest-component rule would pick its sign by chance
-        specs = (fd_spectrum(oscillator(OSC_GRID), CONSTS, OSC_GRID, 3),
-                 fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2),
-                 numerov_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2))
+        specs = (fd_spectrum(oscillator(OSC_GRID), mapped(CONSTS, OSC_GRID), 3),
+                 fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 2),
+                 numerov_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 2))
         for spec in specs:
             for k, vec in enumerate(spec.wavefunctions):
                 lobe = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))]
@@ -1074,7 +1080,7 @@ class TestSpectrumStructure:
 
             patch_lapack(monkeypatch, **{routine: failing})
             with pytest.raises(ConvergenceError) as info:
-                fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
+                fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 1)
             assert str(info.value) == f"fd_spectrum: LAPACK {routine} failed with info = 1"
 
     def test_polluted_vector_is_convergence_error(self, monkeypatch):
@@ -1087,14 +1093,14 @@ class TestSpectrumStructure:
 
         patch_lapack(monkeypatch, dstein=polluted)
         with pytest.raises(ConvergenceError, match="left its bracket"):
-            fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 2)
+            fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 2)
 
     def test_block_growth_is_bounded(self, monkeypatch):
         # with every level closer than the gap the block would hold the
         # whole spectrum; it stops at n_points/4
         monkeypatch.setattr(oracle, "_EIG_GAP", 1e15)
         with pytest.raises(ConvergenceError, match="closer than") as info:
-            fd_spectrum(box(BOX_GRID), CONSTS, BOX_GRID, 1)
+            fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 1)
         assert "s/h^2" not in str(info.value)
 
     def test_vanishing_kinetic_coupling_is_named(self, monkeypatch):
@@ -1108,15 +1114,16 @@ class TestSpectrumStructure:
         monkeypatch.setattr(oracle, "_lapack", None)
         for n_states in (1, 3):
             with pytest.raises(EvaluationOverflowError) as info:
-                fd_spectrum(veff, config.consts, config.grid, n_states)
+                fd_spectrum(veff, mapped(config.consts, config.grid, config.params), n_states)
             assert str(info.value) == (
                 "fd_spectrum: s/h^2 = 9.9e-59 vanishes beside V "
                 "(adding 2 s/h^2 changes no interior diagonal entry)")
 
     def test_overflowing_diagonal_is_named(self, monkeypatch):
         # s = 756.25 on [1e-160, 1e-150] at 400 points makes s/h^2 = 1.2e308,
-        # so 2 s/h^2 + V overflows: refused before any LAPACK call (dstebz
-        # failed with info = 4 on the infinite diagonal)
+        # 1.6e305 in units of s alpha^2, whose square overflows: refused
+        # before any LAPACK call (dstebz fails with info = 4 where it squares
+        # the coupling)
         config = parse_config(
             "potential.a = 0\npotential.b = 0\npotential.c = 0\npotential.d = 0\n"
             "constants.hbar = 27.5\nconstants.mass = 0.5\n"
@@ -1128,9 +1135,10 @@ class TestSpectrumStructure:
 
         patch_lapack(monkeypatch, dstebz=failing, dstein=failing)
         with pytest.raises(EvaluationOverflowError) as info:
-            fd_spectrum(veff, config.consts, config.grid, 1)
+            fd_spectrum(veff, mapped(config.consts, config.grid, config.params), 1)
         assert str(info.value) == (
-            "fd_spectrum: 2 s/h^2 + V overflows its Gershgorin bound (s/h^2 = 1.2e+308)")
+            "fd_spectrum: 2 s/h^2 + V overflows its Gershgorin bound, or 2 s/h^2 the square "
+            "that LAPACK's Sturm counts take, in units of s alpha^2 (s/h^2 = 1.2e+308)")
 
     def test_vanishing_energy_unit_is_refused(self, monkeypatch):
         # s = 5e-301 and r_max = 1e13 make the unit s (40/r_max)^2 = 1e-323,
@@ -1148,7 +1156,7 @@ class TestSpectrumStructure:
 
         monkeypatch.setattr(oracle, "_matched_phase", counting)
         with pytest.raises(EvaluationOverflowError) as info:
-            numerov_spectrum(veff, config.consts, config.grid, 1)
+            numerov_spectrum(veff, mapped(config.consts, config.grid, config.params), 1)
         assert str(info.value) == (
             "numerov_spectrum: the energy unit s (40/r_max)^2 = 1e-323 vanishes "
             "beside the window's floor 1.005")
@@ -1160,18 +1168,18 @@ class TestFallToCenter:
         demo = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0,
                                V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
         # b V1 - c V2 = 0.005 - 0.04 = -0.035 < -1/4... check against -hbar^2/(8m)
-        assert fall_to_center_unreliable(demo, CONSTS, 0) is False
+        assert fall_to_center_unreliable(dimensionless(demo, CONSTS), 0) is False
 
     def test_strong_attractive_csch2_flagged(self):
         deep = PotentialParams(a=0.0, b=0.0, c=10.0, d=0.0,
                                V0=0.0, V1=0.0, V2=1.0, alpha=1.0)
         # c V2 = 10 => inverse-square coefficient -10 << -1/4
-        assert fall_to_center_unreliable(deep, CONSTS, 0) is True
+        assert fall_to_center_unreliable(dimensionless(deep, CONSTS), 0) is True
 
     def test_centrifugal_rescues(self):
         deep = PotentialParams(a=0.0, b=0.0, c=10.0, d=0.0,
                                V0=0.0, V1=0.0, V2=1.0, alpha=1.0)
-        assert fall_to_center_unreliable(deep, CONSTS, 3) is False
+        assert fall_to_center_unreliable(dimensionless(deep, CONSTS), 3) is False
 
 
 class TestApproximationStudy:
@@ -1184,6 +1192,6 @@ class TestApproximationStudy:
         e_exact, e_approx = (
             fd_spectrum(effective_potential(self.STUDY, CONSTS, 1, self.GRID.points(),
                                             approximate=approx),
-                        CONSTS, self.GRID, 1).energies[0]
+                        mapped(CONSTS, self.GRID, self.STUDY), 1).energies[0]
             for approx in (False, True))
         assert e_approx < e_exact

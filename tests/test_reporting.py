@@ -18,7 +18,7 @@ from hyperwell import analytic, nu, oracle, potential
 from hyperwell.analytic import energy_levels, radial_wavefunction
 from hyperwell.config import parse_config
 from hyperwell.errors import ConvergenceError, SingularCoefficientError
-from hyperwell.potential import PhysicalConstants, scan_series
+from hyperwell.potential import PhysicalConstants, dimensionless, scan_series
 from hyperwell.reporting import (
     build_oracle_report,
     build_spectrum_report,
@@ -189,7 +189,8 @@ def test_states_equal_direct_calls(config):
             continue
         spec = energy_levels(params, consts, n, l, variant="spectrum")
         level = min(quad, key=lambda lv: abs(lv.energy.imag))
-        dp = analytic.dimensionless_from_eps2(params, consts, level.dp.eps2, l)
+        dp = analytic.dimensionless_from_eps2(dimensionless(params, consts), consts.s,
+                                              level.dp.eps2, l)
         diagnostics, engine = analytic.closed_form_diagnostics(dp, n)
         wf = analytic.RadialWavefunction(params, n, dp)
         delta = abs(level.energy - fd[l][n])
