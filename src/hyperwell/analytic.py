@@ -409,8 +409,9 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
     dimensionless beta squared over four); beta and beta^2 are those of
     wf.dp, the map the wavefunction was built on. Returns the max scaled
     residual max_i |F'' - beta F' + W F| / scale over the samples, by
-    central differences with step h = 1e-4. Raises EvaluationOverflowError
-    where a sample of F is non-finite.
+    central differences with step h = 1e-4, which amplify one ulp of beta^2
+    or gamma^2 by about 1/h^2, so digits past about the ninth are rounding
+    noise. Raises EvaluationOverflowError where a sample of F is non-finite.
     """
     pref = 1.0 / consts.s
     dp = wf.dp

@@ -3,14 +3,14 @@
 Two deliberately different methods act as ground truth for the closed
 forms: a finite-difference discretization, its levels bracketed by
 Sturm-sequence bisection and closed by a Rayleigh-Ritz step on the
-inverse-iteration vectors, and Numerov shooting, each level bracketed
-and closed on the Dirichlet root by regula falsi on one phase: the
-Pruefer angles of an outward and an inward sweep matched at one point.
-Both return the lowest levels, level k as entry k, each state normalized
-and signed the same way. Both solve -(hbar^2/2m) u'' + V_eff(r) u = E u
-as -u'' + v u = eps u in rho = alpha r, v = V_eff/(s alpha^2) and eps =
-E/(s alpha^2) (potential.dimensionless), with Dirichlet ends on a uniform
-grid, entirely in real arithmetic, from one sample of V_eff per grid point
+inverse-iteration vectors, and Numerov shooting, each level closed on the
+Dirichlet root by regula falsi on the Pruefer phase of an outward and an
+inward sweep matched at one point, its state the null vector of Numerov's
+recurrence there. Both return the lowest levels, level k as entry k, each
+state normalized and signed the same way, and solve -(hbar^2/2m) u'' +
+V_eff(r) u = E u as -u'' + v u = eps u in rho = alpha r, v = V_eff/(s alpha^2)
+and eps = E/(s alpha^2) (potential.dimensionless), with Dirichlet ends on a
+uniform grid, in real arithmetic, from one sample of V_eff per grid point
 (potential.effective_potential); levels and refusals name E and V.
 Comparison against analytic levels is reported, never asserted.
 """
@@ -63,10 +63,10 @@ def _lapack():
     return lapack
 
 
-def _fd_lapack(routine, *args):
+def _checked_lapack(caller, routine, *args):
     *out, info = getattr(_lapack(), routine)(*args)
     if info:
-        raise ConvergenceError(f"fd_spectrum: LAPACK {routine} failed with info = {info}")
+        raise ConvergenceError(f"{caller}: LAPACK {routine} failed with info = {info}")
     return out
 
 
@@ -197,12 +197,13 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     while True:
         # range 2 brackets by index; range 1 with an infinite tol is two Sturm
         # counts: the levels up to the bound (inf, so all, past the float range)
-        found, coarse, iblock, isplit = _fd_lapack(
-            "dstebz", diag, off, 2, 0, 1, 1, block, tol, "B")
+        found, coarse, iblock, isplit = _checked_lapack(
+            "fd_spectrum", "dstebz", diag, off, 2, 0, 1, 1, block, tol, "B")
         coarse = coarse[:found]
         with np.errstate(over="ignore"):
             bound = np.max(coarse) + _EIG_GAP * tol
-        reach = _fd_lapack("dstebz", diag, off, 1, -np.inf, bound, 1, 1, np.inf, "E")[0]
+        reach = _checked_lapack(
+            "fd_spectrum", "dstebz", diag, off, 1, -np.inf, bound, 1, 1, np.inf, "E")[0]
         if reach <= block:
             break
         if reach >= m.grid.n_points / 4:
@@ -210,7 +211,7 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
                 f"fd_spectrum: levels {n_states - 1} to {reach - 1} follow each "
                 f"other closer than {_EIG_GAP * tol * scale:.3g}")
         block = reach
-    vecs = _fd_lapack("dstein", diag, off, coarse, iblock, isplit)[0]
+    vecs = _checked_lapack("fd_spectrum", "dstein", diag, off, coarse, iblock, isplit)[0]
     # a spike in V can split T into blocks, each bracketed in turn
     order = np.argsort(coarse)
     coarse, vecs = coarse[order], vecs[:, order]
@@ -228,24 +229,28 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     return _finished("FiniteDifference", energies[:n_states].tolist(), scale, states, r)
 
 
+def _recurrence(f, h2):
+    """(c, d) of Numerov's recurrence c_(j+1) u_(j+1) = d_j u_j - c_(j-1) u_(j-1)
+    for u'' = f u on a step h = sqrt(h2): c = 1 - h2 f/12, d = 2 + 10 h2 f/12."""
+    q = (h2 / 12.0) * f
+    return 1.0 - q, 2.0 + 10.0 * q
+
+
 def _numerov_sweep(f, h2):
     """Integrate u'' = f u outward from (0, 1); return (v, log_scale).
 
-    The three-term recurrence c_(j+1) u_(j+1) = d_j u_j - c_(j-1) u_(j-1),
-    with c = 1 - h2 f/12 and d = 2 (1 + 5 h2 f/12), is solved as one
-    lower-triangular banded system over the rest of the grid (LAPACK
-    dtbtrs, two sub-diagonals) from two carry-in values renormalised to a
-    maximum of 1. Forward substitution makes every value before the first
-    one above e^600 (or non-finite) exact, so that prefix is kept and the
-    solve restarts from its last two values. u = v exp(log_scale), with
-    one log_scale per block (0 in the first); a singular step, or a
-    restart that keeps no value, raises EvaluationOverflowError. The
-    recurrence is linear, so a start (0, u_1) only scales the sweep.
+    The recurrence (_recurrence) is solved as one lower-triangular banded
+    system over the rest of the grid (LAPACK dtbtrs, two sub-diagonals)
+    from two carry-in values renormalised to a maximum of 1. Forward
+    substitution makes every value before the first one above e^600 (or
+    non-finite) exact, so that prefix is kept and the solve restarts from
+    its last two values. u = v exp(log_scale), with one log_scale per block
+    (0 in the first); a singular step, or a restart that keeps no value,
+    raises EvaluationOverflowError. The recurrence is linear, so a start
+    (0, u_1) only scales the sweep.
     """
     n = f.shape[0]
-    q = (h2 / 12.0) * f
-    c = 1.0 - q
-    d = 2.0 + 10.0 * q
+    c, d = _recurrence(f, h2)
     # column k holds the coefficients of u_(k+2) in band storage
     ab = np.empty((3, n - 2), order="F")
     ab[0] = c[2:]
@@ -276,11 +281,6 @@ def _numerov_sweep(f, h2):
     return v, log_scale
 
 
-def _log_amplitude(v, log_scale):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(v)) + log_scale
-
-
 def _match_point(f):
     """The matching point m of a probe at f = v - eps: the deepest point
     (least f) of the last classically allowed (f < 0) run of interior
@@ -300,7 +300,7 @@ def _match_point(f):
 
 
 def _matched_phase(f, h2, m):
-    """(Theta, sweeps) of one probe matched at m: an outward sweep from
+    """Theta of one probe matched at m, from an outward sweep from
     (0, 1) to m + 1 and an inward one from u(r_max) = 0 to m (Pryce,
     Numerical Solution of Sturm-Liouville Problems, 1993, ch. 5).
 
@@ -315,7 +315,6 @@ def _matched_phase(f, h2, m):
     levels below E whatever m, wherever 1 - h2 f/12 > 0. At m = n - 2 the
     inward pair is (0, 1) and Theta is the outward sweep's end phase.
     """
-    sweeps = (_numerov_sweep(f[:m + 2], h2), _numerov_sweep(f[m:][::-1], h2))
     q = float(h2 * f[m]) / 12.0
     cos = (1.0 + 5.0 * q) / (1.0 - q)
     if -1.0 < cos < 1.0:
@@ -324,27 +323,27 @@ def _matched_phase(f, h2, m):
         cos, theta = 0.0, 0.5 * math.pi
     sin = math.sqrt(1.0 - cos * cos)
     phase = theta
-    for v, log_scale in sweeps:
+    for v, log_scale in (_numerov_sweep(f[:m + 2], h2), _numerov_sweep(f[m:][::-1], h2)):
         negative = np.signbit(v[:-1])
         a, b = float(v[-2]) * math.exp(log_scale[-2] - log_scale[-1]), float(v[-1])
         phase += (math.pi * int(np.count_nonzero(negative[1:] != negative[:-1]))
                   + math.atan2(sin * abs(a), (b - cos * a) * math.copysign(1.0, a)))
-    return phase, sweeps
+    return phase
 
 
-def _joined_state(sweeps, m):
-    """The outward sweep up to m joined to the inward one past it, scaled so
-    that their pairs at (m, m + 1) agree in length and sign, with a maximum
-    |u| of 1."""
-    (v_out, s_out), (v_in, s_in) = sweeps
-    pair_out = v_out[m:] * np.exp(s_out[m:] - s_out[-1])
-    pair_in = v_in[:-3:-1] * np.exp(s_in[:-3:-1] - s_in[-1])
-    size_out, size_in = math.hypot(*pair_out), math.hypot(*pair_in)
-    sign = math.copysign(1.0, float((pair_out / size_out) @ pair_in))
-    v = np.concatenate((v_out[:m + 1], sign * v_in[-2::-1]))
-    shift = s_out[-1] - s_in[-1] + math.log(size_out / size_in)
-    log_scale = np.concatenate((s_out[:m + 1], s_in[-2::-1] + shift))
-    return v * np.exp(log_scale - np.max(_log_amplitude(v, log_scale)))
+def _numerov_state(f, h2):
+    """The full-grid state at f = v - eps, max |u| = 1, u = 0 at both ends:
+    the null vector of the recurrence's operator on the interior points, row
+    j (c_(j-1), -d_j, c_(j+1)), by two steps of inverse iteration from a
+    vector of ones (Peters and Wilkinson, SIAM Review 21, 339, 1979), one
+    dgttrf and two dgttrs; one step miscounts nodes on separated wells."""
+    c, d = _recurrence(f[1:-1], h2)
+    factors = _checked_lapack("numerov_spectrum", "dgttrf", c[:-1], -d, c[1:])
+    u = np.ones(c.shape[0])
+    for _ in range(2):
+        u = _checked_lapack("numerov_spectrum", "dgttrs", *factors, u)[0]
+        u /= np.max(np.abs(u))
+    return np.pad(u, 1)
 
 
 def _level_tol(E, unit):
@@ -406,14 +405,13 @@ def numerov_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     the interior floor, where a grid whose h^2 (V - E)/s overflows past
     r_min is refused (EvaluationOverflowError), as is one with
     Theta >= pi (ResolutionError) and a unit that vanishes beside the
-    floor (EvaluationOverflowError). It ends 1e-6 unit below the lower of the
-    last two samples where floor(Theta/pi) reaches n_states there, and
-    otherwise 1e-6 unit above the higher, or 1, 2, 4, ... units further
-    up, where it does; those end probes split any bracket at the potential
-    at r_max. Level k is bracketed by every sample's
-    Theta against (k + 1) pi and closed on it by regula falsi
-    (_phase_root) to 1e-10 max(unit, |E|); its state is the last probe's
-    two sweeps joined at m.
+    floor (EvaluationOverflowError). It ends 1e-6 unit below the lower of
+    the last two samples where floor(Theta/pi) reaches n_states there, and
+    otherwise 1e-6 unit above the higher, or 1, 2, 4, ... units further up,
+    where it does; those end probes split any bracket at the potential at
+    r_max. Level k is bracketed by every sample's Theta against (k + 1) pi
+    and closed on it by regula falsi (_phase_root) to 1e-10 max(unit, |E|);
+    its state is the recurrence's null vector there (_numerov_state).
     """
     r, v, scale = _checked(veff, m, n_states)
     if n_states == 0:
@@ -422,17 +420,17 @@ def numerov_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     reach = DEFAULT_REACH / (m.alpha * m.grid.r_max)
     unit = reach * reach
     samples = []  # (E, Theta) of every probe
-    latest = None  # the sweeps and match point of the last probe only
 
-    def phase(E):
-        nonlocal latest
+    def shifted(E):
         with np.errstate(over="ignore"):
             f = v - E
         f[0] = 0.0  # r_min's sample only ever multiplies u_0 = 0
-        at = _match_point(f)
-        angle, sweeps = _matched_phase(f, h2, at)
+        return f
+
+    def phase(E):
+        f = shifted(E)
+        angle = _matched_phase(f, h2, _match_point(f))
         samples.append((E, angle))
-        latest = sweeps, at
         return angle
 
     # interior floor: boundary samples may be singular and only ever
@@ -471,6 +469,6 @@ def numerov_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
         lo = max((s for s in samples if s[1] < target), key=lambda s: s[0])
         hi = min((s for s in samples if s[1] >= target and s[0] > lo[0]), key=lambda s: s[0])
         energies.append(_phase_root(phase, lo, hi, k, v_pair[0], unit))
-        states.append(_joined_state(*latest))
+        states.append(_numerov_state(shifted(energies[-1]), h2))
     return _finished("Numerov", energies, scale, states, r,
                      notes=(f"window auto-selected: [{e_lo * scale:.6g}, {e_hi * scale:.6g}]",))

@@ -48,7 +48,7 @@ def matched_phase(f, h2, m=None):
     """Theta of the Numerov probe at f = (V - E)/s, matched at m, by
     default where the solver matches."""
     m = oracle._match_point(f) if m is None else m
-    return oracle._matched_phase(f, h2, m)[0]
+    return oracle._matched_phase(f, h2, m)
 
 
 def matched_count(f, h2, m=None):
@@ -70,6 +70,19 @@ def swept_numerov(monkeypatch, veff, consts, grid):
         m.setattr(oracle, "_numerov_sweep", counting)
         spec = numerov_spectrum(veff, mapped(consts, grid), 3)
     return spec, swept[0]
+
+
+def joined_state(f, h2):
+    """The Numerov state at f = (V - E)/s from two sweeps: the outward one up
+    to the match point m joined to the inward one past it, scaled so that
+    their pairs at (m, m + 1) agree in length and sign."""
+    m = oracle._match_point(f)
+    (v_out, s_out), (v_in, s_in) = (oracle._numerov_sweep(f[:m + 2], h2),
+                                    oracle._numerov_sweep(f[m:][::-1], h2))
+    out, inward = v_out * np.exp(s_out - s_out[-1]), v_in * np.exp(s_in - s_in[-1])
+    pair_out, pair_in = out[m:], inward[:-3:-1]
+    size = math.hypot(*pair_out) / math.hypot(*pair_in)
+    return np.concatenate((out[:m + 1], math.copysign(size, pair_out @ pair_in) * inward[-2::-1]))
 
 
 def assert_numerov_scales(monkeypatch, ref, scaled, factor):
@@ -273,13 +286,14 @@ class TestNumerovSweep:
             f = np.full(n, h2f)
             m = oracle._match_point(f)
             assert m == n - 2
-            phase, ((v, log_scale), _) = oracle._matched_phase(f, 1.0, m)
+            phase = oracle._matched_phase(f, 1.0, m)
             if turning:
                 q = h2f / 12.0
                 theta = math.acos((1.0 + 5.0 * q) / (1.0 - q))
                 assert phase == pytest.approx((n - 1) * theta, rel=1e-10)
             else:
                 # the outward sweep alone: pi N + atan2(|a|, b sign a) + pi/2
+                v, log_scale = oracle._numerov_sweep(f, 1.0)
                 a = v[-2] * math.exp(log_scale[-2] - log_scale[-1])
                 flips = np.count_nonzero(np.diff(np.signbit(v[:-1])))
                 assert phase == pytest.approx(
@@ -311,9 +325,9 @@ class TestNumerovSweep:
         exact = (j * theta + np.log1p(-np.exp(-2.0 * j * theta))
                  - math.log(2.0 * math.sinh(theta)))
         assert exact[-1] > 2980.0
-        got = oracle._log_amplitude(v[1:], log_scale[1:])
-        assert np.all(np.abs(got - exact) <= 1e-13 * np.maximum(np.abs(exact), 1.0))
         assert np.all(v[1:] > 0.0)
+        got = np.log(v[1:]) + log_scale[1:]
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.maximum(np.abs(exact), 1.0))
 
     def test_non_finite_step_raises(self):
         # the solve keeps the values before the NaN, then the restart from
@@ -361,6 +375,32 @@ class TestNumerovLevels:
         veff = effective_potential(params, CONSTS, l, grid.points())
         assert node_counts(numerov_spectrum(veff, mapped(CONSTS, grid, params), 3)) == [0, 1, 2]
         assert node_counts(fd_spectrum(veff, mapped(CONSTS, grid, params), 3)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("n_points", [2000, 8000])
+    def test_states_are_null_vectors_of_the_recurrence(self, n_points):
+        # at the level's eps, within eps_k +- tol/2 of the Dirichlet root
+        # (tol = 1e-10 max(unit, |eps|)), the recurrence's residual on the
+        # state is at most h^2 |eps - eps_k| max|u|, plus rounding (measured
+        # 5.9e-14 and 3.6e-15 of max|u| (|c| + |d| + |c|) at 2000 and 8000
+        # points); and the state is the one two sweeps joined at m give, to
+        # a fidelity loss 1 - |<u|w>| of 1e-13 (measured 1.7e-15)
+        grid = RadialGrid(1e-6, 40.0, n_points)
+        m = mapped(CONSTS, grid, FAULT)
+        h2 = m.h * m.h
+        for l in (0, 1):
+            veff = effective_potential(FAULT, CONSTS, l, grid.points())
+            spec = numerov_spectrum(veff, m, 3)
+            for k, (E, u) in enumerate(zip(spec.energies, spec.wavefunctions)):
+                eps = E / m.unit()
+                f = veff / m.unit() - eps
+                f[0] = 0.0
+                c, d = 1.0 - h2 * f / 12.0, 2.0 + 10.0 * h2 * f / 12.0
+                residual = c[:-2] * u[:-2] - d[1:-1] * u[1:-1] + c[2:] * u[2:]
+                bound = h2 * 1e-10 * max(1.0, abs(eps)) * np.max(np.abs(u))
+                assert np.max(np.abs(residual)) <= bound, (l, k)
+                w = joined_state(f, h2)
+                loss = 1.0 - abs(u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
+                assert loss <= 1e-13, (l, k)
 
     def test_sweep_budget_and_dirichlet_root(self, monkeypatch):
         # sweeps are counted as grid points swept over n_points
@@ -796,9 +836,10 @@ def sturm_levels(diag, off, n_levels, points=255):
 
 
 def patch_lapack(monkeypatch, **fakes):
-    """Make oracle._lapack() hand out `fakes` in place of the FD routines
-    they name, and scipy's own dstebz and dstein otherwise."""
-    routines = {name: getattr(lapack, name) for name in ("dstebz", "dstein")}
+    """Make oracle._lapack() hand out `fakes` in place of the routines they
+    name, and scipy's own routines otherwise."""
+    routines = {name: getattr(lapack, name)
+                for name in ("dstebz", "dstein", "dtbtrs", "dgttrf", "dgttrs")}
     module = types.SimpleNamespace(**(routines | fakes))
     monkeypatch.setattr(oracle, "_lapack", lambda: module)
 
@@ -1013,17 +1054,27 @@ class TestFdAccuracy:
         assert abs(spec.energies[2] - ref) <= 1e-13 * abs(ref)
         assert node_counts(spec) == [0, 1, 2]
 
-    def test_nodes_in_the_other_well_count(self):
-        # square wells of -6 on |r - 8| < 3 and -10 on |r - 20| < 3: levels 4
-        # and 5 lie in the shallow well, and their lobes in the deep one, at
-        # 1.7e-7 and 7.9e-7 of the maximum, hold 4 sign changes each; a node
-        # threshold of 1e-5 reads (0, 1, 2, 3, 0, 1). The k-th vector of a
-        # tridiagonal T with negative off-diagonal has k sign changes
+    # deep-well centre D -> node counts of the lowest six levels
+    OTHER_WELL_NODES = {20.0: [0, 1, 2, 3, 4, 5], 24.0: [0, 1, 2, 3, 0, 1],
+                        28.0: [0, 1, 2, 3, 0, 1]}
+
+    @pytest.mark.parametrize("solver", [fd_spectrum, numerov_spectrum])
+    @pytest.mark.parametrize("centre", OTHER_WELL_NODES)
+    def test_nodes_in_the_other_well_count(self, centre, solver):
+        # square wells of -6 on |r - 8| < 3 and -10 on |r - D| < 3: levels 4
+        # and 5 lie in the shallow well. At D = 20 their lobes in the deep
+        # one, at 1.7e-7 and 7.9e-7 of the maximum, hold 4 sign changes
+        # each; a node threshold of 1e-5 reads (0, 1, 2, 3, 0, 1). The k-th
+        # vector of a tridiagonal T with negative off-diagonal has k sign
+        # changes. At D = 24 and 28 those lobes fall below the 1e-8
+        # threshold (1.1e-11 and 7.2e-16 for FD), and both solvers read
+        # (0, 1, 2, 3, 0, 1)
         grid = RadialGrid(1e-6, 40.0, 2000)
         r = grid.points()
-        veff = np.where(np.abs(r - 8.0) < 3.0, -6.0, np.where(np.abs(r - 20.0) < 3.0, -10.0, 0.0))
-        spec = fd_spectrum(veff, mapped(PhysicalConstants(), grid), 6)
-        assert node_counts(spec) == list(range(6))
+        veff = np.where(np.abs(r - 8.0) < 3.0, -6.0,
+                        np.where(np.abs(r - centre) < 3.0, -10.0, 0.0))
+        spec = solver(veff, mapped(PhysicalConstants(), grid), 6)
+        assert node_counts(spec) == self.OTHER_WELL_NODES[centre]
 
 
 class TestSpectrumStructure:
@@ -1073,15 +1124,17 @@ class TestSpectrumStructure:
                 assert lobe[0] > 0.0, (spec.method, k)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
-        # a nonzero info, as from dstein where a vector fails to converge
-        for routine in ("dstebz", "dstein"):
+        # a nonzero info, as from dstein where a vector fails to converge or
+        # from dgttrf where a pivot of the Numerov operator is exactly zero
+        for solver, routine in ((fd_spectrum, "dstebz"), (fd_spectrum, "dstein"),
+                                (numerov_spectrum, "dgttrf"), (numerov_spectrum, "dgttrs")):
             def failing(*args, routine=routine):
                 return (*getattr(lapack, routine)(*args)[:-1], 1)
 
             patch_lapack(monkeypatch, **{routine: failing})
             with pytest.raises(ConvergenceError) as info:
-                fd_spectrum(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 1)
-            assert str(info.value) == f"fd_spectrum: LAPACK {routine} failed with info = 1"
+                solver(box(BOX_GRID), mapped(CONSTS, BOX_GRID), 1)
+            assert str(info.value) == f"{solver.__name__}: LAPACK {routine} failed with info = 1"
 
     def test_polluted_vector_is_convergence_error(self, monkeypatch):
         # a vector that is no eigenvector moves its level out of the bracket
