@@ -10,7 +10,11 @@ replacing 1/r^2 by alpha^2 cosech^2(alpha r). That yields the triple
 
 whose dimensionless coefficients are built here, along with the
 quantization quadratic in eps^2 whose roots give the (complex) energy
-levels, and the Jacobi-polynomial wavefunctions.
+levels. `RadialWavefunction` is the one closed-form state class, a
+product of powers of linear factors and a Jacobi polynomial in s =
+coth(alpha r) or y = exp(-2 alpha r); `printed_state` is the printed
+instance and `exact.eckart_state` the exact Eckart one, and `fidelity`
+compares two of them.
 
 The commonly quoted closed forms for this family are internally
 inconsistent in places (their k candidates do not zero the radicand
@@ -23,7 +27,9 @@ reference forms instead of reconciling them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -299,26 +305,40 @@ def closed_form_diagnostics(dp: DimensionlessParams, n):
                   "physical_branch": True}
 
 
+# s of a closed-form state as a function of x = alpha r, by variable name
+_VARIABLES = {
+    "coth": lambda x: hyperbolic_pair(x)[0],
+    "y": lambda x: np.exp(-2.0 * x),
+}
+
+
+@dataclass(frozen=True)
 class RadialWavefunction:
-    """Callable R(r) built from the envelope, the Jacobi factor and the ansatz.
+    """Callable closed-form state
 
-    R(r) = N (1 + i coth)^((mu+B)/2) (1 - i coth)^((mu-B)/2)
-             P_n^(2+A, 2-A)(i coth(alpha r)) exp(-beta r / 2)
+        R(r) = N exp(-kappa r) prod_j (a_j + b_j s)^(p_j) P_n^(a, b)(c0 + c1 s)
 
-    dp holds the level's dimensionless coefficients, the map its
-    EnergyLevel carries. The full solution of the radial problem is
-    psi(r) = R(r)/r. The normalization constant N makes the integral of
-    |R|^2 over the fixed window [1e-6/alpha, 40/alpha] equal to 1.
+    with s = coth(alpha r) (`variable` 'coth') or s = y = exp(-2 alpha r)
+    ('y'). `factors` holds each (a_j, b_j, p_j), `jacobi` the parameters
+    (a, b) and `argument` (c0, c1). The full solution of the radial problem
+    is psi(r) = R(r)/r. N is 1 until `normalized` makes the integral of
+    |R|^2 over the fixed window [1e-6/alpha, 40/alpha] equal to 1, and
+    norm_integral holds that integral at N = 1.
     """
 
-    def __init__(self, params, n, dp: DimensionlessParams):
-        self.params = params
-        self.n = int(n)
-        self.dp = dp
-        self.aux = aux_quantities(dp)
-        self.norm_constant = 1.0
-        self.norm_window = (_NORM_WINDOW[0] / params.alpha, _NORM_WINDOW[1] / params.alpha)
-        self.norm_integral = None
+    alpha: float
+    variable: str
+    factors: tuple
+    n: int
+    jacobi: tuple
+    argument: tuple
+    kappa: complex = 0.0
+    norm_constant: float = 1.0
+    norm_integral: float | None = None
+
+    @property
+    def norm_window(self):
+        return (_NORM_WINDOW[0] / self.alpha, _NORM_WINDOW[1] / self.alpha)
 
     def __call__(self, r):
         arr = np.asarray(r, dtype=float)
@@ -326,15 +346,37 @@ class RadialWavefunction:
         if np.any(bad):
             r_bad = float(arr[bad][0])
             raise SamplingError(f"wavefunction sample r = {r_bad} outside (0, inf)", r=r_bad)
-        # coth * 1j keeps numpy's complex arithmetic on 0-d input too, where
-        # coth is a numpy scalar and 1j * coth would be a Python complex
-        z = hyperbolic_pair(self.params.alpha * arr)[0] * 1j
-        aux = self.aux
+        # an array s keeps numpy's complex arithmetic on 0-d input too, where
+        # s is a numpy scalar and b * s would be a Python complex
+        s = np.asarray(_VARIABLES[self.variable](self.alpha * arr))
+        (c0, c1), (a, b) = self.argument, self.jacobi
         with np.errstate(over="ignore", invalid="ignore"):
-            envelope = ((1.0 + z) ** ((aux.mu + aux.B) / 2.0)
-                        * (1.0 - z) ** ((aux.mu - aux.B) / 2.0))
-            poly = special.jacobi(self.n, 2.0 + aux.A, 2.0 - aux.A, z)
-            return self.norm_constant * envelope * poly * np.exp(-self.dp.beta * arr / 2.0)
+            envelope = functools.reduce(
+                operator.mul, [(aj + bj * s) ** pj for aj, bj, pj in self.factors])
+            poly = special.jacobi(self.n, a, b, c0 + c1 * s)
+            return self.norm_constant * envelope * poly * np.exp(self.kappa * -arr)
+
+    def normalized(self) -> "RadialWavefunction":
+        """This state with N set so that |R|^2 integrates to 1 on the window,
+        by Romberg integration on nested log-r samples to a relative
+        tolerance of 1e-8; NonNormalizableError where it cannot be."""
+        integral = _norm_integral(replace(self, norm_constant=1.0))
+        return replace(self, norm_constant=1.0 / math.sqrt(integral),
+                       norm_integral=float(integral))
+
+
+def printed_state(params, n, dp: DimensionlessParams) -> RadialWavefunction:
+    """The printed state of level n on the map dp its EnergyLevel carries:
+
+    R(r) = N (1 + i coth)^((mu+B)/2) (1 - i coth)^((mu-B)/2)
+             P_n^(2+A, 2-A)(i coth(alpha r)) exp(-beta r / 2)
+
+    with mu, A and B of aux_quantities(dp), unnormalized (N = 1).
+    """
+    aux = aux_quantities(dp)
+    factors = ((1.0, 1j, (aux.mu + aux.B) / 2.0), (1.0, -1j, (aux.mu - aux.B) / 2.0))
+    return RadialWavefunction(params.alpha, "coth", factors, int(n),
+                              (2.0 + aux.A, 2.0 - aux.A), (0.0, 1j), dp.beta / 2.0)
 
 
 def _log_samples(f, t, lt, ht):
@@ -377,8 +419,19 @@ def _adaptive_log_trapezoid(f, lo, hi, rtol):
         f"{_NORM_DOUBLINGS} doublings")
 
 
+def _norm_integral(wf) -> float:
+    """The integral of |wf|^2 over its window; NonNormalizableError where it
+    is not positive and finite."""
+    integral = _adaptive_log_trapezoid(
+        lambda r: np.abs(wf(r)) ** 2, wf.norm_window[0], wf.norm_window[1], _NORM_RTOL)
+    if not (integral > 0.0) or not math.isfinite(integral):
+        raise NonNormalizableError(
+            f"normalization integral is {integral}; cannot scale", end="origin")
+    return integral
+
+
 def radial_wavefunction(params, level: EnergyLevel) -> RadialWavefunction:
-    """Build R(r) for an energy level, normalized on the standard window.
+    """The printed state of a level, normalized on the standard window.
 
     Normalization integrates |R|^2 by Romberg integration on nested
     log-r samples over [1e-6/alpha, 40/alpha] to a relative tolerance of
@@ -386,15 +439,16 @@ def radial_wavefunction(params, level: EnergyLevel) -> RadialWavefunction:
     Renormalizing an already normalized wavefunction is a no-op up to
     rounding.
     """
-    wf = RadialWavefunction(params, level.n, level.dp)
-    integral = _adaptive_log_trapezoid(
-        lambda r: np.abs(wf(r)) ** 2, wf.norm_window[0], wf.norm_window[1], _NORM_RTOL)
-    if not (integral > 0.0) or not math.isfinite(integral):
-        raise NonNormalizableError(
-            f"normalization integral is {integral}; cannot scale", end="origin")
-    wf.norm_constant = 1.0 / math.sqrt(integral)
-    wf.norm_integral = float(integral)
-    return wf
+    return printed_state(params, level.n, level.dp).normalized()
+
+
+def fidelity(u: RadialWavefunction, wf: RadialWavefunction) -> float:
+    """|<u|wf>|/(||u|| ||wf||) of two states on the normalization's nested
+    log-r samples over u's window, each integral to a relative tolerance of
+    1e-8; whatever stops an integral raises."""
+    overlap = _adaptive_log_trapezoid(
+        lambda r: np.conj(u(r)) * wf(r), u.norm_window[0], u.norm_window[1], _NORM_RTOL)
+    return abs(overlap) / math.sqrt(_norm_integral(u) * _norm_integral(wf))
 
 
 def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -> float:
@@ -406,16 +460,16 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
                          - alpha^2 l(l+1) cosech^2 - d + beta^2/4)
 
     evaluated faithfully to the closed-form derivation (beta^2/4 is the
-    dimensionless beta squared over four); beta and beta^2 are those of
-    wf.dp, the map the wavefunction was built on. Returns the max scaled
+    dimensionless beta squared over four); beta = 2 kappa is that of the
+    printed state wf and beta^2 = a V0/(s alpha^2) that of the config's
+    map. Returns the max scaled
     residual max_i |F'' - beta F' + W F| / scale over the samples, by
     central differences with step h = 1e-4, which amplify one ulp of beta^2
     or gamma^2 by about 1/h^2, so digits past about the ninth are rounding
     noise. Raises EvaluationOverflowError where a sample of F is non-finite.
     """
     pref = 1.0 / consts.s
-    dp = wf.dp
-    beta, h = dp.beta, _ODE_H
+    beta, beta2, h = 2.0 * wf.kappa, dimensionless(params, consts).A, _ODE_H
     r = np.asarray(r_samples, dtype=float)
     close = r - h <= 0
     if np.any(close):
@@ -437,7 +491,7 @@ def ode_residual(wf: RadialWavefunction, params, consts, energy, l, r_samples) -
                 - params.b * params.V1 * coth * coth
                 + params.c * params.V2 * csch2
                 - params.alpha * params.alpha * l * (l + 1) * csch2
-                - params.d + dp.beta2 / 4.0)
+                - params.d + beta2 / 4.0)
     resid = np.abs(d2 - beta * d1 + w * f0)
     terms = np.abs(np.stack((d2, beta * d1, w * f0)))
     scale = max(1.0, float(np.max(terms, initial=0.0)))

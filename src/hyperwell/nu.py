@@ -9,7 +9,9 @@ engine finds the shift constants k that make the auxiliary radicand a
 perfect square, builds pi and tau = tau_bar + 2 pi for every branch,
 keeps the branches with Re(tau') < 0, and exposes the two eigenvalue
 expressions lambda = k + pi' and lambda_n = -n tau' - n(n-1) sigma''/2.
-A caller enumerates the branches once and selects from that list.
+A caller enumerates the branches once and selects from that list;
+state_factors gives the selected branch's state phi(s) y_n(s) as factors
+at the roots of sigma.
 
 Everything is computed mechanically from the input triple. Where a
 published closed form for a specific family disagrees with the mechanical
@@ -178,3 +180,31 @@ def lambda_n_of(problem: NUProblem, tau: Poly, n) -> complex:
     require_index(n, "lambda_n_of: n")
     sigma_pp = 2.0 * problem.sigma.c2
     return -float(n) * complex(tau.c1) - 0.5 * float(n) * float(n - 1) * complex(sigma_pp)
+
+
+@dataclass(frozen=True)
+class StateFactor:
+    root: complex  # s_j, a root of sigma
+    exponent: complex  # pi(s_j)/sigma'(s_j), the power of (s - s_j) in phi
+    jacobi: complex  # tau(s_j)/sigma'(s_j) - 1, the Jacobi parameter at s_j
+
+
+def state_factors(problem: NUProblem, solution: NUSolution):
+    """The factors of a solution's state phi(s) y_n(s) at each root s_j of sigma.
+
+    For pi of degree <= 1, phi'/phi = pi/sigma gives phi = prod_j
+    (s - s_j)^(pi(s_j)/sigma'(s_j)), and y_n is the Jacobi polynomial whose
+    weight prod_j (s - s_j)^(tau(s_j)/sigma'(s_j) - 1) solves
+    (sigma rho)' = tau rho, in the variable that maps s_1 to +1 and s_2 to
+    -1 (Nikiforov and Uvarov 1988, sections 2-3). One StateFactor per root,
+    in solve_quadratic's order; StructureError where sigma has no two
+    distinct roots.
+    """
+    sg = problem.sigma
+    roots = solve_quadratic(sg.c2, sg.c1, sg.c0) if sg.c2 != 0 else ()
+    if len(roots) != 2 or roots[0] == roots[1]:
+        raise StructureError("state_factors: sigma must have two distinct roots")
+    slope = sg.derivative()
+    return tuple(StateFactor(root=complex(s), exponent=complex(solution.pi(s) / slope(s)),
+                             jacobi=complex(solution.tau(s) / slope(s) - 1.0))
+                 for s in roots)

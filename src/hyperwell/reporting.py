@@ -21,14 +21,15 @@ import numpy as np
 from . import oracle
 from .analytic import (
     EnergyLevel,
-    RadialWavefunction,
     closed_form_diagnostics,
     energy_levels,
+    fidelity,
     ode_residual,
+    printed_state,
     radial_wavefunction,
 )
 from .errors import ConfigError, HyperwellError, SingularCoefficientError
-from .exact import fall_to_center_unreliable
+from .exact import eckart_state, fall_to_center_unreliable, surrogate_level
 from .oracle import fd_spectrum, numerov_spectrum
 from .potential import KINDS, dimensionless, effective_potential, scan_series, with_gaps
 
@@ -249,11 +250,13 @@ def build_oracle_report(config) -> dict:
 # full validation report
 # ---------------------------------------------------------------------------
 
-def _state_record(params, consts, n, l, fd, r_samples) -> dict:
+def _state_record(params, consts, m, n, l, fd, r_samples) -> dict:
     """One requested state: its spectrum entry and, unless singular, the
     spectrum-variant roots, the distance of the chosen level from FD level
-    n, the engine check with the NU diagnostics and the ODE residual at
-    r_samples, which the document renders once.
+    n, the engine check with the NU diagnostics, the ODE residual at
+    r_samples, which the document renders once, and, where the surrogate
+    level of the map m is bound, the fidelity of the chosen level's
+    printed state to the exact Eckart state.
 
     The distance is |E - E_FD[n]|, a complex modulus, and that over
     |E_FD[n]| floored at 1; it is left out where FD has no level n. A
@@ -282,11 +285,17 @@ def _state_record(params, consts, n, l, fd, r_samples) -> dict:
     except HyperwellError as exc:
         record["nu_check"] = {"error": str(exc)}
     try:
-        wf = RadialWavefunction(params, n, level.dp)
+        wf = printed_state(params, n, level.dp)
         record["ode_residual"] = {
             "residual": ode_residual(wf, params, consts, level.energy, l, r_samples)}
     except HyperwellError as exc:
         record["ode_residual"] = {"error": str(exc)}
+    if not fall_to_center_unreliable(m, l) and surrogate_level(m, n, l).bound:
+        try:
+            record["fidelity"] = {
+                "value": fidelity(eckart_state(m, n, l), printed_state(params, n, level.dp))}
+        except HyperwellError as exc:
+            record["fidelity"] = {"error": str(exc)}
     return record
 
 
@@ -308,7 +317,7 @@ def build_validate_report(config) -> dict:
                 for l in config.l_list},
         },
         "r_samples": r_samples,
-        "states": [_state_record(params, consts, n, l, fd, r_samples)
+        "states": [_state_record(params, consts, m, n, l, fd, r_samples)
                    for l, (_, fd) in zip(config.l_list, solved) for n in config.n_list],
         "oracle": {"per_l": [block for block, _ in solved]},
     }

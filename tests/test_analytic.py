@@ -3,20 +3,22 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hyperwell import analytic
+from hyperwell import analytic, special
 from hyperwell.analytic import (
     EnergyLevel,
-    RadialWavefunction,
     aux_quantities,
     closed_form_diagnostics,
     dimensionless_from_eps2,
     energy_levels,
+    fidelity,
     nu_problem,
     ode_residual,
+    printed_state,
     quantization_coefficients,
     radial_wavefunction,
 )
@@ -27,9 +29,11 @@ from hyperwell.errors import (
     NonNormalizableError,
     SingularCoefficientError,
 )
+from hyperwell.exact import eckart_state
 from hyperwell.nu import Poly, enumerate_branches, lambda_n_of, pi_tau_select
 from hyperwell.potential import PhysicalConstants, PotentialParams, dimensionless
-from params import CONFIGS, seeded_params, uniform_params
+from hyperwell.reporting import choose_level
+from params import CONFIGS, FAULT, seeded_params, uniform_params
 
 DEMO = PotentialParams(a=1.0, b=0.01, c=2.0, d=2.0, V0=1.0, V1=0.5, V2=0.02, alpha=1.0)
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
@@ -37,7 +41,7 @@ CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)
 
 def raw_wavefunction(params, level):
     """The level's unnormalized R(r): norm_constant 1."""
-    return RadialWavefunction(params, level.n, level.dp)
+    return printed_state(params, level.n, level.dp)
 
 
 def printed_eps2(params, consts, energy, l):
@@ -295,6 +299,32 @@ class TestWavefunction:
         wf2 = radial_wavefunction(DEMO, lv)
         assert wf2.norm_constant == pytest.approx(n1, rel=1e-12)
 
+    def test_printed_instance_is_the_printed_form(self):
+        # R = (1 + i coth)^((mu+B)/2) (1 - i coth)^((mu-B)/2)
+        #     P_n^(2+A, 2-A)(i coth) exp(-beta r/2), written out
+        r = np.geomspace(1e-3, 30.0, 41)
+        for n in range(3):
+            for l in range(2):
+                lv = energy_levels(DEMO, CONSTS, n, l)[0]
+                aux, z = aux_quantities(lv.dp), 1j / np.tanh(DEMO.alpha * r)
+                want = ((1.0 + z) ** ((aux.mu + aux.B) / 2.0) * (1.0 - z) ** ((aux.mu - aux.B) / 2.0)
+                        * special.jacobi(n, 2.0 + aux.A, 2.0 - aux.A, z)
+                        * np.exp(-lv.dp.beta * r / 2.0))
+                got = raw_wavefunction(DEMO, lv)(r)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, l)
+
+    def test_fidelity_is_a_normalized_overlap(self):
+        # 1 for a state against itself, whatever N, and symmetric
+        m = dimensionless(FAULT, CONSTS)
+        exact = eckart_state(m, 1, 0)
+        printed = raw_wavefunction(FAULT, choose_level(energy_levels(FAULT, CONSTS, 1, 0)))
+        assert fidelity(exact, exact) == pytest.approx(1.0, rel=1e-8)
+        assert fidelity(exact, replace(exact, norm_constant=7.0)) == pytest.approx(1.0, rel=1e-8)
+        value = fidelity(exact, printed)
+        assert 0.0 < value < 1.0
+        assert fidelity(printed, exact.normalized()) == pytest.approx(value, rel=1e-8)
+        assert fidelity(exact, printed.normalized()) == pytest.approx(value, rel=1e-8)
+
     def test_degree_two_uses_polynomial(self):
         lv = energy_levels(DEMO, CONSTS, 2, 0)[0]
         wf = raw_wavefunction(DEMO, lv)
@@ -446,8 +476,7 @@ class TestOdeResidual:
         E = 4.0  # W = 2mE/hbar^2 = 4; F = sin(2r)
 
         class Exact:
-            # beta = 0, so F = R
-            dp = dimensionless_from_eps2(dimensionless(free, CONSTS), CONSTS.s, 0.0, 0)
+            kappa = 0.0  # beta = 2 kappa = 0, so F = R
 
             def __call__(self, r):
                 return np.sin(2.0 * np.asarray(r, dtype=float))

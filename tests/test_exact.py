@@ -1,15 +1,20 @@
 """Exact levels of the surrogate (Eckart) problem and their bound-state gate."""
 
 import dataclasses
+import math
+import random
 
+import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
-from hyperwell.config import parse_config
+from hyperwell.analytic import RadialWavefunction
+from hyperwell.config import RadialGrid, parse_config
 from hyperwell.errors import DomainError
-from hyperwell.exact import surrogate_level
+from hyperwell.exact import eckart_state, kappa_radicand, surrogate_level
 from hyperwell.oracle import fd_spectrum, numerov_spectrum
 from hyperwell.potential import PhysicalConstants, dimensionless, effective_potential
-from params import CONFIGS, FAULT, family_params, mapped
+from params import CONFIGS, FAULT, family_params, mapped, seeded_params
 
 CONSTS = PhysicalConstants(hbar=1.0, mass=0.5)  # s = hbar^2/(2m) = 1
 
@@ -137,3 +142,69 @@ def test_bundled_configs_have_no_bound_state(name):
             levels = list(solver(veff, mapped(consts, grid, params), 3).energies)
             assert len(levels) == 3
             assert min(levels) - params.asymptote >= 5.7e-3
+
+
+def closed_form_state(params, consts, n, l, r):
+    """The surrogate's Eckart state y^mu (1 - y)^kappa_l
+    P_n^(2 mu, 2 kappa_l - 1)(1 - 2y), y = exp(-2 alpha r), with
+    mu = sqrt((C - A - E)/(4 s alpha^2)), written out with scipy's
+    eval_jacobi; unnormalized."""
+    m = dimensionless(params, consts)
+    energy = surrogate_level(m, n, l).energy
+    mu = math.sqrt((params.C - params.A - energy) / (4.0 * consts.s * params.alpha**2))
+    kappa = 0.5 + math.sqrt(kappa_radicand(m, l))
+    y = np.exp(-2.0 * params.alpha * r)
+    return y**mu * (1.0 - y) ** kappa * eval_jacobi(n, 2.0 * mu, 2.0 * kappa - 1.0, 1.0 - 2.0 * y)
+
+
+# (params, consts, surrogate-bound states at n, l 0..2) of FAULT, both
+# barrier wells and two seeded_params draws (s = 1)
+EIGEN_CASES = {
+    **{name: (cfg.params, cfg.consts, count) for name, count in (
+        ("eckart_bound", 5), ("barrier_well", 4), ("barrier_well_alpha1", 2))
+       for cfg in [parse_config((CONFIGS / f"{name}.cfg").read_text())]},
+    **{f"seeded{i}": (params, CONSTS, 2) for i, params in enumerate(
+        (lambda rng: (seeded_params(rng), seeded_params(rng)))(random.Random(33)))},
+}
+
+
+@pytest.mark.parametrize("name", EIGEN_CASES)
+def test_eckart_state_is_the_closed_form(name):
+    # the Nikiforov-Uvarov instance equals the closed form to 1e-12 of its
+    # largest sample on the default grid
+    params, consts, count = EIGEN_CASES[name]
+    m = dimensionless(params, consts)
+    r = RadialGrid(1e-6, 40.0 / params.alpha, 2000).points()
+    checked = 0
+    for l in range(3):
+        for n in range(3):
+            if not surrogate_level(m, n, l).bound:
+                continue
+            ref = closed_form_state(params, consts, n, l, r)
+            assert np.max(np.abs(eckart_state(m, n, l)(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            checked += 1
+    assert checked == count
+
+
+def test_eckart_state_factors_on_fault():
+    # nu.state_factors on the Eckart triple gives y^mu (1 - y)^kappa_l and
+    # P_n^(2 mu, 2 kappa_l - 1)(1 - 2y) at each of FAULT's five bound states
+    m = dimensionless(FAULT, CONSTS)
+    checked = 0
+    for l in range(3):
+        kappa = 0.5 + math.sqrt(kappa_radicand(m, l))
+        for n in range(3):
+            level = surrogate_level(m, n, l)
+            if not level.bound:
+                continue
+            mu = math.sqrt((FAULT.C - FAULT.A - level.energy) / 4.0)
+            u = eckart_state(m, n, l)
+            assert isinstance(u, RadialWavefunction)
+            assert (u.variable, u.n, u.kappa) == ("y", n, 0.0)
+            (a1, b1, p1), (a2, b2, p2) = u.factors
+            assert (a1, b1, a2, b2) == (0.0, 1.0, 1.0, -1.0)
+            assert np.allclose(u.argument, (1.0, -2.0), rtol=0.0, atol=1e-15)
+            for got, want in zip((p1, p2, *u.jacobi), (mu, kappa, 2.0 * mu, 2.0 * kappa - 1.0)):
+                assert abs(got - want) <= 1e-12 * want, (n, l)
+            checked += 1
+    assert checked == 5

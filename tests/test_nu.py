@@ -7,6 +7,7 @@ from hyperwell.errors import DomainError, NoPhysicalBranchError, StructureError
 from hyperwell.special import principal_sqrt
 from hyperwell.nu import (
     NUProblem,
+    NUSolution,
     Poly,
     _radicand_sqrt,
     enumerate_branches,
@@ -14,6 +15,7 @@ from hyperwell.nu import (
     lambda_n_of,
     pi_tau_select,
     radicand_coeffs,
+    state_factors,
 )
 
 
@@ -189,3 +191,36 @@ class TestLambdaN:
             lambda_n_of(prob, Poly(0.0, -1.0, 0.0), -1)
         with pytest.raises(DomainError):
             lambda_n_of(prob, Poly(0.0, -1.0, 0.0), 1.5)
+
+
+class TestStateFactors:
+    def test_eckart_ground_state(self):
+        # FAULT's (0, 0) in y = exp(-2r): eps = -13.25, a = 7, b_0 = 0.5, so
+        # sigma_bar = -6.25 + 24.5 y - 20.25 y^2; the state is
+        # y^2.5 (1 - y)^2 with Jacobi parameters (5, 3)
+        prob = NUProblem(Poly(0.0, 1.0, -1.0), Poly(-6.25, 24.5, -20.25), Poly(1.0, -1.0))
+        factors = state_factors(prob, pi_tau_select(enumerate_branches(prob)))
+        assert [(f.root, f.exponent, f.jacobi) for f in factors] == [(0, 2.5, 5.0), (1, 2.0, 3.0)]
+
+    def test_factors_solve_the_defining_equations(self):
+        # phi'/phi = pi/sigma and (sigma rho)' = tau rho, with phi and rho
+        # the products of (s - s_j) to the exponents and Jacobi parameters
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            prob = random_problem(rng)
+            sol = enumerate_branches(prob)[int(rng.integers(4))]
+            factors = state_factors(prob, sol)
+            s = complex(rng.normal(), rng.normal())
+            phi_log = sum(f.exponent / (s - f.root) for f in factors)
+            rho_log = sum(f.jacobi / (s - f.root) for f in factors)
+            sigma = prob.sigma
+            assert abs(phi_log * sigma(s) - sol.pi(s)) <= 1e-10 * (1.0 + abs(sol.pi(s)))
+            got = sigma.derivative()(s) + sigma(s) * rho_log
+            assert abs(got - sol.tau(s)) <= 1e-10 * (1.0 + abs(sol.tau(s)))
+
+    @pytest.mark.parametrize("sigma", [Poly(1.0), Poly(0.0, 1.0), Poly(0.0, 0.0, 1.0)],
+                             ids=["constant", "linear", "double-root"])
+    def test_sigma_needs_two_distinct_roots(self, sigma):
+        sol = NUSolution(k=0j, pi=Poly(), tau=Poly(0.0, -1.0), lam=0j, branch=("k", "pi"))
+        with pytest.raises(StructureError, match="two distinct roots"):
+            state_factors(NUProblem(sigma, Poly(1.0), Poly(1.0)), sol)

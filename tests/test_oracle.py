@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import eig_banded, eigh_tridiagonal, lapack, solve_banded
-from scipy.special import eval_jacobi
 
 from hyperwell import oracle
 from hyperwell.config import RadialGrid, parse_config
@@ -22,7 +21,7 @@ from hyperwell.errors import (
     SamplingError,
     StructureError,
 )
-from hyperwell.exact import fall_to_center_unreliable, kappa_radicand, surrogate_level
+from hyperwell.exact import eckart_state, fall_to_center_unreliable, surrogate_level
 from hyperwell.oracle import NumericSpectrum, fd_spectrum, numerov_spectrum
 from hyperwell.potential import (
     PhysicalConstants,
@@ -95,6 +94,15 @@ def assert_numerov_scales(monkeypatch, ref, scaled, factor):
     for e, e_ref in zip(spec.energies, spec_ref.energies, strict=True):
         assert abs(e / factor - e_ref) <= 1e-10 * abs(e_ref)
     assert swept <= swept_ref + ref[2].n_points
+
+
+def surrogate_well(name, l, n_points):
+    """(params, consts, grid, veff) of a bundled config at n_points on the
+    extent [1e-6, 40/alpha], veff with the cosech^2 surrogate barrier."""
+    cfg = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
+    grid = RadialGrid(1e-6, 40.0 / cfg.params.alpha, n_points)
+    veff = effective_potential(cfg.params, cfg.consts, l, grid.points(), approximate=True)
+    return cfg.params, cfg.consts, grid, veff
 
 
 def box(grid):
@@ -542,20 +550,11 @@ class TestNumerovLevels:
         ("barrier_well_alpha1", "numerov", 1, 8000): (1.1 * 1.317e-9,),
     }
 
-    @staticmethod
-    def barrier_well(name, l, n_points):
-        """(params, consts, grid, surrogate-barrier veff) of a barrier well
-        config at n_points on its default extent 40/alpha."""
-        cfg = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
-        grid = RadialGrid(1e-6, 40.0 / cfg.params.alpha, n_points)
-        veff = effective_potential(cfg.params, cfg.consts, l, grid.points(), approximate=True)
-        return cfg.params, cfg.consts, grid, veff
-
     @pytest.mark.parametrize("name, solver, l, n_points", BARRIER_WELL_BOUNDS)
     def test_barrier_well_levels_pinned_to_exact(self, name, solver, l, n_points):
         # every surrogate-bound (n, l) of the config, and no other, is pinned
         bounds = self.BARRIER_WELL_BOUNDS[name, solver, l, n_points]
-        params, consts, grid, veff = self.barrier_well(name, l, n_points)
+        params, consts, grid, veff = surrogate_well(name, l, n_points)
         exact = [surrogate_level(dimensionless(params, consts), n, l) for n in range(3)]
         assert [lv.bound for lv in exact] == [n < len(bounds) for n in range(3)]
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
@@ -563,19 +562,6 @@ class TestNumerovLevels:
         assert node_counts(spec) == [0, 1, 2]
         for lv, rel in zip(exact, bounds):
             assert abs(spec.energies[lv.n] - lv.energy) <= rel * abs(lv.energy), lv.n
-
-    def test_barrier_well_numerov_fine_l2_on_dirichlet_root(self):
-        # (0, 2) of barrier_well.cfg at 8000 points: the discretisation error
-        # (6.5e-11 relative) is below Numerov's 1e-10 stop, so, as for FAULT
-        # at l = 2, the matrix-Numerov eigenvalue E_H is pinned to the exact
-        # level at 1.1 times its measured error, and the level to E_H at the stop
-        params, consts, grid, veff = self.barrier_well("barrier_well", 2, 8000)
-        exact = surrogate_level(dimensionless(params, consts), 0, 2)
-        assert exact.bound and not surrogate_level(dimensionless(params, consts), 1, 2).bound
-        E = numerov_spectrum(veff, mapped(consts, grid, params), 3).energies[0]
-        root = matrix_numerov_level(veff, consts.s, grid.h, exact.energy)
-        assert abs(root - exact.energy) <= 1.1 * 5.274e-11 * abs(exact.energy)
-        assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
 
     # with the cosech^2 barrier, level 1 at l = 1 (-28.136) is bound just
     # below the asymptote -28; each budget is 1.1 x the measured sweeps
@@ -645,10 +631,10 @@ class TestNumerovLevels:
 
 
 class TestSurrogateLevels:
-    """Both oracles on FAULT (configs/eckart_bound.cfg) with the cosech^2
-    surrogate barrier, which makes the problem Eckart at every l, pinned
-    to the exact levels of exact.surrogate_level where its bound flag is
-    set."""
+    """Both oracles with the cosech^2 surrogate barrier, which makes the
+    problem Eckart at every l, on FAULT (configs/eckart_bound.cfg), the two
+    barrier wells and two seeded draws, pinned to the exact levels and
+    states of `exact` where the bound flag of surrogate_level is set."""
 
     # (solver, l, n_points) -> per bound level n, 1.1 times the measured
     # relative error
@@ -677,19 +663,43 @@ class TestSurrogateLevels:
         for lv, rel in zip(exact, bounds):
             assert abs(spec.energies[lv.n] - lv.energy) <= rel * abs(lv.energy), lv.n
 
-    def test_numerov_fine_l2_on_dirichlet_root(self):
-        # at l = 2 and 8000 points the discretisation error (3.383e-11
-        # relative) is below Numerov's 1e-10 stop, so the level alone is not
-        # pinned: the matrix-Numerov eigenvalue E_H, the Dirichlet root, is
-        # pinned to the exact level at 1.1 times its measured error, and the
-        # level to E_H at the stop
-        exact = surrogate_level(dimensionless(FAULT, CONSTS), 0, 2).energy
-        grid = RadialGrid(1e-6, 40.0, 8000)
-        veff = effective_potential(FAULT, CONSTS, 2, grid.points(), approximate=True)
-        E = numerov_spectrum(veff, mapped(CONSTS, grid, FAULT), 3).energies[0]
-        root = matrix_numerov_level(veff, CONSTS.s, grid.h, exact)
-        assert abs(root - exact) <= 1.1 * 3.383e-11 * abs(exact)
-        assert abs(E - root) <= 1e-10 * max(1.0, abs(E))
+    # (config, l, n_points) -> per surrogate-bound level n, 1.1 times the
+    # measured relative error of the matrix-Numerov eigenvalue E_H
+    ROOT_ERROR_BOUNDS = {
+        ("eckart_bound", 0, 2000): (1.1 * 4.100e-4, 1.1 * 1.549e-4),
+        ("eckart_bound", 0, 8000): (1.1 * 6.809e-6, 1.1 * 2.564e-6),
+        ("eckart_bound", 1, 2000): (1.1 * 2.754e-6, 1.1 * 3.729e-7),
+        ("eckart_bound", 1, 8000): (1.1 * 1.200e-8, 1.1 * 1.620e-9),
+        ("eckart_bound", 2, 2000): (1.1 * 8.707e-9,),
+        ("eckart_bound", 2, 8000): (1.1 * 3.383e-11,),
+        ("barrier_well", 0, 2000): (1.1 * 2.333e-4, 1.1 * 6.485e-5),
+        ("barrier_well", 0, 8000): (1.1 * 3.701e-6, 1.1 * 1.026e-6),
+        ("barrier_well", 1, 2000): (1.1 * 1.244e-6,),
+        ("barrier_well", 1, 8000): (1.1 * 5.341e-9,),
+        ("barrier_well", 2, 2000): (1.1 * 1.251e-9,),
+        ("barrier_well", 2, 8000): (1.1 * 5.274e-11,),
+        ("barrier_well_alpha1", 0, 2000): (1.1 * 7.030e-4,),
+        ("barrier_well_alpha1", 0, 8000): (1.1 * 3.328e-5,),
+        ("barrier_well_alpha1", 1, 2000): (1.1 * 1.878e-7,),
+        ("barrier_well_alpha1", 1, 8000): (1.1 * 1.329e-9,),
+    }
+
+    @pytest.mark.parametrize("name, l, n_points", ROOT_ERROR_BOUNDS)
+    def test_dirichlet_roots_pinned_to_exact(self, name, l, n_points):
+        # the matrix-Numerov eigenvalue E_H, the Dirichlet root of the
+        # recurrence, carries the discretisation error alone: each
+        # surrogate-bound level's E_H is pinned to the exact level, and
+        # Numerov's level to E_H at its 1e-10 stop. At l = 2 and 8000 points
+        # the discretisation error lies below that stop, so only E_H sees it
+        bounds = self.ROOT_ERROR_BOUNDS[name, l, n_points]
+        params, consts, grid, veff = surrogate_well(name, l, n_points)
+        exact = [surrogate_level(dimensionless(params, consts), n, l) for n in range(3)]
+        assert [lv.bound for lv in exact] == [n < len(bounds) for n in range(3)]
+        spec = numerov_spectrum(veff, mapped(consts, grid, params), 3)
+        for lv, rel in zip(exact, bounds):
+            root = matrix_numerov_level(veff, consts.s, grid.h, lv.energy)
+            assert abs(root - lv.energy) <= rel * abs(lv.energy), lv.n
+            assert abs(spec.energies[lv.n] - root) <= 1e-10 * max(1.0, abs(root)), lv.n
 
     @pytest.mark.parametrize("n_points", [3995, 8010])
     def test_excited_bound_state_is_a_matched_sweep(self, n_points):
@@ -744,48 +754,49 @@ class TestSurrogateLevels:
             m = dimensionless(params, CONSTS)
             assert not any(surrogate_level(m, n, 2).bound for n in range(3))
 
-    # (solver, n_points) -> 1.1 times the largest measured fidelity loss
-    # 1 - |<u|w>| and pointwise error max |u - w| over the five bound states
+    # (config, solver, n_points) -> 1.1 times the largest measured fidelity
+    # loss 1 - |<u|w>| and pointwise error max |u - w| over the config's
+    # surrogate-bound states
     STATE_ERROR_BOUNDS = {
-        ("fd", 2000): (1.1 * 1.036e-5, 1.1 * 5.938e-3),
-        ("fd", 8000): (1.1 * 3.966e-8, 1.1 * 3.680e-4),
-        ("numerov", 2000): (1.1 * 6.477e-7, 1.1 * 3.691e-3),
-        ("numerov", 8000): (1.1 * 2.773e-10, 1.1 * 1.936e-4),
+        ("eckart_bound", "fd", 2000): (1.1 * 1.036e-5, 1.1 * 5.938e-3),
+        ("eckart_bound", "fd", 8000): (1.1 * 3.966e-8, 1.1 * 3.680e-4),
+        ("eckart_bound", "numerov", 2000): (1.1 * 6.477e-7, 1.1 * 3.691e-3),
+        ("eckart_bound", "numerov", 8000): (1.1 * 2.773e-10, 1.1 * 1.936e-4),
+        ("barrier_well", "fd", 2000): (1.1 * 6.254e-6, 1.1 * 3.353e-3),
+        ("barrier_well", "fd", 8000): (1.1 * 2.407e-8, 1.1 * 2.078e-4),
+        ("barrier_well", "numerov", 2000): (1.1 * 2.713e-7, 1.1 * 1.942e-3),
+        ("barrier_well", "numerov", 8000): (1.1 * 2.980e-9, 1.1 * 1.026e-4),
+        ("barrier_well_alpha1", "fd", 2000): (1.1 * 3.715e-6, 1.1 * 3.927e-3),
+        ("barrier_well_alpha1", "fd", 8000): (1.1 * 1.907e-8, 1.1 * 2.794e-4),
+        ("barrier_well_alpha1", "numerov", 2000): (1.1 * 1.535e-6, 1.1 * 3.467e-3),
+        ("barrier_well_alpha1", "numerov", 8000): (1.1 * 3.779e-9, 1.1 * 3.286e-4),
     }
+    BOUND_STATES = {"eckart_bound": 5, "barrier_well": 4, "barrier_well_alpha1": 2}
 
-    @staticmethod
-    def exact_state(n, l, r):
-        """The surrogate's Eckart state y^mu (1 - y)^kappa_l
-        P_n^(2 mu, 2 kappa_l - 1)(1 - 2y), y = exp(-2 alpha r), with
-        mu = sqrt((C - A - E)/(4 s alpha^2)), trapezoid-normalized on r and
-        signed by (-1)^n so that its lobe nearest the origin is positive."""
-        energy = surrogate_level(dimensionless(FAULT, CONSTS), n, l).energy
-        mu = math.sqrt((FAULT.C - FAULT.A - energy) / (4.0 * CONSTS.s * FAULT.alpha**2))
-        kappa = 0.5 + math.sqrt(kappa_radicand(dimensionless(FAULT, CONSTS), l))
-        y = np.exp(-2.0 * FAULT.alpha * r)
-        u = y**mu * (1.0 - y) ** kappa * eval_jacobi(n, 2.0 * mu, 2.0 * kappa - 1.0, 1.0 - 2.0 * y)
-        return (-1) ** n * u / math.sqrt(float(np.trapezoid(u * u, r)))
-
-    @pytest.mark.parametrize("solver, n_points", STATE_ERROR_BOUNDS)
-    def test_bound_states_match_exact(self, solver, n_points):
-        loss_bound, point_bound = self.STATE_ERROR_BOUNDS[solver, n_points]
-        grid = RadialGrid(1e-6, 40.0, n_points)
-        r = grid.points()
+    @pytest.mark.parametrize("name, solver, n_points", STATE_ERROR_BOUNDS)
+    def test_bound_states_match_exact(self, name, solver, n_points):
+        # u is the exact Eckart state (exact.eckart_state), trapezoid-
+        # normalized on r and signed by (-1)^n, so that its lobe nearest the
+        # origin is positive
+        loss_bound, point_bound = self.STATE_ERROR_BOUNDS[name, solver, n_points]
         solve = numerov_spectrum if solver == "numerov" else fd_spectrum
         checked = 0
         for l in range(3):
-            veff = effective_potential(FAULT, CONSTS, l, r, approximate=True)
-            spec = solve(veff, mapped(CONSTS, grid, FAULT), 2)
+            params, consts, grid, veff = surrogate_well(name, l, n_points)
+            r, m = grid.points(), dimensionless(params, consts)
+            spec = solve(veff, mapped(consts, grid, params), 2)
             for n in range(2):
-                if not surrogate_level(dimensionless(FAULT, CONSTS), n, l).bound:
+                if not surrogate_level(m, n, l).bound:
                     continue
-                u, w = self.exact_state(n, l, r), spec.wavefunctions[n]
+                u = eckart_state(m, n, l)(r).real
+                u = (-1) ** n * u / math.sqrt(float(np.trapezoid(u * u, r)))
+                w = spec.wavefunctions[n]
                 assert 1.0 - abs(float(np.trapezoid(u * w, r))) <= loss_bound, (n, l)
                 assert np.max(np.abs(u - w)) <= point_bound, (n, l)
                 assert spec.node_counts[n] == n
                 assert w[np.abs(w) > 1e-8 * np.max(np.abs(w))][0] > 0.0
                 checked += 1
-        assert checked == 5
+        assert checked == self.BOUND_STATES[name]
 
     @pytest.mark.parametrize("mu", [0.05, 0.5, 2.0, 20.0])
     def test_fd_length_scaling(self, monkeypatch, mu):

@@ -18,6 +18,7 @@ from hyperwell import analytic, nu, oracle, potential
 from hyperwell.analytic import energy_levels, radial_wavefunction
 from hyperwell.config import parse_config
 from hyperwell.errors import ConvergenceError, SingularCoefficientError
+from hyperwell.exact import eckart_state, fall_to_center_unreliable, surrogate_level
 from hyperwell.potential import PhysicalConstants, dimensionless, scan_series
 from hyperwell.reporting import (
     build_oracle_report,
@@ -170,7 +171,8 @@ def test_validate_partly_singular():
     load("general", n_list=(0, 1, 2), l_list=(0, 1, 2)),
     parse_config(PARTLY_SINGULAR),
     load("general", n_list=(2, 1), l_list=(1,)),
-], ids=["general", "partly-singular", "n-2,1-l-1"])
+    load("eckart_bound", n_list=(0, 1, 2), l_list=(0, 1, 2)),
+], ids=["general", "partly-singular", "n-2,1-l-1", "eckart-bound"])
 def test_states_equal_direct_calls(config):
     params, consts = config.params, config.consts
     doc = json.loads(json_document(build_validate_report(config)))
@@ -192,7 +194,7 @@ def test_states_equal_direct_calls(config):
         dp = analytic.dimensionless_from_eps2(dimensionless(params, consts), consts.s,
                                               level.dp.eps2, l)
         diagnostics, engine = analytic.closed_form_diagnostics(dp, n)
-        wf = analytic.RadialWavefunction(params, n, dp)
+        wf = analytic.printed_state(params, n, dp)
         delta = abs(level.energy - fd[l][n])
         want = {
             "n": n, "l": l, "singular": None,
@@ -209,7 +211,35 @@ def test_states_equal_direct_calls(config):
             "ode_residual": {"residual": analytic.ode_residual(
                 wf, params, consts, level.energy, l, r)},
         }
+        m = dimensionless(params, consts)
+        if not fall_to_center_unreliable(m, l) and surrogate_level(m, n, l).bound:
+            want["fidelity"] = {"value": analytic.fidelity(eckart_state(m, n, l), wf)}
         assert state == reference_jsonable(want)
+
+
+# validate at n, l 0..2: each config's (n, l) -> fidelity of the chosen
+# printed state to the exact Eckart state, for exactly its surrogate-bound
+# states; on FAULT the values are pinned to 1e-7 relative
+FIDELITY_STATES = {
+    "eckart_bound": {(0, 0): 0.19046841, (1, 0): 0.19183811, (0, 1): 0.25931456,
+                     (1, 1): 0.07601866, (0, 2): 0.20057745},
+    "barrier_well": {(0, 0): None, (1, 0): None, (0, 1): None, (0, 2): None},
+    "barrier_well_alpha1": {(0, 0): None, (0, 1): None},
+    "general": {},
+}
+
+
+@pytest.mark.parametrize("name", FIDELITY_STATES)
+def test_fidelity_on_surrogate_bound_states_only(name):
+    config = load(name, n_list=(0, 1, 2), l_list=(0, 1, 2))
+    doc = json.loads(json_document(build_validate_report(config)))
+    got = {(s["n"], s["l"]): s["fidelity"]["value"] for s in doc["states"] if "fidelity" in s}
+    want = FIDELITY_STATES[name]
+    assert sorted(got) == sorted(want)
+    for key, value in got.items():
+        assert 0.0 < value < 1.0
+        if want[key] is not None:
+            assert value == pytest.approx(want[key], rel=1e-7), key
 
 
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])

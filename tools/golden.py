@@ -41,16 +41,13 @@ a k of the NU problem that overflows at the root validate chooses
 (validate); a grid whose (2 s/h^2)^2 in units of s alpha^2 overflows
 (oracle); and an asymptote C - A that overflows (validate).
 
-Which commands must stay identical: the solvers and the exact levels
-work in rho = alpha r and eps = E/(s alpha^2), and every sample of V is
-taken in the config's unit, so every `potential` and `effective` command,
-and every command on an input with hbar^2/(2m) = 1 and alpha = 1 (the
-bundled configs, FAULT, the error cases and the extreme inputs that keep
-both), stays identical under a change of how that map is computed;
-FALL's alpha = 2 is a power of two, so its levels stay identical as
-well. Elsewhere a level may move by rounding:
-FD's within eps ||T|| absolute (||T|| its Gershgorin bound), Numerov's
-within its stop, 1e-10 max(unit, |E|). Node counts may not move.
+Which commands must stay identical: the closed-form states are instances
+of one class, `analytic.RadialWavefunction`, so every `potential`,
+`effective`, `wavefunction`, `spectrum` and `oracle` command stays
+identical in stdout, stderr and exit code. A `validate` command may differ
+only by the `fidelity` record that a state whose surrogate level is bound
+(`exact.surrogate_level`) gains; with those records removed, its output is
+the base tree's. Node counts may not move.
 
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
