@@ -146,9 +146,9 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     operator T by Sturm-sequence bisection to a width tol of 1e-11 times
     its Gershgorin bound ||T||, and dstein gives a vector per bracket by
     inverse iteration. The levels are the Ritz values of T on the span V
-    of those vectors (the eigenvalues of V^T T V) and the states the
-    matching Ritz vectors (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4). For separated levels a Ritz value is the Rayleigh quotient
+    of those vectors (the eigenvalues of V^T T V, by LAPACK dsyevd) and the
+    states the matching Ritz vectors (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4). For separated levels a Ritz value is the Rayleigh quotient
     w + v^T (T - w) v at its bracket's midpoint w: one O(N) step in place
     of the further bisection down to 2 ulp, and more accurate, since the
     Sturm counts of bisection round at eps ||T||. Where two levels share a
@@ -218,14 +218,17 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     tv = diag[:, None] * vecs
     tv[1:] += off[:, None] * vecs[:-1]
     tv[:-1] += off[:, None] * vecs[1:]
-    energies, rotation = np.linalg.eigh(vecs.T @ tv)
+    # einsum without optimize runs numpy's own loops, not numpy's BLAS, so
+    # _lapack() stays the one linear-algebra library
+    energies, rotation = _checked_lapack(
+        "fd_spectrum", "dsyevd", np.einsum("ik,ij->kj", vecs, tv))
     far = np.flatnonzero(np.abs(energies - coarse) > tol)
     if far.size:
         k = int(far[0])
         raise ConvergenceError(
             f"fd_spectrum: level {k} at {energies[k] * scale!r} left its bracket "
             f"{coarse[k] * scale!r} +- {tol * scale:.3g}")
-    states = np.pad(vecs @ rotation[:, :n_states], ((1, 1), (0, 0))).T
+    states = np.pad(np.einsum("ik,kj->ij", vecs, rotation[:, :n_states]), ((1, 1), (0, 0))).T
     return _finished("FiniteDifference", energies[:n_states].tolist(), scale, states, r)
 
 

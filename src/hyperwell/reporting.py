@@ -284,16 +284,20 @@ def _state_record(params, consts, m, n, l, fd, r_samples) -> dict:
         record["nu_check"] = {**engine, "diagnostics": diagnostics}
     except HyperwellError as exc:
         record["nu_check"] = {"error": str(exc)}
+    # one printed state for both quantities; where it fails, each carries its error
     try:
-        wf = printed_state(params, n, level.dp)
-        record["ode_residual"] = {
+        wf, wf_error = printed_state(params, n, level.dp), None
+    except HyperwellError as exc:
+        wf, wf_error = None, {"error": str(exc)}
+    try:
+        record["ode_residual"] = wf_error or {
             "residual": ode_residual(wf, params, consts, level.energy, l, r_samples)}
     except HyperwellError as exc:
         record["ode_residual"] = {"error": str(exc)}
     if not fall_to_center_unreliable(m, l) and surrogate_level(m, n, l).bound:
         try:
-            record["fidelity"] = {
-                "value": fidelity(eckart_state(m, n, l), printed_state(params, n, level.dp))}
+            exact = eckart_state(m, n, l)
+            record["fidelity"] = wf_error or {"value": fidelity(exact, wf)}
         except HyperwellError as exc:
             record["fidelity"] = {"error": str(exc)}
     return record

@@ -850,7 +850,7 @@ def patch_lapack(monkeypatch, **fakes):
     """Make oracle._lapack() hand out `fakes` in place of the routines they
     name, and scipy's own routines otherwise."""
     routines = {name: getattr(lapack, name)
-                for name in ("dstebz", "dstein", "dtbtrs", "dgttrf", "dgttrs")}
+                for name in ("dstebz", "dstein", "dsyevd", "dtbtrs", "dgttrf", "dgttrs")}
     module = types.SimpleNamespace(**(routines | fakes))
     monkeypatch.setattr(oracle, "_lapack", lambda: module)
 
@@ -1135,10 +1135,12 @@ class TestSpectrumStructure:
                 assert lobe[0] > 0.0, (spec.method, k)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
-        # a nonzero info, as from dstein where a vector fails to converge or
-        # from dgttrf where a pivot of the Numerov operator is exactly zero
+        # a nonzero info, as from dstein where a vector fails to converge,
+        # from dsyevd where the Ritz step's eigensolve does, or from dgttrf
+        # where a pivot of the Numerov operator is exactly zero
         for solver, routine in ((fd_spectrum, "dstebz"), (fd_spectrum, "dstein"),
-                                (numerov_spectrum, "dgttrf"), (numerov_spectrum, "dgttrs")):
+                                (fd_spectrum, "dsyevd"), (numerov_spectrum, "dgttrf"),
+                                (numerov_spectrum, "dgttrs")):
             def failing(*args, routine=routine):
                 return (*getattr(lapack, routine)(*args)[:-1], 1)
 

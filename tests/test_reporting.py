@@ -242,6 +242,34 @@ def test_fidelity_on_surrogate_bound_states_only(name):
             assert value == pytest.approx(want[key], rel=1e-7), key
 
 
+def test_printed_state_built_once_per_state(monkeypatch):
+    # the ODE residual and the fidelity share the chosen level's printed state
+    counts = count_calls(monkeypatch, analytic.printed_state)
+    doc = build_validate_report(load("eckart_bound", n_list=(0, 1, 2), l_list=(0, 1, 2)))
+    assert sum("fidelity" in s for s in doc["states"]) == 5
+    assert counts == {"printed_state": 9}
+
+
+def test_state_failures_keep_their_errors(monkeypatch):
+    # a failing printed state is the error of both quantities it feeds; a
+    # failing exact state is the fidelity's error, whatever the printed one
+    def failing(text):
+        def fail(*args):
+            raise SingularCoefficientError(text)
+        return fail
+
+    config = load("eckart_bound", n_list=(0,), l_list=(0,))
+    monkeypatch.setattr("hyperwell.reporting.printed_state", failing("printed"))
+    (state,) = build_validate_report(config)["states"]
+    assert state["ode_residual"] == state["fidelity"] == {"error": "printed"}
+    monkeypatch.setattr("hyperwell.reporting.eckart_state", failing("exact"))
+    (state,) = build_validate_report(config)["states"]
+    assert (state["ode_residual"], state["fidelity"]) == ({"error": "printed"}, {"error": "exact"})
+    monkeypatch.setattr("hyperwell.reporting.printed_state", analytic.printed_state)
+    (state,) = build_validate_report(config)["states"]
+    assert "residual" in state["ode_residual"] and state["fidelity"] == {"error": "exact"}
+
+
 @pytest.mark.parametrize("name", ["general", "rosen_morse", "poschl_teller", "scarf"])
 def test_validate_schema_version(name):
     # all three reports carry schema version 3 and meet their own schemas

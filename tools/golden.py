@@ -11,10 +11,14 @@ leaves nothing behind); the new tree is this checkout's working tree, or
 time it is raised, so that no command's warning hides a later one's. Per
 command the tool prints "identical", or else the exit codes, the first
 differing line of stdout or stderr and the largest delta between
-corresponding numbers of the two
-outputs, relative to their magnitude floored at 1 (as the reports' own
-relative deltas are). A run with differences ends with the largest of
-those deltas over all differing commands and the command that holds it.
+corresponding numbers of the two outputs, relative to their magnitude
+floored at 1 (as the reports' own relative deltas are). Where both stdouts
+are JSON the numbers correspond by their path in the document (object
+keys and list indices joined by dots), and the tool also lists the leaf
+paths added, those removed and those whose value other than a number
+changed, so that a new record does not hide a moved number. A run with
+differences ends with the largest of those deltas over all differing
+commands and the command that holds it.
 No expected output is stored: both trees run on the same machine, so the
 LAPACK build cannot matter.
 
@@ -41,13 +45,14 @@ a k of the NU problem that overflows at the root validate chooses
 (validate); a grid whose (2 s/h^2)^2 in units of s alpha^2 overflows
 (oracle); and an asymptote C - A that overflows (validate).
 
-Which commands must stay identical: the closed-form states are instances
-of one class, `analytic.RadialWavefunction`, so every `potential`,
-`effective`, `wavefunction`, `spectrum` and `oracle` command stays
-identical in stdout, stderr and exit code. A `validate` command may differ
-only by the `fidelity` record that a state whose surrogate level is bound
-(`exact.surrogate_level`) gains; with those records removed, its output is
-the base tree's. Node counts may not move.
+Which commands must stay identical: FD's Ritz step forms V^T T V and the
+Ritz vectors with numpy's own loops and solves V^T T V with LAPACK dsyevd
+through the oracle's one LAPACK, so FD's levels and states move by
+rounding only. Every `potential`, `effective`, `wavefunction` and
+`spectrum` command stays identical in stdout, stderr and exit code; an
+`oracle` or `validate` command may differ only in FD-derived numbers,
+each by at most 1e-14 relative, with no path added or removed, no node
+count moved and stderr and exit code unchanged.
 
 `--quick` runs a short list for a smoke test. Exit code 0 when every
 command is identical, 1 when one differs, 2 when a revision cannot be
@@ -130,6 +135,8 @@ EXTREME = (
 WAVEFUNCTIONS = [(n, l, b) for n in range(3) for l in range(2) for b in ("plus", "minus")]
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|\b(?:nan|NaN|inf|Infinity)\b)")
+# JSON paths listed per command and kind before "and N more"
+_SHOWN = 5
 
 # Runs inside each tree's subprocess: argv lists in, one record per command out.
 RUNNER = """
@@ -245,19 +252,57 @@ def _numbers(text):
     return [float(tok) for tok in _NUMBER.findall(text)]
 
 
-def max_rel_delta(a: str, b: str):
-    """Largest |x - y| / max(|x|, |y|, 1) over corresponding numbers, or None
-    when the two outputs hold different counts of numbers."""
-    xs, ys = _numbers(a), _numbers(b)
-    if len(xs) != len(ys):
-        return None
+def _rel_delta(pairs):
+    """Largest |x - y| / max(|x|, |y|, 1) over the number pairs."""
     worst = 0.0
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         scale = max(abs(x), abs(y), 1.0)
         worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
     return worst
+
+
+def max_rel_delta(a: str, b: str):
+    """Largest relative delta over corresponding numbers, or None when the
+    two outputs hold different counts of numbers."""
+    xs, ys = _numbers(a), _numbers(b)
+    return _rel_delta(zip(xs, ys)) if len(xs) == len(ys) else None
+
+
+def _leaves(doc, path=""):
+    """Path -> value of every leaf of a parsed JSON document, a path naming
+    object keys and list indices joined by dots."""
+    if isinstance(doc, dict) and doc:
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = enumerate(doc)
+    else:
+        return {path: doc}
+    leaves = {}
+    for key, value in items:
+        leaves |= _leaves(value, f"{path}.{key}" if path else str(key))
+    return leaves
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_delta(a: str, b: str):
+    """(added, removed, changed, delta) of two JSON documents: the leaf paths
+    only b has, those only a has, the shared paths whose values other than
+    numbers differ, and the largest relative delta over the numbers at
+    shared paths; None when either output is not JSON."""
+    try:
+        la, lb = _leaves(json.loads(a)), _leaves(json.loads(b))
+    except json.JSONDecodeError:
+        return None
+    shared = [k for k in la if k in lb]
+    numeric = {k for k in shared if _is_number(la[k]) and _is_number(lb[k])}
+    changed = [k for k in shared if k not in numeric and la[k] != lb[k]]
+    return ([k for k in lb if k not in la], [k for k in la if k not in lb], changed,
+            _rel_delta((la[k], lb[k]) for k in numeric))
 
 
 def first_difference(a: str, b: str):
@@ -273,7 +318,7 @@ def first_difference(a: str, b: str):
 def compare(labels, base, new, out=sys.stdout) -> int:
     differing = 0
     worst = None  # (delta, label) of the largest delta over differing commands
-    uncounted = 0
+    uncounted = reshaped = 0
     for label, r0, r1 in zip(labels, base, new, strict=True):
         if r0 == r1:
             print(f"identical  {label}", file=out)
@@ -286,7 +331,16 @@ def compare(labels, base, new, out=sys.stdout) -> int:
             if diff:
                 line, x, y = diff
                 print(f"  {stream} line {line}:\n    - {x.strip()}\n    + {y.strip()}", file=out)
-        delta = max_rel_delta(r0["stdout"], r1["stdout"])
+        documents = json_delta(r0["stdout"], r1["stdout"])
+        if documents is None:
+            delta = max_rel_delta(r0["stdout"], r1["stdout"])
+        else:
+            *paths, delta = documents
+            reshaped += any(paths)
+            for name, keys in zip(("added", "removed", "changed"), paths):
+                if keys:
+                    more = f" and {len(keys) - _SHOWN} more" if len(keys) > _SHOWN else ""
+                    print(f"  paths {name}: {', '.join(keys[:_SHOWN])}{more}", file=out)
         shown = "numbers differ in count" if delta is None else f"{delta:.3g}"
         print(f"  max relative numeric delta: {shown}", file=out)
         if delta is None:
@@ -297,6 +351,8 @@ def compare(labels, base, new, out=sys.stdout) -> int:
           f"of {len(labels)} commands", file=out)
     if differing:
         shown = "none comparable" if worst is None else f"{worst[0]:.3g} in {worst[1]}"
+        if reshaped:
+            shown += f"; {reshaped} with JSON paths added, removed or changed"
         if uncounted:
             shown += f"; {uncounted} with numbers differing in count"
         print(f"largest relative numeric delta: {shown}", file=out)
