@@ -146,9 +146,9 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     operator T by Sturm-sequence bisection to a width tol of 1e-11 times
     its Gershgorin bound ||T||, and dstein gives a vector per bracket by
     inverse iteration. The levels are the Ritz values of T on the span V
-    of those vectors (the eigenvalues of V^T T V, by LAPACK dsyevd) and the
-    states the matching Ritz vectors (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 4). For separated levels a Ritz value is the Rayleigh quotient
+    of those vectors (the eigenvalues of V^T T V) and the states the
+    matching Ritz vectors (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4). For separated levels a Ritz value is the Rayleigh quotient
     w + v^T (T - w) v at its bracket's midpoint w: one O(N) step in place
     of the further bisection down to 2 ulp, and more accurate, since the
     Sturm counts of bisection round at eps ||T||. Where two levels share a
@@ -157,7 +157,7 @@ def fd_spectrum(veff, m: Dimensionless, n_states) -> NumericSpectrum:
     so the block grows until the next level lies further up, and the
     lowest n_states Ritz pairs are returned. A change of energy unit by a
     power of two leaves T as it is, any other moves a level by about
-    eps ||T|| absolute at most.
+    eps ||T|| absolute at most. LAPACK dsyevd solves V^T T V.
 
     A grid whose t is not a positive finite number is refused
     (EvaluationOverflowError, naming s/h^2 = s alpha^2 t): h^2 = inf would
